@@ -1,15 +1,22 @@
-# Tier-1: everything must build, vet clean, and pass.
-test:
+# gofmt must have nothing to say about the module's Go sources (the
+# benchmark harness is its own module with its own rules).
+fmt:
+	@dirty="$$(gofmt -l *.go cmd examples internal tools)"; \
+	if [ -n "$$dirty" ]; then echo "gofmt -w needed on:"; echo "$$dirty"; exit 1; fi
+
+# Tier-1: everything must be formatted, build, vet clean, and pass.
+test: fmt
 	go build ./...
 	go vet ./...
 	go test ./...
 
 # Race tier: the concurrent serving path (sharded transport, HTTP
 # replay, shard pool, lock-isolated ops metrics, the obs registry)
-# under the race detector. Includes the 32-goroutine stress test in
-# internal/transport/race_test.go.
+# under the race detector. Includes the 32-goroutine stress tests in
+# internal/transport/race_test.go and internal/link (one pooled client,
+# one node, exchanges racing Forget).
 race:
-	go test -race -timeout 30m ./internal/transport ./internal/sim ./internal/adserver ./internal/shard ./internal/obs ./internal/wal ./internal/cluster
+	go test -race -timeout 30m ./internal/transport ./internal/sim ./internal/adserver ./internal/shard ./internal/obs ./internal/wal ./internal/cluster ./internal/link
 
 # Observability tier: the metrics registry (atomic counters/gauges,
 # log-bucketed histograms, Prometheus exposition) under the race
@@ -42,8 +49,9 @@ mega:
 
 # Throughput scaling of the sharded serving path (1 vs 2 vs 4 shards),
 # the wake-up round-trip comparison (sequential vs batched wire), the
-# cluster routing tier's proxy overhead (1 vs 3 nodes), and the live
-# shard-migration handoff (clients/s transferred, serving p99 while a
+# cluster routing tier's proxy overhead (1 vs 3 nodes over an HTTP hop,
+# then the HTTP hop and the persistent link side by side against real
+# nodes), and the live shard-migration handoff (clients/s transferred, serving p99 while a
 # handoff holds the rebalance lock).
 bench:
 	go test -bench 'ShardedServing|WakeUp' -benchtime 2s -run '^$$' ./internal/transport
@@ -105,14 +113,16 @@ crash:
 
 # Cluster tier: the multi-node routing tier. Router/ring unit tests
 # (placement, fan-out merge, 503 + Retry-After refusals, circuit
-# open/rejoin, the background prober), node-scoped crash scheduling,
-# degenerate WAL-file recovery, and the cluster differential suite: a
-# cluster of N nodes behind the router must match a single process at
-# shards=N on every accounting observable — fault-free, under seeded
-# chaos, and across node kill/restart (double kills and a kill
-# mid-period-fan-out included).
+# open/rejoin, the background prober), the router→node link (framing
+# and its fuzz seeds, pooling, abort/kill/re-dial semantics, no leaked
+# connection or goroutine), node-scoped crash scheduling, degenerate
+# WAL-file recovery, and the cluster differential suite: a cluster of N
+# nodes behind the router must match a single process at shards=N on
+# every accounting observable — fault-free, under seeded chaos, and
+# across node kill/restart (double kills and a kill mid-period-fan-out
+# included) — and the link hop must match the injected-HTTP-client hop.
 cluster:
-	go test -count=1 ./internal/cluster
+	go test -count=1 ./internal/cluster ./internal/link
 	go test -count=1 -run 'TestCrashSchedule' ./internal/faults
 	go test -count=1 -run 'TestRecoverDegenerateFiles' ./internal/wal
 	go test -count=1 -run 'TestCluster' ./internal/sim
@@ -158,4 +168,4 @@ verify: test batch chaos crash cluster migrate stream tenant
 # obs, which let schedule-dependent regressions through.
 verify-full: verify race obs
 
-.PHONY: test race obs bench benchsnap benchgate chaos batch crash cluster migrate stream tenant mega verify verify-full
+.PHONY: fmt test race obs bench benchsnap benchgate chaos batch crash cluster migrate stream tenant mega verify verify-full

@@ -31,7 +31,10 @@
 // hashing, proxies client traffic there, fans period rounds out to
 // every node, and rides out node restarts (crashed nodes are probed on
 // /v1/health and rejoined when they answer; see internal/cluster and
-// README "Running a cluster"). Give each node a -node-id so the label
+// README "Running a cluster"). The router talks to its nodes over
+// persistent framed connections (internal/link) that start as an HTTP
+// Upgrade on each node's -addr listener — no extra port or flag on
+// either side. Give each node a -node-id so the label
 // shows up in its /v1/health reply and as the adserver_node_info gauge
 // in /v1/metrics.
 //
@@ -59,6 +62,7 @@ import (
 	"repro/internal/adserver"
 	"repro/internal/auction"
 	"repro/internal/cluster"
+	"repro/internal/link"
 	"repro/internal/predict"
 	"repro/internal/shard"
 	"repro/internal/simclock"
@@ -235,9 +239,13 @@ func main() {
 		fmt.Printf("adserverd: recovered from %s (snapshot=%v, %d ops replayed)\n",
 			*walDir, st.SnapshotRestored, st.Replayed)
 	}
+	// A cluster router upgrades connections on this same listener into
+	// its persistent link; the link server dispatches their frames to the
+	// one handler everything else reaches.
+	links := link.NewServer(ss.Handler())
 	srv := &http.Server{
 		Addr:         *addr,
-		Handler:      ss.Handler(),
+		Handler:      links,
 		ReadTimeout:  30 * time.Second,
 		WriteTimeout: 30 * time.Second,
 		IdleTimeout:  2 * time.Minute,
@@ -274,6 +282,10 @@ func main() {
 		if err := srv.Shutdown(ctx); err != nil {
 			log.Printf("shutdown: %v", err)
 		}
+		// Shutdown neither waits for nor closes upgraded connections:
+		// closing the link server lets an exchange in flight finish its
+		// handler and drops the rest, so the state saved below is final.
+		links.Close()
 		close(drained)
 	}()
 

@@ -20,27 +20,57 @@ import (
 )
 
 // BenchmarkClusterRoundTrip measures the routing tier's proxy overhead:
-// one client-scoped request entering the router handler, forwarded over
-// real HTTP to the owning node, and relayed back. The node itself is a
-// minimal responder, so the number isolates the router's added cost —
-// body buffering, client-id extraction, placement, the forward loop —
-// plus one loopback HTTP hop. Tracked by make benchsnap/benchgate.
+// one client-scoped request entering the router handler, forwarded to
+// the owning node over a real loopback socket, and relayed back.
+//
+// nodes=1 and nodes=3 keep the hop plain HTTP (an injected client)
+// against a minimal responder, so the number isolates the router's added
+// cost — body buffering, client-id extraction, placement, the forward
+// loop — plus one net/http round trip; these are the series make
+// benchsnap/benchgate track. nodes=3/hop=link and nodes=3/hop=http put
+// the two hops side by side against the same real ShardedServer nodes:
+// their difference in ns/op and allocs/op is what the persistent link
+// buys per forward.
 //
 // Run: make bench
 func BenchmarkClusterRoundTrip(b *testing.B) {
-	for _, nodes := range []int{1, 3} {
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			urls := make([]string, nodes)
+	stub := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"ads":[],"generation":1}`)
+	})
+	httpHop := func() []Option {
+		return []Option{WithHTTPClient(&http.Client{Timeout: 10 * time.Second})}
+	}
+	for _, bc := range []struct {
+		name  string
+		nodes int
+		real  bool
+		opts  func() []Option
+	}{
+		{"nodes=1", 1, false, httpHop},
+		{"nodes=3", 3, false, httpHop},
+		{"nodes=3/hop=http", 3, true, httpHop},
+		{"nodes=3/hop=link", 3, true, func() []Option { return nil }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			const clients = 256
+			place := func(id int) int { return shard.Route(id, bc.nodes) }
+			urls := make([]string, bc.nodes)
 			for i := range urls {
-				srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					io.Copy(io.Discard, r.Body)
-					w.Header().Set("Content-Type", "application/json")
-					io.WriteString(w, `{"ads":[],"generation":1}`)
-				}))
-				defer srv.Close()
-				urls[i] = srv.URL
+				h := http.Handler(stub)
+				if bc.real {
+					var owned []int
+					for c := 0; c < clients; c++ {
+						if place(c) == i {
+							owned = append(owned, c)
+						}
+					}
+					h = benchNode(b, owned).Handler()
+				}
+				urls[i] = serveNode(b, h).URL
 			}
-			rt, err := New(Membership{Nodes: urls})
+			rt, err := New(Membership{Nodes: urls}, append(bc.opts(), WithPlacement(place))...)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -52,7 +82,7 @@ func BenchmarkClusterRoundTrip(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					cid := seq.Add(1) % 256
+					cid := seq.Add(1) % clients
 					r := httptest.NewRequest("GET", fmt.Sprintf("/v1/bundle?client=%d", cid), nil)
 					rec := httptest.NewRecorder()
 					h.ServeHTTP(rec, r)
@@ -63,6 +93,20 @@ func BenchmarkClusterRoundTrip(b *testing.B) {
 			})
 		})
 	}
+}
+
+// benchNode is one real serving node over the given clients.
+func benchNode(b *testing.B, owned []int) *transport.ShardedServer {
+	b.Helper()
+	pool, err := shard.New(1, adserver.DefaultConfig(), owned,
+		func(int) (*auction.Exchange, error) {
+			return auction.NewExchange(auction.DefaultDemand().Generate(simclock.NewRand(1)), 0.0002)
+		},
+		func(int) predict.Predictor { return predict.NewPercentileHistogram(0.9) }, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return transport.NewShardedServer(pool)
 }
 
 // BenchmarkMigrationHandoff measures the live-migration data path: one
@@ -83,25 +127,13 @@ func BenchmarkMigrationHandoff(b *testing.B) {
 	for i := range ids {
 		ids[i] = i
 	}
-	mkExchange := func(int) (*auction.Exchange, error) {
-		cs := auction.DefaultDemand().Generate(simclock.NewRand(1))
-		return auction.NewExchange(cs, 0.0002)
-	}
-	mkPredictor := func(int) predict.Predictor { return predict.NewPercentileHistogram(0.9) }
 	urls := make([]string, 2)
 	for i := range urls {
 		owned := ids
 		if i == 1 {
 			owned = nil // the target starts empty; the handoff populates it
 		}
-		pool, err := shard.New(1, adserver.DefaultConfig(), owned, mkExchange, mkPredictor, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ss := transport.NewShardedServer(pool)
-		srv := httptest.NewServer(ss.Handler())
-		defer srv.Close()
-		urls[i] = srv.URL
+		urls[i] = serveNode(b, benchNode(b, owned).Handler()).URL
 	}
 	rt, err := New(Membership{Nodes: urls})
 	if err != nil {

@@ -61,6 +61,7 @@ import (
 	"time"
 
 	"repro/internal/auction"
+	"repro/internal/link"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
@@ -77,6 +78,11 @@ const (
 	// DefaultRetryAfter is the Retry-After value (seconds) on 503s.
 	DefaultRetryAfter = 1
 )
+
+// hopTimeout bounds one router→node exchange on the default hop (the
+// link enforces it as a connection deadline). Injected HTTP clients
+// bring their own.
+const hopTimeout = 10 * time.Second
 
 // Member lifecycle states. A member id is its position in the node
 // slice and is never reused: Remove tombstones the slot.
@@ -219,9 +225,10 @@ type Router struct {
 	ring        *Ring
 	replicas    int
 	staticPlace bool
-	epochSeq    uint64 // last issued migration epoch; under rebalanceMu
+	epochSeq    uint64  // last issued migration epoch; under rebalanceMu
+	active      []*node // members owning clients; under rebalanceMu, rebuilt by refreshActive on every lifecycle change
 
-	hc  *http.Client
+	hop hop
 	reg *obs.Registry
 
 	failThreshold int
@@ -252,10 +259,13 @@ func WithPlacement(place func(clientID int) int) Option {
 	return func(rt *Router) { rt.place = place }
 }
 
-// WithHTTPClient sets the router→node HTTP client (default: a dedicated
-// client with a 10s timeout).
+// WithHTTPClient makes the router→node hop plain HTTP through hc instead
+// of the default persistent framed link (see internal/link) — for
+// callers that need to see or tamper with the hop's requests: fault
+// RoundTrippers in tests, span transports in the benchmark ladder, nodes
+// that are bare http.Handlers without a link.Server in front.
 func WithHTTPClient(hc *http.Client) Option {
-	return func(rt *Router) { rt.hc = hc }
+	return func(rt *Router) { rt.hop = httpHop{hc} }
 }
 
 // WithFailThreshold sets how many consecutive transport failures open a
@@ -353,9 +363,10 @@ func New(m Membership, opts ...Option) (*Router, error) {
 	} else {
 		rt.staticPlace = true
 	}
-	if rt.hc == nil {
-		rt.hc = &http.Client{Timeout: 10 * time.Second}
+	if rt.hop == nil {
+		rt.hop = linkHop{link.NewClient(rt.reg, hopTimeout, relayHeaders[:])}
 	}
+	rt.refreshActive()
 	if rt.failThreshold < 1 {
 		rt.failThreshold = 1
 	}
@@ -451,6 +462,7 @@ func (rt *Router) Rejoin(i int, baseURL string) {
 		return
 	}
 	n.mu.Lock()
+	old := n.base
 	if baseURL != "" {
 		n.base = baseURL
 	}
@@ -462,6 +474,8 @@ func (rt *Router) Rejoin(i int, baseURL string) {
 		n.upCh = nil
 	}
 	n.mu.Unlock()
+	// Whatever the hop pooled belongs to the previous incarnation.
+	rt.hop.forget(old)
 	rt.rejoins.Inc()
 }
 
@@ -490,26 +504,24 @@ func (rt *Router) StartProber(interval time.Duration) {
 				if up || n.lifecycle() == lifeRemoved {
 					continue
 				}
-				resp, err := rt.hc.Get(base + "/v1/health")
-				if err != nil {
+				if _, err := rt.hop.roundTrip(base, http.MethodGet, "/v1/health", nil, nil); err != nil {
 					continue
 				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
 				rt.Rejoin(n.idx, "")
 			}
 		}
 	}()
 }
 
-// Close stops the prober (if started) and drops idle connections.
+// Close stops the prober (if started) and closes the hop's pooled
+// connections.
 func (rt *Router) Close() {
 	if rt.proberStop != nil {
 		close(rt.proberStop)
 		<-rt.proberDone
 		rt.proberStop, rt.proberDone = nil, nil
 	}
-	rt.hc.CloseIdleConnections()
+	rt.hop.close()
 }
 
 // clusterEndpoints label the router's obs middleware series.
@@ -547,30 +559,101 @@ func (rt *Router) Handler() http.Handler {
 	return obs.Middleware(rt.reg, mux, clusterEndpoints...)
 }
 
-// proxied is one node's buffered response.
-type proxied struct {
-	status int
-	header http.Header
-	body   []byte
-}
+// proxied is one node's buffered response: status, the relayHeaders it
+// carried, body.
+type proxied = link.Response
 
 // forwardHeaders are the request headers the router relays to nodes:
 // the idempotency identity, the retry attempt, the protocol version
-// negotiation, the body codec, and the tenant declaration (so a node's
-// wire-tenant guard sees the same identity a direct client presents).
-var forwardHeaders = []string{
-	"Idempotency-Key", "X-Retry-Attempt", transport.VersionHeader, "Content-Type",
-	transport.TenantHeader,
+// negotiation, the body codec, the tenant declaration (so a node's
+// wire-tenant guard sees the same identity a direct client presents),
+// and the bearer token the router presents on its own admin calls.
+// Canonical MIME keys: they index http.Header maps directly and travel
+// verbatim in link frames.
+var forwardHeaders = [...]string{
+	"Idempotency-Key", "X-Retry-Attempt", http.CanonicalHeaderKey(transport.VersionHeader), "Content-Type",
+	http.CanonicalHeaderKey(transport.TenantHeader), "Authorization",
 }
 
-// relayHeaders are the response headers relayed back to the client.
-var relayHeaders = []string{
-	"Content-Type", "Retry-After", transport.VersionHeader, obs.ReplayedHeader,
+// relayHeaders are the response headers relayed back to the client
+// (canonical keys, as above).
+var relayHeaders = [...]string{
+	"Content-Type", "Retry-After", http.CanonicalHeaderKey(transport.VersionHeader), obs.ReplayedHeader,
 }
+
+// hop carries one buffered exchange from the router to the node at
+// base. An error means no complete reply arrived (forward counts it
+// against the node's circuit); a reply of any status is returned as-is.
+// Two implementations: the persistent framed link (the default), and
+// plain HTTP through an injected client.
+type hop interface {
+	roundTrip(base, method, uri string, hdr http.Header, body []byte) (*proxied, error)
+	// forget drops whatever is pooled for base: the node there was
+	// replaced or removed.
+	forget(base string)
+	close()
+}
+
+// linkHop sends the exchange as one frame over a pooled link connection.
+type linkHop struct{ c *link.Client }
+
+func (l linkHop) roundTrip(base, method, uri string, hdr http.Header, body []byte) (*proxied, error) {
+	var kv [len(forwardHeaders)]link.Header
+	n := 0
+	for _, name := range forwardHeaders {
+		if vs := hdr[name]; len(vs) > 0 && vs[0] != "" {
+			kv[n] = link.Header{Name: name, Value: vs[0]}
+			n++
+		}
+	}
+	return l.c.Do(base, method, uri, kv[:n], body)
+}
+
+func (l linkHop) forget(base string) { l.c.Forget(base) }
+func (l linkHop) close()             { l.c.Close() }
+
+// httpHop sends the exchange as one HTTP request through the injected
+// client; pooling and dead-connection handling are that client's.
+type httpHop struct{ hc *http.Client }
+
+func (h httpHop) roundTrip(base, method, uri string, hdr http.Header, body []byte) (*proxied, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequest(method, base+uri, rd)
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range forwardHeaders {
+		if vs := hdr[name]; len(vs) > 0 && vs[0] != "" {
+			req.Header[name] = vs[:1]
+		}
+	}
+	resp, err := h.hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	respBody, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	p := &proxied{Status: resp.StatusCode, Body: respBody}
+	for _, name := range relayHeaders {
+		if vs := resp.Header[name]; len(vs) > 0 && vs[0] != "" {
+			p.Header = append(p.Header, link.Header{Name: name, Value: vs[0]})
+		}
+	}
+	return p, nil
+}
+
+func (h httpHop) forget(string) {}
+func (h httpHop) close()        { h.hc.CloseIdleConnections() }
 
 // forward proxies one buffered request to a node, riding out failures:
-// transport errors count against the node's circuit, a down node parks
-// the attempt for up to rejoinWait, and a response — any status — is
+// hop errors count against the node's circuit, a down node parks the
+// attempt for up to rejoinWait, and a response — any status — is
 // returned as-is. ok is false when the node stayed unavailable past the
 // attempt budget or patience window.
 func (rt *Router) forward(n *node, method, uri string, hdr http.Header, body []byte) (*proxied, bool) {
@@ -582,33 +665,14 @@ func (rt *Router) forward(n *node, method, uri string, hdr http.Header, body []b
 		if !up {
 			continue // went down again between awaitUp and snapshot
 		}
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequest(method, base+uri, rd)
-		if err != nil {
-			return nil, false
-		}
-		for _, h := range forwardHeaders {
-			if v := hdr.Get(h); v != "" {
-				req.Header.Set(h, v)
-			}
-		}
 		n.forwards.Inc()
-		resp, err := rt.hc.Do(req)
-		if err != nil {
-			n.fail(epoch, rt.failThreshold)
-			continue
-		}
-		respBody, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
+		p, err := rt.hop.roundTrip(base, method, uri, hdr, body)
 		if err != nil {
 			n.fail(epoch, rt.failThreshold)
 			continue
 		}
 		n.ok(epoch)
-		return &proxied{status: resp.StatusCode, header: resp.Header, body: respBody}, true
+		return p, true
 	}
 	return nil, false
 }
@@ -625,13 +689,12 @@ func (rt *Router) unavailableErr(w http.ResponseWriter, nodeIdx int) {
 
 // writeProxied relays a node response to the client.
 func writeProxied(w http.ResponseWriter, p *proxied) {
-	for _, h := range relayHeaders {
-		if v := p.header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
+	out := w.Header()
+	for _, h := range p.Header {
+		out[h.Name] = []string{h.Value}
 	}
-	w.WriteHeader(p.status)
-	w.Write(p.body)
+	w.WriteHeader(p.Status)
+	w.Write(p.Body)
 }
 
 // handleClient proxies a client-scoped request to the node owning its
@@ -643,21 +706,13 @@ func writeProxied(w http.ResponseWriter, p *proxied) {
 func (rt *Router) handleClient(w http.ResponseWriter, r *http.Request) {
 	rt.rebalanceMu.RLock()
 	defer rt.rebalanceMu.RUnlock()
-	var body []byte
-	if r.Body != nil && r.Method != http.MethodGet {
-		b, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		r.Body.Close()
-		if err != nil {
-			http.Error(w, "cluster: reading request body", http.StatusBadRequest)
-			return
-		}
-		body = b
-		r.Body = io.NopCloser(bytes.NewReader(body))
-	}
-	active := rt.activeMembers()
-	clientID, ok := transport.RequestClientID(r)
+	body, ok := readRequestBody(w, r)
 	if !ok {
-		if len(active) > 1 {
+		return
+	}
+	clientID, ok := requestClientID(r, body)
+	if !ok {
+		if len(rt.active) > 1 {
 			http.Error(w, "cluster: request carries no routable client id", http.StatusBadRequest)
 			return
 		}
@@ -668,24 +723,65 @@ func (rt *Router) handleClient(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "cluster: placement names an unknown member", http.StatusBadGateway)
 		return
 	}
-	p, up := rt.forward(n, r.Method, r.URL.RequestURI(), r.Header, body)
+	uri := r.URL.RequestURI()
+	p, up := rt.forward(n, r.Method, uri, r.Header, body)
 	if !up {
 		rt.unavailableErr(w, n.idx)
 		return
 	}
-	if p.status == http.StatusMisdirectedRequest {
+	if p.Status == http.StatusMisdirectedRequest {
 		rt.misdirected.Inc()
-		for _, m := range active {
+		for _, m := range rt.active {
 			if m.idx == n.idx {
 				continue
 			}
-			if p2, up2 := rt.forward(m, r.Method, r.URL.RequestURI(), r.Header, body); up2 && p2.status != http.StatusMisdirectedRequest {
+			if p2, up2 := rt.forward(m, r.Method, uri, r.Header, body); up2 && p2.Status != http.StatusMisdirectedRequest {
 				p = p2
 				break
 			}
 		}
 	}
 	writeProxied(w, p)
+}
+
+// readRequestBody buffers a non-GET request's body once, bounded like a
+// node's own readBody. ok is false after a 400 was written.
+func readRequestBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	if r.Body == nil || r.Method == http.MethodGet {
+		return nil, true
+	}
+	const limit = 1 << 20
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= limit {
+		body = make([]byte, n)
+		_, err = io.ReadFull(r.Body, body)
+	} else {
+		body, err = io.ReadAll(io.LimitReader(r.Body, limit))
+	}
+	r.Body.Close()
+	r.Body = http.NoBody
+	if err != nil {
+		http.Error(w, "cluster: reading request body", http.StatusBadRequest)
+		return nil, false
+	}
+	return body, true
+}
+
+// requestClientID resolves the routed client id from the request line
+// or the body bytes the router already holds: the client query
+// parameter wins, else a POST body's envelope field or binary frame
+// header (transport.BodyClientID).
+func requestClientID(r *http.Request, body []byte) (int, bool) {
+	if r.URL.RawQuery != "" {
+		if raw := r.URL.Query().Get("client"); raw != "" {
+			c, err := strconv.Atoi(raw)
+			return c, err == nil
+		}
+	}
+	if r.Method != http.MethodPost {
+		return 0, false
+	}
+	return transport.BodyClientID(body)
 }
 
 // fanoutMembers are the nodes a barrier includes: everything not
@@ -701,15 +797,17 @@ func (rt *Router) fanoutMembers() []*node {
 	return out
 }
 
-// activeMembers are the nodes currently owning clients.
-func (rt *Router) activeMembers() []*node {
-	var out []*node
+// refreshActive rebuilds rt.active, the members currently owning
+// clients. Every lifecycle change calls it while holding rebalanceMu
+// exclusively, so request handlers (which hold it shared) read the slice
+// without rebuilding it.
+func (rt *Router) refreshActive() {
+	rt.active = nil
 	for _, n := range rt.members() {
 		if n.lifecycle() == lifeActive {
-			out = append(out, n)
+			rt.active = append(rt.active, n)
 		}
 	}
-	return out
 }
 
 // fanout forwards one request to every participating node concurrently
@@ -747,16 +845,9 @@ func (rt *Router) fanoutHandler(merge func(bodies [][]byte) (any, error)) http.H
 	return func(w http.ResponseWriter, r *http.Request) {
 		rt.rebalanceMu.RLock()
 		defer rt.rebalanceMu.RUnlock()
-		var body []byte
-		if r.Body != nil && r.Method != http.MethodGet {
-			b, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-			r.Body.Close()
-			r.Body = http.NoBody
-			if err != nil {
-				http.Error(w, "cluster: reading request body", http.StatusBadRequest)
-				return
-			}
-			body = b
+		body, ok := readRequestBody(w, r)
+		if !ok {
+			return
 		}
 		out, deadNode := rt.fanout(r.Method, r.URL.RequestURI(), r.Header, body)
 		if deadNode >= 0 {
@@ -765,11 +856,11 @@ func (rt *Router) fanoutHandler(merge func(bodies [][]byte) (any, error)) http.H
 		}
 		bodies := make([][]byte, len(out))
 		for i, p := range out {
-			if p.status < 200 || p.status > 299 {
+			if p.Status < 200 || p.Status > 299 {
 				writeProxied(w, p)
 				return
 			}
-			bodies[i] = p.body
+			bodies[i] = p.Body
 		}
 		reply, err := merge(bodies)
 		if err != nil {
@@ -785,7 +876,7 @@ func (rt *Router) fanoutHandler(merge func(bodies [][]byte) (any, error)) http.H
 		// node executing fresh makes the merged reply fresh.
 		replayed := true
 		for _, p := range out {
-			if p.header.Get(obs.ReplayedHeader) != "true" {
+			if p.Get(obs.ReplayedHeader) != "true" {
 				replayed = false
 				break
 			}
@@ -887,21 +978,17 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 			base, epoch, up := n.state()
 			nh := transport.NodeHealth{Node: n.idx, URL: base, State: lifeString(n.lifecycle()), Down: !up}
 			if up {
-				req, _ := http.NewRequest(http.MethodGet, base+r.URL.RequestURI(), nil)
-				resp, err := rt.hc.Do(req)
-				if err != nil {
+				p, err := rt.hop.roundTrip(base, http.MethodGet, r.URL.RequestURI(), nil, nil)
+				var h transport.HealthReply
+				switch {
+				case err != nil:
 					n.fail(epoch, rt.failThreshold)
 					nh.Down = true
-				} else {
-					body, rerr := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					var h transport.HealthReply
-					if rerr == nil && resp.StatusCode == http.StatusOK && json.Unmarshal(body, &h) == nil {
-						n.ok(epoch)
-						nh.Detail = &h
-					} else {
-						nh.Down = true
-					}
+				case p.Status == http.StatusOK && json.Unmarshal(p.Body, &h) == nil:
+					n.ok(epoch)
+					nh.Detail = &h
+				default:
+					nh.Down = true
 				}
 			}
 			reply.Nodes[i] = nh

@@ -92,6 +92,7 @@ func (rt *Router) AddNode(baseURL string) (id, moved int, err error) {
 		rt.nodes = append(rt.nodes, rt.newNode(id, baseURL))
 	}
 	rt.nodesMu.Unlock()
+	rt.refreshActive()
 	moved, err = rt.rebalanceLocked()
 	return id, moved, err
 }
@@ -114,10 +115,11 @@ func (rt *Router) Drain(i int) (moved int, err error) {
 	if n.lifecycle() != lifeActive {
 		return 0, fmt.Errorf("cluster: member %d is %s, not active", i, lifeString(n.lifecycle()))
 	}
-	if len(rt.activeMembers()) == 1 {
+	if len(rt.active) == 1 {
 		return 0, fmt.Errorf("cluster: refusing to drain the last active member")
 	}
 	n.setLifecycle(lifeDrained)
+	rt.refreshActive()
 	moved, err = rt.rebalanceLocked()
 	if err != nil {
 		// Leave the member drained: a Rebalance retry finishes the move.
@@ -152,6 +154,9 @@ func (rt *Router) Remove(i int) error {
 		return fmt.Errorf("cluster: member %d still owns %d clients; run Rebalance", i, len(owned))
 	}
 	n.setLifecycle(lifeRemoved)
+	rt.refreshActive()
+	base, _, _ := n.state()
+	rt.hop.forget(base)
 	return nil
 }
 
@@ -166,13 +171,13 @@ func (rt *Router) Plan(ch Change) ([]Move, error) {
 		return nil, ErrStaticPlacement
 	}
 	var ids []int
-	for _, n := range rt.activeMembers() {
+	for _, n := range rt.active {
 		if ch.DrainNode == n.idx {
 			continue
 		}
 		ids = append(ids, n.idx)
 	}
-	if ch.DrainNode >= 0 && len(ids) == len(rt.activeMembers()) {
+	if ch.DrainNode >= 0 && len(ids) == len(rt.active) {
 		return nil, fmt.Errorf("cluster: no active member %d to drain", ch.DrainNode)
 	}
 	if ch.AddNode {
@@ -203,12 +208,11 @@ func (rt *Router) Rebalance() (moved int, err error) {
 // rebalanceLocked does the quiesced plan/transfer/install cycle. Caller
 // holds rebalanceMu exclusively.
 func (rt *Router) rebalanceLocked() (int, error) {
-	active := rt.activeMembers()
-	if len(active) == 0 {
+	if len(rt.active) == 0 {
 		return 0, fmt.Errorf("cluster: no active members")
 	}
-	ids := make([]int, len(active))
-	for i, n := range active {
+	ids := make([]int, len(rt.active))
+	for i, n := range rt.active {
 		ids[i] = n.idx
 	}
 	ring := NewRingOf(ids, rt.replicas)
@@ -332,11 +336,11 @@ func (rt *Router) ownedClients(n *node) ([]int, error) {
 	if !up {
 		return nil, fmt.Errorf("member %d unavailable", n.idx)
 	}
-	if p.status != http.StatusOK {
-		return nil, fmt.Errorf("member %d: %d %s", n.idx, p.status, p.body)
+	if p.Status != http.StatusOK {
+		return nil, fmt.Errorf("member %d: %d %s", n.idx, p.Status, p.Body)
 	}
 	var cr transport.ClientsReply
-	if err := json.Unmarshal(p.body, &cr); err != nil {
+	if err := json.Unmarshal(p.Body, &cr); err != nil {
 		return nil, fmt.Errorf("member %d clients reply: %w", n.idx, err)
 	}
 	return cr.Clients, nil
@@ -349,10 +353,10 @@ func (rt *Router) adminPost(n *node, uri string, body []byte) ([]byte, error) {
 	if !up {
 		return nil, fmt.Errorf("member %d unavailable", n.idx)
 	}
-	if p.status < 200 || p.status > 299 {
-		return nil, fmt.Errorf("member %d: %d %s", n.idx, p.status, p.body)
+	if p.Status < 200 || p.Status > 299 {
+		return nil, fmt.Errorf("member %d: %d %s", n.idx, p.Status, p.Body)
 	}
-	return p.body, nil
+	return p.Body, nil
 }
 
 // adminHeader carries the router's credentials on node admin calls.
@@ -525,12 +529,12 @@ func (rt *Router) handleAdminConfig(w http.ResponseWriter, r *http.Request) {
 			rt.unavailableErr(w, n.idx)
 			return
 		}
-		if p.status < 200 || p.status > 299 {
+		if p.Status < 200 || p.Status > 299 {
 			writeProxied(w, p)
 			return
 		}
 		var cr transport.ConfigReply
-		if err := json.Unmarshal(p.body, &cr); err != nil {
+		if err := json.Unmarshal(p.Body, &cr); err != nil {
 			http.Error(w, fmt.Sprintf("cluster: member %d config reply: %v", n.idx, err), http.StatusBadGateway)
 			return
 		}

@@ -18,7 +18,7 @@ import (
 // without standing up real ad-server state.
 func ownershipNode(t *testing.T, owned []int) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return serveNode(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/admin/clients" {
 			w.Header().Set("Content-Type", "application/json")
 			json.NewEncoder(w).Encode(transport.ClientsReply{Clients: owned})
@@ -26,8 +26,6 @@ func ownershipNode(t *testing.T, owned []int) *httptest.Server {
 		}
 		w.WriteHeader(http.StatusOK)
 	}))
-	t.Cleanup(srv.Close)
-	return srv
 }
 
 // bruteForceDiff is the reference implementation Plan must match: walk

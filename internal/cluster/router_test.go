@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/link"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
@@ -26,12 +27,26 @@ type fakeNode struct {
 func newFakeNode(t *testing.T, reply func(w http.ResponseWriter, r *http.Request)) *fakeNode {
 	t.Helper()
 	n := &fakeNode{reply: reply}
-	n.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	n.srv = serveNode(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n.served.Add(1)
 		n.reply(w, r)
 	}))
-	t.Cleanup(n.srv.Close)
 	return n
+}
+
+// serveNode stands a handler up the way a real node is served: behind a
+// link.Server on an ordinary listener, so routers built without
+// WithHTTPClient reach it over the link. Both are torn down with the
+// test.
+func serveNode(t testing.TB, h http.Handler) *httptest.Server {
+	t.Helper()
+	links := link.NewServer(h)
+	srv := httptest.NewServer(links)
+	t.Cleanup(func() {
+		links.Close()
+		srv.Close()
+	})
+	return srv
 }
 
 func jsonReply(body string) func(w http.ResponseWriter, r *http.Request) {

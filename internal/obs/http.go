@@ -11,12 +11,12 @@ import (
 // counted per status class so dashboards can separate served traffic
 // from shed (429) and failed requests.
 const (
-	MetricHTTPRequests   = "http_requests_total"       // {endpoint, code}
-	MetricHTTPLatencyNS  = "http_request_latency_ns"   // histogram {endpoint}
-	MetricHTTPRespBytes  = "http_response_bytes"       // histogram {endpoint}
-	MetricHTTPReqBytes   = "http_request_bytes_total"  // {endpoint}
-	MetricHTTPReplays    = "http_replays_total"        // {endpoint}
-	ReplayedHeader       = "Idempotency-Replayed"      // set by the dedup layer
+	MetricHTTPRequests   = "http_requests_total"      // {endpoint, code}
+	MetricHTTPLatencyNS  = "http_request_latency_ns"  // histogram {endpoint}
+	MetricHTTPRespBytes  = "http_response_bytes"      // histogram {endpoint}
+	MetricHTTPReqBytes   = "http_request_bytes_total" // {endpoint}
+	MetricHTTPReplays    = "http_replays_total"       // {endpoint}
+	ReplayedHeader       = "Idempotency-Replayed"     // set by the dedup layer
 	unknownEndpointLabel = "other"
 )
 

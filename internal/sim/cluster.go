@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/auction"
 	"repro/internal/cluster"
+	"repro/internal/link"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/simclock"
@@ -40,6 +41,7 @@ type simNode struct {
 	ts       *transport.ShardedServer
 	log      *wal.Log
 	srv      *http.Server
+	links    *link.Server // the router's link connections into srv
 	ln       net.Listener
 	down     bool
 	restarts int
@@ -84,7 +86,10 @@ type clusterBackend struct {
 	err error // first restart failure
 }
 
-func newClusterBackend(env *replayEnv) (*clusterBackend, error) {
+// newClusterBackend builds the nodes and the router over them. The
+// router→node hop is the router's default (the persistent link); extra
+// router options are for the differential test that swaps the hop.
+func newClusterBackend(env *replayEnv, extra ...cluster.Option) (*clusterBackend, error) {
 	o := env.o
 	b := &clusterBackend{env: env, serveErr: make(chan error, 1), done: make(chan struct{})}
 	nodes := o.Nodes
@@ -133,22 +138,13 @@ func newClusterBackend(env *replayEnv) (*clusterBackend, error) {
 	for i, nd := range b.nodes {
 		urls[i] = "http://" + nd.ln.Addr().String()
 	}
-	ropts := []cluster.Option{
-		cluster.WithRejoinWait(clusterRejoinWait),
-		cluster.WithHTTPClient(&http.Client{
-			Transport: &http.Transport{
-				MaxIdleConns:        env.workers * 2,
-				MaxIdleConnsPerHost: env.workers * 2,
-			},
-			Timeout: 10 * time.Second,
-		}),
-	}
+	ropts := []cluster.Option{cluster.WithRejoinWait(clusterRejoinWait)}
 	if !b.elastic {
 		// Fixed-size runs freeze placement to the shard partition; an
 		// elastic run keeps the router's own ring so membership can move.
 		ropts = append(ropts, cluster.WithPlacement(place))
 	}
-	router, err := cluster.New(cluster.Membership{Nodes: urls}, ropts...)
+	router, err := cluster.New(cluster.Membership{Nodes: urls}, append(ropts, extra...)...)
 	if err != nil {
 		b.close()
 		return nil, err
@@ -225,14 +221,15 @@ func (b *clusterBackend) buildNode(nd *simNode) error {
 	}
 	// While the node is down its replacement is not serving yet; abort
 	// any connection that still reaches the old incarnation, exactly
-	// like a killed process would.
+	// like a killed process would. The link server wraps the gate, so a
+	// framed request dies the same death an HTTP one does.
 	inner := ts.Handler()
-	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	links := link.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if nd.isDown() {
 			panic(http.ErrAbortHandler)
 		}
 		inner.ServeHTTP(w, r)
-	})
+	}))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		if l != nil {
@@ -240,10 +237,10 @@ func (b *clusterBackend) buildNode(nd *simNode) error {
 		}
 		return fmt.Errorf("sim: node %d listener: %w", nd.idx, err)
 	}
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: links}
 	go srv.Serve(ln)
 	nd.mu.Lock()
-	nd.pool, nd.ts, nd.log, nd.srv, nd.ln = pool, ts, l, srv, ln
+	nd.pool, nd.ts, nd.log, nd.srv, nd.links, nd.ln = pool, ts, l, srv, links, ln
 	nd.mu.Unlock()
 	return nil
 }
@@ -283,15 +280,17 @@ func (b *clusterBackend) restartLoop(nd *simNode) {
 			return
 		}
 		nd.mu.Lock()
-		oldSrv, oldLog := nd.srv, nd.log
+		oldSrv, oldLinks, oldLog := nd.srv, nd.links, nd.log
 		nd.mu.Unlock()
 		// Kill the incarnation completely: Close aborts in-flight
-		// requests and the listener, so the router sees connection
-		// failures exactly as if the process died. Then quiesce the
+		// requests and the listener — and, separately, the hijacked link
+		// connections http.Server no longer tracks — so the router sees
+		// connection failures exactly as if the process died. Then quiesce the
 		// sealed log — Close waits out an append already past the seal
 		// check, so the replacement reads a complete tail (such a
 		// record was acked and must be replayed, not truncated).
 		oldSrv.Close()
+		oldLinks.Close()
 		if oldLog != nil {
 			_ = oldLog.Close()
 		}
@@ -444,10 +443,11 @@ func (b *clusterBackend) close() {
 	b.closeOnce.Do(func() {
 		for _, nd := range b.nodes {
 			nd.mu.Lock()
-			srv, l := nd.srv, nd.log
+			srv, links, l := nd.srv, nd.links, nd.log
 			nd.mu.Unlock()
 			if srv != nil {
 				_ = srv.Close()
+				links.Close()
 			}
 			if l != nil {
 				_ = l.Close()

@@ -208,3 +208,27 @@ func TestTenantClusterVictimIsolation(t *testing.T) {
 	assertVictimIsolation(t, "cluster", solo, noisy)
 	assertFloodContained(t, "cluster", noisy)
 }
+
+// TestTenantClusterBinaryWire runs the routed isolation pair on the
+// binary batch wire. Tenant-declaring devices send APB2 frames, which
+// the router must place by the client id in the frame header exactly as
+// it places APB1 ones — it used to refuse them as unroutable.
+func TestTenantClusterBinaryWire(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node HTTP replay, solo + flooded")
+	}
+	cfg := tenantConfig()
+	table := tenantTable(0.002, 4, 48)
+	wire := TransportOpts{Tenants: table, Batched: true, BinaryBatch: true}
+	solo, err := RunTransportCluster(cfg, 3, 4, wire)
+	if err != nil {
+		t.Fatalf("solo: %v", err)
+	}
+	wire.Flood = tenantFlood()
+	noisy, err := RunTransportCluster(cfg, 3, 4, wire)
+	if err != nil {
+		t.Fatalf("noisy: %v", err)
+	}
+	assertVictimIsolation(t, "cluster/binary", solo, noisy)
+	assertFloodContained(t, "cluster/binary", noisy)
+}

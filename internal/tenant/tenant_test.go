@@ -57,14 +57,14 @@ func TestTenantNilRegistryIsLegacy(t *testing.T) {
 
 func TestTenantValidation(t *testing.T) {
 	bad := [][]Config{
-		{{ID: "", Lo: 0, Hi: 10}},                                     // reserved legacy id
-		{{ID: "a", Lo: 10, Hi: 10}},                                   // empty range
-		{{ID: "a", Lo: 0, Hi: 10}, {ID: "b", Lo: 5, Hi: 15}},          // overlap
-		{{ID: "a", Lo: 0, Hi: 10}, {ID: "a", Lo: 20, Hi: 30}},         // duplicate id
-		{{ID: "a", Lo: 0, Hi: 10, RatePerSec: -1}},                    // negative rate
-		{{ID: "a", Lo: 0, Hi: 10, RatePerSec: 1, Burst: 0}},           // rate without burst
-		{{ID: "a", Lo: 0, Hi: 10, MaxOpenBook: -3}},                   // negative shed bound
-		{{ID: "a", Lo: 0, Hi: 10}, {ID: "b", Lo: -10, Hi: 1}},         // overlap across negatives
+		{{ID: "", Lo: 0, Hi: 10}},                             // reserved legacy id
+		{{ID: "a", Lo: 10, Hi: 10}},                           // empty range
+		{{ID: "a", Lo: 0, Hi: 10}, {ID: "b", Lo: 5, Hi: 15}},  // overlap
+		{{ID: "a", Lo: 0, Hi: 10}, {ID: "a", Lo: 20, Hi: 30}}, // duplicate id
+		{{ID: "a", Lo: 0, Hi: 10, RatePerSec: -1}},            // negative rate
+		{{ID: "a", Lo: 0, Hi: 10, RatePerSec: 1, Burst: 0}},   // rate without burst
+		{{ID: "a", Lo: 0, Hi: 10, MaxOpenBook: -3}},           // negative shed bound
+		{{ID: "a", Lo: 0, Hi: 10}, {ID: "b", Lo: -10, Hi: 1}}, // overlap across negatives
 	}
 	for i, cfgs := range bad {
 		if _, err := NewRegistry(0, cfgs); err == nil {

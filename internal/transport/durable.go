@@ -240,9 +240,9 @@ type transportSnapshot struct {
 
 	// Live-migration bookkeeping (see migrate.go): clients handed away,
 	// uncommitted extraction blobs, and adopted epochs.
-	Moved   []int           `json:"moved,omitempty"`
-	Outbox  []outboxRecord  `json:"outbox,omitempty"`
-	Applied []uint64        `json:"applied,omitempty"`
+	Moved   []int          `json:"moved,omitempty"`
+	Outbox  []outboxRecord `json:"outbox,omitempty"`
+	Applied []uint64       `json:"applied,omitempty"`
 
 	// Tenant config at the checkpoint (see tenant.go): the registry is
 	// part of the durable state so a snapshot taken after a hot reload

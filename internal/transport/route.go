@@ -4,43 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"io"
-	"net/http"
-	"strconv"
 )
 
-// RequestClientID extracts the routed client id from a protocol
-// request, for routing tiers that place clients onto nodes without
-// decoding full envelopes: the client query parameter on GETs, the
-// envelope's default client on JSON POST bodies, and the frame header
-// on binary batch envelopes. A consumed POST body is restored for the
-// next reader. ok is false for client-less requests — period rounds,
-// ledger, stats, health, metrics — which are not client-routable.
-func RequestClientID(r *http.Request) (client int, ok bool) {
-	if raw := r.URL.Query().Get("client"); raw != "" {
-		c, err := strconv.Atoi(raw)
-		if err != nil {
-			return 0, false
-		}
-		return c, true
-	}
-	if r.Body == nil || r.Method != http.MethodPost {
-		return 0, false
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20)) // readBody's bound
-	r.Body.Close()
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	if err != nil {
-		return 0, false
-	}
-	return BodyClientID(body)
-}
-
 // BodyClientID extracts the envelope default client id from a raw POST
-// body, sniffing the binary batch frame by magic so both codecs yield
-// the same routing decision.
+// body, for routing tiers that place clients onto nodes without
+// decoding full envelopes. Binary batch frames are sniffed by magic —
+// the client id sits at the same offset in the plain (APB1) and the
+// tenant-declaring (APB2) frame — so every codec yields the same
+// routing decision. ok is false for bodies that name no client.
 func BodyClientID(body []byte) (client int, ok bool) {
-	if len(body) >= 12 && bytes.Equal(body[:4], binReqMagic[:]) {
+	if len(body) >= 12 && (bytes.Equal(body[:4], binReqMagic[:]) || bytes.Equal(body[:4], binReqMagic2[:])) {
 		return int(int64(binary.LittleEndian.Uint64(body[4:]))), true
 	}
 	var env struct {
