@@ -26,22 +26,21 @@ race:
 obs:
 	go test -race -count=1 ./internal/obs
 
-# Stream tier: the streaming (lazy-trace, event-driven) replay. Lazy
-# derivation properties (UserAt == Generate byte-for-byte, order- and
-# concurrency-independence, the UserAt fuzz seeds), the wake-heap
-# ordering invariants, the light-RNG stream split, and the streaming
-# differential suite: a streaming replay must match the materialized
-# replay on every accounting observable — fault-free and under seeded
-# chaos, on both the sequential and the batched wire. The bounded-
-# memory regression (100k devices under a pinned heap budget) rides in
-# the same run.
+# Stream tier: what the transport replay's lazy-trace, event-driven
+# driver rests on. Lazy derivation properties (UserAt == Generate
+# byte-for-byte, order- and concurrency-independence, the UserAt fuzz
+# seeds), the wake-heap ordering invariants, the light-RNG stream
+# split, the HTTP-free scheduler property test (every timeline event of
+# every client visited exactly once, in order, in the period that
+# contains it), the replay's input validation, and the bounded-memory
+# regression (100k devices under a pinned heap budget, ~50 s).
 stream:
 	go test -count=1 -run 'TestUserAt|TestStreamConcurrent|TestStreamMetadata|TestValidateRejects|FuzzUserAt' ./internal/trace
 	go test -count=1 -run 'TestWakeHeap|TestLightRand' ./internal/simclock
-	go test -count=1 -timeout 30m -run 'TestStream' ./internal/sim
+	go test -count=1 -run 'TestStreamScheduler|TestStreamValidation|TestStreamBoundedMemory' ./internal/sim
 
 # Mega: a million simulated devices with the diurnal two-peak load
-# through the sharded serving path — the headline streaming run. Lazy
+# through the sharded serving path — the headline replay run. Lazy
 # trace derivation keeps the heap bounded; expect minutes of wall time
 # on one core (see README "Million-device runs" for the envelope).
 mega:

@@ -141,7 +141,7 @@ type (
 	Scale = experiments.Scale
 
 	// TransportServer adapts the ad server to the HTTP protocol.
-	TransportServer = transport.Server
+	TransportServer = transport.ShardedServer
 	// TransportDevice is the phone-side HTTP runtime.
 	TransportDevice = transport.Device
 	// TransportCoordinator drives period rounds over HTTP.

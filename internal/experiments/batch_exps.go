@@ -38,11 +38,11 @@ func runX11(s Scale) (*metrics.Table, error) {
 		"X11: batched vs sequential wire protocol (HTTP replay)",
 		"wire", "shards", "sold", "billed", "violations", "attempts", "saved RTs", "attempts ratio")
 	for _, shards := range []int{1, 2, 4} {
-		seq, err := sim.RunTransportWith(cfg, sim.TransportOpts{Shards: shards})
+		seq, err := sim.RunTransportStream(cfg, sim.TransportOpts{Shards: shards})
 		if err != nil {
 			return nil, err
 		}
-		bat, err := sim.RunTransportWith(cfg, sim.TransportOpts{Shards: shards, Batched: true})
+		bat, err := sim.RunTransportStream(cfg, sim.TransportOpts{Shards: shards, Batched: true})
 		if err != nil {
 			return nil, err
 		}

@@ -27,7 +27,7 @@ func runX9(s Scale) (*metrics.Table, error) {
 	cfg.TraceCfg = s.traceConfig()
 	cfg.WarmupDays = s.WarmupDays
 	cfg.Seed = s.Seed
-	// The shard-count-invariance contract (see sim.RunTransport) keeps
+	// The shard-count-invariance contract (see sim.RunTransportStream) keeps
 	// rows comparable across shard counts; cap the fleet so the full
 	// HTTP replay stays a bench-scale experiment.
 	cfg.Core.NoRescue = true
@@ -68,15 +68,11 @@ func runX9(s Scale) (*metrics.Table, error) {
 		"retry J", "retry mJ/user/day")
 	var base *sim.Result
 	for _, r := range rows {
-		var (
-			res *sim.Result
-			err error
-		)
+		o := sim.TransportOpts{Shards: r.shards}
 		if r.chaos {
-			res, err = sim.RunTransportChaos(cfg, r.shards, 0, plan())
-		} else {
-			res, err = sim.RunTransport(cfg, r.shards, 0)
+			o.Plan = plan()
 		}
+		res, err := sim.RunTransportStream(cfg, o)
 		if err != nil {
 			return nil, err
 		}

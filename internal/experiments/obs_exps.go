@@ -57,7 +57,7 @@ func runX10(s Scale) (*metrics.Table, error) {
 		"X10: per-endpoint serving latency under chaos (from /v1/metrics histograms)",
 		"shards", "endpoint", "requests", "p50 us", "p95 us", "p99 us")
 	for _, shards := range []int{1, 4} {
-		res, err := sim.RunTransportChaos(cfg, shards, 0, plan())
+		res, err := sim.RunTransportStream(cfg, sim.TransportOpts{Shards: shards, Plan: plan()})
 		if err != nil {
 			return nil, err
 		}

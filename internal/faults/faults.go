@@ -659,7 +659,7 @@ type CrashPoint struct {
 }
 
 // CrashSchedule arms a sequence of process-crash points for the
-// kill/restart harness (sim.RunTransportCrash and the cluster variant).
+// kill/restart harness (sim.TransportOpts.Crashes, one process or a cluster).
 // Counts are cumulative across restarts — the replacement process keeps
 // consuming the same schedule — so a multi-point schedule kills the
 // service repeatedly at deterministic instants in the record stream.

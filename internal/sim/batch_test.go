@@ -73,11 +73,11 @@ func TestBatchedEquivalenceFaultFree(t *testing.T) {
 	}
 	cfg := transportConfig()
 	for _, shards := range []int{1, 4} {
-		seq, err := RunTransportWith(cfg, TransportOpts{Shards: shards, Workers: 4})
+		seq, err := RunTransportStream(cfg, TransportOpts{Shards: shards, Workers: 4})
 		if err != nil {
 			t.Fatalf("shards=%d sequential: %v", shards, err)
 		}
-		bat, err := RunTransportWith(cfg, TransportOpts{Shards: shards, Workers: 4, Batched: true})
+		bat, err := RunTransportStream(cfg, TransportOpts{Shards: shards, Workers: 4, Batched: true})
 		if err != nil {
 			t.Fatalf("shards=%d batched: %v", shards, err)
 		}
@@ -109,11 +109,11 @@ func TestBatchedEquivalenceUnderChaos(t *testing.T) {
 	cfg := transportConfig()
 	for _, shards := range []int{1, 4} {
 		seqPlan, batPlan := chaosPlan(4242, false), chaosPlan(4242, false)
-		seq, err := RunTransportWith(cfg, TransportOpts{Shards: shards, Workers: 4, Plan: seqPlan})
+		seq, err := RunTransportStream(cfg, TransportOpts{Shards: shards, Workers: 4, Plan: seqPlan})
 		if err != nil {
 			t.Fatalf("shards=%d sequential: %v", shards, err)
 		}
-		bat, err := RunTransportWith(cfg, TransportOpts{Shards: shards, Workers: 4, Plan: batPlan, Batched: true})
+		bat, err := RunTransportStream(cfg, TransportOpts{Shards: shards, Workers: 4, Plan: batPlan, Batched: true})
 		if err != nil {
 			t.Fatalf("shards=%d batched: %v", shards, err)
 		}
@@ -138,7 +138,7 @@ func TestBatchedChaosPartitionConservation(t *testing.T) {
 	}
 	cfg := transportConfig()
 	run := func() *Result {
-		res, err := RunTransportWith(cfg, TransportOpts{
+		res, err := RunTransportStream(cfg, TransportOpts{
 			Shards: 4, Workers: 4, Plan: chaosPlan(1234, true), Batched: true,
 		})
 		if err != nil {

@@ -51,7 +51,7 @@ func TestChaosConservation(t *testing.T) {
 	cfg := transportConfig()
 	for _, shards := range []int{1, 4} {
 		plan := chaosPlan(1234, true)
-		res, err := RunTransportChaos(cfg, shards, 4, plan)
+		res, err := RunTransportStream(cfg, TransportOpts{Shards: shards, Workers: 4, Plan: plan})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -103,11 +103,11 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 	cfg := transportConfig()
 	planA, planB := chaosPlan(99, true), chaosPlan(99, true)
-	a, err := RunTransportChaos(cfg, 4, 8, planA)
+	a, err := RunTransportStream(cfg, TransportOpts{Shards: 4, Workers: 8, Plan: planA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTransportChaos(cfg, 4, 8, planB)
+	b, err := RunTransportStream(cfg, TransportOpts{Shards: 4, Workers: 8, Plan: planB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestChaosDeterminism(t *testing.T) {
 		t.Fatalf("transport counters differ:\n%+v\n%+v", a.Net, b.Net)
 	}
 	// A different seed must actually change the fault schedule.
-	c, err := RunTransportChaos(cfg, 4, 8, chaosPlan(100, true))
+	c, err := RunTransportStream(cfg, TransportOpts{Shards: 4, Workers: 8, Plan: chaosPlan(100, true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +142,11 @@ func TestChaosShardCountInvariance(t *testing.T) {
 		t.Skip("full HTTP chaos replay")
 	}
 	cfg := transportConfig()
-	r1, err := RunTransportChaos(cfg, 1, 4, chaosPlan(7, false))
+	r1, err := RunTransportStream(cfg, TransportOpts{Shards: 1, Workers: 4, Plan: chaosPlan(7, false)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := RunTransportChaos(cfg, 4, 4, chaosPlan(7, false))
+	r4, err := RunTransportStream(cfg, TransportOpts{Shards: 4, Workers: 4, Plan: chaosPlan(7, false)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,14 +173,14 @@ func TestChaosPartitionDegrades(t *testing.T) {
 		t.Skip("full HTTP chaos replay")
 	}
 	cfg := transportConfig()
-	clean, err := RunTransport(cfg, 4, 4)
+	clean, err := RunTransportStream(cfg, TransportOpts{Shards: 4, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if clean.RetryEnergyJ != 0 || clean.Net.Retries != 0 {
 		t.Fatalf("fault-free run shows chaos residue: %+v", clean.Net)
 	}
-	chaos, err := RunTransportChaos(cfg, 4, 4, chaosPlan(1234, true))
+	chaos, err := RunTransportStream(cfg, TransportOpts{Shards: 4, Workers: 4, Plan: chaosPlan(1234, true)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,8 +166,8 @@ func newClusterBackend(env *replayEnv, extra ...cluster.Option) (*clusterBackend
 	// the plan fronts the whole server — and its partition routing maps
 	// a client to its node.
 	handler := http.Handler(router.Handler())
-	if env.plan != nil {
-		handler = env.plan.Middleware(handler, place)
+	if o.Plan != nil {
+		handler = o.Plan.Middleware(handler, place)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -309,7 +309,7 @@ func (b *clusterBackend) restartLoop(nd *simNode) {
 }
 
 // migrate fires the membership steps scheduled for this period (the
-// migrator hook driveDevices calls concurrently with slot replay). A
+// migrator hook driveStream calls concurrently with slot replay). A
 // grow step builds a brand-new empty node and joins it — the router
 // hands it its ring share live; a shrink step drains the member onto
 // the survivors and then removes it. The drained node's process stays

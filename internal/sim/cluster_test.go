@@ -22,11 +22,11 @@ func TestClusterEquivalenceFaultFree(t *testing.T) {
 	var base3 *Result
 	for _, nodes := range []int{1, 3} {
 		label := fmt.Sprintf("nodes=%d", nodes)
-		base, err := RunTransportWith(cfg, TransportOpts{Shards: nodes, Workers: 4})
+		base, err := RunTransportStream(cfg, TransportOpts{Shards: nodes, Workers: 4})
 		if err != nil {
 			t.Fatalf("%s baseline: %v", label, err)
 		}
-		clu, err := RunTransportCluster(cfg, nodes, 4, TransportOpts{})
+		clu, err := RunTransportStream(cfg, TransportOpts{Nodes: nodes, Workers: 4})
 		if err != nil {
 			t.Fatalf("%s cluster: %v", label, err)
 		}
@@ -38,18 +38,18 @@ func TestClusterEquivalenceFaultFree(t *testing.T) {
 
 	// The coalesced wire mode rides through the router unchanged: the
 	// binary batch frame carries its routing client in the header.
-	baseB, err := RunTransportWith(cfg, TransportOpts{Shards: 3, Workers: 4, Batched: true, BinaryBatch: true})
+	baseB, err := RunTransportStream(cfg, TransportOpts{Shards: 3, Workers: 4, Batched: true, BinaryBatch: true})
 	if err != nil {
 		t.Fatalf("batched baseline: %v", err)
 	}
-	cluB, err := RunTransportCluster(cfg, 3, 4, TransportOpts{Batched: true, BinaryBatch: true})
+	cluB, err := RunTransportStream(cfg, TransportOpts{Nodes: 3, Workers: 4, Batched: true, BinaryBatch: true})
 	if err != nil {
 		t.Fatalf("batched cluster: %v", err)
 	}
 	assertCrashEquivalence(t, "nodes=3/batched", baseB, cluB)
 
 	// Per-node durability with no kills must be a pure observer.
-	walled, err := RunTransportCluster(cfg, 3, 4, TransportOpts{WALDir: t.TempDir(), SnapshotEvery: 3})
+	walled, err := RunTransportStream(cfg, TransportOpts{Nodes: 3, Workers: 4, WALDir: t.TempDir(), SnapshotEvery: 3})
 	if err != nil {
 		t.Fatalf("walled cluster: %v", err)
 	}
@@ -69,12 +69,12 @@ func TestClusterEquivalenceUnderChaos(t *testing.T) {
 		t.Skip("full HTTP chaos replay across a multi-node cluster")
 	}
 	cfg := crashConfig()
-	base, err := RunTransportWith(cfg, TransportOpts{Shards: 3, Workers: 4, Plan: chaosPlan(4242, false)})
+	base, err := RunTransportStream(cfg, TransportOpts{Shards: 3, Workers: 4, Plan: chaosPlan(4242, false)})
 	if err != nil {
 		t.Fatalf("chaos baseline: %v", err)
 	}
 	plan := chaosPlan(4242, false)
-	clu, err := RunTransportCluster(cfg, 3, 4, TransportOpts{Plan: plan})
+	clu, err := RunTransportStream(cfg, TransportOpts{Nodes: 3, Workers: 4, Plan: plan})
 	if err != nil {
 		t.Fatalf("chaos cluster: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestClusterNodeKillEquivalence(t *testing.T) {
 			wire = "batched"
 		}
 		label := "nodes=3/" + wire
-		base, err := RunTransportWith(cfg, TransportOpts{Shards: 3, Workers: 4, Batched: batched})
+		base, err := RunTransportStream(cfg, TransportOpts{Shards: 3, Workers: 4, Batched: batched})
 		if err != nil {
 			t.Fatalf("%s baseline: %v", label, err)
 		}
@@ -129,7 +129,7 @@ func TestClusterNodeKillEquivalence(t *testing.T) {
 				faults.CrashPoint{Op: "slot", After: 12, Node: 2},
 			)
 		}
-		res, err := RunTransportCluster(cfg, 3, 4, TransportOpts{
+		res, err := RunTransportStream(cfg, TransportOpts{Nodes: 3, Workers: 4,
 			Batched: batched, WALDir: t.TempDir(), SnapshotEvery: 2, Crashes: kills,
 		})
 		if err != nil {
@@ -152,7 +152,7 @@ func TestClusterNodeKillEquivalence(t *testing.T) {
 		faults.CrashPoint{Op: "period_start", After: 1, Node: 1},
 		faults.CrashPoint{After: 30, Node: faults.AnyNode},
 	)
-	res, err := RunTransportCluster(cfg, 3, 4, TransportOpts{WALDir: t.TempDir(), Crashes: barrier})
+	res, err := RunTransportStream(cfg, TransportOpts{Nodes: 3, Workers: 4, WALDir: t.TempDir(), Crashes: barrier})
 	if err != nil {
 		t.Fatalf("mid-fan-out: %v", err)
 	}

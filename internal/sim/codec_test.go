@@ -62,11 +62,11 @@ func TestBinaryCodecEquivalence(t *testing.T) {
 	}
 	cfg := transportConfig()
 	for _, shards := range []int{1, 4} {
-		js, err := RunTransportWith(cfg, TransportOpts{Shards: shards, Workers: 4, Batched: true})
+		js, err := RunTransportStream(cfg, TransportOpts{Shards: shards, Workers: 4, Batched: true})
 		if err != nil {
 			t.Fatalf("shards=%d json: %v", shards, err)
 		}
-		bin, err := RunTransportWith(cfg, TransportOpts{Shards: shards, Workers: 4, Batched: true, BinaryBatch: true})
+		bin, err := RunTransportStream(cfg, TransportOpts{Shards: shards, Workers: 4, Batched: true, BinaryBatch: true})
 		if err != nil {
 			t.Fatalf("shards=%d binary: %v", shards, err)
 		}
@@ -91,11 +91,11 @@ func TestBinaryCodecEquivalenceUnderChaos(t *testing.T) {
 	cfg := transportConfig()
 	for _, shards := range []int{1, 4} {
 		jsPlan, binPlan := chaosPlan(4242, false), chaosPlan(4242, false)
-		js, err := RunTransportWith(cfg, TransportOpts{Shards: shards, Workers: 4, Plan: jsPlan, Batched: true})
+		js, err := RunTransportStream(cfg, TransportOpts{Shards: shards, Workers: 4, Plan: jsPlan, Batched: true})
 		if err != nil {
 			t.Fatalf("shards=%d json: %v", shards, err)
 		}
-		bin, err := RunTransportWith(cfg, TransportOpts{Shards: shards, Workers: 4, Plan: binPlan, Batched: true, BinaryBatch: true})
+		bin, err := RunTransportStream(cfg, TransportOpts{Shards: shards, Workers: 4, Plan: binPlan, Batched: true, BinaryBatch: true})
 		if err != nil {
 			t.Fatalf("shards=%d binary: %v", shards, err)
 		}

@@ -91,7 +91,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 				wire = "batched"
 			}
 			label := fmt.Sprintf("shards=%d/%s", shards, wire)
-			base, err := RunTransportWith(cfg, TransportOpts{Shards: shards, Workers: 4, Batched: batched})
+			base, err := RunTransportStream(cfg, TransportOpts{Shards: shards, Workers: 4, Batched: batched})
 			if err != nil {
 				t.Fatalf("%s baseline: %v", label, err)
 			}
@@ -110,7 +110,8 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 					faults.CrashPoint{Op: "slot", After: 40},
 				)
 			}
-			res, err := RunTransportCrash(cfg, shards, 4, t.TempDir(), 2, midPeriod, batched)
+			res, err := RunTransportStream(cfg, TransportOpts{Shards: shards, Workers: 4, Batched: batched,
+				WALDir: t.TempDir(), SnapshotEvery: 2, Crashes: midPeriod})
 			if err != nil {
 				t.Fatalf("%s mid-period: %v", label, err)
 			}
@@ -126,7 +127,8 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 				faults.CrashPoint{Op: "period_end", After: 1},
 				faults.CrashPoint{After: 1},
 			)
-			res, err = RunTransportCrash(cfg, shards, 4, t.TempDir(), 0, boundary, batched)
+			res, err = RunTransportStream(cfg, TransportOpts{Shards: shards, Workers: 4, Batched: batched,
+				WALDir: t.TempDir(), Crashes: boundary})
 			if err != nil {
 				t.Fatalf("%s period-end: %v", label, err)
 			}
@@ -145,11 +147,11 @@ func TestCrashWALIsPureObserver(t *testing.T) {
 		t.Skip("full HTTP replay")
 	}
 	cfg := crashConfig()
-	bare, err := RunTransportWith(cfg, TransportOpts{Shards: 2, Workers: 4})
+	bare, err := RunTransportStream(cfg, TransportOpts{Shards: 2, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	walled, err := RunTransportWith(cfg, TransportOpts{Shards: 2, Workers: 4, WALDir: t.TempDir(), SnapshotEvery: 3})
+	walled, err := RunTransportStream(cfg, TransportOpts{Shards: 2, Workers: 4, WALDir: t.TempDir(), SnapshotEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,13 +178,13 @@ func TestCrashAtEveryRecord(t *testing.T) {
 	cfg.TraceCfg.Days = 1
 	cfg.WarmupDays = 0
 
-	base, err := RunTransportWith(cfg, TransportOpts{Shards: 2, Workers: 2})
+	base, err := RunTransportStream(cfg, TransportOpts{Shards: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Count the records an uninterrupted durable run appends.
 	refDir := t.TempDir()
-	if _, err := RunTransportWith(cfg, TransportOpts{Shards: 2, Workers: 2, WALDir: refDir}); err != nil {
+	if _, err := RunTransportStream(cfg, TransportOpts{Shards: 2, Workers: 2, WALDir: refDir}); err != nil {
 		t.Fatal(err)
 	}
 	n := countWALRecords(t, refDir)
@@ -192,7 +194,7 @@ func TestCrashAtEveryRecord(t *testing.T) {
 	t.Logf("sweeping a kill across %d record positions", n)
 	for k := 1; k <= n; k++ {
 		sched := faults.NewCrashSchedule(faults.CrashPoint{After: k})
-		res, err := RunTransportCrash(cfg, 2, 2, t.TempDir(), 0, sched, false)
+		res, err := RunTransportStream(cfg, TransportOpts{Shards: 2, Workers: 2, WALDir: t.TempDir(), Crashes: sched})
 		if err != nil {
 			t.Fatalf("kill at record %d: %v", k, err)
 		}
@@ -255,13 +257,13 @@ func TestCrashOnConfigEpochRecord(t *testing.T) {
 		if batched {
 			wire = "batched"
 		}
-		base, err := RunTransportWith(cfg, TransportOpts{
+		base, err := RunTransportStream(cfg, TransportOpts{
 			Shards: 2, Workers: 4, Batched: batched, Tenants: table, ConfigEpochs: epochs})
 		if err != nil {
 			t.Fatalf("%s baseline: %v", wire, err)
 		}
 		sched := faults.NewCrashSchedule(faults.CrashPoint{Op: "config_epoch", After: 1})
-		res, err := RunTransportWith(cfg, TransportOpts{
+		res, err := RunTransportStream(cfg, TransportOpts{
 			Shards: 2, Workers: 4, Batched: batched, Tenants: table, ConfigEpochs: epochs,
 			WALDir: t.TempDir(), SnapshotEvery: 2, Crashes: sched,
 		})
@@ -297,7 +299,7 @@ func TestCrashGroupCommitFsync(t *testing.T) {
 			crashOp = "batch"
 		}
 		label := "group-commit/" + wire
-		base, err := RunTransportWith(cfg, TransportOpts{Shards: 2, Workers: 4, Batched: batched})
+		base, err := RunTransportStream(cfg, TransportOpts{Shards: 2, Workers: 4, Batched: batched})
 		if err != nil {
 			t.Fatalf("%s baseline: %v", label, err)
 		}
@@ -308,7 +310,7 @@ func TestCrashGroupCommitFsync(t *testing.T) {
 			faults.CrashPoint{Op: crashOp, After: 3},
 			faults.CrashPoint{Op: "period_end", After: 1},
 		)
-		res, err := RunTransportWith(cfg, TransportOpts{
+		res, err := RunTransportStream(cfg, TransportOpts{
 			Shards: 2, Workers: 4, Batched: batched,
 			WALDir: t.TempDir(), SnapshotEvery: 2, Crashes: sched, Fsync: true,
 		})

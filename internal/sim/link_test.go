@@ -9,11 +9,11 @@ import (
 	"repro/internal/faults"
 )
 
-// runClusterOverHTTPHop is RunTransportWith's cluster arm with the
+// runClusterOverHTTPHop is RunTransportStream's cluster arm with the
 // router→node hop swapped from the default link to an injected
 // http.Client — the same nodes, router and devices otherwise.
 func runClusterOverHTTPHop(cfg Config, o TransportOpts) (*Result, error) {
-	env, err := newReplayEnv(cfg, o)
+	env, err := newStreamEnv(cfg, o)
 	if err != nil {
 		return nil, err
 	}
@@ -25,7 +25,7 @@ func runClusterOverHTTPHop(cfg Config, o TransportOpts) (*Result, error) {
 		return nil, err
 	}
 	defer back.close()
-	res, err := driveDevices(env, back)
+	res, err := driveStream(env, back)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +75,7 @@ func TestClusterLinkHopEquivalence(t *testing.T) {
 				o.Nodes, o.Workers, o.Batched, o.BinaryBatch = 3, 4, batched, batched
 				return o
 			}
-			overLink, err := RunTransportWith(cfg, mk())
+			overLink, err := RunTransportStream(cfg, mk())
 			if err != nil {
 				t.Fatalf("%s over the link: %v", label, err)
 			}

@@ -39,12 +39,12 @@ func TestMigrationEquivalenceFaultFree(t *testing.T) {
 		t.Skip("full HTTP replay with live migration")
 	}
 	cfg := crashConfig()
-	base, err := RunTransportWith(cfg, TransportOpts{Shards: 3, Workers: 4})
+	base, err := RunTransportStream(cfg, TransportOpts{Shards: 3, Workers: 4})
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
 
-	grow, err := RunTransportCluster(cfg, 2, 4, TransportOpts{Migrations: growSteps()})
+	grow, err := RunTransportStream(cfg, TransportOpts{Nodes: 2, Workers: 4, Migrations: growSteps()})
 	if err != nil {
 		t.Fatalf("grow 2→3: %v", err)
 	}
@@ -62,7 +62,7 @@ func TestMigrationEquivalenceFaultFree(t *testing.T) {
 	}
 	assertCrashEquivalence(t, "grow 2→3", base, grow)
 
-	drain, err := RunTransportCluster(cfg, 3, 4, TransportOpts{Migrations: drainSteps()})
+	drain, err := RunTransportStream(cfg, TransportOpts{Nodes: 3, Workers: 4, Migrations: drainSteps()})
 	if err != nil {
 		t.Fatalf("drain 3→2: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestMigrationEquivalenceFaultFree(t *testing.T) {
 	// Both directions in one run: grow 2→3, then drain the original
 	// member 0 away again — the cluster the run ends with shares no
 	// member set with the one it started with.
-	churn, err := RunTransportCluster(cfg, 2, 4, TransportOpts{Migrations: []MigrationStep{
+	churn, err := RunTransportStream(cfg, TransportOpts{Nodes: 2, Workers: 4, Migrations: []MigrationStep{
 		{Period: 8, AddNode: true},
 		{Period: 12, DrainNode: 0},
 	}})
@@ -104,12 +104,12 @@ func TestMigrationEquivalenceUnderChaos(t *testing.T) {
 		t.Skip("full HTTP chaos replay with live migration")
 	}
 	cfg := crashConfig()
-	base, err := RunTransportWith(cfg, TransportOpts{Shards: 3, Workers: 4, Plan: chaosPlan(7777, false)})
+	base, err := RunTransportStream(cfg, TransportOpts{Shards: 3, Workers: 4, Plan: chaosPlan(7777, false)})
 	if err != nil {
 		t.Fatalf("chaos baseline: %v", err)
 	}
 	plan := chaosPlan(7777, false)
-	res, err := RunTransportCluster(cfg, 2, 4, TransportOpts{
+	res, err := RunTransportStream(cfg, TransportOpts{Nodes: 2, Workers: 4,
 		Plan: plan,
 		Migrations: []MigrationStep{
 			{Period: 8, AddNode: true},
@@ -145,7 +145,7 @@ func TestMigrationNodeKillDuringHandoff(t *testing.T) {
 		t.Skip("full HTTP replay with node kill inside a live migration")
 	}
 	cfg := crashConfig()
-	base, err := RunTransportWith(cfg, TransportOpts{Shards: 3, Workers: 4})
+	base, err := RunTransportStream(cfg, TransportOpts{Shards: 3, Workers: 4})
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -156,7 +156,7 @@ func TestMigrationNodeKillDuringHandoff(t *testing.T) {
 	outKill := faults.NewCrashSchedule(
 		faults.CrashPoint{Op: "migrate_out", After: 1, Node: 0},
 	)
-	grow, err := RunTransportCluster(cfg, 2, 4, TransportOpts{
+	grow, err := RunTransportStream(cfg, TransportOpts{Nodes: 2, Workers: 4,
 		WALDir: t.TempDir(), SnapshotEvery: 2, Crashes: outKill,
 		Migrations: growSteps(),
 	})
@@ -180,7 +180,7 @@ func TestMigrationNodeKillDuringHandoff(t *testing.T) {
 	inKill := faults.NewCrashSchedule(
 		faults.CrashPoint{Op: "migrate_in", After: 1, Node: faults.AnyNode},
 	)
-	drain, err := RunTransportCluster(cfg, 3, 4, TransportOpts{
+	drain, err := RunTransportStream(cfg, TransportOpts{Nodes: 3, Workers: 4,
 		WALDir: t.TempDir(), SnapshotEvery: 2, Crashes: inKill,
 		Migrations: drainSteps(),
 	})

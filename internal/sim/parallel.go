@@ -11,30 +11,6 @@ import (
 // results are identical to running them sequentially). Results are
 // returned in input order; the first error aborts the batch.
 func RunParallel(cfgs []Config) ([]*Result, error) {
-	return runParallel(cfgs, Run)
-}
-
-// RunParallelTransport is RunParallel's sharded-transport mode: each
-// configuration is replayed end-to-end through a ShardedServer over
-// HTTP (see RunTransport) instead of the in-process engine, so the same
-// deterministic traces exercise the concurrent serving path. Each run
-// already fans its devices across `workers` goroutines, so runs execute
-// one at a time rather than racing whole simulations for the CPUs.
-func RunParallelTransport(cfgs []Config, shards, workers int) ([]*Result, error) {
-	results := make([]*Result, len(cfgs))
-	for i, cfg := range cfgs {
-		r, err := RunTransport(cfg, shards, workers)
-		if err != nil {
-			return nil, fmt.Errorf("sim: run %d: %w", i, err)
-		}
-		results[i] = r
-	}
-	return results, nil
-}
-
-// runParallel fans cfgs across one worker per CPU using the given
-// single-run executor.
-func runParallel(cfgs []Config, run func(Config) (*Result, error)) ([]*Result, error) {
 	if len(cfgs) == 0 {
 		return nil, nil
 	}
@@ -52,7 +28,7 @@ func runParallel(cfgs []Config, run func(Config) (*Result, error)) ([]*Result, e
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results[i], errs[i] = run(cfgs[i])
+				results[i], errs[i] = Run(cfgs[i])
 			}
 		}()
 	}

@@ -193,7 +193,7 @@ type Result struct {
 	// that prefetching does not distort auction outcomes.
 	CampaignBilled map[auction.CampaignID]float64
 
-	// Resilience outcomes of the chaos path (RunTransportChaos); zero
+	// Resilience outcomes of a fault-plan run (TransportOpts.Plan); zero
 	// elsewhere. RetryEnergyJ is the radio-model cost of retries alone —
 	// the energy price the fleet pays for robustness under the fault
 	// plan — and Net aggregates the per-device transport counters.
@@ -202,7 +202,7 @@ type Result struct {
 	Net            transport.NetCounters
 
 	// Restarts counts the process kills the crash harness injected and
-	// recovered from (RunTransportCrash; zero elsewhere).
+	// recovered from (TransportOpts.Crashes; zero elsewhere).
 	Restarts int
 
 	// PerClient maps user id to that device's own counters on the
@@ -231,14 +231,14 @@ type Result struct {
 	FloodAdmitted   int64
 	FloodShed       int64
 
-	// StreamPeriods is the streaming replay's per-period load report
+	// StreamPeriods is the transport replay's per-period load report
 	// (RunTransportStream; nil elsewhere): one row per simulated period
 	// with the client-observed request-latency quantiles, so a diurnal
 	// run exposes its peak-hour tail directly.
 	StreamPeriods []StreamPeriodStat
 }
 
-// StreamPeriodStat is one period of a streaming replay as the device
+// StreamPeriodStat is one period of a transport replay as the device
 // fleet experienced it: how many clients woke up, how many requests
 // they issued, how long the period took in wall time, and the latency
 // distribution of the individual requests.
@@ -559,7 +559,7 @@ func topCategories(users []*trace.User, cat *trace.Catalog) map[int][]trace.Cate
 	return out
 }
 
-// topCategoriesOf is the per-user form: the streaming replay computes
+// topCategoriesOf is the per-user form: the transport replay computes
 // hints one transiently-derived user at a time.
 func topCategoriesOf(u *trace.User, cat *trace.Catalog) []trace.Category {
 	counts := map[trace.Category]int{}

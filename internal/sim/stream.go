@@ -10,44 +10,52 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/auction"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/radio"
+	"repro/internal/shard"
 	"repro/internal/simclock"
 	"repro/internal/tenant"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
-// RunTransportStream is the bounded-memory form of RunTransportWith: it
-// replays the same trace through the same serving backends (single
-// process or cluster, sequential or batched wire) without ever holding
-// the population in memory. Traces are derived lazily from the
-// generator's per-client seeds (trace.Stream), and an event-driven
-// scheduler — a min-heap of 16-byte next-wakeup entries per worker —
-// replaces the materialized per-user period walk: a client's trace is
-// re-derived transiently for each period it is active in and discarded
-// as soon as its events are replayed. Resident state is what a real
-// fleet would hold anyway (one transport.Device per client, the server
-// pool) plus the wake heap, so population size stops being a memory
-// ceiling.
+// RunTransportStream replays the deterministic trace a Config describes
+// through the deployable serving path: a transport.ShardedServer over a
+// shard.Pool (or a cluster of them behind a router, or an external
+// deployment — see TransportOpts), spoken to by one transport.Device per
+// user over real HTTP on a loopback listener. Period boundaries drive
+// the fan-out/fan-in round on the server; within a period, devices
+// replay their slot events concurrently (per-device order preserved)
+// across Workers goroutines, so the run exercises the concurrent serving
+// path end-to-end. Campaign demand is instantiated per shard from the
+// same seed (each shard sees the same campaign set with a full budget),
+// matching shard.New's per-shard-exchange deployment model.
 //
-// Outcomes are pinned equal to RunTransportWith under the order-free
-// serving contract (see RunTransport): per-device request sequences are
-// identical — UserAt is bit-identical to Generate, so the derived
-// timelines are too — and cross-device interleaving does not affect
-// monetary results there. The stream differential tier asserts ledger,
-// violation, per-client counter and campaign-spend equality on both
-// wire modes, fault-free and under partition-free chaos.
+// The population is never held in memory. Traces are derived lazily
+// from the generator's per-client seeds (trace.Stream), and an
+// event-driven scheduler — a min-heap of 16-byte next-wakeup entries per
+// worker — walks them: a client's trace is re-derived transiently for
+// each period it is active in and discarded as soon as its events are
+// replayed. Resident state is what a real fleet would hold anyway (one
+// transport.Device per client, the server pool) plus the wake heaps, so
+// population size stops being a memory ceiling.
 //
-// Beyond the materialized replay it adds two streaming-only options:
-// Energy (per-device radios charge app/ad transfer bytes, mirroring
-// sim.Run's energy model on the HTTP path) and Lean (drop O(population)
-// result fields). Every run reports per-period client-observed load and
-// latency quantiles in Result.StreamPeriods, which is how a
-// million-device diurnal run surfaces its peak-hour tail.
+// Monetary results are independent of request interleaving — and of the
+// shard or node count, the wire mode, and kills or migrations ridden out
+// mid-run — when per-impression outcomes are order-free: FixedReplicas=1
+// (no racing duplicates), NoRescue (no cross-client claim stealing),
+// AdmissionEpsilon=0.5 with integral per-client means (additive
+// admission). The differential tiers pin exactly that contract; outside
+// it, totals may legitimately vary with scheduling.
+//
+// Every run reports per-period client-observed load and latency
+// quantiles in Result.StreamPeriods, which is how a million-device
+// diurnal run surfaces its peak-hour tail. Energy fields are filled
+// only with TransportOpts.Energy set.
 func RunTransportStream(cfg Config, o TransportOpts) (*Result, error) {
 	env, err := newStreamEnv(cfg, o)
 	if err != nil {
@@ -76,41 +84,58 @@ func RunTransportStream(cfg Config, o TransportOpts) (*Result, error) {
 	return res, nil
 }
 
-// newStreamEnv prepares a replayEnv whose trace side is lazy: no
-// Population is materialized. One parallel init sweep derives each
-// client once to record its first wake-up and intern its targeting
-// hints (the server asks for hints every period, so those must not cost
-// a trace derivation per ask); everything else is derived on demand.
-func newStreamEnv(cfg Config, o TransportOpts) (*replayEnv, error) {
+// validateTransport checks a config/options pair before anything is
+// built or derived.
+func validateTransport(cfg Config, o TransportOpts) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if o.Plan != nil {
 		if err := o.Plan.Validate(); err != nil {
-			return nil, err
+			return err
 		}
+	}
+	users := cfg.TraceCfg.Users
+	if cfg.MaxUsers > 0 && cfg.MaxUsers < users {
+		users = cfg.MaxUsers
 	}
 	switch {
 	case cfg.Population != nil:
-		return nil, fmt.Errorf("sim: streaming replay derives traces lazily; a materialized Population wants RunTransportWith")
-	case o.Flood != nil || len(o.ConfigEpochs) > 0:
-		return nil, fmt.Errorf("sim: Flood and ConfigEpochs are materialized-replay options (RunTransportWith)")
+		return fmt.Errorf("sim: transport replay derives traces lazily from TraceCfg; a supplied Population is not replayed")
 	case o.TargetURL != "" && (o.Nodes > 0 || o.WALDir != "" || o.Crashes != nil || o.Plan != nil || len(o.Migrations) > 0):
-		return nil, fmt.Errorf("sim: TargetURL drives an external deployment; in-process backend options do not apply")
+		return fmt.Errorf("sim: TargetURL drives an external deployment; in-process backend options do not apply")
 	case o.TargetURL == "" && o.Nodes == 0 && o.Shards < 1:
-		return nil, fmt.Errorf("sim: transport needs at least one shard, got %d", o.Shards)
+		return fmt.Errorf("sim: transport needs at least one shard, got %d", o.Shards)
 	case o.Nodes < 0:
-		return nil, fmt.Errorf("sim: negative node count %d", o.Nodes)
+		return fmt.Errorf("sim: negative node count %d", o.Nodes)
 	case o.Nodes > 0 && o.Shards > 1:
-		return nil, fmt.Errorf("sim: cluster nodes each run one shard; got shards=%d with nodes=%d", o.Shards, o.Nodes)
+		return fmt.Errorf("sim: cluster nodes each run one shard; got shards=%d with nodes=%d", o.Shards, o.Nodes)
 	case cfg.Core.Delivery != core.DeliverScheduled:
-		return nil, fmt.Errorf("sim: transport replay supports scheduled delivery only")
+		return fmt.Errorf("sim: transport replay supports scheduled delivery only")
 	case cfg.ChurnProb > 0 || cfg.ReportLossProb > 0:
-		return nil, fmt.Errorf("sim: transport replay does not support failure injection")
+		return fmt.Errorf("sim: transport replay does not support failure injection")
+	case o.BinaryBatch && !o.Batched:
+		return fmt.Errorf("sim: BinaryBatch selects the batch envelope's codec; it requires Batched")
 	case o.Crashes != nil && o.WALDir == "":
-		return nil, fmt.Errorf("sim: a crash schedule requires a WAL directory")
+		return fmt.Errorf("sim: a crash schedule requires a WAL directory")
 	case len(o.Migrations) > 0 && o.Nodes == 0:
-		return nil, fmt.Errorf("sim: migration steps require cluster mode (Nodes > 0)")
+		return fmt.Errorf("sim: migration steps require cluster mode (Nodes > 0)")
+	case o.Flood != nil && (o.Flood.Devices < 1 || o.Flood.PerPeriod < 1):
+		return fmt.Errorf("sim: a flood spec needs Devices and PerPeriod >= 1")
+	case o.Flood != nil && users > FloodClientBase:
+		return fmt.Errorf("sim: flood ids start at %d; a population of %d would collide with them", FloodClientBase, users)
+	}
+	return nil
+}
+
+// newStreamEnv prepares the replayEnv. No Population is materialized:
+// one parallel init sweep derives each client once to record its first
+// wake-up and intern its targeting hints (the server asks for hints
+// every period, so those must not cost a trace derivation per ask);
+// everything else is derived on demand.
+func newStreamEnv(cfg Config, o TransportOpts) (*replayEnv, error) {
+	if err := validateTransport(cfg, o); err != nil {
+		return nil, err
 	}
 	workers := o.Workers
 	if workers < 1 {
@@ -143,7 +168,7 @@ func newStreamEnv(cfg Config, o TransportOpts) (*replayEnv, error) {
 	env := &replayEnv{
 		cfg: cfg, o: o, ids: ids, cat: cat,
 		span: st.Span(), days: st.Days(),
-		warmupEnd: warmupEnd, period: period, workers: workers, plan: o.Plan,
+		warmupEnd: warmupEnd, period: period, workers: workers,
 		stream: st, firstWake: make([]simclock.Time, n),
 	}
 
@@ -197,20 +222,92 @@ func newStreamEnv(cfg Config, o TransportOpts) (*replayEnv, error) {
 	env.oracle = func(id int) []int {
 		return trace.SlotsPerPeriod(st.UserAt(id), cat, cfg.RefreshInterval, period, env.span)
 	}
-	env.initMakePool()
+	tenants := o.Tenants
+	env.makePool = func(shards int, members []int) (*shard.Pool, error) {
+		rng := simclock.NewRand(cfg.Seed).Stream("sim")
+		// The legacy campaign set keeps ids 0..Campaigns-1 and no tenant
+		// tag, so a multi-tenant run's aggregate books stay comparable
+		// with a single-tenant run's. Each named tenant then gets its own
+		// full set from a tenant-keyed stream, ids offset past every set
+		// before it. Generation is pure, so a solo run and a combined run
+		// with the same tenant table instantiate identical demand — the
+		// noisy-neighbor equality assertions lean on exactly that.
+		demand := func() []auction.Campaign {
+			all := cfg.Demand.Generate(rng.Stream("demand"))
+			for ti, tc := range tenants {
+				set := cfg.Demand.Generate(rng.Stream("demand:" + tc.ID))
+				for i := range set {
+					set[i].ID += auction.CampaignID((ti + 1) * cfg.Demand.Campaigns)
+					set[i].Tenant = tc.ID
+				}
+				all = append(all, set...)
+			}
+			return all
+		}
+		return shard.New(shards, cfg.Core.Server, members,
+			func(int) (*auction.Exchange, error) {
+				return auction.NewExchange(demand(), cfg.Reserve)
+			},
+			func(id int) predict.Predictor { return transportPredictor(cfg.Core, id, env.oracle) },
+			env.hints)
+	}
 	return env, nil
 }
 
-// driveStream is driveDevices with the period walk replaced by the
-// event-driven scheduler. The client population is sharded into
-// contiguous ranges, one per worker; each worker owns a WakeHeap whose
-// entries are (next event time, client id). Within a period, a worker
-// pops every client due before the boundary, re-derives that client's
-// trace, replays its events up to the boundary, and pushes the client
-// back with its next event time — so a device inactive for a period
-// costs nothing and no timeline outlives its period.
+// seedHeaps shards the clients into contiguous id ranges, one WakeHeap
+// per worker (never more workers than clients), and seeds each heap
+// with its range's first wake-ups. Clients with empty traces
+// (firstWake < 0) never enter a heap: they still fetch bundles (the
+// server plans for every member) but cost nothing per period.
+func seedHeaps(firstWake []simclock.Time, workers int) []simclock.WakeHeap {
+	n := len(firstWake)
+	if workers > n {
+		workers = n
+	}
+	heaps := make([]simclock.WakeHeap, workers)
+	for w := range heaps {
+		for id := w * n / workers; id < (w+1)*n/workers; id++ {
+			if at := firstWake[id]; at >= 0 {
+				heaps[w].Push(simclock.Wake{At: at, ID: id})
+			}
+		}
+	}
+	return heaps
+}
+
+// replayDue advances one worker's heap through the period ending at
+// end: it pops every client due before the boundary, re-derives that
+// client's timeline, resumes at the wake-up time, visits its events up
+// to the boundary in order, and pushes the client back with its next
+// event time — so a device inactive for a period costs nothing and no
+// timeline outlives its wake-up. It returns the number of wake-ups.
+func replayDue(h *simclock.WakeHeap, end simclock.Time,
+	timeline func(id int) []timelineEvent, visit func(id int, ev timelineEvent) error) (int64, error) {
+	var wakeups int64
+	for h.Len() > 0 && h.Peek().At < end {
+		wk := h.Pop()
+		wakeups++
+		tl := timeline(wk.ID)
+		i := sort.Search(len(tl), func(i int) bool { return tl[i].at >= wk.At })
+		for ; i < len(tl) && tl[i].at < end; i++ {
+			if err := visit(wk.ID, tl[i]); err != nil {
+				return wakeups, err
+			}
+		}
+		if i < len(tl) {
+			h.Push(simclock.Wake{At: tl[i].at, ID: wk.ID})
+		}
+	}
+	return wakeups, nil
+}
+
+// driveStream runs the replay loop against a serving backend: one
+// transport.Device per client plus the period coordinator, all over
+// real HTTP, the devices walked by the per-worker wake heaps (seedHeaps,
+// replayDue). It fills every client-side Result field; the backend's
+// finish settles the server-side ones.
 func driveStream(env *replayEnv, back serving) (*Result, error) {
-	cfg, o, plan, workers := env.cfg, env.o, env.plan, env.workers
+	cfg, o, plan, workers := env.cfg, env.o, env.o.Plan, env.workers
 	st := env.stream
 	n := len(env.ids)
 	baseURL := back.url()
@@ -225,15 +322,39 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 		rt = plan.RoundTripper(baseRT)
 	}
 	hc := &http.Client{Transport: rt}
+	// The admin control plane and the flood load source bypass the fault
+	// plan's wire faults: chaos aims at the ad-serving path, and a
+	// keyless admin request would re-draw the same fault decision on
+	// every retry, never converging.
+	plainHC := &http.Client{Transport: baseRT}
 
+	// One shared registry aggregates the fleet's client-side
+	// instrumentation (the series carry no per-device labels, so the
+	// cardinality is flat at any fleet size; all updates are atomic).
 	clientReg := obs.NewRegistry()
+	// A multi-tenant run's devices declare their owner on the wire, and
+	// per-tenant latency histograms separate the victim's tail from the
+	// aggressor's.
 	var tenantReg *tenant.Registry
+	var slotLat map[string]*obs.Histogram
 	if len(o.Tenants) > 0 {
 		var err error
 		if tenantReg, err = tenant.NewRegistry(1, o.Tenants); err != nil {
 			return nil, err
 		}
+		latReg := obs.NewRegistry()
+		slotLat = map[string]*obs.Histogram{
+			tenant.Legacy: latReg.Histogram("slot_latency_ns", "tenant", "legacy"),
+		}
+		for _, tc := range o.Tenants {
+			slotLat[tc.ID] = latReg.Histogram("slot_latency_ns", "tenant", tc.ID)
+		}
 	}
+	epochSteps := make(map[int][]ConfigEpochStep, len(o.ConfigEpochs))
+	for _, step := range o.ConfigEpochs {
+		epochSteps[step.Period] = append(epochSteps[step.Period], step)
+	}
+	var floodAdmitted, floodShed atomic.Int64
 	devices := make([]*transport.Device, n)
 	var meters []*radio.Radio // transport retry meters; chaos runs only
 	if plan != nil {
@@ -269,21 +390,13 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 		}
 	}
 
-	// Seed each worker's heap with its range's first wake-ups. Clients
-	// with empty traces never enter a heap: they still fetch bundles
-	// (the server plans for every member) but cost nothing per period.
-	if workers > n {
-		workers = n
-	}
-	heaps := make([]simclock.WakeHeap, workers)
-	for w := 0; w < workers; w++ {
-		for id := w * n / workers; id < (w+1)*n/workers; id++ {
-			if at := env.firstWake[id]; at >= 0 {
-				heaps[w].Push(simclock.Wake{At: at, ID: id})
-			}
-		}
-	}
+	heaps := seedHeaps(env.firstWake, workers)
 	env.firstWake = nil // consumed; do not hold it for the whole run
+	// Transient derivation: a client's trace exists only for the duration
+	// of one wake-up.
+	timeline := func(id int) []timelineEvent {
+		return buildTimeline(st.UserAt(id), env.cat, cfg.RefreshInterval)
+	}
 
 	owner := func(at simclock.Time, kind string) radio.Owner {
 		if at < env.warmupEnd {
@@ -311,6 +424,14 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 		if pi == periodsTotal {
 			break
 		}
+		// Scheduled config epochs land at the period's opening, before
+		// its selling round, so the new admission contract governs the
+		// whole period.
+		for _, step := range epochSteps[pi] {
+			if err := postTenantConfig(plainHC, baseURL, step); err != nil {
+				return nil, err
+			}
+		}
 		selling := now >= env.warmupEnd
 		p := predict.PeriodOf(now, period)
 		wallStart := time.Now()
@@ -325,6 +446,8 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 			res.ReplicaTotal += int64(reply.Replicas)
 			res.PlacedTotal += int64(reply.Placed)
 			res.Periods++
+			// Scheduled delivery: every device downloads its bundle at
+			// the boundary, concurrently.
 			if err := eachDevice(n, workers, func(i int) error {
 				t0 := time.Now()
 				got, err := devices[i].FetchBundle(now)
@@ -341,71 +464,80 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 				return nil, err
 			}
 		}
-		// Membership changes race this period's replay, exactly as on the
-		// materialized path.
+		// Fire any membership change scheduled for this period while the
+		// slot replay below is in full swing: the rebalance must win its
+		// equivalence guarantee against concurrent device traffic, not
+		// against a conveniently idle cluster. Joined before the period
+		// boundary so the EndPeriod barrier sees settled membership. The
+		// flood, when armed, pressures the serving side at the same time —
+		// victim requests and aggressor requests contend on the same locks.
+		end := now + simclock.Time(period)
 		var migErr error
-		var migWg sync.WaitGroup
+		var sideWg sync.WaitGroup
 		if mig, ok := back.(migrator); ok {
-			migWg.Add(1)
+			sideWg.Add(1)
 			go func(pi int) {
-				defer migWg.Done()
+				defer sideWg.Done()
 				migErr = mig.migrate(pi)
 			}(pi)
 		}
-		end := now + simclock.Time(period)
-		var wakeups atomic.Int64
-		if err := eachDevice(workers, workers, func(w int) error {
-			h := &heaps[w]
-			for h.Len() > 0 && h.Peek().At < end {
-				wk := h.Pop()
-				wakeups.Add(1)
-				// Transient derivation: this client's trace exists only for
-				// the duration of this wake-up.
-				tl := buildTimeline(st.UserAt(wk.ID), env.cat, cfg.RefreshInterval)
-				i := sort.Search(len(tl), func(i int) bool { return tl[i].at >= wk.At })
-				d := devices[wk.ID]
-				for ; i < len(tl) && tl[i].at < end; i++ {
-					ev := tl[i]
-					if !ev.slot {
-						if energy != nil {
-							energy[wk.ID].Transfer(ev.at, ev.bytes, owner(ev.at, "app"))
-						}
-						continue
-					}
-					t0 := time.Now()
-					if !selling {
-						if err := d.ObserveSlot(ev.at); err != nil {
-							return err
-						}
-					} else {
-						out, err := d.HandleSlot(ev.at, ev.cats)
-						if err != nil {
-							return err
-						}
-						if energy != nil {
-							if out.Fetched {
-								energy[wk.ID].Transfer(ev.at, cfg.AdBytes*int64(1+out.TopUpAds), owner(ev.at, "ads"))
-							} else if out.CacheHit && cfg.ReportBytes > 0 {
-								energy[wk.ID].Transfer(ev.at, cfg.ReportBytes, owner(ev.at, "ads"))
-							}
-						}
-					}
-					lat.Observe(time.Since(t0).Nanoseconds())
-					ops.Add(1)
+		if o.Flood != nil && selling {
+			sideWg.Add(1)
+			go func() {
+				defer sideWg.Done()
+				runFlood(plainHC, baseURL, o.Flood, now, end, &floodAdmitted, &floodShed)
+			}()
+		}
+		// Replay this period's events: devices advance concurrently, each
+		// through its own events in trace order.
+		visit := func(id int, ev timelineEvent) error {
+			if !ev.slot {
+				if energy != nil {
+					energy[id].Transfer(ev.at, ev.bytes, owner(ev.at, "app"))
 				}
-				if i < len(tl) {
-					h.Push(simclock.Wake{At: tl[i].at, ID: wk.ID})
+				return nil
+			}
+			t0 := time.Now()
+			if !selling {
+				if err := devices[id].ObserveSlot(ev.at); err != nil {
+					return err
+				}
+			} else {
+				out, err := devices[id].HandleSlot(ev.at, ev.cats)
+				if slotLat != nil {
+					slotLat[tenantReg.TenantOf(id)].Observe(time.Since(t0).Nanoseconds())
+				}
+				if err != nil {
+					return err
+				}
+				if energy != nil {
+					if out.Fetched {
+						energy[id].Transfer(ev.at, cfg.AdBytes*int64(1+out.TopUpAds), owner(ev.at, "ads"))
+					} else if out.CacheHit && cfg.ReportBytes > 0 {
+						energy[id].Transfer(ev.at, cfg.ReportBytes, owner(ev.at, "ads"))
+					}
 				}
 			}
+			lat.Observe(time.Since(t0).Nanoseconds())
+			ops.Add(1)
 			return nil
-		}); err != nil {
-			migWg.Wait()
+		}
+		var wakeups atomic.Int64
+		err := eachDevice(len(heaps), len(heaps), func(w int) error {
+			woke, err := replayDue(&heaps[w], end, timeline, visit)
+			wakeups.Add(woke)
+			return err
+		})
+		sideWg.Wait()
+		if err != nil {
 			return nil, err
 		}
-		migWg.Wait()
 		if migErr != nil {
 			return nil, migErr
 		}
+		// Batched devices hold display reports write-behind; deliver them
+		// before the boundary closes the period so the server's sweep
+		// state matches the sequential wire at every EndPeriod.
 		if o.Batched && selling {
 			if err := eachDevice(n, workers, func(i int) error {
 				devices[i].FlushDeferred(end)
@@ -426,6 +558,9 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 		})
 	}
 
+	// Settle deferred display reports while the server is still up:
+	// devices that rode out a partition deliver their queued billing
+	// under the original keys and timestamps.
 	if plan != nil || o.Batched {
 		if err := eachDevice(n, workers, func(i int) error {
 			devices[i].FlushDeferred(env.span)
@@ -471,6 +606,18 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 				res.PerUserAdJPerDay.Add(adJ / float64(res.Days))
 			}
 		}
+	}
+	if slotLat != nil {
+		res.TenantSlotP99NS = make(map[string]float64, len(slotLat))
+		for t, h := range slotLat {
+			if h.Count() > 0 {
+				res.TenantSlotP99NS[t] = h.Quantile(0.99)
+			}
+		}
+	}
+	if o.Flood != nil {
+		res.FloodAdmitted = floodAdmitted.Load()
+		res.FloodShed = floodShed.Load()
 	}
 	return res, nil
 }

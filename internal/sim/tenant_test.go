@@ -115,11 +115,11 @@ func TestTenantNoisyNeighborIsolation(t *testing.T) {
 	}
 	cfg := tenantConfig()
 	table := tenantTable(0.002, 4, 48)
-	solo, err := RunTransportWith(cfg, TransportOpts{Shards: 2, Workers: 4, Tenants: table})
+	solo, err := RunTransportStream(cfg, TransportOpts{Shards: 2, Workers: 4, Tenants: table})
 	if err != nil {
 		t.Fatalf("solo: %v", err)
 	}
-	noisy, err := RunTransportWith(cfg, TransportOpts{Shards: 2, Workers: 4, Tenants: table, Flood: tenantFlood()})
+	noisy, err := RunTransportStream(cfg, TransportOpts{Shards: 2, Workers: 4, Tenants: table, Flood: tenantFlood()})
 	if err != nil {
 		t.Fatalf("noisy: %v", err)
 	}
@@ -137,12 +137,12 @@ func TestTenantNoisyNeighborChaos(t *testing.T) {
 	}
 	cfg := tenantConfig()
 	table := tenantTable(0.002, 4, 48)
-	solo, err := RunTransportWith(cfg, TransportOpts{
+	solo, err := RunTransportStream(cfg, TransportOpts{
 		Shards: 2, Workers: 4, Tenants: table, Plan: chaosPlan(77, false)})
 	if err != nil {
 		t.Fatalf("solo: %v", err)
 	}
-	noisy, err := RunTransportWith(cfg, TransportOpts{
+	noisy, err := RunTransportStream(cfg, TransportOpts{
 		Shards: 2, Workers: 4, Tenants: table, Plan: chaosPlan(77, false), Flood: tenantFlood()})
 	if err != nil {
 		t.Fatalf("noisy: %v", err)
@@ -167,13 +167,13 @@ func TestTenantNoisyNeighborConfigEpochKill(t *testing.T) {
 	// entry is identical in both epochs, so the reload (and the bucket
 	// reset a kill implies for pubB) cannot touch pubA's outcomes.
 	epochs := []ConfigEpochStep{{Period: 10, Epoch: 2, Tenants: tenantTable(0.001, 4, 48)}}
-	solo, err := RunTransportWith(cfg, TransportOpts{
+	solo, err := RunTransportStream(cfg, TransportOpts{
 		Shards: 2, Workers: 4, Tenants: table, ConfigEpochs: epochs})
 	if err != nil {
 		t.Fatalf("solo: %v", err)
 	}
 	sched := faults.NewCrashSchedule(faults.CrashPoint{Op: "config_epoch", After: 1})
-	noisy, err := RunTransportWith(cfg, TransportOpts{
+	noisy, err := RunTransportStream(cfg, TransportOpts{
 		Shards: 2, Workers: 4, Tenants: table, ConfigEpochs: epochs, Flood: tenantFlood(),
 		WALDir: t.TempDir(), SnapshotEvery: 3, Crashes: sched,
 	})
@@ -197,11 +197,11 @@ func TestTenantClusterVictimIsolation(t *testing.T) {
 	}
 	cfg := tenantConfig()
 	table := tenantTable(0.002, 4, 48)
-	solo, err := RunTransportCluster(cfg, 3, 4, TransportOpts{Tenants: table})
+	solo, err := RunTransportStream(cfg, TransportOpts{Nodes: 3, Workers: 4, Tenants: table})
 	if err != nil {
 		t.Fatalf("solo: %v", err)
 	}
-	noisy, err := RunTransportCluster(cfg, 3, 4, TransportOpts{Tenants: table, Flood: tenantFlood()})
+	noisy, err := RunTransportStream(cfg, TransportOpts{Nodes: 3, Workers: 4, Tenants: table, Flood: tenantFlood()})
 	if err != nil {
 		t.Fatalf("noisy: %v", err)
 	}
@@ -219,13 +219,13 @@ func TestTenantClusterBinaryWire(t *testing.T) {
 	}
 	cfg := tenantConfig()
 	table := tenantTable(0.002, 4, 48)
-	wire := TransportOpts{Tenants: table, Batched: true, BinaryBatch: true}
-	solo, err := RunTransportCluster(cfg, 3, 4, wire)
+	wire := TransportOpts{Nodes: 3, Workers: 4, Tenants: table, Batched: true, BinaryBatch: true}
+	solo, err := RunTransportStream(cfg, wire)
 	if err != nil {
 		t.Fatalf("solo: %v", err)
 	}
 	wire.Flood = tenantFlood()
-	noisy, err := RunTransportCluster(cfg, 3, 4, wire)
+	noisy, err := RunTransportStream(cfg, wire)
 	if err != nil {
 		t.Fatalf("noisy: %v", err)
 	}

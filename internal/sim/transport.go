@@ -8,19 +8,16 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/auction"
-	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/predict"
-	"repro/internal/radio"
 	"repro/internal/shard"
 	"repro/internal/simclock"
 	"repro/internal/tenant"
@@ -28,81 +25,6 @@ import (
 	"repro/internal/transport"
 	"repro/internal/wal"
 )
-
-// RunTransport replays the same deterministic trace a Config describes
-// through the deployable serving path: a transport.ShardedServer over a
-// shard.Pool, spoken to by one transport.Device per user over real HTTP
-// on a loopback listener. Period boundaries drive the fan-out/fan-in
-// round on the server; within a period, devices replay their slot
-// events concurrently (per-device order preserved) across `workers`
-// goroutines, so the run exercises the concurrent serving path
-// end-to-end.
-//
-// The energy model does not ride the HTTP path, so the energy fields of
-// the Result are zero; monetary, SLA and counter outcomes are the
-// run's product. Campaign demand is instantiated per shard from the
-// same seed (each shard sees the same campaign set with a full budget),
-// matching shard.New's per-shard-exchange deployment model.
-//
-// Monetary results are independent of request interleaving — and of
-// the shard count — when per-impression outcomes are order-free:
-// FixedReplicas=1 (no racing duplicates), NoRescue (no cross-client
-// claim stealing), AdmissionEpsilon=0.5 with integral per-client means
-// (additive admission). The TestShardCountInvariance suite pins that
-// contract; outside it, totals may legitimately vary with scheduling.
-func RunTransport(cfg Config, shards, workers int) (*Result, error) {
-	return RunTransportWith(cfg, TransportOpts{Shards: shards, Workers: workers})
-}
-
-// RunTransportChaos is RunTransport under a seeded fault plan: the
-// plan's wire faults wrap the shared HTTP client, its server faults and
-// shard partitions wrap the handler, and every device carries a radio
-// meter so the energy cost of retries (transport.RetryOwner) lands in
-// Result.RetryEnergyJ. A nil plan is the fault-free path.
-//
-// Chaos runs stay deterministic because fault decisions are pure hashes
-// of (seed, endpoint, idempotency key, attempt) — see internal/faults —
-// and the device request sequences are deterministic per device. Pass a
-// fresh Plan per run: its injection counters accumulate.
-func RunTransportChaos(cfg Config, shards, workers int, plan *faults.Plan) (*Result, error) {
-	return RunTransportWith(cfg, TransportOpts{Shards: shards, Workers: workers, Plan: plan})
-}
-
-// RunTransportCrash is RunTransport with durability on and scheduled
-// process kills: the server logs every mutating op to a WAL under
-// walDir, and at each armed crash point — observed at the instant
-// between a record becoming durable and its response being acknowledged
-// — the serving process is torn down mid-request and a replacement is
-// built from scratch, recovering from the newest snapshot plus WAL
-// replay. Requests arriving while the server is down block until the
-// replacement is up; the aborted in-flight requests ride the devices'
-// normal retry + idempotency machinery. Under the shard-invariance
-// contract (see RunTransport), a crash run's monetary and per-client
-// outcomes are identical to an uninterrupted run's — the crash suite
-// pins exactly that.
-func RunTransportCrash(cfg Config, shards, workers int, walDir string, snapshotEvery int, crashes *faults.CrashSchedule, batched bool) (*Result, error) {
-	return RunTransportWith(cfg, TransportOpts{
-		Shards: shards, Workers: workers, Batched: batched,
-		WALDir: walDir, SnapshotEvery: snapshotEvery, Crashes: crashes,
-	})
-}
-
-// RunTransportCluster replays the trace against a multi-node cluster
-// instead of one process: `nodes` independent single-shard serving
-// nodes — each its own ShardedServer, own metrics, own WAL directory —
-// behind a cluster.Router that places clients with the same partition
-// shard.Route uses, so a cluster of N is comparable observable for
-// observable with a single process at shards=N. A crash schedule kills
-// whole nodes (faults.CrashPoint.Node selects which): the victim's
-// listener drops mid-request, the router's circuit opens and parks that
-// node's clients, a replacement recovers from the node's own WAL, and
-// the router is told to Rejoin it. The cluster differential tier pins
-// kill/restart runs equal to the uninterrupted single-process baseline.
-func RunTransportCluster(cfg Config, nodes, workers int, o TransportOpts) (*Result, error) {
-	o.Nodes = nodes
-	o.Workers = workers
-	return RunTransportWith(cfg, o)
-}
 
 // TransportOpts selects the wire-path variants of a transport replay.
 type TransportOpts struct {
@@ -112,12 +34,22 @@ type TransportOpts struct {
 	Shards int
 	// Workers bounds device concurrency; <1 means GOMAXPROCS.
 	Workers int
-	// Nodes, when positive, serves the replay from a multi-node
-	// cluster: Nodes single-shard serving processes behind a
-	// cluster.Router (see RunTransportCluster).
+	// Nodes, when positive, serves the replay from a multi-node cluster
+	// instead of one process: Nodes independent single-shard serving
+	// nodes — each its own ShardedServer, own metrics, own WAL directory
+	// — behind a cluster.Router that places clients with the same
+	// partition shard.Route uses, so a cluster of N is comparable
+	// observable for observable with a single process at Shards=N.
 	Nodes int
-	// Plan, when non-nil, runs the replay under that fault plan (see
-	// RunTransportChaos).
+	// Plan, when non-nil, runs the replay under that seeded fault plan:
+	// its wire faults wrap the shared HTTP client, its server faults and
+	// shard partitions wrap the handler, and every device carries a radio
+	// meter so the energy cost of retries (transport.RetryOwner) lands in
+	// Result.RetryEnergyJ. Chaos runs stay deterministic because fault
+	// decisions are pure hashes of (seed, endpoint, idempotency key,
+	// attempt) — see internal/faults — and the device request sequences
+	// are deterministic per device. Pass a fresh Plan per run: its
+	// injection counters accumulate.
 	Plan *faults.Plan
 	// Batched switches every device to the coalesced wire mode
 	// (transport.WithBatching): one POST /v1/batch envelope per wake-up
@@ -145,19 +77,25 @@ type TransportOpts struct {
 	// rounds (0 = never; the log then carries the whole run).
 	SnapshotEvery int
 	// Crashes, when non-nil, kills and restarts the serving process at
-	// the scheduled WAL-append instants. Requires WALDir. In cluster
-	// mode kills are node-scoped: the single-process harness observes
-	// as node 0, a cluster node observes as its own index.
+	// the scheduled WAL-append instants. Requires WALDir. A point is
+	// observed at the instant between a record becoming durable and its
+	// response being acknowledged: the process is torn down mid-request
+	// and a replacement is built from scratch, recovering from the newest
+	// snapshot plus WAL replay. Requests arriving while it is down block
+	// until the replacement is up; the aborted in-flight requests ride
+	// the devices' normal retry + idempotency machinery. In cluster mode
+	// kills are node-scoped (faults.CrashPoint.Node): the victim's
+	// listener drops, the router's circuit opens and parks that node's
+	// clients, and the router is told to Rejoin the recovered node. The
+	// single-process harness observes as node 0.
 	Crashes *faults.CrashSchedule
-	// Energy attaches a per-device radio (the Config's Radio profile) on
-	// the streaming path and charges app and ad transfer bytes through
-	// it, filling the Result's energy fields the same way the in-process
-	// simulator does. RunTransportStream only; the materialized replay
-	// rejects it (its energy story is sim.Run's).
+	// Energy attaches a per-device radio (the Config's Radio profile) and
+	// charges app and ad transfer bytes through it, filling the Result's
+	// energy fields the same way the in-process simulator does.
 	Energy bool
 	// Lean drops the O(population) Result fields — PerClient and the
-	// per-user energy sample — so a million-device streaming run's
-	// result stays small. RunTransportStream only.
+	// per-user energy sample — so a million-device run's result stays
+	// small.
 	Lean bool
 	// Migrations schedules live membership changes mid-run (cluster
 	// mode only). Each step fires during the slot-replay phase of its
@@ -218,9 +156,9 @@ type FloodSpec struct {
 	PerPeriod int
 }
 
-// FloodClientBase is the first flood client id — far above any trace
-// population, so a flood tenant's [Lo, Hi) range covers its synthetic
-// fleet without overlapping real clients.
+// FloodClientBase is the first flood client id, so a flood tenant's
+// [Lo, Hi) range covers its synthetic fleet without overlapping real
+// clients. A replay whose population reaches past it rejects Flood.
 const FloodClientBase = 1 << 20
 
 // MigrationStep is one scheduled membership change: during period
@@ -233,17 +171,12 @@ type MigrationStep struct {
 }
 
 // replayEnv is everything a transport replay prepares before a serving
-// backend exists: the trace, the client population and its derived
-// predictor inputs, and the pool factory both backends build their
-// engines from. Two constructors fill it: newReplayEnv materializes the
-// whole population up front (pop/users set, stream nil), newStreamEnv
-// derives traces lazily (stream/firstWake set, pop/users nil). The
-// serving backends only touch the fields both paths provide.
+// backend exists: the lazy trace source, the client ids and their
+// derived predictor inputs, and the pool factory the backends build
+// their engines from.
 type replayEnv struct {
 	cfg       Config
 	o         TransportOpts
-	pop       *trace.Population // nil on the streaming path
-	users     []*trace.User     // nil on the streaming path
 	ids       []int
 	cat       *trace.Catalog
 	span      simclock.Time
@@ -251,18 +184,16 @@ type replayEnv struct {
 	warmupEnd simclock.Time
 	period    time.Duration
 	workers   int
-	plan      *faults.Plan
 
 	// hints and oracle feed the server's per-client targeting hints and
-	// the oracle predictor series. The streaming path backs hints with
-	// interned init-sweep data (the server asks for them every period)
-	// and oracle with a transient per-id trace derivation.
+	// the oracle predictor series: hints from interned init-sweep data
+	// (the server asks for them every period), oracle from a transient
+	// per-id trace derivation.
 	hints  func(id int) []trace.Category
 	oracle func(id int) []int
 
-	// stream and firstWake exist only on the streaming path: the lazy
-	// trace source and each client's earliest timeline event (-1 when
-	// the client's trace is empty).
+	// stream is the lazy trace source; firstWake each client's earliest
+	// timeline event (-1 when the client's trace is empty).
 	stream    *trace.Stream
 	firstWake []simclock.Time
 
@@ -274,43 +205,8 @@ type replayEnv struct {
 	makePool func(shards int, members []int) (*shard.Pool, error)
 }
 
-// initMakePool installs the pool factory once hints and oracle are set;
-// both constructors share it so the serving engines are built
-// identically whichever path prepared the env.
-func (env *replayEnv) initMakePool() {
-	cfg, tenants := env.cfg, env.o.Tenants
-	env.makePool = func(shards int, members []int) (*shard.Pool, error) {
-		rng := simclock.NewRand(cfg.Seed).Stream("sim")
-		// The legacy campaign set keeps ids 0..Campaigns-1 and no tenant
-		// tag, so a multi-tenant run's aggregate books stay comparable
-		// with a single-tenant run's. Each named tenant then gets its own
-		// full set from a tenant-keyed stream, ids offset past every set
-		// before it. Generation is pure, so a solo run and a combined run
-		// with the same tenant table instantiate identical demand — the
-		// noisy-neighbor equality assertions lean on exactly that.
-		demand := func() []auction.Campaign {
-			all := cfg.Demand.Generate(rng.Stream("demand"))
-			for ti, tc := range tenants {
-				set := cfg.Demand.Generate(rng.Stream("demand:" + tc.ID))
-				for i := range set {
-					set[i].ID += auction.CampaignID((ti + 1) * cfg.Demand.Campaigns)
-					set[i].Tenant = tc.ID
-				}
-				all = append(all, set...)
-			}
-			return all
-		}
-		return shard.New(shards, cfg.Core.Server, members,
-			func(int) (*auction.Exchange, error) {
-				return auction.NewExchange(demand(), cfg.Reserve)
-			},
-			func(id int) predict.Predictor { return transportPredictor(cfg.Core, id, env.oracle) },
-			func(id int) []trace.Category { return env.hints(id) })
-	}
-}
-
 // migrator is the optional serving extension for backends that can
-// reshape cluster membership mid-run: driveDevices calls migrate for
+// reshape cluster membership mid-run: driveStream calls migrate for
 // every period, concurrently with that period's device slot replay, so
 // handoffs always race live traffic.
 type migrator interface {
@@ -336,118 +232,6 @@ type serving interface {
 	close()
 }
 
-// newReplayEnv validates the config/options pair and prepares the
-// shared replay inputs.
-func newReplayEnv(cfg Config, o TransportOpts) (*replayEnv, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if o.Plan != nil {
-		if err := o.Plan.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	switch {
-	case o.TargetURL == "" && o.Nodes == 0 && o.Shards < 1:
-		return nil, fmt.Errorf("sim: transport needs at least one shard, got %d", o.Shards)
-	case o.Nodes < 0:
-		return nil, fmt.Errorf("sim: negative node count %d", o.Nodes)
-	case o.Nodes > 0 && o.Shards > 1:
-		return nil, fmt.Errorf("sim: cluster nodes each run one shard; got shards=%d with nodes=%d", o.Shards, o.Nodes)
-	case cfg.Core.Delivery != core.DeliverScheduled:
-		return nil, fmt.Errorf("sim: transport replay supports scheduled delivery only")
-	case cfg.ChurnProb > 0 || cfg.ReportLossProb > 0:
-		return nil, fmt.Errorf("sim: transport replay does not support failure injection")
-	case o.Crashes != nil && o.WALDir == "":
-		return nil, fmt.Errorf("sim: a crash schedule requires a WAL directory")
-	case len(o.Migrations) > 0 && o.Nodes == 0:
-		return nil, fmt.Errorf("sim: migration steps require cluster mode (Nodes > 0)")
-	case o.Energy || o.Lean:
-		return nil, fmt.Errorf("sim: Energy and Lean are streaming-replay options (RunTransportStream)")
-	case o.TargetURL != "" && (o.Nodes > 0 || o.WALDir != "" || o.Crashes != nil || o.Plan != nil || len(o.Migrations) > 0):
-		return nil, fmt.Errorf("sim: TargetURL drives an external deployment; in-process backend options do not apply")
-	case o.Flood != nil && (o.Flood.Devices < 1 || o.Flood.PerPeriod < 1):
-		return nil, fmt.Errorf("sim: a flood spec needs Devices and PerPeriod >= 1")
-	}
-	workers := o.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	pop := cfg.Population
-	if pop == nil {
-		var err error
-		pop, err = trace.Generate(cfg.TraceCfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-	users := pop.Users
-	if cfg.MaxUsers > 0 && cfg.MaxUsers < len(users) {
-		users = users[:cfg.MaxUsers]
-	}
-	cat := cfg.Catalog
-	if cat == nil {
-		cat = trace.NewCatalog(trace.DefaultCatalog())
-	}
-	warmupEnd := simclock.Time(cfg.WarmupDays) * simclock.Day
-	if warmupEnd > pop.Span {
-		return nil, fmt.Errorf("sim: warm-up %d days exceeds trace span %v", cfg.WarmupDays, pop.Span)
-	}
-	period := cfg.Core.Server.Period
-
-	ids := make([]int, len(users))
-	byID := make(map[int]*trace.User, len(users))
-	for i, u := range users {
-		ids[i] = u.ID
-		byID[u.ID] = u
-	}
-	hintsOf := topCategories(users, cat)
-
-	env := &replayEnv{
-		cfg: cfg, o: o, pop: pop, users: users, ids: ids, cat: cat,
-		span: pop.Span, days: pop.Days(),
-		warmupEnd: warmupEnd, period: period, workers: workers, plan: o.Plan,
-	}
-	env.oracle = func(id int) []int {
-		return trace.SlotsPerPeriod(byID[id], cat, cfg.RefreshInterval, period, env.span)
-	}
-	env.hints = func(id int) []trace.Category { return hintsOf[id] }
-	env.initMakePool()
-	return env, nil
-}
-
-// RunTransportWith is the generalized transport replay: RunTransport,
-// RunTransportChaos, RunTransportCrash and RunTransportCluster are thin
-// wrappers over it. See their docs for the replay contract.
-func RunTransportWith(cfg Config, o TransportOpts) (*Result, error) {
-	env, err := newReplayEnv(cfg, o)
-	if err != nil {
-		return nil, err
-	}
-	var back serving
-	switch {
-	case o.TargetURL != "":
-		back, err = newTargetBackend(env)
-	case o.Nodes > 0:
-		back, err = newClusterBackend(env)
-	default:
-		back, err = newSingleBackend(env)
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer back.close()
-	res, err := driveDevices(env, back)
-	if err != nil {
-		return nil, err
-	}
-	if err := back.finish(res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // singleBackend is the single-process serving backend: one
 // ShardedServer over one pool on one loopback listener, with the
 // kill/restart gate when a crash schedule is armed.
@@ -465,7 +249,7 @@ type singleBackend struct {
 }
 
 func newSingleBackend(env *replayEnv) (*singleBackend, error) {
-	o, plan := env.o, env.plan
+	o, plan := env.o, env.o.Plan
 	b := &singleBackend{env: env, serveErr: make(chan error, 1), done: make(chan struct{})}
 
 	// The crash gate: while a kill is being recovered, new requests
@@ -479,15 +263,17 @@ func newSingleBackend(env *replayEnv) (*singleBackend, error) {
 	var hook func(wal.Record)
 	if o.Crashes != nil {
 		hook = func(rec wal.Record) {
-			if !o.Crashes.Observe(rec.Op) {
+			// A record that slipped past the seal of an incarnation already
+			// being killed (another shard's append racing the kill) belongs
+			// to that outage: it must not consume the next crash point.
+			gate.mu.Lock()
+			if gate.down || !o.Crashes.Observe(rec.Op) {
+				gate.mu.Unlock()
 				return
 			}
-			gate.mu.Lock()
-			if !gate.down {
-				gate.down = true
-				gate.log.Seal() // no further op can become durable or acked
-				restartCh <- struct{}{}
-			}
+			gate.down = true
+			gate.log.Seal() // no further op can become durable or acked
+			restartCh <- struct{}{}
 			gate.mu.Unlock()
 			// Abort the request that tripped the kill: its client never
 			// learns the outcome and must retry against the recovered
@@ -711,269 +497,6 @@ func (b *targetBackend) finish(res *Result) error {
 }
 
 func (b *targetBackend) close() {}
-
-// driveDevices runs the replay loop against a serving backend: one
-// transport.Device per user plus the period coordinator, all over real
-// HTTP. It fills every client-side Result field; the backend's finish
-// settles the server-side ones.
-func driveDevices(env *replayEnv, back serving) (*Result, error) {
-	cfg, o, plan, workers := env.cfg, env.o, env.plan, env.workers
-	users := env.users
-	baseURL := back.url()
-
-	baseRT := &http.Transport{
-		MaxIdleConns:        workers * 2,
-		MaxIdleConnsPerHost: workers * 2,
-	}
-	defer baseRT.CloseIdleConnections()
-	rt := http.RoundTripper(baseRT)
-	if plan != nil {
-		rt = plan.RoundTripper(baseRT)
-	}
-	hc := &http.Client{Transport: rt}
-	// The admin control plane and the flood load source bypass the fault
-	// plan's wire faults: chaos aims at the ad-serving path, and a
-	// keyless admin request would re-draw the same fault decision on
-	// every retry, never converging.
-	plainHC := &http.Client{Transport: baseRT}
-
-	// A multi-tenant run resolves each device's owner once — devices
-	// declare their tenant on the wire, and per-tenant latency
-	// histograms separate the victim's tail from the aggressor's.
-	var devTenant []string
-	var slotLat map[string]*obs.Histogram
-	if len(o.Tenants) > 0 {
-		reg, err := tenant.NewRegistry(1, o.Tenants)
-		if err != nil {
-			return nil, err
-		}
-		latReg := obs.NewRegistry()
-		slotLat = map[string]*obs.Histogram{
-			tenant.Legacy: latReg.Histogram("slot_latency_ns", "tenant", "legacy"),
-		}
-		for _, tc := range o.Tenants {
-			slotLat[tc.ID] = latReg.Histogram("slot_latency_ns", "tenant", tc.ID)
-		}
-		devTenant = make([]string, len(users))
-		for i, u := range users {
-			devTenant[i] = reg.TenantOf(u.ID)
-		}
-	}
-	epochSteps := make(map[int][]ConfigEpochStep, len(o.ConfigEpochs))
-	for _, st := range o.ConfigEpochs {
-		epochSteps[st.Period] = append(epochSteps[st.Period], st)
-	}
-	var floodAdmitted, floodShed atomic.Int64
-
-	// One shared registry aggregates the fleet's client-side
-	// instrumentation (the series carry no per-device labels, so the
-	// cardinality is flat at any fleet size; all updates are atomic).
-	clientReg := obs.NewRegistry()
-	devices := make([]*transport.Device, len(users))
-	meters := make([]*radio.Radio, len(users))
-	timelines := make([][]timelineEvent, len(users))
-	for i, u := range users {
-		opts := []transport.Option{transport.WithHTTPClient(hc), transport.WithRegistry(clientReg)}
-		if plan != nil {
-			meters[i] = radio.New(radio.Profile3G())
-			opts = append(opts, transport.WithMeter(meters[i]))
-		}
-		if o.Batched {
-			opts = append(opts, transport.WithBatching())
-		}
-		if o.BinaryBatch {
-			opts = append(opts, transport.WithBinaryBatch())
-		}
-		if devTenant != nil && devTenant[i] != tenant.Legacy {
-			opts = append(opts, transport.WithTenant(devTenant[i]))
-		}
-		d, err := transport.NewDevice(u.ID, cfg.Core.CacheCap, baseURL, opts...)
-		if err != nil {
-			return nil, err
-		}
-		d.NoRescue = cfg.Core.NoRescue || cfg.Core.Mode == core.ModeOnDemand
-		devices[i] = d
-		timelines[i] = buildTimeline(u, env.cat, cfg.RefreshInterval)
-	}
-
-	coord := transport.NewCoordinator(baseURL, transport.WithHTTPClient(hc), transport.WithRegistry(clientReg))
-	res := &Result{Mode: cfg.Core.Mode, Delivery: cfg.Core.Delivery, Users: len(users),
-		Obs: back.registry(), ClientObs: clientReg}
-	prefetching := cfg.Core.Mode != core.ModeOnDemand
-	cursors := make([]int, len(users)) // next timeline index per device
-	period := env.period
-
-	periodsTotal := int(env.span / simclock.Time(period))
-	for pi := 0; pi <= periodsTotal; pi++ {
-		now := simclock.Time(pi) * simclock.Time(period)
-		if pi > 0 {
-			prev := predict.PeriodOf(now-simclock.Time(period), period)
-			if _, err := coord.EndPeriod(now, prev.Index, prev.OfDay, prev.Weekend); err != nil {
-				return nil, err
-			}
-		}
-		if pi == periodsTotal {
-			break
-		}
-		// Scheduled config epochs land at the period's opening, before
-		// its selling round, so the new admission contract governs the
-		// whole period.
-		for _, st := range epochSteps[pi] {
-			if err := postTenantConfig(plainHC, baseURL, st); err != nil {
-				return nil, err
-			}
-		}
-		selling := now >= env.warmupEnd
-		p := predict.PeriodOf(now, period)
-		if selling && prefetching {
-			reply, err := coord.StartPeriod(now, p.Index, p.OfDay, p.Weekend)
-			if err != nil {
-				return nil, err
-			}
-			res.SoldTotal += int64(reply.Sold)
-			res.ReplicaTotal += int64(reply.Replicas)
-			res.PlacedTotal += int64(reply.Placed)
-			res.Periods++
-			// Scheduled delivery: every device downloads its bundle at
-			// the boundary, concurrently.
-			if err := eachDevice(len(devices), workers, func(i int) error {
-				_, err := devices[i].FetchBundle(now)
-				return err
-			}); err != nil {
-				return nil, err
-			}
-		}
-		// Fire any membership change scheduled for this period while the
-		// slot replay below is in full swing: the rebalance must win its
-		// equivalence guarantee against concurrent device traffic, not
-		// against a conveniently idle cluster. Joined before the period
-		// boundary so the EndPeriod barrier sees settled membership.
-		var migErr error
-		var migWg sync.WaitGroup
-		if mig, ok := back.(migrator); ok {
-			migWg.Add(1)
-			go func(pi int) {
-				defer migWg.Done()
-				migErr = mig.migrate(pi)
-			}(pi)
-		}
-		// Replay this period's slot events: devices advance concurrently,
-		// each through its own events in trace order. The flood, when
-		// armed, pressures the serving side at the same time — victim
-		// requests and aggressor requests contend on the same locks.
-		end := now + simclock.Time(period)
-		var floodWg sync.WaitGroup
-		if o.Flood != nil && selling {
-			floodWg.Add(1)
-			go func(now, end simclock.Time) {
-				defer floodWg.Done()
-				runFlood(plainHC, baseURL, o.Flood, now, end, &floodAdmitted, &floodShed)
-			}(now, end)
-		}
-		if err := eachDevice(len(devices), workers, func(i int) error {
-			tl := timelines[i]
-			for cursors[i] < len(tl) && tl[cursors[i]].at < end {
-				ev := tl[cursors[i]]
-				cursors[i]++
-				if !ev.slot {
-					continue // app transfers only matter to the energy model
-				}
-				if !selling {
-					if err := devices[i].ObserveSlot(ev.at); err != nil {
-						return err
-					}
-					continue
-				}
-				if slotLat == nil {
-					if _, err := devices[i].HandleSlot(ev.at, ev.cats); err != nil {
-						return err
-					}
-					continue
-				}
-				t0 := time.Now()
-				_, err := devices[i].HandleSlot(ev.at, ev.cats)
-				slotLat[devTenant[i]].Observe(time.Since(t0).Nanoseconds())
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			floodWg.Wait()
-			migWg.Wait()
-			return nil, err
-		}
-		floodWg.Wait()
-		migWg.Wait()
-		if migErr != nil {
-			return nil, migErr
-		}
-		// Batched devices hold display reports write-behind; deliver them
-		// before the boundary closes the period so the server's sweep
-		// state matches the sequential path at every EndPeriod.
-		if o.Batched && selling {
-			if err := eachDevice(len(devices), workers, func(i int) error {
-				devices[i].FlushDeferred(end)
-				return nil
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Settle deferred display reports while the server is still up:
-	// devices that rode out a partition deliver their queued billing
-	// under the original keys and timestamps.
-	if plan != nil || o.Batched {
-		if err := eachDevice(len(devices), workers, func(i int) error {
-			devices[i].FlushDeferred(env.span)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	res.Days = env.days - cfg.WarmupDays
-	res.PerClient = make(map[int]client.Counters, len(devices))
-	for i, d := range devices {
-		c := d.Counters()
-		res.PerClient[users[i].ID] = c
-		res.Counters.SlotsServed += c.SlotsServed
-		res.Counters.CacheHits += c.CacheHits
-		res.Counters.OnDemandFetches += c.OnDemandFetches
-		res.Counters.BundleFetches += c.BundleFetches
-		res.Counters.BundledAds += c.BundledAds
-		res.Counters.DroppedOverflow += c.DroppedOverflow
-		res.Counters.DroppedExpired += c.DroppedExpired
-	}
-	// Net is collected on every transport run (the batching experiments
-	// compare round-trip counts of fault-free runs); the energy and
-	// fault tallies stay chaos-only.
-	for _, d := range devices {
-		res.Net.Add(d.Net())
-	}
-	res.Net.Add(coord.Net())
-	if plan != nil {
-		for i, d := range devices {
-			meters[i].Flush() // settle the final radio tail
-			res.RetryEnergyJ += d.RetryEnergyJ()
-		}
-		res.FaultsInjected = plan.InjectedTotal()
-	}
-	if slotLat != nil {
-		res.TenantSlotP99NS = make(map[string]float64, len(slotLat))
-		for t, h := range slotLat {
-			if h.Count() > 0 {
-				res.TenantSlotP99NS[t] = h.Quantile(0.99)
-			}
-		}
-	}
-	if o.Flood != nil {
-		res.FloodAdmitted = floodAdmitted.Load()
-		res.FloodShed = floodShed.Load()
-	}
-	return res, nil
-}
 
 // postTenantConfig pushes one scheduled config epoch until the serving
 // side acknowledges it. A kill aimed at the config WAL record aborts

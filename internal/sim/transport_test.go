@@ -36,11 +36,11 @@ func TestTransportShardCountInvariance(t *testing.T) {
 	}
 	cfg := transportConfig()
 
-	r1, err := RunTransport(cfg, 1, 4)
+	r1, err := RunTransportStream(cfg, TransportOpts{Shards: 1, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := RunTransport(cfg, 4, 4)
+	r4, err := RunTransportStream(cfg, TransportOpts{Shards: 4, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestTransportRepeatable(t *testing.T) {
 		t.Skip("full HTTP replay")
 	}
 	cfg := transportConfig()
-	a, err := RunTransport(cfg, 2, 8)
+	a, err := RunTransportStream(cfg, TransportOpts{Shards: 2, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTransport(cfg, 2, 8)
+	b, err := RunTransportStream(cfg, TransportOpts{Shards: 2, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,59 +91,44 @@ func TestTransportRepeatable(t *testing.T) {
 
 // The HTTP path must agree with the in-process engine on the physical
 // counters that don't depend on policy internals: slots served is a
-// property of the trace alone.
+// property of the trace alone. Both wire modes are held to it.
 func TestTransportMatchesInProcessSlots(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full HTTP replay")
 	}
 	cfg := transportConfig()
-	ht, err := RunTransport(cfg, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ip, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ht.Counters.SlotsServed != ip.Counters.SlotsServed {
-		t.Fatalf("slots served: HTTP %d vs in-process %d",
-			ht.Counters.SlotsServed, ip.Counters.SlotsServed)
-	}
-	if ht.Users != ip.Users || ht.Days != ip.Days {
-		t.Fatalf("population drift: %d/%d users, %v/%v days", ht.Users, ip.Users, ht.Days, ip.Days)
+	for _, batched := range []bool{false, true} {
+		ht, err := RunTransportStream(cfg, TransportOpts{Shards: 2, Workers: 4, Batched: batched})
+		if err != nil {
+			t.Fatalf("batched=%v: %v", batched, err)
+		}
+		if ht.Counters.SlotsServed != ip.Counters.SlotsServed {
+			t.Fatalf("batched=%v: slots served: HTTP %d vs in-process %d",
+				batched, ht.Counters.SlotsServed, ip.Counters.SlotsServed)
+		}
+		if ht.Users != ip.Users || ht.Days != ip.Days {
+			t.Fatalf("batched=%v: population drift: %d/%d users, %v/%v days",
+				batched, ht.Users, ip.Users, ht.Days, ip.Days)
+		}
 	}
 }
 
 func TestTransportValidation(t *testing.T) {
 	cfg := transportConfig()
-	if _, err := RunTransport(cfg, 0, 1); err == nil {
+	if _, err := RunTransportStream(cfg, TransportOpts{Shards: 0, Workers: 1}); err == nil {
 		t.Fatal("zero shards accepted")
 	}
 	cfg.ChurnProb = 0.5
-	if _, err := RunTransport(cfg, 1, 1); err == nil {
+	if _, err := RunTransportStream(cfg, TransportOpts{Shards: 1, Workers: 1}); err == nil {
 		t.Fatal("failure injection accepted on the transport path")
 	}
 	cfg = transportConfig()
 	cfg.Core.Delivery = core.DeliverPiggyback
-	if _, err := RunTransport(cfg, 1, 1); err == nil {
+	if _, err := RunTransportStream(cfg, TransportOpts{Shards: 1, Workers: 1}); err == nil {
 		t.Fatal("piggyback delivery accepted on the transport path")
-	}
-}
-
-func TestRunParallelTransport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full HTTP replay")
-	}
-	cfg := transportConfig()
-	cfg.TraceCfg.Users = 16
-	cfg.MaxUsers = 16
-	cfg.TraceCfg.Days = 2
-	cfg.WarmupDays = 0
-	res, err := RunParallelTransport([]Config{cfg, cfg}, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 || LedgerJSON(res[0].Ledger) != LedgerJSON(res[1].Ledger) {
-		t.Fatalf("parallel transport runs disagree: %+v", res)
 	}
 }

@@ -36,52 +36,28 @@
 // epoch) so the transport works identically under test harnesses and
 // live deployments that map it to wall time.
 //
-// Two server adapters implement the protocol: Server wraps one
-// single-threaded engine behind one lock (one shard per process), and
-// ShardedServer partitions clients across N engines, each behind its
-// own lock, so the serving path scales with cores. Server is itself a
-// one-shard ShardedServer, so both share one handler implementation.
+// One server adapter implements the protocol: ShardedServer partitions
+// clients across N single-threaded engines, each behind its own lock, so
+// the serving path scales with cores. NewServer builds the one-shard
+// case (one engine, one lock, one shard per process).
 package transport
 
 import (
-	"net/http"
-
 	"repro/internal/adserver"
 	"repro/internal/auction"
 	"repro/internal/client"
-	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/simclock"
-	"repro/internal/tenant"
 )
 
-// Server adapts a single adserver.Server to HTTP. The underlying engine
-// is single-threaded; the adapter serializes all requests with a mutex
-// (one ad-server shard per process, as in the scalability table). For a
-// multi-core serving path, see ShardedServer.
-type Server struct {
-	sh *ShardedServer
+// NewServer adapts a single adserver.Server to HTTP as a one-shard
+// ShardedServer: the engine is single-threaded, so all requests
+// serialize on its one lock (one ad-server shard per process, as in the
+// scalability table). For a multi-core serving path, see
+// NewShardedServer.
+func NewServer(srv *adserver.Server) *ShardedServer {
+	return newSharded([]*adserver.Server{srv}, func(int) int { return 0 })
 }
-
-// NewServer wraps an ad server.
-func NewServer(srv *adserver.Server) *Server {
-	return &Server{sh: newSharded([]*adserver.Server{srv}, func(int) int { return 0 })}
-}
-
-// Handler returns the HTTP handler implementing the protocol.
-func (s *Server) Handler() http.Handler { return s.sh.Handler() }
-
-// Registry exposes the server's metrics registry (scraped at
-// GET /v1/metrics), for debug listeners and tests.
-func (s *Server) Registry() *obs.Registry { return s.sh.Registry() }
-
-// StagedAds returns the number of staged (not yet downloaded) bundle
-// ads, for memory-bound monitoring and tests.
-func (s *Server) StagedAds() int { return s.sh.StagedAds() }
-
-// SetTenants installs a tenant registry (nil = legacy single-tenant
-// serving); see ShardedServer.SetTenants.
-func (s *Server) SetTenants(reg *tenant.Registry) { s.sh.SetTenants(reg) }
 
 // Wire DTOs.
 
