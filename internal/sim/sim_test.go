@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/auction"
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/radio"
 	"repro/internal/simclock"
@@ -59,6 +61,51 @@ func TestRunDeterministic(t *testing.T) {
 	b := run(t, quickConfig(core.ModePredictive))
 	if a.AdEnergyJ != b.AdEnergyJ || a.Ledger != b.Ledger || a.Counters != b.Counters {
 		t.Fatalf("nondeterministic:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestPredictiveRunGolden pins the predictive engine's outcomes to the
+// numbers the engine produced before its rescue path was re-indexed
+// (ISSUE 18): default overbooking, rescue on, default TopUpCap. The
+// hand-out order of RescueOpen/TopUp and the planner's replica choice
+// are part of the determinism contract; an engine change that is meant
+// to be behaviour-preserving must leave every value here untouched.
+func TestPredictiveRunGolden(t *testing.T) {
+	type golden struct {
+		ledger                auction.Ledger
+		counters              client.Counters
+		adEnergyJ             float64
+		sold, replica, placed int64
+	}
+	want := map[int64]golden{
+		1: {
+			ledger: auction.Ledger{Sold: 11088, BilledUSD: 30.950048685991067, Billed: 11046,
+				FreeUSD: 0.14289810637207373, FreeShows: 51, Violations: 42,
+				ViolatedUSD: 0.11768079348288425, PotentialUSD: 31.067729479473886},
+			counters: client.Counters{SlotsServed: 11097, CacheHits: 6967, OnDemandFetches: 4130,
+				BundleFetches: 1115, BundledAds: 25822, DroppedOverflow: 2086, DroppedExpired: 16234},
+			adEnergyJ: 47564.40306162467,
+			sold:      8476, replica: 24141, placed: 8433,
+		},
+		7: {
+			ledger: auction.Ledger{Sold: 10834, BilledUSD: 30.590889265825677, Billed: 10834,
+				FreeUSD: 0.20047564499483161, FreeShows: 71, Violations: 0,
+				ViolatedUSD: 0, PotentialUSD: 30.590889265825677},
+			counters: client.Counters{SlotsServed: 10905, CacheHits: 6997, OnDemandFetches: 3908,
+				BundleFetches: 1122, BundledAds: 26409, DroppedOverflow: 2509, DroppedExpired: 16308},
+			adEnergyJ: 43316.247499089586,
+			sold:      8583, replica: 24491, placed: 8583,
+		},
+	}
+	for seed, w := range want {
+		cfg := quickConfig(core.ModePredictive)
+		cfg.Seed = seed
+		cfg.TraceCfg.Seed = seed
+		r := run(t, cfg)
+		got := golden{r.Ledger, r.Counters, r.AdEnergyJ, r.SoldTotal, r.ReplicaTotal, r.PlacedTotal}
+		if got != w {
+			t.Errorf("seed %d: predictive outcomes moved\n got %+v\nwant %+v", seed, got, w)
+		}
 	}
 }
 
