@@ -57,6 +57,19 @@ bench:
 	go test -bench 'ClusterRoundTrip|MigrationHandoff' -benchtime 2s -run '^$$' ./internal/cluster
 	go test -bench 'StreamingReplay' -benchtime 1x -run '^$$' ./internal/sim
 
+# Engine profile: one paper_inproc-sized sim.Run (BenchmarkPaperInproc)
+# under the CPU and allocation profilers, then the two pprof -top tables.
+# Start an engine change here; confirm it with
+# `bash benchmark/run.sh --workload paper_inproc`. The test binary and
+# the profiles land in PROF_DIR, outside the checkout.
+PROF_DIR ?= /tmp/adprefetch-prof
+prof-inproc:
+	mkdir -p $(PROF_DIR)
+	go test -run '^$$' -bench 'PaperInproc' -benchtime 3x -o $(PROF_DIR)/inproc.test \
+		-cpuprofile $(PROF_DIR)/cpu.prof -memprofile $(PROF_DIR)/mem.prof .
+	go tool pprof -top -nodecount 30 $(PROF_DIR)/inproc.test $(PROF_DIR)/cpu.prof
+	go tool pprof -top -nodecount 20 -sample_index alloc_objects $(PROF_DIR)/inproc.test $(PROF_DIR)/mem.prof
+
 # The serving-path benchmark sweep piped through tools/benchjson. Shared
 # by benchsnap (record a new BENCH_<n>.json trajectory point) and
 # benchgate (fail if ns/op or allocs/op regress >10% vs the newest
@@ -167,4 +180,4 @@ verify: test batch chaos crash cluster migrate stream tenant
 # obs, which let schedule-dependent regressions through.
 verify-full: verify race obs
 
-.PHONY: fmt test race obs bench benchsnap benchgate chaos batch crash cluster migrate stream tenant mega verify verify-full
+.PHONY: fmt test race obs bench prof-inproc benchsnap benchgate chaos batch crash cluster migrate stream tenant mega verify verify-full

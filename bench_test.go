@@ -12,6 +12,7 @@ import (
 	"time"
 
 	adprefetch "repro"
+	"repro/internal/adserver"
 	"repro/internal/auction"
 	"repro/internal/overbook"
 	"repro/internal/predict"
@@ -133,6 +134,66 @@ func BenchmarkPlannerPlanOne(b *testing.B) {
 	}
 }
 
+// benchPredictor forecasts a constant slot count.
+type benchPredictor float64
+
+func (benchPredictor) Name() string                { return "const" }
+func (benchPredictor) Observe(predict.Period, int) {}
+func (p benchPredictor) Predict(predict.Period) predict.Estimate {
+	return predict.Estimate{Slots: float64(p), Mean: float64(p)}
+}
+
+// BenchmarkTopUp is the rescue path's top-up scan over an open book of
+// paper_inproc's size (600 clients, ≈10 impressions sold per client per
+// period, default overbooking), untouched and with every second
+// impression already claimed.
+func BenchmarkTopUp(b *testing.B) {
+	const users = 600
+	for _, claimed := range []bool{false, true} {
+		name := "nothing-claimed"
+		if claimed {
+			name = "half-claimed"
+		}
+		b.Run(name, func(b *testing.B) {
+			demand := auction.DefaultDemand()
+			demand.BudgetImpressions = 1 << 40
+			ex, err := auction.NewExchange(demand.Generate(simclock.NewRand(1)), 0.0002)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids := make([]int, users)
+			for i := range ids {
+				ids[i] = i
+			}
+			srv, err := adserver.New(adserver.DefaultConfig(), ex, ids,
+				func(int) predict.Predictor { return benchPredictor(10) }, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			bundles, stats := srv.StartPeriod(0, predict.Period{})
+			if stats.Sold < 5*users {
+				b.Fatalf("book too small: %+v", stats)
+			}
+			if claimed {
+				for _, bd := range bundles {
+					for i, ad := range bd.Ads {
+						if i%2 == 0 {
+							_ = srv.ReportDisplay(ad.ID, simclock.At(time.Minute)) // replicas of one impression: later reports are free shows
+						}
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(srv.TopUp(simclock.Hour, i%users)) == 0 {
+					b.Fatal("empty top-up")
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkPredictorObservePredict(b *testing.B) {
 	p := predict.NewPercentileHistogram(0.9)
 	r := simclock.NewRand(1)
@@ -156,6 +217,25 @@ func BenchmarkTraceGeneration(b *testing.B) {
 		if _, err := trace.Generate(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPaperInproc is one sim.Run at the size of the benchmark's
+// paper_inproc workload (600 users, 6 days, predictive mode). It exists
+// to be profiled: `make prof-inproc` runs it once under -cpuprofile and
+// -memprofile so an engine change starts from a profile.
+func BenchmarkPaperInproc(b *testing.B) {
+	cfg := adprefetch.DefaultSimConfig(adprefetch.ModePredictive)
+	cfg.TraceCfg.Users = 600
+	cfg.TraceCfg.Days = 6
+	cfg.WarmupDays = 3
+	cfg.Core.Server.Period = 4 * time.Hour
+	for i := 0; i < b.N; i++ {
+		res, err := adprefetch.RunSimulation(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(res.Counters.SlotsServed+res.Counters.BundleFetches), "ops")
 	}
 }
 

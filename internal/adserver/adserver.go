@@ -10,7 +10,6 @@
 package adserver
 
 import (
-	"container/heap"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -22,6 +21,7 @@ import (
 	"repro/internal/auction"
 	"repro/internal/client"
 	"repro/internal/metrics"
+	"repro/internal/minheap"
 	"repro/internal/overbook"
 	"repro/internal/predict"
 	"repro/internal/simclock"
@@ -146,32 +146,23 @@ type Server struct {
 	// node (see migrate.go).
 	mkPredictor func(clientID int) predict.Predictor
 
-	// claims maps a displayed impression to the instant the *server*
-	// learned of the display (display time + ReportLatency).
-	claims map[auction.ImpressionID]simclock.Time
+	// imps holds one record per impression the server sold, adopted or
+	// saw claimed, carved from impChunk (no heap object per sale).
+	// Pending-heap entries point at their record, so only the id-keyed
+	// entry points (ReportDisplay, CancellationKnown) hash. Records are
+	// never pruned: the claim history lives as long as the process.
+	imps     map[auction.ImpressionID]*impRecord
+	impChunk []impRecord
 
 	// slot counts observed during the current period, for training.
 	slotCounts map[int]int
 
-	// replicaHolders is kept for introspection and tests.
-	replicaHolders map[auction.ImpressionID][]int
-
-	// pending orders open prefetch-sold impressions by deadline so that
-	// on-demand fallback requests can rescue the most at-risk impression
-	// instead of selling fresh inventory while sold ads expire.
-	pending pendingHeap
+	// book is the legacy tenant's open book (named tenants: tenantBooks).
+	book openBook
 
 	// curPeriod is the period most recently opened by StartPeriod; the
 	// top-up path sizes batches against its forecasts.
 	curPeriod predict.Period
-
-	// rescueCursor rotates top-up hand-outs across the pending set so
-	// concurrent rescuers do not all duplicate the same impressions.
-	rescueCursor int
-
-	// impCampaign remembers which campaign bought each open impression,
-	// for frequency-cap enforcement.
-	impCampaign map[auction.ImpressionID]auction.CampaignID
 
 	// freqCount counts ads of one campaign routed to one client on one
 	// day (assigned replicas, top-ups, rescues and on-demand sales all
@@ -185,11 +176,10 @@ type Server struct {
 	lastForecast float64
 
 	// Multi-tenant serving state (see tenant.go): client→tenant
-	// attribution, plus per-tenant pending heaps and top-up cursors for
-	// named tenants (the legacy tenant "" keeps pending/rescueCursor).
-	tenantOf      func(clientID int) string
-	tenantPending map[string]*pendingHeap
-	tenantCursor  map[string]int
+	// attribution, plus one open book per named tenant (the legacy
+	// tenant "" keeps book).
+	tenantOf    func(clientID int) string
+	tenantBooks map[string]*openBook
 
 	// ops holds the streaming monitoring metrics behind their own lock
 	// so snapshots never contend with the serving path.
@@ -248,47 +238,140 @@ type freqKey struct {
 	day      int
 }
 
-// underCap reports whether routing one more ad of the campaign to the
-// client on the given day respects the campaign's frequency cap.
-func (s *Server) underCap(clientID int, campaign auction.CampaignID, day int) bool {
-	c, ok := s.ex.Campaign(campaign)
-	if !ok || c.FreqCapPerUserDay <= 0 {
-		return true
-	}
-	return s.freqCount[freqKey{clientID, campaign, day}] < c.FreqCapPerUserDay
+// freqCapOf returns a campaign's per-user daily frequency cap (0:
+// uncapped, or unknown campaign). The exchange's campaign set is fixed at
+// construction, so impRecord caches the value at sale.
+func (s *Server) freqCapOf(campaign auction.CampaignID) int32 {
+	c, _ := s.ex.Campaign(campaign)
+	return int32(c.FreqCapPerUserDay)
 }
 
-func (s *Server) countCap(clientID int, campaign auction.CampaignID, day int) {
-	c, ok := s.ex.Campaign(campaign)
-	if !ok || c.FreqCapPerUserDay <= 0 {
+// underCap reports whether routing one more ad of the campaign to the
+// client on the given day respects the campaign's frequency cap limit.
+func (s *Server) underCap(clientID int, campaign auction.CampaignID, limit int32, day int) bool {
+	return limit <= 0 || s.freqCount[freqKey{clientID, campaign, day}] < int(limit)
+}
+
+func (s *Server) countCap(clientID int, campaign auction.CampaignID, limit int32, day int) {
+	if limit > 0 {
+		s.freqCount[freqKey{clientID, campaign, day}]++
+	}
+}
+
+// impRecord is what the server remembers about one impression.
+type impRecord struct {
+	// campaign bought the impression and freqCap is its frequency cap;
+	// valid when sold. An unsold record exists when an id this server
+	// never sold is reported: the claim is still recorded.
+	campaign auction.CampaignID
+	freqCap  int32 // packs with the two flags: the record stays 56 bytes
+	sold     bool
+
+	// claimed is set by the first display report or rescue; learned is
+	// the instant the *server* knew (display time + ReportLatency).
+	claimed bool
+	learned simclock.Time
+
+	// holders are the clients the impression was replicated onto at sale
+	// (none: no client had capacity); fixed while the impression is pending.
+	holders []int
+
+	// book is the open book whose heap holds the impression's entry, if any.
+	book *openBook
+}
+
+// tier is the top-up preference class: 0, 1 or 2 (= many) replicas out.
+func (r *impRecord) tier() int { return min(len(r.holders), 2) }
+
+// claim records the first claim of the impression; later ones are
+// ignored. A claimed entry stops counting as live in its book.
+func (r *impRecord) claim(learned simclock.Time) {
+	if r.claimed {
 		return
 	}
-	s.freqCount[freqKey{clientID, campaign, day}]++
+	r.claimed, r.learned = true, learned
+	if r.book != nil {
+		r.book.live[r.tier()]--
+	}
 }
 
-// pendingImp is one unclaimed sold impression awaiting display.
+// markSold records the buyer of an impression.
+func (s *Server) markSold(r *impRecord, campaign auction.CampaignID) {
+	r.sold, r.campaign, r.freqCap = true, campaign, s.freqCapOf(campaign)
+}
+
+// record returns the impression's record, creating it on first sight.
+func (s *Server) record(id auction.ImpressionID) *impRecord {
+	if r, ok := s.imps[id]; ok {
+		return r
+	}
+	if len(s.impChunk) == cap(s.impChunk) {
+		s.impChunk = make([]impRecord, 0, 512)
+	}
+	s.impChunk = append(s.impChunk, impRecord{})
+	r := &s.impChunk[len(s.impChunk)-1]
+	s.imps[id] = r
+	return r
+}
+
+// pendingImp is one sold impression awaiting display; rec lets a scan
+// test claimed / holder count / campaign without hashing the id.
 type pendingImp struct {
 	id       auction.ImpressionID
 	deadline simclock.Time
+	rec      *impRecord
 }
 
+// openBook is one tenant's open book: its sold impressions ordered by
+// deadline, so that on-demand fallback requests can rescue the most
+// at-risk impression instead of selling fresh inventory while sold ads
+// expire. Claimed and expired entries are removed lazily, when they
+// surface at the top.
+type openBook struct {
+	heap pendingHeap
+
+	// cursor rotates top-up hand-outs across the heap array so
+	// concurrent rescuers do not all duplicate the same impressions.
+	cursor int
+
+	// live counts the heap's unclaimed entries per holder tier, exactly:
+	// a top-up walk for a tier with none is skipped.
+	live [3]int
+}
+
+// link counts a record whose entry is entering the book's heap.
+func (b *openBook) link(r *impRecord) {
+	r.book = b
+	if !r.claimed {
+		b.live[r.tier()]++
+	}
+}
+
+// forget unlinks a record whose entry left the heap for good.
+func (b *openBook) forget(r *impRecord) {
+	if !r.claimed {
+		b.live[r.tier()]--
+	}
+	r.book = nil
+}
+
+// pendingHeap is a min-heap by (deadline, id), sifted exactly as
+// container/heap would: the array order is what TopUp walks, and so
+// part of the determinism contract.
 type pendingHeap []pendingImp
 
-func (h pendingHeap) Len() int { return len(h) }
-func (h pendingHeap) Less(i, j int) bool {
-	if h[i].deadline != h[j].deadline {
-		return h[i].deadline < h[j].deadline
+func pendingLess(a, b *pendingImp) bool {
+	if a.deadline != b.deadline {
+		return a.deadline < b.deadline
 	}
-	return h[i].id < h[j].id
+	return a.id < b.id
 }
-func (h pendingHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *pendingHeap) Push(x any)   { *h = append(*h, x.(pendingImp)) }
-func (h *pendingHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+
+func (h *pendingHeap) push(e pendingImp) { *h = minheap.Push(*h, e, pendingLess) }
+
+func (h *pendingHeap) pop() (e pendingImp) {
+	*h, e = minheap.Pop(*h, pendingLess)
+	return e
 }
 
 // New creates a server over the given exchange and client set.
@@ -316,18 +399,16 @@ func New(cfg Config, ex *auction.Exchange, clientIDs []int,
 		return nil, err
 	}
 	s := &Server{
-		cfg:            cfg,
-		ex:             ex,
-		ops:            opsMetrics{errP50: p50, errP95: p95},
-		clientIDs:      append([]int(nil), clientIDs...),
-		predictors:     make(map[int]predict.Predictor, len(clientIDs)),
-		hints:          hints,
-		mkPredictor:    mkPredictor,
-		claims:         make(map[auction.ImpressionID]simclock.Time),
-		slotCounts:     make(map[int]int),
-		replicaHolders: make(map[auction.ImpressionID][]int),
-		impCampaign:    make(map[auction.ImpressionID]auction.CampaignID),
-		freqCount:      make(map[freqKey]int),
+		cfg:         cfg,
+		ex:          ex,
+		ops:         opsMetrics{errP50: p50, errP95: p95},
+		clientIDs:   append([]int(nil), clientIDs...),
+		predictors:  make(map[int]predict.Predictor, len(clientIDs)),
+		hints:       hints,
+		mkPredictor: mkPredictor,
+		imps:        make(map[auction.ImpressionID]*impRecord),
+		slotCounts:  make(map[int]int),
+		freqCount:   make(map[freqKey]int),
 	}
 	sort.Ints(s.clientIDs)
 	for _, id := range s.clientIDs {
@@ -342,14 +423,14 @@ func (s *Server) Config() Config { return s.cfg }
 // Exchange returns the underlying exchange (for ledger inspection).
 func (s *Server) Exchange() *auction.Exchange { return s.ex }
 
-// OpenBook returns the number of entries across all pending-impression
-// heaps: sold impressions awaiting display. Claimed and expired entries
-// are removed lazily, so this is an upper bound on the truly open book
-// — good enough as a load-shedding signal.
+// OpenBook returns the number of entries across all open books: sold
+// impressions awaiting display. Claimed and expired entries are removed
+// lazily, so this is an upper bound on the truly open book — the
+// load-shedding signal, and the length of the array a top-up walks.
 func (s *Server) OpenBook() int {
-	n := len(s.pending)
-	for _, h := range s.tenantPending {
-		n += len(*h)
+	n := len(s.book.heap)
+	for _, b := range s.tenantBooks {
+		n += len(b.heap)
 	}
 	return n
 }
@@ -440,27 +521,30 @@ func (s *Server) startGroup(now simclock.Time, p predict.Period, clientIDs []int
 		panic(err)
 	}
 	day := now.DayIndex()
-	pendingOf := s.heapOf(tenant)
+	book := s.bookOf(tenant)
 	for _, imp := range sold {
-		heap.Push(pendingOf, pendingImp{id: imp.ID, deadline: imp.Deadline})
-		s.impCampaign[imp.ID] = imp.Campaign
+		rec := s.record(imp.ID)
+		s.markSold(rec, imp.Campaign)
+		limit := rec.freqCap
 		holders, _ := planner.PlanOne()
 		// Frequency caps: drop holders already saturated with this
 		// campaign today.
 		kept := holders[:0]
 		for _, c := range holders {
-			if s.underCap(c, imp.Campaign, day) {
+			if s.underCap(c, imp.Campaign, limit, day) {
 				kept = append(kept, c)
-				s.countCap(c, imp.Campaign, day)
+				s.countCap(c, imp.Campaign, limit, day)
 			}
 		}
 		holders = kept
+		rec.holders = holders
+		book.link(rec)
+		book.heap.push(pendingImp{id: imp.ID, deadline: imp.Deadline, rec: rec})
 		if len(holders) == 0 {
 			continue // no capacity anywhere; will expire as a violation
 		}
 		stats.Placed++
 		stats.Replicas += len(holders)
-		s.replicaHolders[imp.ID] = holders
 		for _, c := range holders {
 			b, ok := bundles[c]
 			if !ok {
@@ -515,9 +599,7 @@ func (s *Server) ObserveSlot(clientID int) { s.slotCounts[clientID]++ }
 // ReportLatency + SyncDelay elapse) and the exchange bills or counts a
 // free show as appropriate.
 func (s *Server) ReportDisplay(id auction.ImpressionID, displayAt simclock.Time) error {
-	if _, claimed := s.claims[id]; !claimed {
-		s.claims[id] = displayAt.Add(s.cfg.ReportLatency)
-	}
+	s.record(id).claim(displayAt.Add(s.cfg.ReportLatency))
 	return s.ex.RecordDisplay(id, displayAt)
 }
 
@@ -525,11 +607,11 @@ func (s *Server) ReportDisplay(id auction.ImpressionID, displayAt simclock.Time)
 // already knows impression id was claimed elsewhere: the claim must
 // have reached the server and then propagated for SyncDelay.
 func (s *Server) CancellationKnown(id auction.ImpressionID, at simclock.Time) bool {
-	learned, ok := s.claims[id]
-	if !ok {
+	r, ok := s.imps[id]
+	if !ok || !r.claimed {
 		return false
 	}
-	return !learned.Add(s.cfg.SyncDelay).After(at)
+	return !r.learned.Add(s.cfg.SyncDelay).After(at)
 }
 
 // RescueOpen serves the most urgent open (sold, unclaimed, unexpired)
@@ -541,40 +623,38 @@ func (s *Server) CancellationKnown(id auction.ImpressionID, at simclock.Time) bo
 // so there is no report latency). ok is false when nothing is pending.
 func (s *Server) RescueOpen(now simclock.Time, clientID int) (auction.ImpressionID, bool) {
 	day := now.DayIndex()
-	h := s.heapOf(s.tenantOfClient(clientID))
+	b := s.bookOf(s.tenantOfClient(clientID))
 	// Skimmed entries that are valid but frequency-capped for this
 	// client are pushed back after the scan.
 	var skipped []pendingImp
-	defer func() {
-		for _, e := range skipped {
-			heap.Push(h, e)
+	var hit pendingImp // rec stays nil until an entry is served
+	for len(b.heap) > 0 && hit.rec == nil {
+		top := b.heap.pop()
+		r := top.rec
+		switch {
+		case r.claimed, now.After(top.deadline): // expired: the sweep will record it
+			b.forget(r)
+		case !s.underCap(clientID, r.campaign, r.freqCap, day):
+			skipped = append(skipped, top)
+		default:
+			r.claim(now)
+			b.forget(r)
+			hit = top
 		}
-	}()
-	for len(*h) > 0 {
-		top := (*h)[0]
-		if _, claimed := s.claims[top.id]; claimed {
-			heap.Pop(h)
-			continue
-		}
-		if now.After(top.deadline) {
-			heap.Pop(h) // expired; the sweep will record it
-			continue
-		}
-		if !s.underCap(clientID, s.impCampaign[top.id], day) {
-			skipped = append(skipped, heap.Pop(h).(pendingImp))
-			continue
-		}
-		heap.Pop(h)
-		s.claims[top.id] = now
-		s.countCap(clientID, s.impCampaign[top.id], day)
-		if err := s.ex.RecordDisplay(top.id, now); err != nil {
-			// The impression was open per our bookkeeping; a failure here
-			// is a bug, not an environmental condition.
-			panic(err)
-		}
-		return top.id, true
 	}
-	return 0, false
+	for _, e := range skipped {
+		b.heap.push(e)
+	}
+	if hit.rec == nil {
+		return 0, false
+	}
+	s.countCap(clientID, hit.rec.campaign, hit.rec.freqCap, day)
+	if err := s.ex.RecordDisplay(hit.id, now); err != nil {
+		// The impression was open per our bookkeeping; a failure here
+		// is a bug, not an environmental condition.
+		panic(err)
+	}
+	return hit.id, true
 }
 
 // TopUp returns up to TopUpCap open impressions for the client to carry
@@ -586,10 +666,16 @@ func (s *Server) RescueOpen(now simclock.Time, clientID int) (auction.Impression
 // copy of an ad that is already widely cached mostly creates duplicate
 // displays (revenue loss), while a copy of a thinly-replicated ad
 // genuinely improves its odds.
+//
+// The rule (DESIGN §3.3.4): walk the heap array from the cursor, wrapping
+// once, taking unclaimed, unexpired, under-cap entries with no holder;
+// walk again for exactly one holder, then for the rest. A walk takes
+// only its own tier — earlier walks took or rejected for good everything
+// below it — so nothing is handed out twice.
 func (s *Server) TopUp(now simclock.Time, clientID int) []client.CachedAd {
-	tenant := s.tenantOfClient(clientID)
-	h := s.heapOf(tenant)
-	if s.cfg.TopUpCap <= 0 || len(*h) == 0 {
+	b := s.bookOf(s.tenantOfClient(clientID))
+	n := len(b.heap)
+	if s.cfg.TopUpCap <= 0 || n == 0 {
 		return nil
 	}
 	pred, ok := s.predictors[clientID]
@@ -597,43 +683,28 @@ func (s *Server) TopUp(now simclock.Time, clientID int) []client.CachedAd {
 		return nil
 	}
 	est := pred.Predict(s.curPeriod)
-	want := int(est.Slots) - s.slotCounts[clientID]
-	if want > s.cfg.TopUpCap {
-		want = s.cfg.TopUpCap
-	}
+	want := min(int(est.Slots)-s.slotCounts[clientID], s.cfg.TopUpCap)
 	if want <= 0 {
 		return nil
 	}
 	out := make([]client.CachedAd, 0, want)
-	n := len(*h)
-	cursor := s.cursorOf(tenant)
+	start := b.cursor % n
 	day := now.DayIndex()
-	take := func(maxHolders int) {
-		for i := 0; i < n && len(out) < want; i++ {
-			e := (*h)[(cursor+i)%n]
-			if _, claimed := s.claims[e.id]; claimed {
+	for tier := 0; tier < len(b.live) && len(out) < want; tier++ {
+		if b.live[tier] == 0 {
+			continue
+		}
+		for i, visited := start, 0; visited < n && len(out) < want; visited++ {
+			e := &b.heap[i]
+			if i++; i == n {
+				i = 0
+			}
+			r := e.rec
+			if now.After(e.deadline) || r.claimed || r.tier() != tier ||
+				!s.underCap(clientID, r.campaign, r.freqCap, day) {
 				continue
 			}
-			if now.After(e.deadline) {
-				continue
-			}
-			if len(s.replicaHolders[e.id]) > maxHolders {
-				continue
-			}
-			if !s.underCap(clientID, s.impCampaign[e.id], day) {
-				continue
-			}
-			dup := false
-			for _, ad := range out {
-				if ad.ID == e.id {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			s.countCap(clientID, s.impCampaign[e.id], day)
+			s.countCap(clientID, r.campaign, r.freqCap, day)
 			out = append(out, client.CachedAd{
 				ID:       e.id,
 				Deadline: e.deadline,
@@ -641,22 +712,8 @@ func (s *Server) TopUp(now simclock.Time, clientID int) []client.CachedAd {
 			})
 		}
 	}
-	take(0) // unplaced impressions are pure wins: no replica can race them
-	if len(out) < want {
-		take(1) // then thinly-replicated ones
-	}
-	if len(out) < want {
-		take(1 << 30)
-	}
-	s.setCursor(tenant, (cursor+want)%max(n, 1))
+	b.cursor = (b.cursor + want) % n
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // OnDemandSell runs the status-quo RTB path: sell one slot with the
@@ -672,12 +729,12 @@ func (s *Server) OnDemandSell(now simclock.Time, clientID int, hints []trace.Cat
 				return false
 			}
 		}
-		return s.underCap(clientID, c, day)
+		return s.underCap(clientID, c, s.freqCapOf(c), day)
 	})
 	if len(sold) == 0 {
 		return auction.Impression{}, false
 	}
-	s.countCap(clientID, sold[0].Campaign, day)
+	s.countCap(clientID, sold[0].Campaign, s.freqCapOf(sold[0].Campaign), day)
 	if err := s.ex.RecordDisplay(sold[0].ID, now); err != nil {
 		panic(err) // impression was just created; failure is a bug
 	}
@@ -780,5 +837,8 @@ func (s *Server) LoadPredictors(r io.Reader) error {
 
 // ReplicaHolders returns the clients an impression was assigned to.
 func (s *Server) ReplicaHolders(id auction.ImpressionID) []int {
-	return append([]int(nil), s.replicaHolders[id]...)
+	if r, ok := s.imps[id]; ok {
+		return append([]int(nil), r.holders...)
+	}
+	return nil
 }

@@ -1,12 +1,12 @@
 package adserver
 
 import (
-	"container/heap"
 	"encoding/json"
 	"fmt"
 	"sort"
 
 	"repro/internal/auction"
+	"repro/internal/minheap"
 	"repro/internal/predict"
 )
 
@@ -82,15 +82,16 @@ func (s *Server) ExtractClients(ids []int) ([]ClientState, error) {
 	// the split is deterministic.
 	movedImp := make(map[auction.ImpressionID]*ClientState)
 	var impIDs []auction.ImpressionID
-	for impID, holders := range s.replicaHolders {
-		if movable(holders, moving) {
+	for impID, r := range s.imps {
+		if movable(r.holders, moving) {
 			impIDs = append(impIDs, impID)
 		}
 	}
 	sort.Slice(impIDs, func(i, j int) bool { return impIDs[i] < impIDs[j] })
 	var openIDs, settledIDs []auction.ImpressionID
 	for _, impID := range impIDs {
-		holders := s.replicaHolders[impID]
+		r := s.imps[impID]
+		holders := r.holders
 		owner := holders[0]
 		for _, h := range holders[1:] {
 			if h < owner {
@@ -100,15 +101,13 @@ func (s *Server) ExtractClients(ids []int) ([]ClientState, error) {
 		cs := states[owner]
 		movedImp[impID] = cs
 		cs.ReplicaHolders = append(cs.ReplicaHolders, replicaEntry{ID: impID, Holders: append([]int(nil), holders...)})
-		delete(s.replicaHolders, impID)
-		if c, ok := s.impCampaign[impID]; ok {
-			cs.ImpCampaigns = append(cs.ImpCampaigns, impCampaign{ID: impID, Campaign: c})
-			delete(s.impCampaign, impID)
+		if r.sold {
+			cs.ImpCampaigns = append(cs.ImpCampaigns, impCampaign{ID: impID, Campaign: r.campaign})
 		}
-		if at, ok := s.claims[impID]; ok {
-			cs.Claims = append(cs.Claims, claimEntry{ID: impID, Learned: at})
-			delete(s.claims, impID)
+		if r.claimed {
+			cs.Claims = append(cs.Claims, claimEntry{ID: impID, Learned: r.learned})
 		}
+		delete(s.imps, impID)
 		open, settled := s.ex.StatusOf(impID)
 		switch {
 		case open:
@@ -138,27 +137,18 @@ func (s *Server) ExtractClients(ids []int) ([]ClientState, error) {
 	// Pending-heap entries for moved impressions travel (claimed or
 	// expired entries linger lazily, so match by impression, not by
 	// openness); the remainder is re-heapified in place.
-	kept := s.pending[:0]
-	for _, p := range s.pending {
-		if cs, ok := movedImp[p.id]; ok {
-			cs.Pending = append(cs.Pending, pendingEntry{ID: p.id, Deadline: p.deadline})
-		} else {
-			kept = append(kept, p)
-		}
-	}
-	s.pending = kept
-	heap.Init(&s.pending)
-	for _, h := range s.tenantPending {
-		keptT := (*h)[:0]
-		for _, p := range *h {
+	for _, b := range s.books() {
+		kept := b.heap[:0]
+		for _, p := range b.heap {
 			if cs, ok := movedImp[p.id]; ok {
 				cs.Pending = append(cs.Pending, pendingEntry{ID: p.id, Deadline: p.deadline})
+				b.forget(p.rec)
 			} else {
-				keptT = append(keptT, p)
+				kept = append(kept, p)
 			}
 		}
-		*h = keptT
-		heap.Init(h)
+		b.heap = kept
+		minheap.Init(b.heap, pendingLess)
 	}
 
 	// Frequency-cap history for the moving clients, all days.
@@ -238,27 +228,34 @@ func (s *Server) AdoptClients(states []ClientState) error {
 		for _, f := range cs.FreqCounts {
 			s.freqCount[freqKey{f.Client, f.Campaign, f.Day}] = f.Count
 		}
+		// Record fields first: linking an entry into a book reads them.
 		for _, c := range cs.Claims {
-			s.claims[c.ID] = c.Learned
+			r := s.record(c.ID)
+			r.claim(c.Learned)
+			r.learned = c.Learned // the source's claim supersedes a stray local one
 		}
-		for _, r := range cs.ReplicaHolders {
-			s.replicaHolders[r.ID] = append([]int(nil), r.Holders...)
+		for _, rh := range cs.ReplicaHolders {
+			s.record(rh.ID).holders = append([]int(nil), rh.Holders...)
 		}
 		for _, ic := range cs.ImpCampaigns {
-			s.impCampaign[ic.ID] = ic.Campaign
+			s.markSold(s.record(ic.ID), ic.Campaign)
 		}
 		for _, p := range cs.Pending {
-			// Route to the owning tenant's heap: the impression id's
+			r := s.record(p.ID)
+			if r.book != nil {
+				return fmt.Errorf("adserver: adopt: impression %d is already pending here", p.ID)
+			}
+			// Route to the owning tenant's book: the impression id's
 			// namespace identifies the tenant regardless of which client
 			// carried it over.
-			h := s.heapOf(s.ex.TenantOfImpression(p.ID))
-			*h = append(*h, pendingImp{id: p.ID, deadline: p.Deadline})
+			b := s.bookOf(s.ex.TenantOfImpression(p.ID))
+			b.link(r)
+			b.heap = append(b.heap, pendingImp{id: p.ID, deadline: p.Deadline, rec: r})
 		}
 	}
 	sort.Ints(s.clientIDs)
-	heap.Init(&s.pending)
-	for _, h := range s.tenantPending {
-		heap.Init(h)
+	for _, b := range s.books() {
+		minheap.Init(b.heap, pendingLess)
 	}
 	return nil
 }

@@ -93,6 +93,31 @@ func TestTopUpSizesToForecast(t *testing.T) {
 	}
 }
 
+// TestTopUpAllocationBudget is the rescue path's allocation gate: a
+// top-up costs exactly its result slice — no closure, no boxing, no
+// scratch — whether the book is untouched or half claimed.
+func TestTopUpAllocationBudget(t *testing.T) {
+	s, _, bundles := rescueServer(t, 8)
+	now := simclock.At(time.Minute)
+	for _, name := range []string{"nothing claimed", "half claimed"} {
+		if name == "half claimed" {
+			for i, ad := range bundles[0].Ads {
+				if i%2 == 0 {
+					if err := s.ReportDisplay(ad.ID, now); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		if got := s.TopUp(now, 1); len(got) == 0 {
+			t.Fatalf("%s: top-up returned nothing", name)
+		}
+		if n := testing.AllocsPerRun(200, func() { s.TopUp(now, 1) }); n != 1 {
+			t.Errorf("%s: TopUp allocates %v objects per call, want exactly 1 (the result slice)", name, n)
+		}
+	}
+}
+
 func TestTopUpCapAndDisable(t *testing.T) {
 	s, _, _ := rescueServer(t, 2)
 	ads := s.TopUp(simclock.At(time.Minute), 1)

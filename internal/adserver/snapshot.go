@@ -94,30 +94,32 @@ func (s *Server) Snapshot() (*State, error) {
 	st := &State{
 		Exchange:     s.ex.Snapshot(),
 		CurPeriod:    s.curPeriod,
-		RescueCursor: s.rescueCursor,
+		RescueCursor: s.book.cursor,
 		LastForecast: s.lastForecast,
+		Pending:      s.book.heap.entries(),
 	}
-	for id, at := range s.claims {
-		st.Claims = append(st.Claims, claimEntry{ID: id, Learned: at})
+	// One record per impression fans out into the three id-sorted lists
+	// the wire form has always carried.
+	for id, r := range s.imps {
+		if r.claimed {
+			st.Claims = append(st.Claims, claimEntry{ID: id, Learned: r.learned})
+		}
+		if len(r.holders) > 0 {
+			st.ReplicaHolders = append(st.ReplicaHolders, replicaEntry{ID: id, Holders: append([]int(nil), r.holders...)})
+		}
+		if r.sold {
+			st.ImpCampaigns = append(st.ImpCampaigns, impCampaign{ID: id, Campaign: r.campaign})
+		}
 	}
 	sort.Slice(st.Claims, func(i, j int) bool { return st.Claims[i].ID < st.Claims[j].ID })
+	sort.Slice(st.ReplicaHolders, func(i, j int) bool { return st.ReplicaHolders[i].ID < st.ReplicaHolders[j].ID })
+	sort.Slice(st.ImpCampaigns, func(i, j int) bool { return st.ImpCampaigns[i].ID < st.ImpCampaigns[j].ID })
 	for c, n := range s.slotCounts {
 		if n != 0 {
 			st.SlotCounts = append(st.SlotCounts, slotCount{Client: c, Count: n})
 		}
 	}
 	sort.Slice(st.SlotCounts, func(i, j int) bool { return st.SlotCounts[i].Client < st.SlotCounts[j].Client })
-	for id, holders := range s.replicaHolders {
-		st.ReplicaHolders = append(st.ReplicaHolders, replicaEntry{ID: id, Holders: append([]int(nil), holders...)})
-	}
-	sort.Slice(st.ReplicaHolders, func(i, j int) bool { return st.ReplicaHolders[i].ID < st.ReplicaHolders[j].ID })
-	for _, p := range s.pending {
-		st.Pending = append(st.Pending, pendingEntry{ID: p.id, Deadline: p.deadline})
-	}
-	for id, c := range s.impCampaign {
-		st.ImpCampaigns = append(st.ImpCampaigns, impCampaign{ID: id, Campaign: c})
-	}
-	sort.Slice(st.ImpCampaigns, func(i, j int) bool { return st.ImpCampaigns[i].ID < st.ImpCampaigns[j].ID })
 	for k, n := range s.freqCount {
 		st.FreqCounts = append(st.FreqCounts, freqCount{Client: k.client, Campaign: k.campaign, Day: k.day, Count: n})
 	}
@@ -131,29 +133,19 @@ func (s *Server) Snapshot() (*State, error) {
 		}
 		return a.Day < b.Day
 	})
-	var tenants []string
-	for t, h := range s.tenantPending {
-		if len(*h) > 0 {
-			tenants = append(tenants, t)
-		}
+	tenants := make([]string, 0, len(s.tenantBooks))
+	for t := range s.tenantBooks {
+		tenants = append(tenants, t)
 	}
 	sort.Strings(tenants)
 	for _, t := range tenants {
-		tp := tenantPendingState{Tenant: t}
-		for _, p := range *s.tenantPending[t] {
-			tp.Pending = append(tp.Pending, pendingEntry{ID: p.id, Deadline: p.deadline})
+		b := s.tenantBooks[t]
+		if len(b.heap) > 0 {
+			st.TenantPending = append(st.TenantPending, tenantPendingState{Tenant: t, Pending: b.heap.entries()})
 		}
-		st.TenantPending = append(st.TenantPending, tp)
-	}
-	tenants = tenants[:0]
-	for t, c := range s.tenantCursor {
-		if c != 0 {
-			tenants = append(tenants, t)
+		if b.cursor != 0 {
+			st.TenantCursors = append(st.TenantCursors, tenantCursorState{Tenant: t, Cursor: b.cursor})
 		}
-	}
-	sort.Strings(tenants)
-	for _, t := range tenants {
-		st.TenantCursors = append(st.TenantCursors, tenantCursorState{Tenant: t, Cursor: s.tenantCursor[t]})
 	}
 	s.ops.mu.Lock()
 	st.Ops = opsState{Rounds: s.ops.rounds, ErrP50: s.ops.errP50.State(), ErrP95: s.ops.errP95.State()}
@@ -166,6 +158,32 @@ func (s *Server) Snapshot() (*State, error) {
 	return st, nil
 }
 
+// entries is the heap array in its wire form, verbatim order (nil when
+// empty, as the encoding has always had it).
+func (h pendingHeap) entries() []pendingEntry {
+	var out []pendingEntry
+	for _, p := range h {
+		out = append(out, pendingEntry{ID: p.id, Deadline: p.deadline})
+	}
+	return out
+}
+
+// restoreBook loads a book's heap array verbatim — no re-heapify, so
+// heap operations after a restore behave exactly as they would have
+// without one — relinking each entry to its record.
+func (s *Server) restoreBook(b *openBook, cursor int, entries []pendingEntry) error {
+	*b = openBook{cursor: cursor, heap: make(pendingHeap, 0, len(entries))}
+	for _, p := range entries {
+		r := s.record(p.ID)
+		if r.book != nil {
+			return fmt.Errorf("adserver: restore: impression %d is pending twice", p.ID)
+		}
+		b.link(r)
+		b.heap = append(b.heap, pendingImp{id: p.ID, deadline: p.Deadline, rec: r})
+	}
+	return nil
+}
+
 // Restore overwrites the server's state with a previously captured
 // snapshot. The server must have been constructed with the same client
 // set and predictor factory; everything else — exchange, open book,
@@ -174,45 +192,36 @@ func (s *Server) Restore(st *State) error {
 	if err := s.ex.Restore(st.Exchange); err != nil {
 		return err
 	}
-	s.claims = make(map[auction.ImpressionID]simclock.Time, len(st.Claims))
+	// The record fields are set before any entry is linked into a book:
+	// the books' live counts read claimed and holders.
+	s.imps = make(map[auction.ImpressionID]*impRecord, len(st.ImpCampaigns))
+	s.impChunk = nil
 	for _, c := range st.Claims {
-		s.claims[c.ID] = c.Learned
+		r := s.record(c.ID)
+		r.claimed, r.learned = true, c.Learned
+	}
+	for _, rh := range st.ReplicaHolders {
+		s.record(rh.ID).holders = append([]int(nil), rh.Holders...)
+	}
+	for _, ic := range st.ImpCampaigns {
+		s.markSold(s.record(ic.ID), ic.Campaign)
 	}
 	s.slotCounts = make(map[int]int, len(st.SlotCounts))
 	for _, c := range st.SlotCounts {
 		s.slotCounts[c.Client] = c.Count
 	}
-	s.replicaHolders = make(map[auction.ImpressionID][]int, len(st.ReplicaHolders))
-	for _, r := range st.ReplicaHolders {
-		s.replicaHolders[r.ID] = append([]int(nil), r.Holders...)
-	}
-	s.pending = make(pendingHeap, 0, len(st.Pending))
-	for _, p := range st.Pending {
-		s.pending = append(s.pending, pendingImp{id: p.ID, deadline: p.Deadline})
-	}
 	s.curPeriod = st.CurPeriod
-	s.rescueCursor = st.RescueCursor
-	s.tenantPending = nil
+	if err := s.restoreBook(&s.book, st.RescueCursor, st.Pending); err != nil {
+		return err
+	}
+	s.tenantBooks = nil
 	for _, tp := range st.TenantPending {
-		h := make(pendingHeap, 0, len(tp.Pending))
-		for _, p := range tp.Pending {
-			h = append(h, pendingImp{id: p.ID, deadline: p.Deadline})
+		if err := s.restoreBook(s.bookOf(tp.Tenant), 0, tp.Pending); err != nil {
+			return err
 		}
-		if s.tenantPending == nil {
-			s.tenantPending = make(map[string]*pendingHeap, len(st.TenantPending))
-		}
-		s.tenantPending[tp.Tenant] = &h
 	}
-	s.tenantCursor = nil
 	for _, tc := range st.TenantCursors {
-		if s.tenantCursor == nil {
-			s.tenantCursor = make(map[string]int, len(st.TenantCursors))
-		}
-		s.tenantCursor[tc.Tenant] = tc.Cursor
-	}
-	s.impCampaign = make(map[auction.ImpressionID]auction.CampaignID, len(st.ImpCampaigns))
-	for _, ic := range st.ImpCampaigns {
-		s.impCampaign[ic.ID] = ic.Campaign
+		s.bookOf(tc.Tenant).cursor = tc.Cursor
 	}
 	s.freqCount = make(map[freqKey]int, len(st.FreqCounts))
 	for _, f := range st.FreqCounts {

@@ -2,10 +2,10 @@ package adserver
 
 import "sort"
 
-// Multi-tenant serving: each publisher (tenant) gets its own pending
-// heap, rescue cursor, and StartPeriod admission round, so one tenant's
-// open book and forecasts never influence another's rescues, top-ups,
-// or sales. The legacy tenant ("") keeps the original Server fields and
+// Multi-tenant serving: each publisher (tenant) gets its own open book
+// (pending heap, rescue cursor, live counts) and StartPeriod admission
+// round, so one tenant's open book and forecasts never influence
+// another's rescues, top-ups, or sales. The legacy tenant ("") keeps the original Server fields and
 // snapshot encoding, so a single-tenant deployment is byte-for-byte
 // unchanged.
 
@@ -24,50 +24,40 @@ func (s *Server) tenantOfClient(id int) string {
 	return s.tenantOf(id)
 }
 
-// heapOf returns the pending heap holding one tenant's open book,
-// creating it on first use. The legacy tenant keeps the original field.
-func (s *Server) heapOf(tenant string) *pendingHeap {
+// bookOf returns one tenant's open book, creating it on first use. The
+// legacy tenant keeps the original field.
+func (s *Server) bookOf(tenant string) *openBook {
 	if tenant == "" {
-		return &s.pending
+		return &s.book
 	}
-	h, ok := s.tenantPending[tenant]
+	b, ok := s.tenantBooks[tenant]
 	if !ok {
-		if s.tenantPending == nil {
-			s.tenantPending = make(map[string]*pendingHeap)
+		if s.tenantBooks == nil {
+			s.tenantBooks = make(map[string]*openBook)
 		}
-		h = new(pendingHeap)
-		s.tenantPending[tenant] = h
+		b = new(openBook)
+		s.tenantBooks[tenant] = b
 	}
-	return h
+	return b
 }
 
-// cursorOf and setCursor access one tenant's top-up rotation cursor.
-func (s *Server) cursorOf(tenant string) int {
-	if tenant == "" {
-		return s.rescueCursor
+// books lists every open book, the legacy tenant's first.
+func (s *Server) books() []*openBook {
+	out := []*openBook{&s.book}
+	for _, b := range s.tenantBooks {
+		out = append(out, b)
 	}
-	return s.tenantCursor[tenant]
-}
-
-func (s *Server) setCursor(tenant string, v int) {
-	if tenant == "" {
-		s.rescueCursor = v
-		return
-	}
-	if s.tenantCursor == nil {
-		s.tenantCursor = make(map[string]int)
-	}
-	s.tenantCursor[tenant] = v
+	return out
 }
 
 // OpenBookOf returns one tenant's pending-heap size: the tenant's sold
 // impressions awaiting display (lazily pruned, like OpenBook).
 func (s *Server) OpenBookOf(tenant string) int {
 	if tenant == "" {
-		return len(s.pending)
+		return len(s.book.heap)
 	}
-	if h := s.tenantPending[tenant]; h != nil {
-		return len(*h)
+	if b := s.tenantBooks[tenant]; b != nil {
+		return len(b.heap)
 	}
 	return 0
 }

@@ -17,11 +17,11 @@
 package overbook
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
 	"repro/internal/metrics"
+	"repro/internal/minheap"
 )
 
 // Config holds the overbooking policy parameters.
@@ -209,7 +209,11 @@ func AdmissionCount(cands []Candidate, cfg Config) int {
 // (see the X8 experiment).
 type Planner struct {
 	cfg Config
-	h   candHeap
+	h   []candEntry // min-heap by candLess
+
+	// chosen is PlanOne's scratch: the entries held aside while one
+	// impression's holders are picked, reused across calls.
+	chosen []candEntry
 }
 
 // candEntry caches a candidate's score at insertion time.
@@ -218,23 +222,12 @@ type candEntry struct {
 	c     *Candidate
 }
 
-type candHeap []candEntry
-
-func (h candHeap) Len() int { return len(h) }
-func (h candHeap) Less(i, j int) bool {
-	if h[i].score != h[j].score {
-		return h[i].score < h[j].score
+// candLess orders the planner's heap by (score, client id).
+func candLess(a, b *candEntry) bool {
+	if a.score != b.score {
+		return a.score < b.score
 	}
-	return h[i].c.Client < h[j].c.Client
-}
-func (h candHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x any)   { *h = append(*h, x.(candEntry)) }
-func (h *candHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+	return a.c.Client < b.c.Client
 }
 
 // score computes a candidate's current selection score.
@@ -248,7 +241,7 @@ func NewPlanner(cfg Config, cands []*Candidate) (*Planner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Planner{cfg: cfg, h: make(candHeap, 0, len(cands))}
+	p := &Planner{cfg: cfg, h: make([]candEntry, 0, len(cands))}
 	for _, c := range cands {
 		if c.PredictedSlots <= 0 {
 			continue
@@ -259,7 +252,7 @@ func NewPlanner(cfg Config, cands []*Candidate) (*Planner, error) {
 		}
 		p.h = append(p.h, candEntry{score: p.score(c, q), c: c})
 	}
-	heap.Init(&p.h)
+	minheap.Init(p.h, candLess)
 	return p, nil
 }
 
@@ -280,15 +273,16 @@ func (p *Planner) PlanOne() (clients []int, noShow float64) {
 	// Selected candidates are held aside so the same client is never
 	// chosen twice for one impression, then reinserted with refreshed
 	// scores.
-	var chosen []candEntry
-	for p.h.Len() > 0 {
-		if len(clients) >= wantK {
+	chosen := p.chosen[:0]
+	for len(p.h) > 0 {
+		if len(chosen) >= wantK {
 			break
 		}
-		if !fixed && len(clients) > 0 && noShow <= p.cfg.TargetSLA {
+		if !fixed && len(chosen) > 0 && noShow <= p.cfg.TargetSLA {
 			break
 		}
-		e := heap.Pop(&p.h).(candEntry)
+		var e candEntry
+		p.h, e = minheap.Pop(p.h, candLess)
 		c := e.c
 		if c.Assigned >= p.cfg.CacheCap || c.PredictedSlots <= 0 {
 			continue // permanently exhausted: drop from the pool
@@ -303,16 +297,19 @@ func (p *Planner) PlanOne() (clients []int, noShow float64) {
 		if cur := p.score(c, q); cur != e.score {
 			// Stale entry: the candidate gained replicas since it was
 			// scored. Reinsert at its current score and re-pop.
-			heap.Push(&p.h, candEntry{score: cur, c: c})
+			p.h = minheap.Push(p.h, candEntry{score: cur, c: c}, candLess)
 			continue
 		}
-		clients = append(clients, c.Client)
 		c.Assigned++
 		noShow *= q
 		chosen = append(chosen, e)
 	}
-	for _, e := range chosen {
+	if len(chosen) > 0 {
+		clients = make([]int, len(chosen)) // exact: callers retain it per impression
+	}
+	for i, e := range chosen {
 		c := e.c
+		clients[i] = c.Client
 		if c.Assigned >= p.cfg.CacheCap {
 			continue
 		}
@@ -320,9 +317,10 @@ func (p *Planner) PlanOne() (clients []int, noShow float64) {
 		if q >= 1 {
 			continue
 		}
-		heap.Push(&p.h, candEntry{score: p.score(c, q), c: c})
+		p.h = minheap.Push(p.h, candEntry{score: p.score(c, q), c: c}, candLess)
 	}
-	if len(clients) == 0 {
+	p.chosen = chosen[:0]
+	if clients == nil {
 		return nil, 1
 	}
 	return clients, noShow

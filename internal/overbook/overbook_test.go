@@ -218,6 +218,28 @@ func TestPlanSpreadsLoad(t *testing.T) {
 	}
 }
 
+// TestPlanOneAllocationBudget is the planner's allocation gate: once
+// its scratch has grown, a placement allocates only the clients slice
+// it returns — heap entries move as plain values, nothing is boxed.
+func TestPlanOneAllocationBudget(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CacheCap = 1 << 30
+	cands := make([]*Candidate, 200)
+	for i := range cands {
+		cands[i] = &Candidate{Client: i, PredictedSlots: 12, ExpectedSlots: 8, NoShowProb: 0.1 + 0.002*float64(i)}
+	}
+	p := newPlanner(t, cfg, cands)
+	for i := 0; i < 500; i++ { // steady state: scratch and heap at capacity
+		p.PlanOne()
+	}
+	if clients, _ := p.PlanOne(); len(clients) < 2 {
+		t.Fatalf("expected a replicated placement, got %v", clients)
+	}
+	if n := testing.AllocsPerRun(500, func() { p.PlanOne() }); n != 1 {
+		t.Errorf("PlanOne allocates %v objects per call, want exactly 1 (the returned clients)", n)
+	}
+}
+
 func TestPlanExhaustion(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheCap = 1
