@@ -1,7 +1,7 @@
 # gofmt must have nothing to say about the module's Go sources (the
 # benchmark harness is its own module with its own rules).
 fmt:
-	@dirty="$$(gofmt -l *.go cmd examples internal tools)"; \
+	@dirty="$$(gofmt -l *.go cmd examples internal)"; \
 	if [ -n "$$dirty" ]; then echo "gofmt -w needed on:"; echo "$$dirty"; exit 1; fi
 
 # Tier-1: everything must be formatted, build, vet clean, and pass.
@@ -70,33 +70,32 @@ prof-inproc:
 	go tool pprof -top -nodecount 30 $(PROF_DIR)/inproc.test $(PROF_DIR)/cpu.prof
 	go tool pprof -top -nodecount 20 -sample_index alloc_objects $(PROF_DIR)/inproc.test $(PROF_DIR)/mem.prof
 
-# The serving-path benchmark sweep piped through tools/benchjson. Shared
-# by benchsnap (record a new BENCH_<n>.json trajectory point) and
-# benchgate (fail if ns/op or allocs/op regress >10% vs the newest
-# committed point). Not part of tier-1: benchmark numbers are
-# machine-sensitive, so the gate is run deliberately, on one machine.
-BENCH_SWEEP = go test -bench 'SequentialServing|BatchCodec|ShardedServing|WakeUp' -benchtime 1s -run '^$$' ./internal/transport && \
-	go test -bench 'TenantAdmission' -benchtime 1s -run '^$$' ./internal/tenant && \
-	go test -bench 'GroupCommit' -benchtime 1s -run '^$$' ./internal/wal && \
-	go test -bench 'ClusterRoundTrip|MigrationHandoff' -benchtime 1s -run '^$$' ./internal/cluster && \
-	go test -bench 'StreamingReplay' -benchtime 2x -run '^$$' ./internal/sim
+# Fuzz tier: every Fuzz* target in the module, FUZZTIME each, stopping
+# at the first crasher (go test writes it under the package's
+# testdata/fuzz; commit it as a regression seed). `go test -fuzz` takes
+# one target and one package per run, hence the loop. The seeds alone
+# run as ordinary tests in tier-1.
+FUZZTIME ?= 10s
+fuzz:
+	@set -e; for pkg in $$(go list ./...); do \
+		for f in $$(go test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \
+			echo "== $$pkg $$f"; \
+			go test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg; \
+		done; \
+	done
 
-benchsnap:
-	{ $(BENCH_SWEEP); } | go run ./tools/benchjson -snap
-
-benchgate:
-	{ $(BENCH_SWEEP); } | go run ./tools/benchjson -gate
-
-# Batch tier: the coalesced wire protocol. Differential equivalence of
-# the sequential and batched transports (fault-free and under chaos, at
-# shards=1 and shards=4), per-sub-op idempotency properties (intra-batch
-# duplicates, envelope resends, cross-path replays, partial failure),
-# and the envelope fuzz seeds — now for both the JSON and the binary
-# codec (binary-vs-JSON differential, golden-frame cross-pin, fault-layer
-# identity agnosticism).
+# Batch tier: the coalesced wire protocol. Equivalence of the wire forms
+# (every op kind on its per-op endpoint vs inside an envelope, both
+# directions, JSON/APB1/APB2 — one executor, one stored response), the
+# sequential-vs-batched and binary-vs-JSON differentials (fault-free and
+# under chaos, at shards=1 and shards=4), per-sub-op idempotency
+# properties (intra-batch duplicates, envelope resends, partial
+# failure), the frame codec's golden frame and round trips, the fault
+# layer's codec-agnostic identities, and the envelope fuzz seeds.
 batch:
-	go test -count=1 -run 'TestBatch|TestBinary' ./internal/transport ./internal/sim
-	go test -count=1 -run 'TestBinBatchWalk|TestBatchIdentities' ./internal/faults
+	go test -count=1 ./internal/envelope
+	go test -count=1 -run 'TestBatch|TestBinary|TestSequentialWireGolden|TestServingAllocationBudget' ./internal/transport ./internal/sim
+	go test -count=1 -run 'TestBatchIdentities' ./internal/faults
 	go test -count=1 -run 'FuzzBatchDecode|FuzzBinaryBatchDecode' ./internal/transport
 
 # Chaos tier: seeded fault injection (drops, 5xx, lost replies, resets,
@@ -120,7 +119,7 @@ chaos:
 # the uninterrupted baseline on every accounting observable.
 crash:
 	go test -count=1 ./internal/wal
-	go test -count=1 -run 'TestCheckpoint|TestDedupWindow|TestWALReplay' ./internal/transport
+	go test -count=1 -run 'TestCheckpoint|TestDedupWindow|TestWALReplay|TestWALRecordStreamGolden' ./internal/transport
 	go test -count=1 -run 'TestCrash' ./internal/sim
 
 # Cluster tier: the multi-node routing tier. Router/ring unit tests
@@ -150,7 +149,7 @@ cluster:
 # migration record inside the handoff window.
 migrate:
 	go test -count=1 -run 'TestPlan|TestMembership|TestAdmin|TestRing' ./internal/cluster
-	go test -count=1 -run 'TestHealthReplyGolden' ./internal/transport
+	go test -count=1 -run 'TestHealthReplyGolden|TestMovedClient' ./internal/transport
 	go test -count=1 -run 'TestMigration' ./internal/sim
 
 # Tenant tier: multi-tenant isolation. The tenant registry unit suite
@@ -171,8 +170,8 @@ tenant:
 	go test -count=1 -timeout 30m -run 'TestTenant' ./internal/sim
 
 # Aggregate correctness gate: every functional tier in one command.
-# (The benchmark tiers stay separate — they are about machines, not
-# logic.)
+# (`make bench` and benchmark/run.sh stay separate — they are about
+# machines, not logic — and so does the time-boxed `make fuzz`.)
 verify: test batch chaos crash cluster migrate stream tenant
 
 # Everything: the functional gate plus the race-detector tiers. This is
@@ -180,4 +179,4 @@ verify: test batch chaos crash cluster migrate stream tenant
 # obs, which let schedule-dependent regressions through.
 verify-full: verify race obs
 
-.PHONY: fmt test race obs bench prof-inproc benchsnap benchgate chaos batch crash cluster migrate stream tenant mega verify verify-full
+.PHONY: fmt test race obs bench prof-inproc fuzz chaos batch crash cluster migrate stream tenant mega verify verify-full

@@ -26,11 +26,10 @@ import (
 // nodes=1 and nodes=3 keep the hop plain HTTP (an injected client)
 // against a minimal responder, so the number isolates the router's added
 // cost — body buffering, client-id extraction, placement, the forward
-// loop — plus one net/http round trip; these are the series make
-// benchsnap/benchgate track. nodes=3/hop=link and nodes=3/hop=http put
-// the two hops side by side against the same real ShardedServer nodes:
-// their difference in ns/op and allocs/op is what the persistent link
-// buys per forward.
+// loop — plus one net/http round trip. nodes=3/hop=link and
+// nodes=3/hop=http put the two hops side by side against the same real
+// ShardedServer nodes: their difference in ns/op and allocs/op is what
+// the persistent link buys per forward.
 //
 // Run: make bench
 func BenchmarkClusterRoundTrip(b *testing.B) {
@@ -117,8 +116,7 @@ func benchNode(b *testing.B, owned []int) *transport.ShardedServer {
 // the router. Reported as clients/s transferred plus the serving p99
 // observed during the handoffs, the number the "zero client-visible
 // errors" guarantee is about: devices queue behind the quiesce instead
-// of failing, and this pins how long that queue gets. Tracked by make
-// benchsnap/benchgate.
+// of failing, and this pins how long that queue gets.
 //
 // Run: make bench
 func BenchmarkMigrationHandoff(b *testing.B) {

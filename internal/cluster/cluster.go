@@ -61,6 +61,7 @@ import (
 	"time"
 
 	"repro/internal/auction"
+	"repro/internal/envelope"
 	"repro/internal/link"
 	"repro/internal/obs"
 	"repro/internal/transport"
@@ -770,7 +771,7 @@ func readRequestBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bo
 // requestClientID resolves the routed client id from the request line
 // or the body bytes the router already holds: the client query
 // parameter wins, else a POST body's envelope field or binary frame
-// header (transport.BodyClientID).
+// header (envelope.ClientID).
 func requestClientID(r *http.Request, body []byte) (int, bool) {
 	if r.URL.RawQuery != "" {
 		if raw := r.URL.Query().Get("client"); raw != "" {
@@ -781,7 +782,7 @@ func requestClientID(r *http.Request, body []byte) (int, bool) {
 	if r.Method != http.MethodPost {
 		return 0, false
 	}
-	return transport.BodyClientID(body)
+	return envelope.ClientID(body)
 }
 
 // fanoutMembers are the nodes a barrier includes: everything not

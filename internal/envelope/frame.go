@@ -1,24 +1,20 @@
-package transport
+package envelope
 
 import (
 	"encoding/binary"
 	"fmt"
-	"net/http"
 	"strings"
 )
 
-// Binary batch codec. The JSON envelope on POST /v1/batch dominates the
-// serving hot path's allocation profile (field names, escaping, and a
-// reflective marshal per envelope each way), so devices can opt into a
-// length-prefixed binary frame for the same batchMsg / BatchReply
-// values. Negotiation rides the existing version header: a binary-capable
-// client sends "1;bin" (the server ignores tokens it does not know) and
-// a binary Content-Type on the envelope; the server answers in the
-// request's codec, so plain-JSON clients are untouched. Everything past
-// the wire bytes — validation, grouping, idempotency fingerprints
-// (hashed over sequentialForm, which is codec-independent), WAL records,
-// and dedup-stored response bodies — is shared with the JSON path, which
-// is what keeps the two codecs observably equivalent.
+// Binary frames. The JSON envelope dominates the serving hot path's
+// allocation profile (field names, escaping, and a reflective marshal
+// per envelope each way), so devices can opt into a length-prefixed
+// binary frame for the same Msg / Reply values. Negotiation rides the
+// protocol version header: a binary-capable client sends "1;bin" (the
+// server ignores tokens it does not know) and a binary Content-Type on
+// the envelope; the server answers in the request's codec, so plain-JSON
+// clients are untouched. Decoded envelopes are value-identical across
+// codecs, so everything past the wire bytes is codec-blind.
 //
 // Request frame (all integers little-endian):
 //
@@ -52,17 +48,13 @@ import (
 //	  body   bytes    error text when status >= 400, else the JSON reply
 //
 // Sub-op result bodies stay JSON on purpose: they are the dedup store's
-// stored responses, byte-shared with the sequential endpoints, so a
-// keyed op replays identically whichever codec (or sequential request)
-// delivered it first.
+// stored responses, byte-shared with the per-op endpoints, so a keyed op
+// replays identically whichever codec (or per-op request) delivered it
+// first.
 
-// BinaryBatchContentType marks a binary batch envelope (request) or
+// ContentType marks a binary batch envelope (request) or
 // reply (response). The server answers in the codec the request used.
-const BinaryBatchContentType = "application/x-adprefetch-batch"
-
-// binVersionToken is the capability token a binary-capable client
-// appends to the version header ("1;bin").
-const binVersionToken = "bin"
+const ContentType = "application/x-adprefetch-batch"
 
 var (
 	binReqMagic = [4]byte{'A', 'P', 'B', '1'}
@@ -74,7 +66,7 @@ var (
 	binRepMagic  = [4]byte{'A', 'P', 'R', '1'}
 )
 
-// Binary op-kind codes, in protocol order (batchOpKinds).
+// Binary op-kind codes, in protocol order (Kinds).
 const (
 	binKindSlot      = 1
 	binKindReport    = 2
@@ -94,53 +86,37 @@ const (
 const binFlagReplayed = 1 // result served from the idempotency window
 
 func opKindCode(op string) uint8 {
-	switch op {
-	case OpSlot:
-		return binKindSlot
-	case OpReport:
-		return binKindReport
-	case OpOnDemand:
-		return binKindOnDemand
-	case OpCancelled:
-		return binKindCancelled
-	case OpBundle:
-		return binKindBundle
+	for i, k := range Kinds {
+		if k == op {
+			return uint8(i + 1)
+		}
 	}
 	return 0
 }
 
 func opKindName(code uint8) string {
-	switch code {
-	case binKindSlot:
-		return OpSlot
-	case binKindReport:
-		return OpReport
-	case binKindOnDemand:
-		return OpOnDemand
-	case binKindCancelled:
-		return OpCancelled
-	case binKindBundle:
-		return OpBundle
+	if code == 0 || int(code) > len(Kinds) {
+		return ""
 	}
-	return ""
+	return Kinds[code-1]
 }
 
-// isBinaryBatch reports whether a Content-Type declares the binary
+// IsBinary reports whether a Content-Type declares the binary
 // envelope codec (parameters after ';' tolerated).
-func isBinaryBatch(contentType string) bool {
+func IsBinary(contentType string) bool {
 	ct := contentType
 	if i := strings.IndexByte(ct, ';'); i >= 0 {
 		ct = ct[:i]
 	}
-	return strings.TrimSpace(ct) == BinaryBatchContentType
+	return strings.TrimSpace(ct) == ContentType
 }
 
-// appendBatchMsg encodes an envelope into the binary request frame,
+// AppendMsg encodes an envelope into the binary request frame,
 // appending to dst. Returns an error (and the partial dst) when a field
 // exceeds the frame's length prefixes — keys and categories over 255
 // bytes, more than 65535 ops or cancellation ids — which a conforming
-// client never produces (validIdemKey caps keys at 128 bytes).
-func appendBatchMsg(dst []byte, env batchMsg) ([]byte, error) {
+// client never produces (the protocol caps keys at 128 bytes).
+func AppendMsg(dst []byte, env Msg) ([]byte, error) {
 	if len(env.Ops) > 0xFFFF {
 		return dst, fmt.Errorf("binary batch: %d ops exceed the frame limit", len(env.Ops))
 	}
@@ -213,194 +189,143 @@ func appendBatchMsg(dst []byte, env batchMsg) ([]byte, error) {
 	return dst, nil
 }
 
-// binCursor walks a binary frame with bounds checking; every read
-// reports truncation instead of panicking (the decode surface is fuzzed).
+// binCursor walks a binary frame with bounds checking. The first read
+// past the end sets err and every read after it returns zero, so a
+// decoder checks err where a garbage value would steer it (loop counts,
+// kind dispatch) and once at the end, instead of after every field. No
+// read panics (the decode surface is fuzzed).
 type binCursor struct {
 	data []byte
 	off  int
+	err  error
 }
 
-func (c *binCursor) take(n int) ([]byte, error) {
+func (c *binCursor) take(n int) []byte {
+	if c.err != nil {
+		return nil
+	}
 	if n < 0 || c.off+n > len(c.data) {
-		return nil, fmt.Errorf("binary batch: truncated at byte %d", c.off)
+		c.err = fmt.Errorf("binary batch: truncated at byte %d", c.off)
+		return nil
 	}
 	b := c.data[c.off : c.off+n]
 	c.off += n
-	return b, nil
+	return b
 }
 
-func (c *binCursor) u8() (uint8, error) {
-	b, err := c.take(1)
-	if err != nil {
-		return 0, err
+func (c *binCursor) u8() uint8 {
+	if b := c.take(1); b != nil {
+		return b[0]
 	}
-	return b[0], nil
+	return 0
 }
 
-func (c *binCursor) u16() (uint16, error) {
-	b, err := c.take(2)
-	if err != nil {
-		return 0, err
+func (c *binCursor) u16() uint16 {
+	if b := c.take(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
 	}
-	return binary.LittleEndian.Uint16(b), nil
+	return 0
 }
 
-func (c *binCursor) u32() (uint32, error) {
-	b, err := c.take(4)
-	if err != nil {
-		return 0, err
+func (c *binCursor) u32() uint32 {
+	if b := c.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(b), nil
+	return 0
 }
 
-func (c *binCursor) i64() (int64, error) {
-	b, err := c.take(8)
-	if err != nil {
-		return 0, err
+func (c *binCursor) i64() int64 {
+	if b := c.take(8); b != nil {
+		return int64(binary.LittleEndian.Uint64(b))
 	}
-	return int64(binary.LittleEndian.Uint64(b)), nil
+	return 0
 }
 
-// str reads a length-prefixed string, copying out of the frame (the
-// request buffer is pooled and dies with the handler).
-func (c *binCursor) str(n int) (string, error) {
-	b, err := c.take(n)
-	if err != nil {
-		return "", err
+// str reads an n-byte string, copying out of the frame (the request
+// buffer is pooled and dies with the handler).
+func (c *binCursor) str(n int) string { return string(c.take(n)) }
+
+// end reports the walk's outcome: the first truncation, or bytes left
+// over after a complete frame.
+func (c *binCursor) end(what string) error {
+	if c.err == nil && c.off != len(c.data) {
+		c.err = fmt.Errorf("%s: %d trailing bytes", what, len(c.data)-c.off)
 	}
-	return string(b), nil
+	return c.err
 }
 
-// decodeBatchMsg parses a binary request frame. All strings are copied;
+// DecodeMsg parses a binary request frame. All strings are copied;
 // the returned envelope does not alias data. Decoded envelopes are
 // value-identical to what the JSON codec would have produced, so
 // everything downstream (validation, fingerprints, WAL records) is
 // codec-blind.
-func decodeBatchMsg(data []byte) (batchMsg, error) {
-	var env batchMsg
+func DecodeMsg(data []byte) (Msg, error) {
+	var env Msg
 	c := &binCursor{data: data}
-	magic, err := c.take(4)
-	if err != nil {
-		return env, err
+	magic := c.take(4)
+	if c.err != nil {
+		return env, c.err
 	}
 	tenanted := [4]byte(magic) == binReqMagic2
 	if [4]byte(magic) != binReqMagic && !tenanted {
 		return env, fmt.Errorf("binary batch: bad magic %q", magic)
 	}
-	envClient, err := c.i64()
-	if err != nil {
-		return env, err
-	}
-	env.Client = int(envClient)
-	if env.NowNS, err = c.i64(); err != nil {
-		return env, err
-	}
+	env.Client = int(c.i64())
+	env.NowNS = c.i64()
 	if tenanted {
-		tlen, err := c.u8()
-		if err != nil {
-			return env, err
-		}
-		if env.Tenant, err = c.str(int(tlen)); err != nil {
-			return env, err
-		}
+		env.Tenant = c.str(int(c.u8()))
 	}
-	nops, err := c.u16()
-	if err != nil {
-		return env, err
+	nops := int(c.u16())
+	if nops > 0 && c.err == nil {
+		env.Ops = make([]Op, 0, nops)
 	}
-	if nops > 0 {
-		env.Ops = make([]BatchOp, 0, nops)
-	}
-	for i := 0; i < int(nops); i++ {
-		var op BatchOp
-		kind, err := c.u8()
-		if err != nil {
-			return env, err
-		}
-		op.Op = opKindName(kind)
-		if op.Op == "" {
+	for i := 0; i < nops && c.err == nil; i++ {
+		var op Op
+		kind := c.u8()
+		if op.Op = opKindName(kind); op.Op == "" && c.err == nil {
 			return env, fmt.Errorf("binary batch: unknown op kind %d", kind)
 		}
-		flags, err := c.u8()
-		if err != nil {
-			return env, err
-		}
-		keyLen, err := c.u8()
-		if err != nil {
-			return env, err
-		}
-		if op.Key, err = c.str(int(keyLen)); err != nil {
-			return env, err
-		}
+		flags := c.u8()
+		op.Key = c.str(int(c.u8()))
 		if flags&binFlagClient != 0 {
-			v, err := c.i64()
-			if err != nil {
-				return env, err
-			}
-			cl := int(v)
+			cl := int(c.i64())
 			op.Client = &cl
 		}
 		if flags&binFlagNow != 0 {
-			v, err := c.i64()
-			if err != nil {
-				return env, err
-			}
+			v := c.i64()
 			op.NowNS = &v
 		}
 		op.NoRescue = flags&binFlagNoRescue != 0
 		switch kind {
 		case binKindReport:
-			if op.Impression, err = c.i64(); err != nil {
-				return env, err
-			}
+			op.Impression = c.i64()
 		case binKindOnDemand:
-			ncats, err := c.u8()
-			if err != nil {
-				return env, err
-			}
-			if ncats > 0 {
+			ncats := int(c.u8())
+			if ncats > 0 && c.err == nil {
 				op.Categories = make([]string, 0, ncats)
 			}
-			for j := 0; j < int(ncats); j++ {
-				n, err := c.u8()
-				if err != nil {
-					return env, err
-				}
-				s, err := c.str(int(n))
-				if err != nil {
-					return env, err
-				}
-				op.Categories = append(op.Categories, s)
+			for j := 0; j < ncats && c.err == nil; j++ {
+				op.Categories = append(op.Categories, c.str(int(c.u8())))
 			}
 		case binKindCancelled:
-			nids, err := c.u16()
-			if err != nil {
-				return env, err
-			}
-			if nids > 0 {
+			nids := int(c.u16())
+			if nids > 0 && c.err == nil {
 				op.IDs = make([]int64, 0, nids)
 			}
-			for j := 0; j < int(nids); j++ {
-				id, err := c.i64()
-				if err != nil {
-					return env, err
-				}
-				op.IDs = append(op.IDs, id)
+			for j := 0; j < nids && c.err == nil; j++ {
+				op.IDs = append(op.IDs, c.i64())
 			}
 		}
 		env.Ops = append(env.Ops, op)
 	}
-	if c.off != len(data) {
-		return env, fmt.Errorf("binary batch: %d trailing bytes", len(data)-c.off)
-	}
-	return env, nil
+	return env, c.end("binary batch")
 }
 
-// appendBatchReply encodes results into the binary reply frame,
+// AppendReply encodes results into the binary reply frame,
 // appending to dst. Result bodies and error texts over 4 GiB cannot
 // occur (responses are bounded by the op reply types), so encoding
 // never fails.
-func appendBatchReply(dst []byte, results []BatchOpResult) []byte {
+func AppendReply(dst []byte, results []Result) []byte {
 	dst = append(dst, binRepMagic[:]...)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(results)))
 	for _, r := range results {
@@ -420,49 +345,27 @@ func appendBatchReply(dst []byte, results []BatchOpResult) []byte {
 	return dst
 }
 
-// decodeBatchReply parses a binary reply frame; bodies are copied.
-func decodeBatchReply(data []byte) (BatchReply, error) {
-	var reply BatchReply
+// DecodeReply parses a binary reply frame; bodies are copied.
+func DecodeReply(data []byte) (Reply, error) {
+	var reply Reply
 	c := &binCursor{data: data}
-	magic, err := c.take(4)
-	if err != nil {
-		return reply, err
+	magic := c.take(4)
+	if c.err != nil {
+		return reply, c.err
 	}
 	if [4]byte(magic) != binRepMagic {
 		return reply, fmt.Errorf("binary batch reply: bad magic %q", magic)
 	}
-	n, err := c.u16()
-	if err != nil {
-		return reply, err
+	n := int(c.u16())
+	if n > 0 && c.err == nil {
+		reply.Results = make([]Result, 0, n)
 	}
-	if n > 0 {
-		reply.Results = make([]BatchOpResult, 0, n)
-	}
-	for i := 0; i < int(n); i++ {
-		var r BatchOpResult
-		kind, err := c.u8()
-		if err != nil {
-			return reply, err
-		}
-		r.Op = opKindName(kind)
-		flags, err := c.u8()
-		if err != nil {
-			return reply, err
-		}
-		r.Replayed = flags&binFlagReplayed != 0
-		status, err := c.u16()
-		if err != nil {
-			return reply, err
-		}
-		r.Status = int(status)
-		blen, err := c.u32()
-		if err != nil {
-			return reply, err
-		}
-		body, err := c.take(int(blen))
-		if err != nil {
-			return reply, err
-		}
+	for i := 0; i < n && c.err == nil; i++ {
+		var r Result
+		r.Op = opKindName(c.u8())
+		r.Replayed = c.u8()&binFlagReplayed != 0
+		r.Status = int(c.u16())
+		body := c.take(int(c.u32()))
 		if r.Status >= 400 {
 			r.Error = string(body)
 		} else if len(body) > 0 {
@@ -470,17 +373,5 @@ func decodeBatchReply(data []byte) (BatchReply, error) {
 		}
 		reply.Results = append(reply.Results, r)
 	}
-	if c.off != len(data) {
-		return reply, fmt.Errorf("binary batch reply: %d trailing bytes", len(data)-c.off)
-	}
-	return reply, nil
-}
-
-// writeBatchReplyBinary emits a binary reply frame through a pooled
-// scratch buffer.
-func writeBatchReplyBinary(w http.ResponseWriter, results []BatchOpResult) {
-	buf := appendBatchReply(getBodyBuf(), results)
-	w.Header().Set("Content-Type", BinaryBatchContentType)
-	w.Write(buf)
-	putBodyBuf(buf)
+	return reply, c.end("binary batch reply")
 }

@@ -36,7 +36,6 @@ package faults
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -46,6 +45,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/envelope"
 	"repro/internal/simclock"
 )
 
@@ -338,124 +338,13 @@ func (p *Plan) DecideBatch(endpoint string, identities []string, attempt int) Ki
 	return decide(attempt)
 }
 
-// batchOpsID mirrors the batch envelope's shape just enough to pull the
-// sub-op idempotency keys without importing the transport package.
-type batchOpsID struct {
-	Ops []struct {
-		Key string `json:"key"`
-	} `json:"ops"`
-}
-
-// binBatchMagic is the binary batch request frame's magic (the
-// transport codec's "APB1"); binBatchMagic2 is the tenant-carrying
-// variant ("APB2", a u8-length tenant id between the timestamp and the
-// op count). The fault layer mirrors just enough of the frames to walk
-// them for identities, so a sub-op's chaos draw does not depend on
-// which codec carried it — the property the binary-vs-JSON chaos
-// differential rests on. A cross-package test pins this walker against
-// the transport encoder.
-const (
-	binBatchMagic  = "APB1"
-	binBatchMagic2 = "APB2"
-)
-
-// binBatchWalk parses a binary batch frame and reports the sub-op
-// idempotency keys plus the envelope's default client id and timestamp.
-// ok is false for anything that is not a complete well-formed frame.
-func binBatchWalk(body []byte) (keys []string, client int, now int64, ok bool) {
-	if len(body) < 4+8+8+2 {
-		return nil, 0, 0, false
-	}
-	tenanted := string(body[:4]) == binBatchMagic2
-	if !tenanted && string(body[:4]) != binBatchMagic {
-		return nil, 0, 0, false
-	}
-	client = int(int64(binary.LittleEndian.Uint64(body[4:])))
-	now = int64(binary.LittleEndian.Uint64(body[12:]))
-	off := 20
-	if tenanted {
-		tl := int(body[off])
-		off++
-		if off+tl+2 > len(body) {
-			return nil, 0, 0, false
-		}
-		off += tl // tenant id: identity lives in the sub-op keys, skip it
-	}
-	nops := int(binary.LittleEndian.Uint16(body[off:]))
-	off += 2
-	take := func(n int) ([]byte, bool) {
-		if off+n > len(body) {
-			return nil, false
-		}
-		b := body[off : off+n]
-		off += n
-		return b, true
-	}
-	for i := 0; i < nops; i++ {
-		hdr, hok := take(3) // kind, flags, keyLen
-		if !hok {
-			return nil, 0, 0, false
-		}
-		kind, flags, keyLen := hdr[0], hdr[1], int(hdr[2])
-		key, kok := take(keyLen)
-		if !kok {
-			return nil, 0, 0, false
-		}
-		if keyLen > 0 {
-			keys = append(keys, string(key))
-		}
-		skip := 0
-		if flags&1 != 0 { // client override
-			skip += 8
-		}
-		if flags&2 != 0 { // now override
-			skip += 8
-		}
-		if _, sok := take(skip); !sok {
-			return nil, 0, 0, false
-		}
-		switch kind {
-		case 2: // report: impression int64
-			if _, sok := take(8); !sok {
-				return nil, 0, 0, false
-			}
-		case 3: // ondemand: ncats × (len + bytes)
-			nc, cok := take(1)
-			if !cok {
-				return nil, 0, 0, false
-			}
-			for j := 0; j < int(nc[0]); j++ {
-				cl, lok := take(1)
-				if !lok {
-					return nil, 0, 0, false
-				}
-				if _, sok := take(int(cl[0])); !sok {
-					return nil, 0, 0, false
-				}
-			}
-		case 4: // cancelled: nids × int64
-			nb, iok := take(2)
-			if !iok {
-				return nil, 0, 0, false
-			}
-			if _, sok := take(8 * int(binary.LittleEndian.Uint16(nb))); !sok {
-				return nil, 0, 0, false
-			}
-		case 1, 5: // slot, bundle: no payload
-		default:
-			return nil, 0, 0, false
-		}
-	}
-	if off != len(body) {
-		return nil, 0, 0, false
-	}
-	return keys, client, now, true
-}
-
 // batchIdentities extracts the sub-op idempotency keys from a batch
-// envelope body (restored for the next reader), sniffing the binary
-// frame by magic so both codecs yield the same identity list. Nil when
-// the request is not a parseable batch POST or carries no keyed sub-ops.
+// envelope body (restored for the next reader) in whichever codec
+// carried it — a binary frame is recognised by its magic, anything else
+// is read as the JSON envelope — so a sub-op's chaos draw does not
+// depend on the codec: the property the binary-vs-JSON chaos
+// differential rests on. Nil when the request is not a parseable batch
+// POST or carries no keyed sub-ops.
 func batchIdentities(r *http.Request) []string {
 	if r.Body == nil || r.Method != http.MethodPost {
 		return nil
@@ -466,11 +355,8 @@ func batchIdentities(r *http.Request) []string {
 	if err != nil {
 		return nil
 	}
-	if keys, _, _, ok := binBatchWalk(body); ok {
-		return keys
-	}
-	var env batchOpsID
-	if json.Unmarshal(body, &env) != nil {
+	env, err := envelope.DecodeMsg(body)
+	if err != nil && json.Unmarshal(body, &env) != nil {
 		return nil
 	}
 	var ids []string
@@ -625,8 +511,8 @@ func clientAndNow(r *http.Request) (client int, now simclock.Time, ok bool) {
 	if err != nil {
 		return 0, 0, false
 	}
-	if _, c, ns, ok := binBatchWalk(body); ok {
-		return c, simclock.Time(ns), true
+	if env, err := envelope.DecodeMsg(body); err == nil {
+		return env.Client, simclock.Time(env.NowNS), true
 	}
 	var id requestID
 	if json.Unmarshal(body, &id) != nil || id.Client == nil {

@@ -13,7 +13,7 @@ import (
 // one whole replay; events/s counts the scheduler's throughput
 // (device wake-ups plus HTTP ops) in wall time.
 //
-// Run: make bench (and the benchsnap/benchgate sweeps).
+// Run: make bench
 func BenchmarkStreamingReplay(b *testing.B) {
 	cfg := DefaultConfig(core.ModeNaiveBulk)
 	cfg.TraceCfg.Users = 200

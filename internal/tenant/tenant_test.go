@@ -125,19 +125,37 @@ func TestTenantUnlimitedAndLegacyAdmit(t *testing.T) {
 	}
 }
 
-// BenchmarkTenantAdmission is the hot-path gate: the per-request
-// admission check (range lookup + token bucket) must stay ≤1 alloc/op
-// — it runs in front of every slot/ondemand/bundle request.
-func BenchmarkTenantAdmission(b *testing.B) {
-	cfgs := []Config{
+// admissionRegistry is the three-tenant table the admission benchmark
+// and its allocation floor share: two rate-limited tenants that never
+// refuse and one unlimited.
+func admissionRegistry(tb testing.TB) *Registry {
+	r, err := NewRegistry(1, []Config{
 		{ID: "pub-a", Lo: 0, Hi: 1 << 16, RatePerSec: 1e12, Burst: 1e12},
 		{ID: "pub-b", Lo: 1 << 16, Hi: 1 << 17, RatePerSec: 1e12, Burst: 1e12},
 		{ID: "pub-c", Lo: 1 << 17, Hi: 1 << 18},
-	}
-	r, err := NewRegistry(1, cfgs)
+	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return r
+}
+
+// TestAdmitDoesNotAllocate is the hot-path floor: the per-request
+// admission check (range lookup + token bucket) runs in front of every
+// slot and on-demand request and must allocate nothing.
+func TestAdmitDoesNotAllocate(t *testing.T) {
+	r, i := admissionRegistry(t), 0
+	if n := testing.AllocsPerRun(1000, func() {
+		r.Admit(i&(1<<18-1), int64(i)*1000, 1)
+		i += 4099
+	}); n != 0 {
+		t.Fatalf("Admit allocates %v per call, want 0", n)
+	}
+}
+
+// BenchmarkTenantAdmission times the same check (~20 ns).
+func BenchmarkTenantAdmission(b *testing.B) {
+	r := admissionRegistry(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,28 +5,37 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/url"
-	"sort"
-	"strconv"
 	"strings"
 
-	"repro/internal/simclock"
+	"repro/internal/envelope"
 )
 
-// Batch sub-operation kinds (BatchOp.Op). Each stands for one
-// sequential endpoint; the batch executor applies exactly that
-// endpoint's semantics, including its idempotency rules.
+// The envelope's value types and frame layout live in internal/envelope
+// (the routing tier and the fault layer read them too); these are the
+// names the serving path and the device client use for them.
+type (
+	batchMsg      = envelope.Msg
+	BatchOp       = envelope.Op
+	BatchOpResult = envelope.Result
+	BatchReply    = envelope.Reply
+)
+
+// Batch sub-operation kinds (BatchOp.Op), one per per-op endpoint.
 const (
-	OpSlot      = "slot"      // POST /v1/slot
-	OpReport    = "report"    // POST /v1/report
-	OpOnDemand  = "ondemand"  // POST /v1/ondemand
-	OpCancelled = "cancelled" // GET /v1/cancelled (idempotent read, never deduped)
-	OpBundle    = "bundle"    // GET /v1/bundle
+	OpSlot      = envelope.OpSlot
+	OpReport    = envelope.OpReport
+	OpOnDemand  = envelope.OpOnDemand
+	OpCancelled = envelope.OpCancelled
+	OpBundle    = envelope.OpBundle
 )
 
-// batchOpKinds enumerates the valid BatchOp.Op values, in protocol
-// order (also the metrics pre-registration order).
-var batchOpKinds = []string{OpSlot, OpReport, OpOnDemand, OpCancelled, OpBundle}
+// BinaryBatchContentType marks a binary batch envelope (request) or
+// reply (response). The server answers in the codec the request used.
+const BinaryBatchContentType = envelope.ContentType
+
+// binVersionToken is the capability token a binary-capable client
+// appends to the version header ("1;bin").
+const binVersionToken = "bin"
 
 // DefaultMaxBatchOps bounds how many sub-operations one POST /v1/batch
 // envelope may carry when ShardedServer.MaxBatchOps is unset. The bound
@@ -34,78 +43,10 @@ var batchOpKinds = []string{OpSlot, OpReport, OpOnDemand, OpCancelled, OpBundle}
 // wake-up, not an unbounded replay.
 const DefaultMaxBatchOps = 128
 
-// batchMsg is the POST /v1/batch envelope: an ordered list of
-// sub-operations from one device wake-up. Client and NowNS are the
-// defaults every op inherits unless it overrides them. Tenant, when
-// set, declares the device's tenant for the whole envelope (the batch
-// equivalent of the X-AdPrefetch-Tenant header): every sub-op's
-// effective client must belong to it, or the envelope is refused.
-type batchMsg struct {
-	Client int       `json:"client"`
-	NowNS  int64     `json:"now_ns"`
-	Tenant string    `json:"tenant,omitempty"`
-	Ops    []BatchOp `json:"ops"`
-}
-
-// BatchOp is one sub-operation inside a batch envelope. Op selects the
-// kind; Key is the sub-op's own idempotency key (same syntax and
-// semantics as the Idempotency-Key header on the sequential endpoint —
-// a replayed batch replays each keyed sub-op individually). Client and
-// NowNS, when set, override the envelope defaults; the remaining fields
-// are per-kind payloads.
-type BatchOp struct {
-	Op  string `json:"op"`
-	Key string `json:"key,omitempty"`
-
-	Client *int   `json:"client,omitempty"`
-	NowNS  *int64 `json:"now_ns,omitempty"`
-
-	Impression int64    `json:"impression,omitempty"` // report
-	Categories []string `json:"categories,omitempty"` // ondemand
-	NoRescue   bool     `json:"no_rescue,omitempty"`  // ondemand
-	IDs        []int64  `json:"ids,omitempty"`        // cancelled
-}
-
-// BatchOpResult is one sub-operation's outcome. Status carries the HTTP
-// status the sequential endpoint would have answered; Body holds the
-// JSON reply for successes, Error the message for failures. Replayed
-// marks results served from the idempotency window instead of executed.
-type BatchOpResult struct {
-	Op       string          `json:"op"`
-	Status   int             `json:"status"`
-	Replayed bool            `json:"replayed,omitempty"`
-	Error    string          `json:"error,omitempty"`
-	Body     json.RawMessage `json:"body,omitempty"`
-}
-
-// BatchReply answers POST /v1/batch: one result per op, in op order.
-// The envelope itself succeeds (200) whenever it was well-formed, even
-// if every sub-op failed — partial failure is per-op state, so a client
-// retries only the ops that need it.
-type BatchReply struct {
-	Results []BatchOpResult `json:"results"`
-}
-
-// batchClient resolves a sub-op's effective client id.
-func batchClient(env batchMsg, op BatchOp) int {
-	if op.Client != nil {
-		return *op.Client
-	}
-	return env.Client
-}
-
-// batchNow resolves a sub-op's effective virtual timestamp.
-func batchNow(env batchMsg, op BatchOp) int64 {
-	if op.NowNS != nil {
-		return *op.NowNS
-	}
-	return env.NowNS
-}
-
 // validateBatchOp rejects sub-ops that could never execute: unknown
 // kinds and malformed idempotency keys. Rejection is per-op — the rest
 // of the envelope still runs.
-func validateBatchOp(op BatchOp) *httpError {
+func validateBatchOp(op *BatchOp) *httpError {
 	switch op.Op {
 	case OpSlot, OpReport, OpOnDemand, OpCancelled, OpBundle:
 	default:
@@ -119,11 +60,10 @@ func validateBatchOp(op BatchOp) *httpError {
 
 // handleBatch implements POST /v1/batch: decode and validate the whole
 // envelope before executing anything (a rejected envelope commits
-// nothing), group the valid sub-ops by owning shard, and drain each
-// group under a single dedup-store + shard-lock acquisition. Groups run
-// in ascending shard order; within a group, op order is preserved — for
-// the single-client envelopes devices send, that is exactly the
-// sequential execution order.
+// nothing), group the valid sub-ops by owning shard, and hand each
+// group to execGroup. Groups run in ascending shard order; within a
+// group, op order is preserved — for the single-client envelopes
+// devices send, that is exactly the sequential execution order.
 func (s *ShardedServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
@@ -133,12 +73,12 @@ func (s *ShardedServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// The envelope codec follows the request's Content-Type; the reply
 	// answers in kind. Decoded envelopes are value-identical across
 	// codecs, so everything below this branch is codec-blind.
-	binFrame := isBinaryBatch(r.Header.Get("Content-Type"))
+	binFrame := envelope.IsBinary(r.Header.Get("Content-Type"))
 	var env batchMsg
 	if binFrame {
 		var err error
-		if env, err = decodeBatchMsg(body); err != nil {
-			writeErr(w, http.StatusBadRequest, "malformed request: "+err.Error())
+		if env, err = envelope.DecodeMsg(body); err != nil {
+			http.Error(w, "malformed request: "+err.Error(), http.StatusBadRequest)
 			return
 		}
 	} else if !decodeBytes(w, body, &env) {
@@ -149,206 +89,62 @@ func (s *ShardedServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 		limit = DefaultMaxBatchOps
 	}
 	if len(env.Ops) == 0 {
-		writeErr(w, http.StatusBadRequest, "empty batch: at least one op required")
+		http.Error(w, "empty batch: at least one op required", http.StatusBadRequest)
 		return
 	}
 	if len(env.Ops) > limit {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("batch of %d ops exceeds the %d-op limit", len(env.Ops), limit))
+		http.Error(w, fmt.Sprintf("batch of %d ops exceeds the %d-op limit", len(env.Ops), limit), http.StatusBadRequest)
 		return
 	}
-	if herr := s.checkEnvelopeTenant(env); herr != nil {
+	if herr := s.checkEnvelopeTenant(&env); herr != nil {
 		// One mismatched op refuses the whole envelope before anything
 		// executes, like any other envelope-level validation failure.
-		writeErr(w, herr.status, herr.msg)
+		http.Error(w, herr.msg, herr.status)
 		return
 	}
-	results := make([]BatchOpResult, len(env.Ops))
-	groups := make(map[int][]int)
-	for i, op := range env.Ops {
+	out := make([]stored, len(env.Ops))
+	groups := make([][]int, len(s.shards))
+	for i := range env.Ops {
+		op := &env.Ops[i]
 		if herr := validateBatchOp(op); herr != nil {
-			results[i] = BatchOpResult{Op: op.Op, Status: herr.status, Error: herr.msg}
+			out[i] = storedReply(nil, herr)
 			s.batchInvalid.Inc()
 			continue
 		}
-		si := s.route(batchClient(env, op))
-		if si < 0 || si >= len(s.shards) {
-			si = 0
-		}
+		si := s.shardFor(env.ClientOf(op)).idx
 		groups[si] = append(groups[si], i)
 		s.batchSubops[op.Op].Inc()
 	}
-	order := make([]int, 0, len(groups))
-	for si := range groups {
-		order = append(order, si)
-	}
-	sort.Ints(order)
-	for _, si := range order {
-		s.execBatchGroup(s.shards[si], env, groups[si], results)
+	for si, idxs := range groups {
+		if len(idxs) > 0 {
+			s.shards[si].requests.Inc()
+			s.execGroup(s.shards[si], &env, idxs, nil, out)
+		}
 	}
 	s.batchSize.Observe(int64(len(env.Ops)))
 	s.batchSaved.Add(int64(len(env.Ops) - 1))
+	// The one conversion from the executor's currency to the wire result.
+	results := make([]BatchOpResult, len(out))
+	for i, r := range out {
+		results[i] = opResult(env.Ops[i].Op, r)
+	}
 	if binFrame {
-		writeBatchReplyBinary(w, results)
+		buf := envelope.AppendReply(getBodyBuf(), results)
+		w.Header().Set("Content-Type", BinaryBatchContentType)
+		w.Write(buf)
+		putBodyBuf(buf)
 		return
 	}
 	writeJSON(w, BatchReply{Results: results})
 }
 
-// execBatchGroup drains one shard's sub-ops under a single lock
-// acquisition — the server half of the paper's coalescing argument:
-// one wake-up's worth of work costs one lock round, not one per op.
-func (s *ShardedServer) execBatchGroup(sh *shardState, env batchMsg, idxs []int, results []BatchOpResult) {
-	sh.requests.Inc()
-	// Same order as serveIdempotent: the dedup store outside the shard
-	// lock (lookup + execute + store must be atomic per keyed op).
-	sh.dedup.mu.Lock()
-	defer sh.dedup.mu.Unlock()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var logged []BatchOp
-	for _, i := range idxs {
-		results[i] = s.execBatchOp(sh, env, env.Ops[i])
-		// The WAL records exactly what executed here and now. Replays,
-		// key conflicts, shed (429) and moved-client (421) ops mutated
-		// nothing — if a shed op's retry later succeeds, that retry is
-		// logged at its own position, and replaying the original too
-		// would run it twice. Reads (cancelled) have nothing to replay.
-		r := results[i]
-		if env.Ops[i].Op != OpCancelled && !r.Replayed &&
-			r.Status != http.StatusTooManyRequests && r.Status != http.StatusConflict &&
-			r.Status != http.StatusMisdirectedRequest {
-			logged = append(logged, env.Ops[i])
-		}
-	}
-	if len(logged) > 0 {
-		s.walAppend(sh, opBatch, "", batchMsg{Client: env.Client, NowNS: env.NowNS, Ops: logged})
-	}
-}
-
-// execBatchOp runs one sub-op with the shard's dedup store and lock
-// held, applying the idempotency semantics of the op's sequential
-// endpoint. The payload fingerprint is computed over the equivalent
-// sequential request (sequentialForm), so a dedup entry written by
-// either path replays on the other: a device may deliver a keyed op
-// sequentially, lose the reply, and retry it inside a batch — or the
-// reverse — and still never double-execute.
-func (s *ShardedServer) execBatchOp(sh *shardState, env batchMsg, op BatchOp) BatchOpResult {
-	run := func() (int, []byte) {
-		status, v := s.batchExecLocked(sh, env, op)
-		if status >= 400 {
-			msg, _ := v.(string)
-			return status, []byte(msg + "\n")
-		}
-		body, err := json.Marshal(v)
-		if err != nil {
-			return http.StatusInternalServerError, []byte("encoding reply\n")
-		}
-		return status, append(body, '\n')
-	}
-	// Cancellation queries are idempotent reads: like GET /v1/cancelled,
-	// any key is ignored rather than stored.
-	if op.Key == "" || op.Op == OpCancelled {
-		status, body := run()
-		return opResult(op, status, body, false)
-	}
-	method, path, payload := sequentialForm(env, op)
-	ph := requestHash(method, path, payload)
-	if e, ok := sh.dedup.entries[op.Key]; ok {
-		if e.payloadHash != ph {
-			return BatchOpResult{Op: op.Op, Status: http.StatusConflict, Error: "Idempotency-Key reused with a different request"}
-		}
-		return opResult(op, e.status, e.body, true)
-	}
-	status, body := run()
-	// 429s ask the client to come back later and 421s to go elsewhere;
-	// storing either would pin the refusal past the shard's recovery or
-	// the handoff window (matches serveIdempotent).
-	if status != http.StatusTooManyRequests && status != http.StatusMisdirectedRequest {
-		if sh.dedup.entries == nil {
-			sh.dedup.entries = make(map[string]dedupEntry)
-		}
-		sh.dedup.entries[op.Key] = dedupEntry{payloadHash: ph, status: status, body: body, at: simclock.Time(batchNow(env, op)), client: batchClient(env, op)}
-	}
-	return opResult(op, status, body, false)
-}
-
-// opResult converts a stored-response form (status + body bytes, the
-// dedup store's currency) into the wire result.
-func opResult(op BatchOp, status int, body []byte, replayed bool) BatchOpResult {
-	res := BatchOpResult{Op: op.Op, Status: status, Replayed: replayed}
-	if status >= 400 {
-		res.Error = strings.TrimSpace(string(body))
+// opResult converts a stored-form response into the wire result.
+func opResult(kind string, r stored) BatchOpResult {
+	res := BatchOpResult{Op: kind, Status: r.status, Replayed: r.replayed}
+	if r.status >= 400 {
+		res.Error = strings.TrimSpace(string(r.body))
 	} else {
-		res.Body = json.RawMessage(bytes.TrimSpace(body))
+		res.Body = json.RawMessage(bytes.TrimSpace(r.body))
 	}
 	return res
-}
-
-// sequentialForm renders a sub-op as the sequential request it stands
-// for: the same method, path and payload bytes the one-request-per-op
-// client sends. Idempotency fingerprints derived from it are
-// byte-compatible with the sequential path (bundle hashes its request
-// URI, the POSTs hash their JSON bodies).
-func sequentialForm(env batchMsg, op BatchOp) (method, path string, payload []byte) {
-	client, now := batchClient(env, op), batchNow(env, op)
-	switch op.Op {
-	case OpSlot:
-		b, _ := json.Marshal(slotMsg{Client: client, NowNS: now})
-		return http.MethodPost, "/v1/slot", b
-	case OpReport:
-		b, _ := json.Marshal(reportMsg{Client: client, Impression: op.Impression, NowNS: now})
-		return http.MethodPost, "/v1/report", b
-	case OpOnDemand:
-		b, _ := json.Marshal(onDemandMsg{Client: client, NowNS: now, Categories: op.Categories, NoRescue: op.NoRescue})
-		return http.MethodPost, "/v1/ondemand", b
-	case OpBundle:
-		q := url.Values{
-			"client": {strconv.Itoa(client)},
-			"now_ns": {strconv.FormatInt(now, 10)},
-		}
-		return http.MethodGet, "/v1/bundle", []byte("/v1/bundle?" + q.Encode())
-	}
-	return "", "", nil
-}
-
-// batchExecLocked dispatches one sub-op to its endpoint's locked
-// executor; sh.dedup.mu and sh.mu must be held. Returns the status and
-// either the typed reply or an error string, matching the exec contract
-// serveIdempotent runs.
-func (s *ShardedServer) batchExecLocked(sh *shardState, env batchMsg, op BatchOp) (int, any) {
-	client, now := batchClient(env, op), batchNow(env, op)
-	if herr := s.movedErr(client); herr != nil {
-		return herr.status, herr.msg
-	}
-	switch op.Op {
-	case OpSlot:
-		if herr := s.slotLocked(sh, client, now); herr != nil {
-			return herr.status, herr.msg
-		}
-		return http.StatusOK, struct{}{}
-	case OpReport:
-		if herr := s.reportLocked(sh, op.Impression, now); herr != nil {
-			return herr.status, herr.msg
-		}
-		return http.StatusOK, struct{}{}
-	case OpOnDemand:
-		reply, herr := s.onDemandLocked(sh, onDemandMsg{Client: client, NowNS: now, Categories: op.Categories, NoRescue: op.NoRescue})
-		if herr != nil {
-			return herr.status, herr.msg
-		}
-		return http.StatusOK, reply
-	case OpCancelled:
-		return http.StatusOK, s.cancelledLocked(sh, op.IDs, simclock.Time(now))
-	case OpBundle:
-		// The batch path holds sh.mu; take stagedMu inside it (the
-		// global mu -> stagedMu order) just for the shelf drain. The
-		// group's WAL record is appended later under sh.mu, which is
-		// still ordered against period rounds — they hold sh.mu too.
-		sh.stagedMu.Lock()
-		reply := s.bundleStagedLocked(sh, client)
-		sh.stagedMu.Unlock()
-		return http.StatusOK, reply
-	}
-	// Unreachable: validateBatchOp filtered unknown kinds.
-	return http.StatusBadRequest, fmt.Sprintf("unknown batch op %q", op.Op)
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,8 +12,11 @@ import (
 
 	"repro/internal/adserver"
 	"repro/internal/auction"
+	"repro/internal/envelope"
+	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/shard"
+	"repro/internal/tenant"
 )
 
 // newBatchStack builds a sharded stack for batch-protocol property
@@ -179,58 +183,131 @@ func TestBatchResendReplaysPerOp(t *testing.T) {
 	}
 }
 
-// TestBatchCrossPathReplay pins hash compatibility between the wire
-// modes: a keyed request delivered sequentially then retried inside a
-// batch (or the reverse) is recognized as the same logical request and
-// replayed, never re-executed — a device may switch modes mid-retry.
+// TestBatchCrossPathReplay is the equivalence of the wire forms as one
+// table: every op kind, delivered first on its per-op endpoint and
+// retried inside an envelope and the reverse, with the envelope in each
+// codec (JSON, APB1, and APB2 declaring the tenant). A keyed op is
+// recognized as the same logical request on the other form — replayed
+// from the one stored response, byte-identical, never re-executed and
+// never a 409 — because every form reaches the same executor and
+// fingerprints the same sequential request; a device may switch forms
+// mid-retry. The cancellation read is the exception that proves the
+// rule: keyed or not, it is executed and never stored, on both forms.
 func TestBatchCrossPathReplay(t *testing.T) {
-	ss, pool := newBatchStack(t, 2, 4)
-	h := ss.Handler()
+	const clients = 24 // 18 cases consume one each
+	ss, h := newTenantStack(t, 2, clients)
+	ss.SetTenants(mustRegistry(t, 1, []tenant.Config{
+		{ID: "pubA", Lo: 0, Hi: clients / 2},
+		{ID: "pubB", Lo: clients / 2, Hi: clients},
+	}))
 	startPeriod(t, h)
-	imp := fetchImpression(t, h, 0)
 	now := int64(3600 * 1e9)
 
-	// Sequential first: POST /v1/report under key "xp".
-	body, _ := json.Marshal(reportMsg{Client: 0, Impression: imp, NowNS: now})
-	req := httptest.NewRequest("POST", "/v1/report", strings.NewReader(string(body)))
-	req.Header.Set(idempotencyKeyHeader, "xp")
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("sequential report: %d %s", rec.Code, rec.Body.String())
+	// sequential sends the op on its own endpoint under key.
+	sequential := func(client int, op BatchOp, key string) (int, bool, []byte) {
+		var req *http.Request
+		switch op.Op {
+		case OpBundle:
+			req = httptest.NewRequest("GET", fmt.Sprintf("/v1/bundle?client=%d&now_ns=%d", client, now), nil)
+		case OpCancelled:
+			ids := make([]string, len(op.IDs))
+			for i, id := range op.IDs {
+				ids[i] = fmt.Sprint(id)
+			}
+			req = httptest.NewRequest("GET", fmt.Sprintf("/v1/cancelled?client=%d&ids=%s&now_ns=%d", client, strings.Join(ids, ","), now), nil)
+		default:
+			var body []byte
+			switch op.Op {
+			case OpSlot:
+				body, _ = json.Marshal(slotMsg{Client: client, NowNS: now})
+			case OpReport:
+				body, _ = json.Marshal(reportMsg{Client: client, Impression: op.Impression, NowNS: now})
+			case OpOnDemand:
+				body, _ = json.Marshal(onDemandMsg{Client: client, NowNS: now, Categories: op.Categories, NoRescue: op.NoRescue})
+			}
+			req = httptest.NewRequest("POST", "/v1/"+op.Op, bytes.NewReader(body))
+		}
+		req.Header.Set(idempotencyKeyHeader, key)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code, rec.Header().Get(obs.ReplayedHeader) == "true", bytes.TrimSpace(rec.Body.Bytes())
 	}
-
-	// Batched retry of the same logical request must replay.
-	code, reply := postBatch(t, h, batchMsg{Client: 0, NowNS: now, Ops: []BatchOp{
-		{Op: OpReport, Key: "xp", Impression: imp},
-	}})
-	if code != http.StatusOK {
-		t.Fatalf("carrier status %d", code)
+	codecs := []struct {
+		name string
+		post func(*testing.T, http.Handler, batchMsg) (int, BatchReply)
+		apb2 bool
+	}{
+		{"json", postBatch, false},
+		{"apb1", postBatchBinary, false},
+		{"apb2", postBatchBinary, true},
 	}
-	if r := reply.Results[0]; r.Status != http.StatusOK || !r.Replayed {
-		t.Fatalf("batched retry of sequential request not replayed: %+v", r)
-	}
-
-	// Reverse direction: a slot op keyed in a batch, retried sequentially.
-	code, reply = postBatch(t, h, batchMsg{Client: 1, NowNS: now, Ops: []BatchOp{
-		{Op: OpSlot, Key: "xp2"},
-	}})
-	if code != http.StatusOK || reply.Results[0].Status != http.StatusOK {
-		t.Fatalf("batched slot: %d %+v", code, reply.Results)
-	}
-	sb, _ := json.Marshal(slotMsg{Client: 1, NowNS: now})
-	req = httptest.NewRequest("POST", "/v1/slot", strings.NewReader(string(sb)))
-	req.Header.Set(idempotencyKeyHeader, "xp2")
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("sequential retry of batched slot: %d %s", rec.Code, rec.Body.String())
-	}
-	if dedupLen(ss) != 2 {
-		t.Fatalf("dedup holds %d entries for two keys", dedupLen(ss))
-	}
-	if l := pool.Ledger(); l.Billed != 1 || l.FreeShows != 0 {
-		t.Fatalf("cross-path retry double-billed: %+v", l)
+	client := 0 // a fresh client per case: undrained shelf, unbilled impressions
+	for _, kind := range envelope.Kinds {
+		for _, codec := range codecs {
+			for _, seqFirst := range []bool{true, false} {
+				name := fmt.Sprintf("%s/%s/sequential-first=%v", kind, codec.name, seqFirst)
+				if client >= clients {
+					t.Fatalf("%s: out of fresh clients", name)
+				}
+				c, key := client, "xp-"+name
+				op := BatchOp{Op: kind, Key: key}
+				switch kind {
+				case OpReport:
+					op.Impression = fetchImpression(t, h, c)
+				case OpOnDemand:
+					op.NoRescue, op.Categories = true, []string{"news"}
+				case OpCancelled:
+					op.IDs = []int64{fetchImpression(t, h, c), 424242}
+				}
+				if kind != OpSlot && kind != OpOnDemand {
+					client++ // slot and on-demand leave the client as they found it
+				}
+				env := batchMsg{Client: c, NowNS: now, Ops: []BatchOp{op}}
+				if codec.apb2 {
+					env.Tenant = ss.Tenants().TenantOf(c)
+				}
+				enveloped := func() (int, bool, []byte) {
+					code, reply := codec.post(t, h, env)
+					if code != http.StatusOK || len(reply.Results) != 1 {
+						t.Fatalf("%s: carrier %d, %d results", name, code, len(reply.Results))
+					}
+					r := reply.Results[0]
+					return r.Status, r.Replayed, r.Body
+				}
+				first, second := enveloped, func() (int, bool, []byte) { return sequential(c, op, key) }
+				if seqFirst {
+					first, second = second, first
+				}
+				before := dedupLen(ss)
+				code1, replayed1, body1 := first()
+				entry := ss.shardFor(c).dedup.entries[key]
+				ledger := ledgerJSON(t, ss.ledgerOf(""))
+				code2, replayed2, body2 := second()
+				if code1 != http.StatusOK || code2 != http.StatusOK || replayed1 {
+					t.Fatalf("%s: first send %d (replayed=%v), second %d", name, code1, replayed1, code2)
+				}
+				if !bytes.Equal(body1, body2) {
+					t.Fatalf("%s: the forms answered different bytes:\n first:  %s\n second: %s", name, body1, body2)
+				}
+				if kind == OpCancelled {
+					if replayed2 || dedupLen(ss) != before {
+						t.Fatalf("%s: keyed read was stored or replayed (replayed=%v, %d new entries)", name, replayed2, dedupLen(ss)-before)
+					}
+					continue
+				}
+				if !replayed2 {
+					t.Fatalf("%s: retry on the other form was re-executed, not replayed", name)
+				}
+				after := ss.shardFor(c).dedup.entries[key]
+				if dedupLen(ss) != before+1 || after.payloadHash != entry.payloadHash || !bytes.Equal(after.body, entry.body) ||
+					!bytes.Equal(bytes.TrimSpace(entry.body), body2) {
+					t.Fatalf("%s: stored response moved: %d new entries, %q -> %q, served %q", name, dedupLen(ss)-before, entry.body, after.body, body2)
+				}
+				if got := ledgerJSON(t, ss.ledgerOf("")); got != ledger {
+					t.Fatalf("%s: the retry moved money:\n before %s\n after  %s", name, ledger, got)
+				}
+			}
+		}
 	}
 }
 

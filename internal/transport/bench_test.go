@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/adserver"
 	"repro/internal/auction"
+	"repro/internal/envelope"
 	"repro/internal/predict"
 	"repro/internal/shard"
 	"repro/internal/simclock"
@@ -70,7 +71,7 @@ func BenchmarkShardedServing(b *testing.B) {
 
 // benchHandler builds a sharded stack with a filled open book, shared
 // by the serving and wake-up benchmarks.
-func benchHandler(b *testing.B, shards, clients, campaigns, slotsEach int, demand auction.DemandConfig) http.Handler {
+func benchHandler(b testing.TB, shards, clients, campaigns, slotsEach int, demand auction.DemandConfig) http.Handler {
 	b.Helper()
 	cfg := adserver.DefaultConfig()
 	cfg.Period = time.Hour
@@ -189,12 +190,33 @@ type reusableBody struct{ *bytes.Reader }
 
 func (reusableBody) Close() error { return nil }
 
+// reusedPost returns a func that serves one POST of body through h and
+// reports the error status (0 for 2xx), reusing one request, one body
+// reader and one response writer across calls — what is left to
+// allocate is the serving path's own.
+func reusedPost(h http.Handler, path, contentType string) func(body []byte) int {
+	rd := &reusableBody{bytes.NewReader(nil)}
+	req := httptest.NewRequest("POST", path, nil)
+	req.Body = rd
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	w := &benchNopWriter{h: make(http.Header, 4)}
+	return func(body []byte) int {
+		rd.Reset(body)
+		req.ContentLength = int64(len(body))
+		clear(w.h)
+		h.ServeHTTP(w, req)
+		return w.n
+	}
+}
+
 // BenchmarkSequentialServing measures the sequential hot path end to
 // end — mux, version gate, metrics middleware, pooled body read, shard
 // execution, pre-marshaled reply — for the highest-volume request in
 // the protocol (POST /v1/slot). This is the zero-alloc target the
 // pooled buffers and constant replies exist for; allocs/op here is the
-// number the benchmark gate defends.
+// number TestServingAllocationBudget pins.
 //
 // Run: make bench
 func BenchmarkSequentialServing(b *testing.B) {
@@ -217,18 +239,10 @@ func BenchmarkSequentialServing(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		rd := &reusableBody{bytes.NewReader(nil)}
-		req := httptest.NewRequest("POST", "/v1/slot", nil)
-		req.Body = rd
-		w := &benchNopWriter{h: make(http.Header, 4)}
+		post := reusedPost(h, "/v1/slot", "")
 		for pb.Next() {
-			cid := int(seq.Add(1)) % clients
-			rd.Reset(bodies[cid])
-			req.ContentLength = int64(len(bodies[cid]))
-			clear(w.h)
-			h.ServeHTTP(w, req)
-			if w.n != 0 {
-				b.Fatalf("/v1/slot: %d", w.n)
+			if code := post(bodies[int(seq.Add(1))%clients]); code != 0 {
+				b.Fatalf("/v1/slot: %d", code)
 			}
 		}
 	})
@@ -247,7 +261,7 @@ func batchCodecEnvelopes(tb testing.TB, clients int, binary bool) [][]byte {
 			{Op: OpBundle},
 		}}
 		if binary {
-			frame, err := appendBatchMsg(nil, env)
+			frame, err := envelope.AppendMsg(nil, env)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -278,19 +292,10 @@ func runBatchCodec(b *testing.B, h http.Handler, binary bool) {
 	b.SetBytes(int64(len(bodies[0])))
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		rd := &reusableBody{bytes.NewReader(nil)}
-		req := httptest.NewRequest("POST", "/v1/batch", nil)
-		req.Body = rd
-		req.Header.Set("Content-Type", contentType)
-		w := &benchNopWriter{h: make(http.Header, 4)}
+		post := reusedPost(h, "/v1/batch", contentType)
 		for pb.Next() {
-			cid := int(seq.Add(1)) % clients
-			rd.Reset(bodies[cid])
-			req.ContentLength = int64(len(bodies[cid]))
-			clear(w.h)
-			h.ServeHTTP(w, req)
-			if w.n != 0 {
-				b.Fatalf("/v1/batch: %d", w.n)
+			if code := post(bodies[int(seq.Add(1))%clients]); code != 0 {
+				b.Fatalf("/v1/batch: %d", code)
 			}
 		}
 	})

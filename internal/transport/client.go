@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/auction"
 	"repro/internal/client"
+	"repro/internal/envelope"
 	"repro/internal/radio"
 	"repro/internal/simclock"
 	"repro/internal/trace"
@@ -647,12 +648,12 @@ func readBatchReply(resp *http.Response, out *BatchReply) error {
 			RetryAfter: ra,
 		}
 	}
-	if isBinaryBatch(resp.Header.Get("Content-Type")) {
+	if envelope.IsBinary(resp.Header.Get("Content-Type")) {
 		data, err := io.ReadAll(resp.Body)
 		if err != nil {
 			return fmt.Errorf("transport: reading /v1/batch reply: %w", err)
 		}
-		reply, err := decodeBatchReply(data)
+		reply, err := envelope.DecodeReply(data)
 		if err != nil {
 			return fmt.Errorf("transport: decoding /v1/batch: %w", err)
 		}

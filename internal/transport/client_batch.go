@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"repro/internal/auction"
+	"repro/internal/envelope"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
@@ -119,7 +120,7 @@ func (d *Device) sendBatch(now simclock.Time, ops []BatchOp) ([]BatchOpResult, e
 // encoded envelope length for radio accounting.
 func (d *Device) postBatch(at simclock.Time, env batchMsg, key string, reply *BatchReply) (int, error) {
 	if d.binaryBatch {
-		body, err := appendBatchMsg(nil, env)
+		body, err := envelope.AppendMsg(nil, env)
 		if err != nil {
 			return 0, fmt.Errorf("transport: encoding /v1/batch: %w", err)
 		}
@@ -140,7 +141,7 @@ func (d *Device) postBatch(at simclock.Time, env batchMsg, key string, reply *Ba
 // radio model's byte accounting.
 func (d *Device) envelopeLen(env batchMsg) int {
 	if d.binaryBatch {
-		b, err := appendBatchMsg(nil, env)
+		b, err := envelope.AppendMsg(nil, env)
 		if err != nil {
 			return 0
 		}

@@ -2,219 +2,18 @@ package transport
 
 import (
 	"bytes"
-	"encoding/json"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
-	"strings"
 	"testing"
+
+	"repro/internal/envelope"
 )
-
-// randEnv generates a random but valid batch envelope. Slices are nil
-// when empty (matching what the JSON decoder produces), so round-trip
-// comparisons can use reflect.DeepEqual.
-func randEnv(r *rand.Rand) batchMsg {
-	env := batchMsg{Client: r.Intn(1 << 20), NowNS: r.Int63()}
-	if r.Intn(3) == 0 {
-		env.Tenant = randKey(r) // exercises the APB2 tenant frame
-	}
-	nops := 1 + r.Intn(6)
-	for i := 0; i < nops; i++ {
-		op := BatchOp{Op: batchOpKinds[r.Intn(len(batchOpKinds))]}
-		if r.Intn(2) == 0 {
-			op.Key = randKey(r)
-		}
-		if r.Intn(3) == 0 {
-			cl := r.Intn(1 << 20)
-			op.Client = &cl
-		}
-		if r.Intn(3) == 0 {
-			now := r.Int63()
-			op.NowNS = &now
-		}
-		switch op.Op {
-		case OpReport:
-			op.Impression = r.Int63()
-		case OpOnDemand:
-			op.NoRescue = r.Intn(2) == 0
-			for j := r.Intn(4); j > 0; j-- {
-				op.Categories = append(op.Categories, randKey(r))
-			}
-		case OpCancelled:
-			for j := r.Intn(5); j > 0; j-- {
-				op.IDs = append(op.IDs, r.Int63())
-			}
-		}
-		env.Ops = append(env.Ops, op)
-	}
-	return env
-}
-
-func randKey(r *rand.Rand) string {
-	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789-_"
-	b := make([]byte, 1+r.Intn(24))
-	for i := range b {
-		b[i] = alphabet[r.Intn(len(alphabet))]
-	}
-	return string(b)
-}
-
-// TestBinaryCodecRoundTrip: encode -> decode reproduces the envelope
-// exactly, across randomly generated envelopes of every op kind.
-func TestBinaryCodecRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		env := randEnv(r)
-		frame, err := appendBatchMsg(nil, env)
-		if err != nil {
-			t.Fatalf("encode %+v: %v", env, err)
-		}
-		got, err := decodeBatchMsg(frame)
-		if err != nil {
-			t.Fatalf("decode %+v: %v", env, err)
-		}
-		if !reflect.DeepEqual(got, env) {
-			t.Fatalf("round trip diverged:\n sent: %+v\n got:  %+v", env, got)
-		}
-	}
-}
-
-// TestBinaryCodecMatchesJSON pins codec equivalence at the decode
-// boundary: the same envelope shipped through the JSON codec and
-// through the binary codec must decode to identical batchMsg values —
-// the property everything downstream (validation, fingerprints, WAL
-// records) relies on to stay codec-blind.
-func TestBinaryCodecMatchesJSON(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for i := 0; i < 500; i++ {
-		env := randEnv(r)
-		js, err := json.Marshal(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var viaJSON batchMsg
-		if err := json.Unmarshal(js, &viaJSON); err != nil {
-			t.Fatal(err)
-		}
-		frame, err := appendBatchMsg(nil, env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaBin, err := decodeBatchMsg(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(viaBin, viaJSON) {
-			t.Fatalf("codecs decode differently:\n json:   %+v\n binary: %+v", viaJSON, viaBin)
-		}
-	}
-}
-
-// TestBinaryReplyRoundTrip covers the response direction, including
-// replayed flags, error results, and empty bodies.
-func TestBinaryReplyRoundTrip(t *testing.T) {
-	results := []BatchOpResult{
-		{Op: OpSlot, Status: 200, Body: json.RawMessage(`{}`)},
-		{Op: OpReport, Status: 200, Replayed: true, Body: json.RawMessage(`{}`)},
-		{Op: OpReport, Status: 400, Error: "report 9 rejected: no such impression"},
-		{Op: OpOnDemand, Status: 429, Error: "shard overloaded: on-demand sale shed"},
-		{Op: OpCancelled, Status: 200, Body: json.RawMessage(`{"cancelled":[3,4]}`)},
-		{Op: OpBundle, Status: 200, Replayed: true, Body: json.RawMessage(`{"ads":[]}`)},
-	}
-	frame := appendBatchReply(nil, results)
-	got, err := decodeBatchReply(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Results, results) {
-		t.Fatalf("reply round trip diverged:\n sent: %+v\n got:  %+v", results, got.Results)
-	}
-}
-
-// goldenEnv / goldenFrame pin the binary wire format byte-for-byte. The
-// same bytes are asserted against the chaos proxy's independent frame
-// walker in internal/faults (TestBinBatchWalkGoldenFrame); changing the
-// format requires updating both, which is the point.
-func goldenEnv() batchMsg {
-	cl := 9
-	now := int64(70)
-	return batchMsg{Client: 5, NowNS: 60, Ops: []BatchOp{
-		{Op: OpSlot, Key: "k1"},
-		{Op: OpReport, Key: "k2", Client: &cl, Impression: 77},
-		{Op: OpOnDemand, NowNS: &now, NoRescue: true, Categories: []string{"news"}},
-		{Op: OpCancelled, IDs: []int64{1, 2}},
-		{Op: OpBundle, Key: "k5"},
-	}}
-}
-
-func goldenFrame() []byte {
-	return []byte{
-		'A', 'P', 'B', '1',
-		5, 0, 0, 0, 0, 0, 0, 0, // client
-		60, 0, 0, 0, 0, 0, 0, 0, // now_ns
-		5, 0, // nops
-		1, 0, 2, 'k', '1', // slot, key "k1"
-		2, 1, 2, 'k', '2', 9, 0, 0, 0, 0, 0, 0, 0, 77, 0, 0, 0, 0, 0, 0, 0, // report, client override, impression
-		3, 6, 0, 70, 0, 0, 0, 0, 0, 0, 0, 1, 4, 'n', 'e', 'w', 's', // ondemand, now override + no_rescue, 1 category
-		4, 0, 0, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, // cancelled, 2 ids
-		5, 0, 2, 'k', '5', // bundle, key "k5"
-	}
-}
-
-func TestBinaryCodecGoldenFrame(t *testing.T) {
-	frame, err := appendBatchMsg(nil, goldenEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(frame, goldenFrame()) {
-		t.Fatalf("golden frame diverged:\n got:  %v\n want: %v", frame, goldenFrame())
-	}
-	env, err := decodeBatchMsg(goldenFrame())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(env, goldenEnv()) {
-		t.Fatalf("golden decode diverged: %+v", env)
-	}
-}
-
-// TestBinaryCodecRejects covers the encoder's frame limits and the
-// decoder's malformed-frame taxonomy.
-func TestBinaryCodecRejects(t *testing.T) {
-	if _, err := appendBatchMsg(nil, batchMsg{Ops: []BatchOp{{Op: "fetch"}}}); err == nil {
-		t.Fatal("unknown op kind encoded")
-	}
-	if _, err := appendBatchMsg(nil, batchMsg{Ops: []BatchOp{{Op: OpSlot, Key: strings.Repeat("k", 256)}}}); err == nil {
-		t.Fatal("256-byte key encoded")
-	}
-	good, err := appendBatchMsg(nil, goldenEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeBatchMsg(good[:len(good)-1]); err == nil {
-		t.Fatal("truncated frame decoded")
-	}
-	if _, err := decodeBatchMsg(append(append([]byte{}, good...), 0)); err == nil {
-		t.Fatal("trailing byte accepted")
-	}
-	bad := append([]byte{}, good...)
-	bad[0] = 'X'
-	if _, err := decodeBatchMsg(bad); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	bad = append([]byte{}, good...)
-	bad[22] = 99 // first op's kind byte
-	if _, err := decodeBatchMsg(bad); err == nil {
-		t.Fatal("unknown kind byte accepted")
-	}
-}
 
 // postBatchBinary ships one envelope through the handler over the
 // binary codec, asserting the reply comes back binary too.
 func postBatchBinary(t *testing.T, h http.Handler, env batchMsg) (int, BatchReply) {
 	t.Helper()
-	frame, err := appendBatchMsg(nil, env)
+	frame, err := envelope.AppendMsg(nil, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +27,7 @@ func postBatchBinary(t *testing.T, h http.Handler, env batchMsg) (int, BatchRepl
 		if ct := rec.Header().Get("Content-Type"); ct != BinaryBatchContentType {
 			t.Fatalf("binary request answered with Content-Type %q", ct)
 		}
-		if reply, err = decodeBatchReply(rec.Body.Bytes()); err != nil {
+		if reply, err = envelope.DecodeReply(rec.Body.Bytes()); err != nil {
 			t.Fatalf("decoding binary reply: %v", err)
 		}
 	}
@@ -309,7 +108,7 @@ func TestBinaryVersionNegotiation(t *testing.T) {
 	h := ss.Handler()
 	startPeriod(t, h)
 
-	frame, err := appendBatchMsg(nil, batchMsg{Client: 0, NowNS: 1, Ops: []BatchOp{{Op: OpSlot}}})
+	frame, err := envelope.AppendMsg(nil, batchMsg{Client: 0, NowNS: 1, Ops: []BatchOp{{Op: OpSlot}}})
 	if err != nil {
 		t.Fatal(err)
 	}

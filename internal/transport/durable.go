@@ -14,25 +14,26 @@ package transport
 // accounting.
 //
 // What gets logged is the operation, not the effect: client ops are
-// recorded as the batch envelope that executed (the sequential
-// endpoints log a one-op envelope), period rounds as one record per
-// shard. Replay runs them through execBatchOp / periodStartShardLocked
-// / periodEndShardLocked, so engine mutations, dedup entries and the
-// stored response bytes are reproduced exactly. Ops that did not
-// mutate anything — idempotent replays, key conflicts (409), shed ops
-// (429), cancellation reads — are never logged: a shed op's successful
-// retry is logged at its own position, and replaying the original too
-// would execute it twice. Rejected reports (400) are logged: a failed
-// report still mutates the claim table and its response is
-// dedup-stored, so replay must reproduce both.
+// recorded as the envelope group that executed — every client op is an
+// envelope op (ops.go), and a per-op endpoint's record keeps the
+// endpoint's kind and key — period rounds as one record per shard.
+// Replay runs them through execGroup / periodStartShardLocked /
+// periodEndShardLocked, the code that produced them, so engine
+// mutations, dedup entries and the stored response bytes are reproduced
+// exactly. Ops that did not mutate anything — idempotent replays, key
+// conflicts (409), shed ops (429), cancellation reads — are never
+// logged: a shed op's successful retry is logged at its own position,
+// and replaying the original too would execute it twice. Rejected
+// reports (400) are logged: a failed report still mutates the claim
+// table and its response is dedup-stored, so replay must reproduce both.
 //
-// Fingerprint stability makes the replayed dedup entries useful: the
-// batch executor hashes each op's sequential form (sequentialForm),
-// which is byte-identical to what the shipped client sends, so a
-// pre-crash key maps to the same fingerprint after recovery. Clients
-// with non-canonical encodings simply miss the window and re-execute —
-// the same contract a cross-path (sequential vs batch) retry already
-// relies on.
+// Fingerprint stability makes the replayed dedup entries useful: replay
+// hashes each op's canonical sequential form (opFingerprint), which is
+// byte-identical to what the shipped client sends, so a pre-crash key
+// maps to the same fingerprint after recovery. Clients with
+// non-canonical encodings simply miss the window and re-execute — the
+// same contract a cross-form (per-op endpoint vs envelope) retry
+// already relies on.
 
 import (
 	"encoding/json"
@@ -82,16 +83,9 @@ type periodRound struct {
 	Expired int                  `json:"expired,omitempty"`
 }
 
-// singleOpEnv renders a sequential mutating request as a one-op batch
-// envelope — the WAL's uniform client-op record body. Replay runs it
-// through the batch executor, whose fingerprints and stored responses
-// are byte-compatible with the sequential path.
-func singleOpEnv(client int, nowNS int64, op BatchOp) batchMsg {
-	return batchMsg{Client: client, NowNS: nowNS, Ops: []BatchOp{op}}
-}
-
 // walAppend logs one executed mutating operation. The caller must hold
-// sh.mu, so each shard's log order equals its execution order. No-op
+// the lock that orders the mutation (sh.mu, or stagedMu for a pure
+// shelf drain), so each shard's log order equals its execution order. No-op
 // when durability is off or while Recover is replaying (the records
 // being replayed are already on disk). An append failure is fail-stop:
 // the handler aborts the connection rather than acknowledge an
@@ -175,9 +169,8 @@ func (s *ShardedServer) maybeCheckpoint() {
 // Checkpoint writes a full-state snapshot and rotates the log to a
 // fresh generation (truncation at the snapshot point). It quiesces the
 // whole server for the duration, taking every lock in the global
-// order: the period dedup store first, then each shard's dedup store
-// before its engine lock before its staged-shelf lock, in shard index
-// order. Holding stagedMu here keeps in-flight bundle downloads (which
+// order: the period dedup store first, then every shard's locks
+// (lockAll). Holding stagedMu keeps in-flight bundle downloads (which
 // run under stagedMu alone) out of the snapshot window.
 func (s *ShardedServer) Checkpoint() error {
 	if s.wlog == nil {
@@ -185,18 +178,7 @@ func (s *ShardedServer) Checkpoint() error {
 	}
 	s.periodDedup.mu.Lock()
 	defer s.periodDedup.mu.Unlock()
-	for _, sh := range s.shards {
-		sh.dedup.mu.Lock()
-		sh.mu.Lock()
-		sh.stagedMu.Lock()
-	}
-	defer func() {
-		for i := len(s.shards) - 1; i >= 0; i-- {
-			s.shards[i].stagedMu.Unlock()
-			s.shards[i].mu.Unlock()
-			s.shards[i].dedup.mu.Unlock()
-		}
-	}()
+	defer s.lockAll()()
 	// The round caches only need to cover rounds still in the log; the
 	// rotation is about to empty it, so keep one entry per map for
 	// coordinator retries of the most recent round. Pruning before the
@@ -441,9 +423,9 @@ func (s *ShardedServer) restoreSnapshot(r io.Reader) error {
 }
 
 // applyWALRecord re-executes one logged operation during recovery;
-// Recover's replay callback. Client-op records run through the batch
-// executor — the same code that produced them — so engine mutations,
-// dedup entries and stored response bytes are reproduced exactly.
+// Recover's replay callback. Client-op records run through execGroup —
+// the same code that produced them — so engine mutations, dedup entries
+// and stored response bytes are reproduced exactly.
 // Period records re-run the shard's round slice and rebuild the retry
 // caches; the dedup sweeps that live in the period-end handler run
 // here too, with no locks held, preserving the window's bounded size.
@@ -517,13 +499,11 @@ func (s *ShardedServer) applyWALRecord(rec wal.Record) error {
 		if err := json.Unmarshal(rec.Body, &env); err != nil {
 			return fmt.Errorf("transport: wal %s body: %w", rec.Op, err)
 		}
-		sh.dedup.mu.Lock()
-		sh.mu.Lock()
-		for _, op := range env.Ops {
-			s.execBatchOp(sh, env, op)
+		idxs := make([]int, len(env.Ops))
+		for i := range idxs {
+			idxs[i] = i
 		}
-		sh.mu.Unlock()
-		sh.dedup.mu.Unlock()
+		s.execGroup(sh, &env, idxs, nil, make([]stored, len(env.Ops)))
 	}
 	return nil
 }

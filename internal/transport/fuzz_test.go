@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/adserver"
 	"repro/internal/auction"
+	"repro/internal/envelope"
 	"repro/internal/predict"
 	"repro/internal/shard"
 )
@@ -184,6 +185,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(1<<31, int64(1)<<62, int64(-1)<<62, -5, false, "zzz,weird", true)
 
 	f.Fuzz(func(t *testing.T, clientID int, nowNS, imp int64, idx int, weekend bool, cat string, noRescue bool) {
+		if !utf8.ValidString(cat) {
+			// JSON carries text: an invalid byte is marshaled as U+FFFD and
+			// comes back as that rune, so only valid UTF-8 is byte-stable
+			// (found by the first `make fuzz`).
+			t.Skip()
+		}
 		check := func(in, out any) {
 			t.Helper()
 			b, err := json.Marshal(in)
@@ -282,49 +289,32 @@ func FuzzBatchDecode(f *testing.F) {
 	})
 }
 
-// FuzzBinaryBatchDecode throws arbitrary bytes at both binary-frame
-// decoders: they must reject or accept without panicking, and any frame
-// they accept must survive a re-encode/re-decode cycle unchanged (the
-// canonical-form property the differential tiers rely on). The handler
-// leg additionally pins the HTTP contract: a binary Content-Type with
-// arbitrary bytes answers 2xx/4xx, never 5xx.
+// FuzzBinaryBatchDecode throws arbitrary bytes at POST /v1/batch under
+// the binary Content-Type: whatever the frame decoder makes of them, the
+// handler answers 2xx/4xx, never 5xx. (The decoders' own accept/reject
+// and re-encode stability properties are fuzzed beside the codec:
+// envelope.FuzzFrameDecode, same seeds.)
 func FuzzBinaryBatchDecode(f *testing.F) {
 	ss := fuzzHandler(f)
 	h := ss.Handler()
 
-	if frame, err := appendBatchMsg(nil, goldenEnv()); err == nil {
+	cl, now := 9, int64(70)
+	if frame, err := envelope.AppendMsg(nil, batchMsg{Client: 5, NowNS: 60, Ops: []BatchOp{
+		{Op: OpSlot, Key: "k1"},
+		{Op: OpReport, Key: "k2", Client: &cl, Impression: 77},
+		{Op: OpOnDemand, NowNS: &now, NoRescue: true, Categories: []string{"news"}},
+		{Op: OpCancelled, IDs: []int64{1, 2}},
+		{Op: OpBundle, Key: "k5"},
+	}}); err == nil {
 		f.Add(frame)
 	}
-	f.Add(appendBatchReply(nil, []BatchOpResult{{Op: OpSlot, Status: 200, Body: json.RawMessage(`{}`)}}))
+	f.Add(envelope.AppendReply(nil, []BatchOpResult{{Op: OpSlot, Status: 200, Body: json.RawMessage(`{}`)}}))
 	f.Add([]byte("APB1"))
 	f.Add([]byte("APR1"))
 	f.Add([]byte{})
 	f.Add([]byte(`{"client":0,"now_ns":0,"ops":[{"op":"slot"}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if env, err := decodeBatchMsg(data); err == nil {
-			re, err := appendBatchMsg(nil, env)
-			if err != nil {
-				t.Fatalf("accepted frame re-encode failed: %v (%+v)", err, env)
-			}
-			env2, err := decodeBatchMsg(re)
-			if err != nil {
-				t.Fatalf("re-encoded frame rejected: %v", err)
-			}
-			if !reflect.DeepEqual(env2, env) {
-				t.Fatalf("decode not stable:\n first:  %+v\n second: %+v", env, env2)
-			}
-		}
-		if reply, err := decodeBatchReply(data); err == nil {
-			re := appendBatchReply(nil, reply.Results)
-			reply2, err := decodeBatchReply(re)
-			if err != nil {
-				t.Fatalf("re-encoded reply rejected: %v", err)
-			}
-			if len(reply2.Results) != len(reply.Results) {
-				t.Fatalf("reply decode not stable: %d vs %d results", len(reply.Results), len(reply2.Results))
-			}
-		}
 		req := httptest.NewRequest("POST", "/v1/batch", bytes.NewReader(data))
 		req.Header.Set("Content-Type", BinaryBatchContentType)
 		req.Header.Set(VersionHeader, "1;bin")

@@ -9,8 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"repro/internal/simclock"
 )
 
 // Protocol versioning. Every client request carries
@@ -41,81 +39,26 @@ func errf(status int, format string, args ...any) *httpError {
 	return &httpError{status: status, msg: fmt.Sprintf(format, args...)}
 }
 
-// writeErr emits a plain-text error reply. 429s always carry
-// Retry-After so well-behaved clients back off before retrying.
-func writeErr(w http.ResponseWriter, status int, msg string) {
-	writeErrRetry(w, status, 0, msg)
-}
-
-// writeErrRetry is writeErr with an explicit Retry-After hint for 429s
-// (non-positive means the flat 1s default).
-func writeErrRetry(w http.ResponseWriter, status, retryAfter int, msg string) {
-	if status == http.StatusTooManyRequests {
-		if retryAfter < 1 {
-			retryAfter = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-	}
-	http.Error(w, msg, status)
-}
-
-// handle is the one generic pipeline every /v1/* endpoint runs through:
-// decode the request, resolve its dedup scope, execute, encode the
-// reply. Centralizing the plumbing here means body limits, idempotency,
-// shedding headers and error rendering live in exactly one place — an
-// instrumentation or limit change touches this file, not ten handlers.
-//
-//   - decode parses the request into Req and returns the payload bytes
-//     used for idempotency fingerprinting (nil for non-deduped
-//     endpoints). Returning ok=false means decode already wrote a 4xx.
-//   - prep resolves the dedup store, virtual timestamp and owning
-//     client id (negative for requests not scoped to one client); a nil
-//     store means the endpoint executes without dedup (idempotent
-//     reads). The client id stamps dedup entries so live migration can
-//     hand a client's idempotency window to its new owner. A non-nil
-//     *httpError refuses the request before exec runs — the wire-tenant
-//     guard lives here, ahead of any state change.
-//   - exec runs the endpoint and returns the typed reply or an
-//     *httpError. It receives the request's (validated) idempotency key
-//     — empty for unkeyed requests — so mutating executors can stamp
-//     the operation's write-ahead-log record with the same fingerprint
-//     the dedup window uses.
+// handle is the generic pipeline of every /v1/* endpoint that is neither
+// a device op (those are one-op envelopes, see ops.go) nor a period
+// round (handlePeriod): decode the request, execute, encode the reply.
+// decode returning ok=false means it already wrote a 4xx.
 func handle[Req, Resp any](
 	decode func(w http.ResponseWriter, r *http.Request) (Req, []byte, bool),
-	prep func(r *http.Request, req Req) (*dedupStore, simclock.Time, int, *httpError),
-	exec func(req Req, key string) (Resp, *httpError),
+	exec func(req Req) (Resp, *httpError),
 ) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		req, payload, ok := decode(w, r)
 		if !ok {
 			return
 		}
-		// The payload buffer is pooled; it is only hashed (idempotency
-		// fingerprint) and decoded (which copies), so recycling it once
-		// the response is written is safe.
 		defer putBodyBuf(payload)
-		ds, now, clientID, perr := prep(r, req)
-		if perr != nil {
-			writeErrRetry(w, perr.status, perr.retryAfter, perr.msg)
+		resp, herr := exec(req)
+		if herr != nil {
+			http.Error(w, herr.msg, herr.status)
 			return
 		}
-		run := func(key string) (int, any, int) {
-			resp, herr := exec(req, key)
-			if herr != nil {
-				return herr.status, herr.msg, herr.retryAfter
-			}
-			return http.StatusOK, resp, 0
-		}
-		if ds == nil {
-			status, v, retryAfter := run("")
-			if status >= 400 {
-				writeErrRetry(w, status, retryAfter, v.(string))
-				return
-			}
-			writeJSON(w, v)
-			return
-		}
-		serveIdempotent(w, r, ds, payload, now, clientID, run)
+		writeJSON(w, resp)
 	}
 }
 
@@ -139,12 +82,6 @@ func noReq(http.ResponseWriter, *http.Request) (struct{}, []byte, bool) {
 	return struct{}{}, nil, true
 }
 
-// noDedup is the prep for idempotent reads: no dedup store, no
-// timestamp, no owning client.
-func noDedup[Req any](*http.Request, Req) (*dedupStore, simclock.Time, int, *httpError) {
-	return nil, 0, -1, nil
-}
-
 // versionMiddleware enforces the protocol version contract: the
 // server's version is echoed on every response (including errors), and
 // a request declaring a different major version is refused with 426
@@ -164,12 +101,12 @@ func versionMiddleware(next http.Handler) http.Handler {
 			}
 			got, err := strconv.Atoi(major)
 			if err != nil {
-				writeErr(w, http.StatusBadRequest, fmt.Sprintf("malformed %s %q", VersionHeader, raw))
+				http.Error(w, fmt.Sprintf("malformed %s %q", VersionHeader, raw), http.StatusBadRequest)
 				return
 			}
 			if got != ProtocolVersion {
-				writeErr(w, http.StatusUpgradeRequired,
-					fmt.Sprintf("protocol version %d not supported; server speaks %d", got, ProtocolVersion))
+				http.Error(w, fmt.Sprintf("protocol version %d not supported; server speaks %d", got, ProtocolVersion),
+					http.StatusUpgradeRequired)
 				return
 			}
 		}

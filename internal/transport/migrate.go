@@ -129,10 +129,7 @@ func (s *ShardedServer) migrateOut(epoch uint64, clients []int) ([]byte, error) 
 	sort.Ints(ids)
 	byShard := make(map[int][]int)
 	for _, c := range ids {
-		i := s.route(c)
-		if i < 0 || i >= len(s.shards) {
-			i = 0
-		}
+		i := s.shardFor(c).idx
 		byShard[i] = append(byShard[i], c)
 	}
 	// Capacity is fixed up front: blobs holds pointers into out.Clients,
@@ -219,11 +216,7 @@ func (s *ShardedServer) migrateIn(raw []byte) error {
 	defer unlock()
 	for i := range blob.Clients {
 		cb := &blob.Clients[i]
-		si := s.route(cb.Client)
-		if si < 0 || si >= len(s.shards) {
-			si = 0
-		}
-		sh := s.shards[si]
+		sh := s.shardFor(cb.Client)
 		if err := sh.srv.AdoptClients([]adserver.ClientState{cb.Engine}); err != nil {
 			return err
 		}
@@ -280,7 +273,7 @@ func (s *ShardedServer) OwnedClients() []int {
 	return out
 }
 
-func (s *ShardedServer) execMigrateOut(msg migrateOutMsg, _ string) (json.RawMessage, *httpError) {
+func (s *ShardedServer) execMigrateOut(msg migrateOutMsg) (json.RawMessage, *httpError) {
 	blob, err := s.migrateOut(msg.Epoch, msg.Clients)
 	if err != nil {
 		return nil, errf(http.StatusInternalServerError, "%s", err.Error())
@@ -288,18 +281,18 @@ func (s *ShardedServer) execMigrateOut(msg migrateOutMsg, _ string) (json.RawMes
 	return blob, nil
 }
 
-func (s *ShardedServer) execMigrateIn(raw json.RawMessage, _ string) (struct{}, *httpError) {
+func (s *ShardedServer) execMigrateIn(raw json.RawMessage) (struct{}, *httpError) {
 	if err := s.migrateIn(raw); err != nil {
 		return struct{}{}, errf(http.StatusInternalServerError, "%s", err.Error())
 	}
 	return struct{}{}, nil
 }
 
-func (s *ShardedServer) execMigrateCommit(msg migrateCommitMsg, _ string) (struct{}, *httpError) {
+func (s *ShardedServer) execMigrateCommit(msg migrateCommitMsg) (struct{}, *httpError) {
 	s.migrateCommit(msg.Epoch)
 	return struct{}{}, nil
 }
 
-func (s *ShardedServer) execAdminClients(struct{}, string) (ClientsReply, *httpError) {
+func (s *ShardedServer) execAdminClients(struct{}) (ClientsReply, *httpError) {
 	return ClientsReply{Clients: s.OwnedClients()}, nil
 }

@@ -2,23 +2,18 @@ package transport
 
 import (
 	"encoding/json"
-	"fmt"
-	"hash/fnv"
-	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/adserver"
-	"repro/internal/auction"
 	"repro/internal/client"
+	"repro/internal/envelope"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/simclock"
 	"repro/internal/tenant"
-	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -165,153 +160,6 @@ type shardState struct {
 	shed     *obs.Counter // 429s this shard answered
 }
 
-// dedupEntry is one remembered mutating request: the payload hash
-// guards against key reuse, the stored response is replayed verbatim on
-// a retry. client records which client the request was scoped to
-// (negative for none) so live migration can carry the entry to the
-// client's new owner — a retry that straddles a handoff still replays
-// instead of double-executing.
-type dedupEntry struct {
-	payloadHash uint64
-	status      int
-	body        []byte
-	at          simclock.Time
-	client      int
-}
-
-// dedupStore is an idempotency-key window. Its mutex is held across
-// handler execution (lookup + execute + store must be atomic, or two
-// racing duplicates would both execute); per-shard requests already
-// serialize on the shard lock, so this costs no extra parallelism.
-type dedupStore struct {
-	mu      sync.Mutex
-	entries map[string]dedupEntry
-}
-
-// sweep drops entries whose request timestamp predates cutoff. The
-// dedup window is bounded memory: retries arrive within the retry
-// policy's backoff horizon, so anything older than a couple of periods
-// can only be a client bug, and replaying it is not worth the RAM.
-func (ds *dedupStore) sweep(cutoff simclock.Time) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	for k, e := range ds.entries {
-		if e.at < cutoff {
-			delete(ds.entries, k)
-		}
-	}
-}
-
-func (ds *dedupStore) len() int {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return len(ds.entries)
-}
-
-// requestHash fingerprints a request (method, path, payload) for
-// key-reuse detection: reusing a key on a different endpoint or with a
-// different body is a conflict, never a cross-endpoint replay.
-func requestHash(method, path string, payload []byte) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, method)
-	io.WriteString(h, " ")
-	io.WriteString(h, path)
-	h.Write([]byte{0})
-	h.Write(payload)
-	return h.Sum64()
-}
-
-// validIdemKey reports whether an Idempotency-Key header value is
-// acceptable: at most 128 bytes of visible ASCII.
-func validIdemKey(key string) bool {
-	if len(key) > 128 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		if key[i] <= ' ' || key[i] > '~' {
-			return false
-		}
-	}
-	return true
-}
-
-// serveIdempotent runs exec (which returns an HTTP status plus either a
-// JSON payload or, for statuses >= 400, an error string) at most once
-// per Idempotency-Key: a repeat of the same key and payload replays the
-// stored response byte-for-byte, a key reused with a different payload
-// is rejected with 409, and a malformed key is rejected with 400 before
-// exec runs. Requests without a key execute without dedup. Responses
-// that asked the client to go elsewhere (429 back off, 421 moved) are
-// not stored, so the retry re-executes against a healthy — or correct —
-// owner. exec receives the validated key so the durability layer can
-// stamp its WAL records; clientID stamps the stored entry for live
-// migration (see migrate.go).
-func serveIdempotent(w http.ResponseWriter, r *http.Request, ds *dedupStore, payload []byte, now simclock.Time, clientID int, exec func(key string) (int, any, int)) {
-	key := r.Header.Get(idempotencyKeyHeader)
-	if key != "" && !validIdemKey(key) {
-		http.Error(w, "malformed Idempotency-Key", http.StatusBadRequest)
-		return
-	}
-	write := func(status int, body []byte, replayed bool, retryAfter int) {
-		if replayed {
-			w.Header().Set(obs.ReplayedHeader, "true")
-		}
-		if status == http.StatusTooManyRequests {
-			if retryAfter < 1 {
-				retryAfter = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		}
-		if status >= 400 {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		} else {
-			w.Header().Set("Content-Type", "application/json")
-		}
-		w.WriteHeader(status)
-		w.Write(body)
-	}
-	run := func() (int, []byte, int) {
-		status, v, retryAfter := exec(key)
-		if status >= 400 {
-			msg, _ := v.(string)
-			return status, []byte(msg + "\n"), retryAfter
-		}
-		// marshalReply hands back shared pre-marshaled bytes for the hot
-		// constant replies; those constants are stored by reference in
-		// the dedup window and never mutated.
-		body, err := marshalReply(v)
-		if err != nil {
-			return http.StatusInternalServerError, []byte("encoding reply\n"), 0
-		}
-		return status, body, retryAfter
-	}
-	if key == "" {
-		status, body, retryAfter := run()
-		write(status, body, false, retryAfter)
-		return
-	}
-	ph := requestHash(r.Method, r.URL.Path, payload)
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if e, ok := ds.entries[key]; ok {
-		if e.payloadHash != ph {
-			http.Error(w, "Idempotency-Key reused with a different request", http.StatusConflict)
-			return
-		}
-		// Replays are never 429s (those are not stored), so no hint.
-		write(e.status, e.body, true, 0)
-		return
-	}
-	status, body, retryAfter := run()
-	if status != http.StatusTooManyRequests && status != http.StatusMisdirectedRequest {
-		if ds.entries == nil {
-			ds.entries = make(map[string]dedupEntry)
-		}
-		ds.entries[key] = dedupEntry{payloadHash: ph, status: status, body: body, at: now, client: clientID}
-	}
-	write(status, body, false, retryAfter)
-}
-
 // NewShardedServer adapts a shard pool to HTTP. The pool's stable
 // client partition decides request routing.
 func NewShardedServer(pool *shard.Pool) *ShardedServer {
@@ -340,8 +188,8 @@ func newSharded(servers []*adserver.Server, route func(clientID int) int) *Shard
 	s.reg.SetHelp("batch_round_trips_saved_total", "HTTP round trips batching avoided: sub-ops beyond the first of each accepted envelope.")
 	s.batchSize = s.reg.Histogram("batch_ops")
 	s.batchSaved = s.reg.Counter("batch_round_trips_saved_total")
-	s.batchSubops = make(map[string]*obs.Counter, len(batchOpKinds))
-	for _, k := range batchOpKinds {
+	s.batchSubops = make(map[string]*obs.Counter, len(envelope.Kinds))
+	for _, k := range envelope.Kinds {
 		s.batchSubops[k] = s.reg.Counter("batch_subops_total", "op", k)
 	}
 	s.batchInvalid = s.reg.Counter("batch_subops_total", "op", "invalid")
@@ -425,36 +273,14 @@ func (s *ShardedServer) shardFor(clientID int) *shardState {
 	return s.shards[i]
 }
 
-// clientPrep resolves a client-scoped request's dedup scope and counts
-// it against its shard. A request declaring a tenant the client does
-// not belong to is refused here, before any handler state changes.
-func (s *ShardedServer) clientPrep(r *http.Request, clientID int, nowNS int64) (*dedupStore, simclock.Time, int, *httpError) {
-	if herr := s.checkWireTenant(r, clientID); herr != nil {
-		return nil, 0, -1, herr
-	}
-	sh := s.shardFor(clientID)
-	sh.requests.Inc()
-	return &sh.dedup, simclock.Time(nowNS), clientID, nil
-}
-
 // Handler returns the HTTP handler implementing the protocol: the
 // endpoint mux behind the protocol-version gate, wrapped in the metrics
 // middleware so every request (including 426s and unknown paths) is
 // measured.
 func (s *ShardedServer) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/period/start", handle(
-		jsonReq[periodMsg],
-		func(_ *http.Request, m periodMsg) (*dedupStore, simclock.Time, int, *httpError) {
-			return &s.periodDedup, simclock.Time(m.NowNS), -1, nil
-		},
-		s.execPeriodStart))
-	periodEnd := handle(
-		jsonReq[periodMsg],
-		func(_ *http.Request, m periodMsg) (*dedupStore, simclock.Time, int, *httpError) {
-			return &s.periodDedup, simclock.Time(m.NowNS), -1, nil
-		},
-		s.execPeriodEnd)
+	mux.HandleFunc("POST /v1/period/start", handlePeriod(&s.periodDedup, s.execPeriodStart))
+	periodEnd := handlePeriod(&s.periodDedup, s.execPeriodEnd)
 	mux.HandleFunc("POST /v1/period/end", func(w http.ResponseWriter, r *http.Request) {
 		periodEnd(w, r)
 		// The period store's own lock is free again; sweep it to the
@@ -465,41 +291,21 @@ func (s *ShardedServer) Handler() http.Handler {
 		// previous snapshot+log generation intact.
 		s.maybeCheckpoint()
 	})
-	mux.HandleFunc("GET /v1/bundle", handle(
-		s.decodeBundle,
-		func(r *http.Request, q bundleReq) (*dedupStore, simclock.Time, int, *httpError) {
-			return s.clientPrep(r, q.client, q.nowNS)
-		},
-		s.execBundle))
-	mux.HandleFunc("POST /v1/slot", handle(
-		jsonReq[slotMsg],
-		func(r *http.Request, m slotMsg) (*dedupStore, simclock.Time, int, *httpError) {
-			return s.clientPrep(r, m.Client, m.NowNS)
-		},
-		s.execSlot))
-	mux.HandleFunc("POST /v1/report", handle(
-		jsonReq[reportMsg],
-		func(r *http.Request, m reportMsg) (*dedupStore, simclock.Time, int, *httpError) {
-			return s.clientPrep(r, m.Client, m.NowNS)
-		},
-		s.execReport))
-	mux.HandleFunc("GET /v1/cancelled", handle(s.decodeCancelled, noDedup[cancelledReq], s.execCancelled))
-	mux.HandleFunc("POST /v1/ondemand", handle(
-		jsonReq[onDemandMsg],
-		func(r *http.Request, m onDemandMsg) (*dedupStore, simclock.Time, int, *httpError) {
-			return s.clientPrep(r, m.Client, m.NowNS)
-		},
-		s.execOnDemand))
+	mux.HandleFunc("GET /v1/bundle", s.handleOp(decodeBundle))
+	mux.HandleFunc("POST /v1/slot", s.handleOp(decodeSlot))
+	mux.HandleFunc("POST /v1/report", s.handleOp(decodeReport))
+	mux.HandleFunc("GET /v1/cancelled", s.handleOp(s.decodeCancelled))
+	mux.HandleFunc("POST /v1/ondemand", s.handleOp(decodeOnDemand))
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	mux.HandleFunc("GET /v1/ledger", handle(s.decodeLedger, noDedup[ledgerReq], s.execLedger))
-	mux.HandleFunc("GET /v1/stats", handle(noReq, noDedup[struct{}], s.execStats))
-	mux.HandleFunc("GET /v1/health", handle(noReq, noDedup[struct{}], s.execHealth))
+	mux.HandleFunc("GET /v1/ledger", handle(s.decodeLedger, s.execLedger))
+	mux.HandleFunc("GET /v1/stats", handle(noReq, s.execStats))
+	mux.HandleFunc("GET /v1/health", handle(noReq, s.execHealth))
 	mux.Handle("GET /v1/metrics", s.reg.Handler())
-	mux.HandleFunc("POST /v1/admin/migrate/out", s.admin(handle(jsonReq[migrateOutMsg], noDedup[migrateOutMsg], s.execMigrateOut)))
-	mux.HandleFunc("POST /v1/admin/migrate/in", s.admin(handle(jsonReq[json.RawMessage], noDedup[json.RawMessage], s.execMigrateIn)))
-	mux.HandleFunc("POST /v1/admin/migrate/commit", s.admin(handle(jsonReq[migrateCommitMsg], noDedup[migrateCommitMsg], s.execMigrateCommit)))
-	mux.HandleFunc("GET /v1/admin/clients", s.admin(handle(noReq, noDedup[struct{}], s.execAdminClients)))
-	mux.HandleFunc("POST /v1/admin/config", s.admin(handle(jsonReq[ConfigMsg], noDedup[ConfigMsg], s.execConfig)))
+	mux.HandleFunc("POST /v1/admin/migrate/out", s.admin(handle(jsonReq[migrateOutMsg], s.execMigrateOut)))
+	mux.HandleFunc("POST /v1/admin/migrate/in", s.admin(handle(jsonReq[json.RawMessage], s.execMigrateIn)))
+	mux.HandleFunc("POST /v1/admin/migrate/commit", s.admin(handle(jsonReq[migrateCommitMsg], s.execMigrateCommit)))
+	mux.HandleFunc("GET /v1/admin/clients", s.admin(handle(noReq, s.execAdminClients)))
+	mux.HandleFunc("POST /v1/admin/config", s.admin(handle(jsonReq[ConfigMsg], s.execConfig)))
 	return obs.Middleware(s.reg, versionMiddleware(mux), v1Endpoints...)
 }
 
@@ -509,7 +315,7 @@ func (s *ShardedServer) Handler() http.Handler {
 func (s *ShardedServer) admin(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.AdminToken != "" && r.Header.Get("Authorization") != "Bearer "+s.AdminToken {
-			writeErr(w, http.StatusUnauthorized, "missing or invalid admin token")
+			http.Error(w, "missing or invalid admin token", http.StatusUnauthorized)
 			return
 		}
 		h(w, r)
@@ -525,514 +331,4 @@ func (s *ShardedServer) shedding(sh *shardState) bool {
 		return false
 	}
 	return s.MaxOpenBook > 0 && sh.srv.OpenBook() > s.MaxOpenBook
-}
-
-// fanOut runs fn once per shard concurrently and returns the first
-// error (errgroup-style fan-out/fan-in barrier; shards share nothing,
-// so per-shard rounds are independent). A panic inside fn — the WAL's
-// fail-stop append path, or a crash-emulation hook — is carried back to
-// the request goroutine and re-raised there, instead of killing the
-// process from an untended goroutine.
-func (s *ShardedServer) fanOut(fn func(i int, sh *shardState) error) error {
-	errs := make([]error, len(s.shards))
-	panics := make([]any, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, sh *shardState) {
-			defer wg.Done()
-			defer func() { panics[i] = recover() }()
-			errs[i] = fn(i, sh)
-		}(i, sh)
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// execPeriodStart opens a prefetch round. Period rounds fan out to
-// every shard, so their dedup window is the server-wide store: a
-// coordinator retry after a lost reply must not sell the round twice.
-func (s *ShardedServer) execPeriodStart(msg periodMsg, _ string) (PeriodStartReply, *httpError) {
-	var (
-		mu      sync.Mutex
-		reply   PeriodStartReply
-		bundled int
-	)
-	// Fan-out: each shard runs its own forecast/sale/replication round
-	// under its own lock; the barrier completes when every shard has
-	// staged its bundles.
-	_ = s.fanOut(func(_ int, sh *shardState) error {
-		// Deferred unlock: the durability hook inside the round may
-		// panic (fail-stop or crash emulation), and the lock must not
-		// stay held on that path.
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		stats, nb := s.periodStartShardLocked(sh, msg)
-		mu.Lock()
-		reply.PredictedSlots += stats.PredictedSlots
-		reply.Admitted += stats.Admitted
-		reply.Sold += stats.Sold
-		reply.Placed += stats.Placed
-		reply.Replicas += stats.Replicas
-		bundled += nb
-		mu.Unlock()
-		return nil
-	})
-	reply.BundledClients = bundled
-	return reply, nil
-}
-
-// periodStartShardLocked runs one shard's slice of a period-start
-// round; sh.mu must be held. The per-shard cache makes the round
-// exactly-once: a repeat of the same (instant, index) — a coordinator
-// retry racing a crash, or a WAL replay of a round whose reply was
-// already acked — returns the cached outcome without selling again.
-func (s *ShardedServer) periodStartShardLocked(sh *shardState, msg periodMsg) (adserver.PeriodStats, int) {
-	if r := sh.startRounds[periodKey{msg.NowNS, msg.Index}]; r != nil {
-		return r.Stats, r.Bundled
-	}
-	now := simclock.Time(msg.NowNS)
-	bundles, stats := sh.srv.StartPeriod(now, msg.period())
-	// Stage and log under stagedMu so the shelves' WAL order matches
-	// their mutation order against concurrent bundle drains (which hold
-	// stagedMu, not mu). Deferred unlock: walAppend may panic
-	// (fail-stop), and the lock must not stay held on that path.
-	sh.stagedMu.Lock()
-	defer sh.stagedMu.Unlock()
-	for _, b := range bundles {
-		sh.staged[b.Client] = append(sh.staged[b.Client], b.Ads...)
-	}
-	sh.startRounds[periodKey{msg.NowNS, msg.Index}] = &periodRound{NowNS: msg.NowNS, Index: msg.Index, Stats: stats, Bundled: len(bundles)}
-	s.walAppend(sh, opPeriodStart, "", msg)
-	return stats, len(bundles)
-}
-
-func (s *ShardedServer) execPeriodEnd(msg periodMsg, _ string) (PeriodEndReply, *httpError) {
-	now := simclock.Time(msg.NowNS)
-	var (
-		mu    sync.Mutex
-		reply PeriodEndReply
-	)
-	_ = s.fanOut(func(_ int, sh *shardState) error {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		expired := s.periodEndShardLocked(sh, msg)
-		mu.Lock()
-		reply.Expired += expired
-		mu.Unlock()
-		return nil
-	})
-	// The dedup window rides the period cadence: anything older than
-	// two periods can no longer be a live retry (the retry policy's
-	// backoff horizon is seconds), so the period boundary bounds the
-	// stores' memory the same way it bounds staged bundles.
-	window := 2 * simclock.Time(s.shards[0].srv.Config().Period)
-	for _, sh := range s.shards {
-		sh.dedup.sweep(now - window)
-	}
-	// The period store itself is locked by the caller (serveIdempotent);
-	// record the cutoff for the route wrapper to sweep after the reply.
-	s.periodSweep.Store(int64(now - window))
-	return reply, nil
-}
-
-// periodEndShardLocked closes one shard's slice of a period round;
-// sh.mu must be held. Cached like periodStartShardLocked, and for the
-// same reason. The dedup sweeps stay with the caller (or, on replay,
-// with applyWALRecord): sweeping sh.dedup here would take ds.mu while
-// holding sh.mu, inverting the batch executor's lock order.
-func (s *ShardedServer) periodEndShardLocked(sh *shardState, msg periodMsg) int {
-	if r := sh.endRounds[periodKey{msg.NowNS, msg.Index}]; r != nil {
-		return r.Expired
-	}
-	now := simclock.Time(msg.NowNS)
-	expired := sh.srv.EndPeriod(now, msg.period())
-	// Bound staged-bundle memory: ads a client never downloaded are
-	// worthless once expired, so sweep them with the period. Without
-	// this, clients that stop contacting the server pin their
-	// bundles forever. Sweep and log under stagedMu (mu -> stagedMu, the
-	// global order) so the sweep is atomic with its WAL record against
-	// concurrent bundle drains.
-	sh.stagedMu.Lock()
-	defer sh.stagedMu.Unlock()
-	for cid, ads := range sh.staged {
-		kept := ads[:0]
-		for _, ad := range ads {
-			if !now.After(ad.Deadline) {
-				kept = append(kept, ad)
-			}
-		}
-		if len(kept) == 0 {
-			delete(sh.staged, cid)
-		} else {
-			sh.staged[cid] = kept
-		}
-	}
-	sh.endRounds[periodKey{msg.NowNS, msg.Index}] = &periodRound{NowNS: msg.NowNS, Index: msg.Index, Expired: expired}
-	if sh.idx == 0 {
-		// Count executed rounds once (shard 0 stands in for the round):
-		// the counter must advance identically live and under replay,
-		// since it drives the snapshot cadence and the health report's
-		// snapshot age.
-		s.periodEndRounds.Add(1)
-	}
-	s.walAppend(sh, opPeriodEnd, "", msg)
-	return expired
-}
-
-// bundleReq is the decoded GET /v1/bundle query.
-type bundleReq struct {
-	client int
-	nowNS  int64
-}
-
-func (s *ShardedServer) decodeBundle(w http.ResponseWriter, r *http.Request) (bundleReq, []byte, bool) {
-	cid, ok := intParam(w, r, "client")
-	if !ok {
-		return bundleReq{}, nil, false
-	}
-	// now_ns stamps the dedup entry; absent (old clients) means the
-	// entry is swept at the first period boundary, which is safe.
-	nowNS, _ := strconv.ParseInt(r.URL.Query().Get("now_ns"), 10, 64)
-	// The URI is the idempotency payload: a key reused for a different
-	// client or instant is a conflict, not a replay.
-	return bundleReq{client: cid, nowNS: nowNS}, []byte(r.URL.RequestURI()), true
-}
-
-// execBundle drains the client's staged shelf. The download is a
-// mutating GET: dedup by key lets a device whose response was lost
-// retry and receive the same ads instead of finding the shelf empty —
-// the staged bundle is never stranded.
-//
-// This path takes only stagedMu, never the engine lock: a fleet of
-// devices pulling their period bundles does not contend with the slot /
-// report / on-demand traffic serializing on sh.mu. The WAL append stays
-// inside the stagedMu critical section so the drain and its record are
-// atomic against a period round's stage/sweep.
-func (s *ShardedServer) execBundle(q bundleReq, key string) (BundleReply, *httpError) {
-	sh := s.shardFor(q.client)
-	sh.stagedMu.Lock()
-	defer sh.stagedMu.Unlock()
-	if herr := s.movedErr(q.client); herr != nil {
-		return BundleReply{}, herr
-	}
-	reply := s.bundleStagedLocked(sh, q.client)
-	s.walAppend(sh, OpBundle, key, singleOpEnv(q.client, q.nowNS, BatchOp{Op: OpBundle, Key: key}))
-	return reply, nil
-}
-
-// bundleStagedLocked drains the client's staged shelf; sh.stagedMu must
-// be held (sh.mu is not needed — the shelf is the only state touched).
-func (s *ShardedServer) bundleStagedLocked(sh *shardState, client int) BundleReply {
-	ads := sh.staged[client]
-	delete(sh.staged, client)
-	return BundleReply{Ads: toAdMsgs(ads)}
-}
-
-func (s *ShardedServer) execSlot(msg slotMsg, key string) (struct{}, *httpError) {
-	sh := s.shardFor(msg.Client)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	herr := s.slotLocked(sh, msg.Client, msg.NowNS)
-	if herr == nil {
-		s.walAppend(sh, OpSlot, key, singleOpEnv(msg.Client, msg.NowNS, BatchOp{Op: OpSlot, Key: key}))
-	}
-	return struct{}{}, herr
-}
-
-// slotLocked observes a slot firing; sh.mu must be held.
-func (s *ShardedServer) slotLocked(sh *shardState, client int, nowNS int64) *httpError {
-	if herr := s.movedErr(client); herr != nil {
-		return herr
-	}
-	if s.shedding(sh) {
-		sh.shed.Inc()
-		herr := errf(http.StatusTooManyRequests, "shard overloaded: slot observation shed")
-		herr.retryAfter = retryAfterSecs(sh.srv.OpenBook(), s.MaxOpenBook)
-		return herr
-	}
-	if herr := s.admitLocked(sh, client, nowNS, "slot observation"); herr != nil {
-		return herr
-	}
-	sh.srv.ObserveSlot(client)
-	return nil
-}
-
-// execReport bills a display. Reports are never shed: they bill sold
-// inventory and shrink the open book, so refusing them under load would
-// deepen the overload.
-func (s *ShardedServer) execReport(msg reportMsg, key string) (struct{}, *httpError) {
-	sh := s.shardFor(msg.Client)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if herr := s.movedErr(msg.Client); herr != nil {
-		return struct{}{}, herr
-	}
-	herr := s.reportLocked(sh, msg.Impression, msg.NowNS)
-	// Logged even when rejected: a failed report still mutates state
-	// (the claim table learns the id before billing can refuse it) and
-	// its response is dedup-stored, so replay must reproduce both.
-	s.walAppend(sh, OpReport, key, singleOpEnv(msg.Client, msg.NowNS,
-		BatchOp{Op: OpReport, Key: key, Impression: msg.Impression}))
-	return struct{}{}, herr
-}
-
-// reportLocked bills a display; sh.mu must be held.
-func (s *ShardedServer) reportLocked(sh *shardState, impression, nowNS int64) *httpError {
-	if err := sh.srv.ReportDisplay(auction.ImpressionID(impression), simclock.Time(nowNS)); err != nil {
-		return errf(http.StatusBadRequest, "%s", err.Error())
-	}
-	return nil
-}
-
-// cancelledReq is the decoded GET /v1/cancelled query.
-type cancelledReq struct {
-	sh    *shardState
-	ids   string
-	nowNS int64
-}
-
-func (s *ShardedServer) decodeCancelled(w http.ResponseWriter, r *http.Request) (cancelledReq, []byte, bool) {
-	nowNS, ok := intParam(w, r, "now_ns")
-	if !ok {
-		return cancelledReq{}, nil, false
-	}
-	// Impression ids are scoped per shard, so the owning client must be
-	// identified to route the query. A single-shard server tolerates the
-	// omission for compatibility with old clients.
-	var sh *shardState
-	if raw := r.URL.Query().Get("client"); raw != "" {
-		cid, err := strconv.Atoi(raw)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad client %q", raw), http.StatusBadRequest)
-			return cancelledReq{}, nil, false
-		}
-		sh = s.shardFor(cid)
-	} else if len(s.shards) == 1 {
-		sh = s.shards[0]
-	} else {
-		http.Error(w, "missing client parameter (required with >1 shard)", http.StatusBadRequest)
-		return cancelledReq{}, nil, false
-	}
-	sh.requests.Inc()
-	return cancelledReq{sh: sh, ids: r.URL.Query().Get("ids"), nowNS: int64(nowNS)}, nil, true
-}
-
-func (s *ShardedServer) execCancelled(q cancelledReq, _ string) (CancelledReply, *httpError) {
-	ids, herr := parseIDList(q.ids)
-	if herr != nil {
-		return CancelledReply{}, herr
-	}
-	q.sh.mu.Lock()
-	defer q.sh.mu.Unlock()
-	return s.cancelledLocked(q.sh, ids, simclock.Time(q.nowNS)), nil
-}
-
-// parseIDList parses a comma-separated impression-id list (empty parts
-// skipped, as the query form always allowed).
-func parseIDList(raw string) ([]int64, *httpError) {
-	var ids []int64
-	for _, part := range strings.Split(raw, ",") {
-		if part == "" {
-			continue
-		}
-		id, err := strconv.ParseInt(part, 10, 64)
-		if err != nil {
-			return nil, errf(http.StatusBadRequest, "bad id %q", part)
-		}
-		ids = append(ids, id)
-	}
-	return ids, nil
-}
-
-// cancelledLocked answers which of the ids are known claimed; sh.mu
-// must be held. The reply preserves query order.
-func (s *ShardedServer) cancelledLocked(sh *shardState, ids []int64, now simclock.Time) CancelledReply {
-	var reply CancelledReply
-	for _, id := range ids {
-		if sh.srv.CancellationKnown(auction.ImpressionID(id), now) {
-			reply.Cancelled = append(reply.Cancelled, id)
-		}
-	}
-	return reply
-}
-
-func (s *ShardedServer) execOnDemand(msg onDemandMsg, key string) (OnDemandReply, *httpError) {
-	sh := s.shardFor(msg.Client)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	reply, herr := s.onDemandLocked(sh, msg)
-	if herr == nil {
-		s.walAppend(sh, OpOnDemand, key, singleOpEnv(msg.Client, msg.NowNS,
-			BatchOp{Op: OpOnDemand, Key: key, Categories: msg.Categories, NoRescue: msg.NoRescue}))
-	}
-	return reply, herr
-}
-
-// onDemandLocked runs the cache-miss fallback (rescue, then a fresh
-// sale); sh.mu must be held.
-func (s *ShardedServer) onDemandLocked(sh *shardState, msg onDemandMsg) (OnDemandReply, *httpError) {
-	cats := make([]trace.Category, len(msg.Categories))
-	for i, c := range msg.Categories {
-		cats[i] = trace.Category(c)
-	}
-	now := simclock.Time(msg.NowNS)
-	if herr := s.movedErr(msg.Client); herr != nil {
-		return OnDemandReply{}, herr
-	}
-	if s.shedding(sh) {
-		// Fresh sales grow the open book; shed them until it drains.
-		// The client's fallback is its cache or a house ad.
-		sh.shed.Inc()
-		herr := errf(http.StatusTooManyRequests, "shard overloaded: on-demand sale shed")
-		herr.retryAfter = retryAfterSecs(sh.srv.OpenBook(), s.MaxOpenBook)
-		return OnDemandReply{}, herr
-	}
-	if herr := s.admitLocked(sh, msg.Client, msg.NowNS, "on-demand sale"); herr != nil {
-		return OnDemandReply{}, herr
-	}
-	var reply OnDemandReply
-	if !msg.NoRescue {
-		if id, ok := sh.srv.RescueOpen(now, msg.Client); ok {
-			reply.Impression = int64(id)
-			reply.Rescued = true
-			reply.TopUp = toAdMsgs(sh.srv.TopUp(now, msg.Client))
-		}
-	}
-	if !reply.Rescued {
-		if imp, ok := sh.srv.OnDemandSell(now, msg.Client, cats); ok {
-			reply.Impression = int64(imp.ID)
-		}
-	}
-	return reply, nil
-}
-
-// ledgerReq is the decoded GET /v1/ledger query. Without a tenant
-// parameter the reply is the aggregate ledger, bytes unchanged from the
-// pre-tenant protocol; ?tenant=<id> narrows it to one tenant's view
-// (the empty id names the legacy tenant's slice).
-type ledgerReq struct {
-	tenant   string
-	byTenant bool
-}
-
-func (s *ShardedServer) decodeLedger(_ http.ResponseWriter, r *http.Request) (ledgerReq, []byte, bool) {
-	var q ledgerReq
-	if vs, ok := r.URL.Query()["tenant"]; ok && len(vs) > 0 {
-		q = ledgerReq{tenant: vs[0], byTenant: true}
-	}
-	return q, nil, true
-}
-
-func (s *ShardedServer) execLedger(q ledgerReq, _ string) (auction.Ledger, *httpError) {
-	if q.byTenant {
-		if q.tenant != tenant.Legacy {
-			if _, ok := s.tenants.Load().ConfigOf(q.tenant); !ok {
-				return auction.Ledger{}, errf(http.StatusNotFound, "unknown tenant %q", q.tenant)
-			}
-		}
-		return s.ledgerOf(q.tenant), nil
-	}
-	var total auction.Ledger
-	// One shard at a time: the merged view never holds more than one
-	// lock, so a ledger scrape cannot stall the fleet.
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		l := sh.srv.Exchange().Ledger()
-		sh.mu.Unlock()
-		addLedger(&total, l)
-	}
-	return total, nil
-}
-
-// StatsReply is the merged monitoring view: summed rounds, a
-// rounds-weighted mean of per-shard forecast-error quantiles, and the
-// raw per-shard snapshots. Field names align with adserver.OpsStats so
-// single-shard clients decoding into that type keep working.
-type StatsReply struct {
-	Shards         int                 `json:"shards"`
-	Rounds         int64               `json:"rounds"`
-	ForecastErrP50 float64             `json:"forecast_err_p50"`
-	ForecastErrP95 float64             `json:"forecast_err_p95"`
-	PerShard       []adserver.OpsStats `json:"per_shard,omitempty"`
-}
-
-// execHealth reports per-shard load so operators (and tests) can see
-// degradation coming: the open impression book, staged-bundle backlog,
-// dedup-window size, whether the shard is currently shedding, and the
-// registry's key totals.
-func (s *ShardedServer) execHealth(struct{}, string) (HealthReply, *httpError) {
-	reply := HealthReply{
-		Status:        "ok",
-		NodeID:        s.nodeID,
-		MaxOpenBook:   s.MaxOpenBook,
-		RequestsTotal: s.reg.CounterTotal(obs.MetricHTTPRequests),
-		ReplayedTotal: s.reg.CounterTotal(obs.MetricHTTPReplays),
-		LastFsyncOK:   true,
-	}
-	if s.wlog != nil {
-		st := s.wlog.Stats()
-		reply.WALEnabled = true
-		reply.ReplayedOps = st.Replayed
-		reply.SnapshotAgePeriods = s.periodEndRounds.Load() - s.lastSnapRound.Load()
-		reply.LastFsyncOK = st.LastFsyncOK
-	}
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		open := sh.srv.OpenBook()
-		shedding := s.shedding(sh)
-		sh.mu.Unlock()
-		staged := 0
-		sh.stagedMu.Lock()
-		for _, ads := range sh.staged {
-			staged += len(ads)
-		}
-		sh.stagedMu.Unlock()
-		if shedding {
-			reply.Status = "shedding"
-		}
-		reply.ShedTotal += sh.shed.Value()
-		reply.Shards = append(reply.Shards, ShardHealth{
-			Shard:     i,
-			OpenBook:  open,
-			StagedAds: staged,
-			DedupKeys: sh.dedup.len(),
-			Shedding:  shedding,
-			Requests:  sh.requests.Value(),
-		})
-	}
-	if reg := s.tenants.Load(); reg != nil {
-		reply.ConfigEpoch = reg.Epoch()
-		reply.Tenants = s.tenantHealth(reg)
-	}
-	return reply, nil
-}
-
-func (s *ShardedServer) execStats(struct{}, string) (StatsReply, *httpError) {
-	// Ops metrics are lock-isolated inside each adserver.Server, so this
-	// takes no shard locks at all: stats scrapes never contend with the
-	// serving path.
-	reply := StatsReply{Shards: len(s.shards)}
-	for _, sh := range s.shards {
-		st := sh.srv.Ops()
-		reply.PerShard = append(reply.PerShard, st)
-		reply.Rounds += st.Rounds
-		reply.ForecastErrP50 += float64(st.Rounds) * st.ForecastErrP50
-		reply.ForecastErrP95 += float64(st.Rounds) * st.ForecastErrP95
-	}
-	if reply.Rounds > 0 {
-		reply.ForecastErrP50 /= float64(reply.Rounds)
-		reply.ForecastErrP95 /= float64(reply.Rounds)
-	}
-	return reply, nil
 }

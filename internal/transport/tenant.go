@@ -21,6 +21,7 @@ package transport
 import (
 	"net/http"
 	"sort"
+	"strconv"
 
 	"repro/internal/auction"
 	"repro/internal/obs"
@@ -171,7 +172,7 @@ func (s *ShardedServer) ApplyConfig(msg ConfigMsg) (ConfigReply, error) {
 	return ConfigReply{Epoch: msg.Epoch, Tenants: len(msg.Tenants), Applied: true}, nil
 }
 
-func (s *ShardedServer) execConfig(msg ConfigMsg, _ string) (ConfigReply, *httpError) {
+func (s *ShardedServer) execConfig(msg ConfigMsg) (ConfigReply, *httpError) {
 	reply, err := s.ApplyConfig(msg)
 	if err != nil {
 		return ConfigReply{}, errf(http.StatusBadRequest, "%s", err.Error())
@@ -234,29 +235,13 @@ func (s *ShardedServer) admitLocked(sh *shardState, client int, nowNS int64, wha
 	return nil
 }
 
-// checkWireTenant refuses a request whose declared tenant contradicts
-// the registry's client attribution. No header, or no registry, passes:
-// the header is a guard, not the attribution source.
-func (s *ShardedServer) checkWireTenant(r *http.Request, clientID int) *httpError {
-	hdr := r.Header.Get(TenantHeader)
-	if hdr == "" {
-		return nil
-	}
-	reg := s.tenants.Load()
-	if reg == nil {
-		return nil
-	}
-	if owner := reg.TenantOf(clientID); owner != hdr {
-		return errf(http.StatusForbidden, "client %d belongs to tenant %q, not %q", clientID, owner, hdr)
-	}
-	return nil
-}
-
-// checkEnvelopeTenant verifies a batch envelope's declared tenant
-// against every sub-op's effective client. One mismatch refuses the
-// whole envelope — nothing executes, matching the envelope validation
-// contract.
-func (s *ShardedServer) checkEnvelopeTenant(env batchMsg) *httpError {
+// checkEnvelopeTenant verifies an envelope's declared tenant (the
+// tenant field, or for a per-op endpoint the X-AdPrefetch-Tenant
+// header) against every sub-op's effective client. One mismatch refuses
+// the whole envelope — nothing executes, matching the envelope
+// validation contract. No declaration, or no registry, passes: the
+// declaration is a guard, not the attribution source.
+func (s *ShardedServer) checkEnvelopeTenant(env *batchMsg) *httpError {
 	if env.Tenant == "" {
 		return nil
 	}
@@ -264,10 +249,14 @@ func (s *ShardedServer) checkEnvelopeTenant(env batchMsg) *httpError {
 	if reg == nil {
 		return nil
 	}
-	for _, op := range env.Ops {
-		client := batchClient(env, op)
+	for i := range env.Ops {
+		client := env.ClientOf(&env.Ops[i])
 		if owner := reg.TenantOf(client); owner != env.Tenant {
-			return errf(http.StatusForbidden, "client %d belongs to tenant %q, not %q", client, owner, env.Tenant)
+			// Built by concatenation, not errf: boxing env.Tenant would leak
+			// the envelope's contents, and a per-op endpoint's one-op
+			// envelope lives on its handler's stack.
+			return &httpError{status: http.StatusForbidden, msg: "client " + strconv.Itoa(client) +
+				" belongs to tenant " + strconv.Quote(owner) + ", not " + strconv.Quote(env.Tenant)}
 		}
 	}
 	return nil

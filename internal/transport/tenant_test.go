@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/adserver"
 	"repro/internal/auction"
+	"repro/internal/envelope"
 	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/shard"
@@ -394,7 +395,7 @@ func TestLedgerTenantViews(t *testing.T) {
 // produce byte-identical sub-op results on identical tenanted stacks,
 // and only a declared tenant switches the frame magic off APB1.
 func TestBatchTenantCodecEquivalence(t *testing.T) {
-	frame, err := appendBatchMsg(nil, batchMsg{Client: 4, Tenant: "pubB",
+	frame, err := envelope.AppendMsg(nil, batchMsg{Client: 4, Tenant: "pubB",
 		Ops: []BatchOp{{Op: OpSlot}}})
 	if err != nil {
 		t.Fatal(err)
@@ -402,7 +403,7 @@ func TestBatchTenantCodecEquivalence(t *testing.T) {
 	if string(frame[:4]) != "APB2" {
 		t.Fatalf("tenant envelope magic %q, want APB2", frame[:4])
 	}
-	frame, err = appendBatchMsg(nil, batchMsg{Client: 4, Ops: []BatchOp{{Op: OpSlot}}})
+	frame, err = envelope.AppendMsg(nil, batchMsg{Client: 4, Ops: []BatchOp{{Op: OpSlot}}})
 	if err != nil {
 		t.Fatal(err)
 	}
