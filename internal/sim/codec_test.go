@@ -81,9 +81,9 @@ func TestBinaryCodecEquivalence(t *testing.T) {
 // TestBinaryCodecEquivalenceUnderChaos replays the codec differential
 // under the partition-free chaos plan: drops, 5xx, lost replies, resets
 // and truncations hit both codecs, and because the fault layer draws
-// per-sub-op identities from the frame itself (binBatchWalk mirrors the
-// binary format), the fault schedules — and therefore the outcomes —
-// must stay aligned exactly.
+// per-sub-op identities from the frame itself (through the same
+// internal/envelope decoder the server uses), the fault schedules — and
+// therefore the outcomes — must stay aligned exactly.
 func TestBinaryCodecEquivalenceUnderChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full HTTP chaos replay x4")

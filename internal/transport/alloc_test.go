@@ -38,6 +38,9 @@ import (
 // never-explained 12 → 13 of the BENCH_ trajectory was the tenant header
 // read.)
 func TestServingAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector; the budget is exact only without it")
+	}
 	const (
 		clients   = 256
 		campaigns = 50

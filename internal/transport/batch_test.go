@@ -66,6 +66,41 @@ func postBatch(t *testing.T, h http.Handler, env batchMsg) (int, BatchReply) {
 	return rec.Code, reply
 }
 
+// sendOp delivers op for client on its per-op endpoint — a GET for
+// bundle and cancelled, the canonical JSON POST for the rest — with the
+// given alternating header names and values (op.Key is not sent; pass
+// the Idempotency-Key header).
+func sendOp(h http.Handler, client int, nowNS int64, op BatchOp, hdr ...string) *httptest.ResponseRecorder {
+	var req *http.Request
+	switch op.Op {
+	case OpBundle:
+		req = httptest.NewRequest("GET", fmt.Sprintf("/v1/bundle?client=%d&now_ns=%d", client, nowNS), nil)
+	case OpCancelled:
+		ids := make([]string, len(op.IDs))
+		for i, id := range op.IDs {
+			ids[i] = fmt.Sprint(id)
+		}
+		req = httptest.NewRequest("GET", fmt.Sprintf("/v1/cancelled?client=%d&ids=%s&now_ns=%d", client, strings.Join(ids, ","), nowNS), nil)
+	default:
+		var body []byte
+		switch op.Op {
+		case OpSlot:
+			body, _ = json.Marshal(slotMsg{Client: client, NowNS: nowNS})
+		case OpReport:
+			body, _ = json.Marshal(reportMsg{Client: client, Impression: op.Impression, NowNS: nowNS})
+		case OpOnDemand:
+			body, _ = json.Marshal(onDemandMsg{Client: client, NowNS: nowNS, Categories: op.Categories, NoRescue: op.NoRescue})
+		}
+		req = httptest.NewRequest("POST", "/v1/"+op.Op, bytes.NewReader(body))
+	}
+	for i := 0; i+1 < len(hdr); i += 2 {
+		req.Header.Set(hdr[i], hdr[i+1])
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
 // startPeriod opens a selling period so slots and reports have stock.
 func startPeriod(t *testing.T, h http.Handler) {
 	t.Helper()
@@ -205,31 +240,7 @@ func TestBatchCrossPathReplay(t *testing.T) {
 
 	// sequential sends the op on its own endpoint under key.
 	sequential := func(client int, op BatchOp, key string) (int, bool, []byte) {
-		var req *http.Request
-		switch op.Op {
-		case OpBundle:
-			req = httptest.NewRequest("GET", fmt.Sprintf("/v1/bundle?client=%d&now_ns=%d", client, now), nil)
-		case OpCancelled:
-			ids := make([]string, len(op.IDs))
-			for i, id := range op.IDs {
-				ids[i] = fmt.Sprint(id)
-			}
-			req = httptest.NewRequest("GET", fmt.Sprintf("/v1/cancelled?client=%d&ids=%s&now_ns=%d", client, strings.Join(ids, ","), now), nil)
-		default:
-			var body []byte
-			switch op.Op {
-			case OpSlot:
-				body, _ = json.Marshal(slotMsg{Client: client, NowNS: now})
-			case OpReport:
-				body, _ = json.Marshal(reportMsg{Client: client, Impression: op.Impression, NowNS: now})
-			case OpOnDemand:
-				body, _ = json.Marshal(onDemandMsg{Client: client, NowNS: now, Categories: op.Categories, NoRescue: op.NoRescue})
-			}
-			req = httptest.NewRequest("POST", "/v1/"+op.Op, bytes.NewReader(body))
-		}
-		req.Header.Set(idempotencyKeyHeader, key)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
+		rec := sendOp(h, client, now, op, idempotencyKeyHeader, key)
 		return rec.Code, rec.Header().Get(obs.ReplayedHeader) == "true", bytes.TrimSpace(rec.Body.Bytes())
 	}
 	codecs := []struct {

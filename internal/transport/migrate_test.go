@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bytes"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -10,28 +8,6 @@ import (
 	"repro/internal/envelope"
 	"repro/internal/tenant"
 )
-
-// sendOp delivers one op for client on its per-op endpoint (GETs for
-// bundle and cancelled, canonical JSON POSTs for the rest) with the
-// given alternating header names and values.
-func sendOp(h http.Handler, kind string, client int, nowNS int64, hdr ...string) *httptest.ResponseRecorder {
-	var req *http.Request
-	switch kind {
-	case OpBundle:
-		req = httptest.NewRequest("GET", fmt.Sprintf("/v1/bundle?client=%d&now_ns=%d", client, nowNS), nil)
-	case OpCancelled:
-		req = httptest.NewRequest("GET", fmt.Sprintf("/v1/cancelled?client=%d&ids=1,2&now_ns=%d", client, nowNS), nil)
-	default: // slot, report (impression 0) and ondemand share the body shape
-		body := fmt.Sprintf(`{"client":%d,"now_ns":%d}`, client, nowNS)
-		req = httptest.NewRequest("POST", "/v1/"+kind, bytes.NewReader([]byte(body)))
-	}
-	for i := 0; i+1 < len(hdr); i += 2 {
-		req.Header.Set(hdr[i], hdr[i+1])
-	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	return rec
-}
 
 // TestMovedClientRefusedOnEveryForm: from the moment a client is
 // extracted its old owner answers 421 for every op kind on every wire
@@ -51,7 +27,7 @@ func TestMovedClientRefusedOnEveryForm(t *testing.T) {
 	now := int64(60e9)
 	for _, kind := range envelope.Kinds {
 		for pass := 0; pass < 2; pass++ { // twice under one key: a stored 421 would replay
-			rec := sendOp(h, kind, moved, now, idempotencyKeyHeader, "mv-"+kind)
+			rec := sendOp(h, moved, now, BatchOp{Op: kind}, idempotencyKeyHeader, "mv-"+kind)
 			if rec.Code != http.StatusMisdirectedRequest || rec.Header().Get("Idempotency-Replayed") != "" {
 				t.Fatalf("%s for a moved client on its endpoint (pass %d): %d %s", kind, pass, rec.Code, rec.Body)
 			}
@@ -62,7 +38,7 @@ func TestMovedClientRefusedOnEveryForm(t *testing.T) {
 				}
 			}
 		}
-		if rec := sendOp(h, kind, stays, now); rec.Code != http.StatusOK && kind != OpReport {
+		if rec := sendOp(h, stays, now, BatchOp{Op: kind}); rec.Code != http.StatusOK && kind != OpReport {
 			t.Fatalf("%s for a client that stayed: %d %s", kind, rec.Code, rec.Body)
 		}
 	}
@@ -83,12 +59,12 @@ func TestCancelledIsGuardedLikeEveryOp(t *testing.T) {
 	}))
 	startPeriod(t, h)
 	for _, kind := range envelope.Kinds {
-		if rec := sendOp(h, kind, 0, 60e9, TenantHeader, "pubB"); rec.Code != http.StatusForbidden {
+		if rec := sendOp(h, 0, 60e9, BatchOp{Op: kind}, TenantHeader, "pubB"); rec.Code != http.StatusForbidden {
 			t.Fatalf("%s declaring the wrong tenant: %d, want 403", kind, rec.Code)
 		}
 	}
 	for _, key := range []string{"", "a-key", "bad key"} {
-		if rec := sendOp(h, OpCancelled, 0, 60e9, TenantHeader, "pubA", idempotencyKeyHeader, key); rec.Code != http.StatusOK {
+		if rec := sendOp(h, 0, 60e9, BatchOp{Op: OpCancelled}, TenantHeader, "pubA", idempotencyKeyHeader, key); rec.Code != http.StatusOK {
 			t.Fatalf("cancelled under key %q: %d %s", key, rec.Code, rec.Body)
 		}
 	}
@@ -110,8 +86,8 @@ func TestShardRequestsCountOncePerRequest(t *testing.T) {
 	now := int64(60e9)
 	want := requests()
 	for _, kind := range envelope.Kinds {
-		sendOp(h, kind, 0, now, idempotencyKeyHeader, "rq-"+kind)
-		sendOp(h, kind, 0, now, idempotencyKeyHeader, "rq-"+kind) // the replay is a request too
+		sendOp(h, 0, now, BatchOp{Op: kind}, idempotencyKeyHeader, "rq-"+kind)
+		sendOp(h, 0, now, BatchOp{Op: kind}, idempotencyKeyHeader, "rq-"+kind) // the replay is a request too
 		postBatch(t, h, batchMsg{Client: 0, NowNS: now, Ops: []BatchOp{{Op: kind}}})
 		want += 3
 		if got := requests(); got != want {
@@ -119,8 +95,19 @@ func TestShardRequestsCountOncePerRequest(t *testing.T) {
 		}
 	}
 	postBatchBinary(t, h, batchMsg{Client: 0, NowNS: now, Ops: []BatchOp{{Op: OpSlot}, {Op: OpCancelled, IDs: []int64{1}}, {Op: OpBundle}}})
-	sendOp(h, OpSlot, 0, now, idempotencyKeyHeader, "bad key") // refused after routing: still a request
+	sendOp(h, 0, now, BatchOp{Op: OpSlot}, idempotencyKeyHeader, "bad key") // refused after routing: still a request
 	if got := requests(); got != want+2 {
 		t.Fatalf("a three-op envelope and a malformed-key request: counted %d, want %d", got, want+2)
+	}
+	// A request refused at decode never reaches a shard, on any endpoint.
+	for _, target := range []string{"/v1/cancelled?client=0&ids=1,x&now_ns=0", "/v1/bundle?client=abc"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("GET %s: %d, want 400", target, rec.Code)
+		}
+	}
+	if got := requests(); got != want+2 {
+		t.Fatalf("malformed queries were counted as shard requests: %d, want %d", got, want+2)
 	}
 }

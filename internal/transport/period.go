@@ -120,7 +120,7 @@ func (s *ShardedServer) execPeriodEnd(msg periodMsg) (PeriodEndReply, *httpError
 	for _, sh := range s.shards {
 		sh.dedup.sweep(now - window)
 	}
-	// The period store itself is locked by the caller (serveIdempotent);
+	// The period store itself is locked by the caller (handlePeriod);
 	// record the cutoff for the route wrapper to sweep after the reply.
 	s.periodSweep.Store(int64(now - window))
 	return reply, nil
@@ -130,7 +130,7 @@ func (s *ShardedServer) execPeriodEnd(msg periodMsg) (PeriodEndReply, *httpError
 // sh.mu must be held. Cached like periodStartShardLocked, and for the
 // same reason. The dedup sweeps stay with the caller (or, on replay,
 // with applyWALRecord): sweeping sh.dedup here would take ds.mu while
-// holding sh.mu, inverting the batch executor's lock order.
+// holding sh.mu, inverting execGroup's lock order.
 func (s *ShardedServer) periodEndShardLocked(sh *shardState, msg periodMsg) int {
 	if r := sh.endRounds[periodKey{msg.NowNS, msg.Index}]; r != nil {
 		return r.Expired

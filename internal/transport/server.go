@@ -24,7 +24,9 @@
 // bundle), each carrying its own idempotency key, executed per shard
 // under a single lock acquisition and answered per-op — the envelope
 // succeeds whenever it was well-formed, and a client retries only the
-// sub-ops that failed. See batch.go and DESIGN.md §5c.
+// sub-ops that failed. The envelope is also the server's one internal
+// form: the per-op endpoints execute as one-op envelopes through the
+// same executor. See ops.go, batch.go and DESIGN.md §5c.
 //
 // Every request the clients send carries X-AdPrefetch-Version with the
 // protocol major version (currently 1); the server echoes its own

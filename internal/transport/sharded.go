@@ -88,7 +88,7 @@ type ShardedServer struct {
 	// which fan out to every shard and so cannot live in one shard's
 	// store. periodSweep carries the latest sweep cutoff out of the
 	// period/end handler: the store's own window cannot be swept while
-	// serveIdempotent holds its lock, so the route wrapper sweeps after
+	// handlePeriod holds its lock, so the route wrapper sweeps after
 	// the response is written.
 	periodDedup dedupStore
 	periodSweep atomic.Int64
