@@ -70,6 +70,18 @@ prof-inproc:
 	go tool pprof -top -nodecount 30 $(PROF_DIR)/inproc.test $(PROF_DIR)/cpu.prof
 	go tool pprof -top -nodecount 20 -sample_index alloc_objects $(PROF_DIR)/inproc.test $(PROF_DIR)/mem.prof
 
+# Wire profile: one diurnal_batched-sized sim.RunTransportStream
+# (BenchmarkDiurnalBatched: device, loopback net/http, handler, engine)
+# under the same two profilers. Start a wire-path change here; confirm it
+# with `bash benchmark/run.sh --workload diurnal_batched`. Add
+# `-memprofilerate 1` to the go test line for exact allocation counts.
+prof-wire:
+	mkdir -p $(PROF_DIR)
+	go test -run '^$$' -bench 'DiurnalBatched' -benchtime 3x -o $(PROF_DIR)/wire.test \
+		-cpuprofile $(PROF_DIR)/wire-cpu.prof -memprofile $(PROF_DIR)/wire-mem.prof .
+	go tool pprof -top -nodecount 30 $(PROF_DIR)/wire.test $(PROF_DIR)/wire-cpu.prof
+	go tool pprof -top -nodecount 30 -sample_index alloc_objects $(PROF_DIR)/wire.test $(PROF_DIR)/wire-mem.prof
+
 # Fuzz tier: every Fuzz* target in the module, FUZZTIME each, stopping
 # at the first crasher (go test writes it under the package's
 # testdata/fuzz; commit it as a regression seed). `go test -fuzz` takes
@@ -91,12 +103,21 @@ fuzz:
 # under chaos, at shards=1 and shards=4), per-sub-op idempotency
 # properties (intra-batch duplicates, envelope resends, partial
 # failure), the frame codec's golden frame and round trips, the fault
-# layer's codec-agnostic identities, and the envelope fuzz seeds.
+# layer's codec-agnostic identities, and the envelope fuzz seeds. The
+# wire codec rides here too: the device's byte golden, the encoder
+# differentials and strict-decoder parity seeds against encoding/json
+# (internal/envelope's own suite and TestWire*/FuzzWireJSONParity), the
+# three codec traps (exact-size stored bodies, keys that outlive the
+# pooled request buffer, reply buffers and request bodies nobody
+# reuses), the FNV and canonical-header one-liners, and the
+# fallback-counters-stay-zero replays (TestBatchWireFallbackStaysZero).
 batch:
 	go test -count=1 ./internal/envelope
-	go test -count=1 -run 'TestBatch|TestBinary|TestSequentialWireGolden|TestServingAllocationBudget' ./internal/transport ./internal/sim
+	go test -count=1 -run 'TestBatch|TestBinary|TestSequentialWireGolden|TestDeviceWireGolden|TestServingAllocationBudget' ./internal/transport ./internal/sim
+	go test -count=1 -run 'TestWireEncoders|TestStoredBodiesAreExactSize|TestKeyedOpsOutliveTheirRequestBuffer|TestReplyBufferMutation|TestRequestBodyIsTheRequestsOwn|TestRequestHashIsFNV1a|TestHeaderConstantsAreCanonical' ./internal/transport
+	go test -count=1 -run 'TestRelayedHeaderNamesAreCanonical' ./internal/cluster
 	go test -count=1 -run 'TestBatchIdentities' ./internal/faults
-	go test -count=1 -run 'FuzzBatchDecode|FuzzBinaryBatchDecode' ./internal/transport
+	go test -count=1 -run 'FuzzBatchDecode|FuzzBinaryBatchDecode|FuzzWireJSONParity' ./internal/transport
 
 # Chaos tier: seeded fault injection (drops, 5xx, lost replies, resets,
 # truncated bodies, one timed shard partition) replayed through the HTTP
@@ -179,4 +200,4 @@ verify: test batch chaos crash cluster migrate stream tenant
 # obs, which let schedule-dependent regressions through.
 verify-full: verify race obs
 
-.PHONY: fmt test race obs bench prof-inproc fuzz chaos batch crash cluster migrate stream tenant mega verify verify-full
+.PHONY: fmt test race obs bench prof-inproc prof-wire fuzz chaos batch crash cluster migrate stream tenant mega verify verify-full

@@ -17,6 +17,7 @@ import (
 	"repro/internal/overbook"
 	"repro/internal/predict"
 	"repro/internal/radio"
+	"repro/internal/sim"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
@@ -236,6 +237,35 @@ func BenchmarkPaperInproc(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(res.Counters.SlotsServed+res.Counters.BundleFetches), "ops")
+	}
+}
+
+// BenchmarkDiurnalBatched is one sim.RunTransportStream at the size of
+// the benchmark's diurnal_batched workload (6 000 streamed devices, one
+// day of 6 h periods, 5 min refresh, 1.5 sessions/day, naive-bulk mode,
+// two shards, the JSON batch wire over loopback HTTP, energy metering,
+// lean results). Like BenchmarkPaperInproc it exists to be profiled:
+// `make prof-wire` runs it under -cpuprofile and -memprofile so a change
+// to the wire path starts from a profile.
+func BenchmarkDiurnalBatched(b *testing.B) {
+	cfg := adprefetch.DefaultSimConfig(adprefetch.ModeNaiveBulk)
+	cfg.TraceCfg.Users = 6000
+	cfg.TraceCfg.Days = 1
+	cfg.TraceCfg.SessionsPerDayMedian = 1.5
+	cfg.WarmupDays = 0
+	cfg.Core.Server.Period = 6 * time.Hour
+	cfg.RefreshInterval = 5 * time.Minute
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := sim.RunTransportStream(cfg, sim.TransportOpts{Shards: 2, Batched: true, Energy: true, Lean: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var ops int64
+		for _, p := range res.StreamPeriods {
+			ops += p.Ops
+		}
+		b.ReportMetric(float64(ops), "ops")
 	}
 }
 

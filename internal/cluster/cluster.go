@@ -572,14 +572,14 @@ type proxied = link.Response
 // Canonical MIME keys: they index http.Header maps directly and travel
 // verbatim in link frames.
 var forwardHeaders = [...]string{
-	"Idempotency-Key", "X-Retry-Attempt", http.CanonicalHeaderKey(transport.VersionHeader), "Content-Type",
-	http.CanonicalHeaderKey(transport.TenantHeader), "Authorization",
+	"Idempotency-Key", "X-Retry-Attempt", transport.VersionHeader, "Content-Type",
+	transport.TenantHeader, "Authorization",
 }
 
 // relayHeaders are the response headers relayed back to the client
 // (canonical keys, as above).
 var relayHeaders = [...]string{
-	"Content-Type", "Retry-After", http.CanonicalHeaderKey(transport.VersionHeader), obs.ReplayedHeader,
+	"Content-Type", "Retry-After", transport.VersionHeader, obs.ReplayedHeader,
 }
 
 // hop carries one buffered exchange from the router to the node at

@@ -394,3 +394,17 @@ func TestRouterProberRejoins(t *testing.T) {
 		t.Fatal("prober never rejoined a healthy node")
 	}
 }
+
+// TestRelayedHeaderNamesAreCanonical: the header lists index http.Header
+// maps directly and travel verbatim in link frames, so every name —
+// transport's and obs's constants included — must already be in
+// canonical MIME form.
+func TestRelayedHeaderNamesAreCanonical(t *testing.T) {
+	names := append(forwardHeaders[:], relayHeaders[:]...)
+	names = append(names, transport.VersionHeader, transport.TenantHeader, obs.ReplayedHeader)
+	for _, k := range names {
+		if http.CanonicalHeaderKey(k) != k {
+			t.Errorf("%q is not canonical (%q)", k, http.CanonicalHeaderKey(k))
+		}
+	}
+}

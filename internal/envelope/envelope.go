@@ -1,6 +1,7 @@
 // Package envelope is the batch envelope's wire form: the value types
-// POST /v1/batch carries (Msg, Op, Result, Reply — their JSON tags are
-// the JSON codec) and the binary APB1/APB2/APR1 frame layout (frame.go).
+// POST /v1/batch carries (Msg, Op, Result, Reply — their JSON tags
+// define the JSON form, json.go is its reflection-free codec) and the
+// binary APB1/APB2/APR1 frame layout (frame.go).
 // It is a leaf: internal/transport executes envelopes, internal/cluster
 // peeks the client id to route them and internal/faults reads sub-op
 // identities out of them, and all three learn the layout here.

@@ -165,3 +165,32 @@ func TestBatchedChaosPartitionConservation(t *testing.T) {
 			LedgerJSON(a.Ledger), a.Net, LedgerJSON(b.Ledger), b.Net)
 	}
 }
+
+// TestBatchWireFallbackStaysZero verifies the traffic rather than
+// guessing it: the shipped device and server exchange only the canonical
+// rendering the strict wire decoders accept, so over a whole replay — on
+// the per-op wire, the JSON envelope and the binary frame — neither
+// side's fallback counter (decodes the strict scanner declined and
+// encoding/json took over) moves.
+func TestBatchWireFallbackStaysZero(t *testing.T) {
+	cfg := transportConfig()
+	for label, o := range map[string]TransportOpts{
+		"sequential":   {Shards: 2, Workers: 4},
+		"json batch":   {Shards: 2, Workers: 4, Batched: true},
+		"binary batch": {Shards: 2, Workers: 4, Batched: true, BinaryBatch: true},
+	} {
+		res, err := RunTransportStream(cfg, o)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if res.ClientObs.CounterTotal("client_attempts_total") == 0 || res.Ledger.Billed == 0 {
+			t.Fatalf("%s: inert run", label)
+		}
+		if n := res.Obs.CounterTotal("transport_wire_fallback_total"); n != 0 {
+			t.Errorf("%s: the server fell back to encoding/json on %d request bodies", label, n)
+		}
+		if n := res.ClientObs.CounterTotal("client_wire_fallback_total"); n != 0 {
+			t.Errorf("%s: devices fell back to encoding/json on %d reply bodies", label, n)
+		}
+	}
+}

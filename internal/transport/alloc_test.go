@@ -10,33 +10,37 @@ import (
 
 // TestServingAllocationBudget pins, exactly, what one request allocates
 // on the serving path — mux, version gate, metrics middleware, pooled
-// body read, the envelope executor, the pre-marshaled reply — with the
-// request, body reader and response writer reused (reusedPost), so a
-// change that adds an allocation per op fails tier-1 instead of waiting
-// for a benchmark run. A lower number is an improvement: update it here.
+// body read, the strict wire decoder, the envelope executor, the reply
+// renderer — with the request, body reader and response writer reused
+// (reusedPost), so a change that adds an allocation per op fails tier-1
+// instead of waiting for a benchmark run. A lower number is an
+// improvement: update it here.
 //
-// POST /v1/slot, unkeyed, allocates 11 (alloc_objects profile of
-// BenchmarkSequentialServing, -memprofilerate 1):
+// From alloc_objects profiles of BenchmarkSequentialServing and
+// BenchmarkBatchCodec (-memprofilerate 1, -cpu 1):
 //
-//	3  textproto.canonicalMIMEHeaderKey: "X-AdPrefetch-Version" (set on
-//	   the reply, then read off the request) and "X-AdPrefetch-Tenant"
-//	   (read) are not in canonical MIME form, so every Header.Set/Get
-//	   re-canonicalizes them into a fresh string
-//	2  the []string value slices of the two reply headers
-//	   (X-Adprefetch-Version, Content-Type)
-//	1  jsonReq: the decoded slotMsg escapes through json.Unmarshal's `any`
-//	1  json.Unmarshal's decodeState
-//	2  decodeState.object: the errorContext and its FieldStack
-//	1  the scanner's parse-state stack
-//	1  putBodyBuf: the *[]byte boxed into the body pool
+// POST /v1/slot, unkeyed, allocates 1:
 //
-// The executor itself adds none: the one-op envelope lives on the
-// handler's stack, {} is a shared constant, and the WAL's op copy is made
-// only when a log is attached. (The 13 this path measured before it
-// became a one-op envelope were these 11 plus the one-op WAL envelope
-// and its interface box, built even with no WAL attached — the
-// never-explained 12 → 13 of the BENCH_ trajectory was the tenant header
-// read.)
+//	1  putBodyBuf: the request buffer's *[]byte boxed into bodyPool
+//
+// The three-op envelope (slot, cancellation probe of two ids, bundle
+// poll; unkeyed) allocates 5 in either codec:
+//
+//	2  the decoded envelope: its []Op and the probe's []int64
+//	   (envelope.ScanMsg for JSON, envelope.DecodeMsg for the frame)
+//	1  cancelledReplyBody: the probe's reply, rendered at its exact size
+//	2  putBodyBuf: the request buffer and the reply buffer
+//
+// Everything else stays off the heap: the header names are canonical
+// constants and the constant header values shared slices, the decoded
+// request and the one-op envelope live on the handler's stack (as do an
+// envelope's results, wire results and group index up to wakeupOps ops),
+// {} and the empty bundle are shared constants, and the WAL's op copy is
+// made only when a log is attached. Before the wire codec (ISSUE 23)
+// these were 11 · 30 · 17: encoding/json's decodeState, error context,
+// scanner stack and reflective encoder, three header re-canonicalisations
+// and two value slices per reply, and handleBatch's result, group and
+// wire-result slices.
 func TestServingAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector; the budget is exact only without it")
@@ -62,9 +66,9 @@ func TestServingAllocationBudget(t *testing.T) {
 		bodies                  [][]byte
 		want                    float64
 	}{
-		{"slot unkeyed", "/v1/slot", "", slots, 11},
-		{"three-op envelope, JSON", "/v1/batch", "application/json", batchCodecEnvelopes(t, clients, false), 30},
-		{"three-op envelope, binary", "/v1/batch", envelope.ContentType, batchCodecEnvelopes(t, clients, true), 17},
+		{"slot unkeyed", "/v1/slot", "", slots, 1},
+		{"three-op envelope, JSON", "/v1/batch", "application/json", batchCodecEnvelopes(t, clients, false), 5},
+		{"three-op envelope, binary", "/v1/batch", envelope.ContentType, batchCodecEnvelopes(t, clients, true), 5},
 	} {
 		post, n := reusedPost(h, tc.path, tc.contentType), 0
 		got := testing.AllocsPerRun(runs, func() {

@@ -37,6 +37,11 @@ const BinaryBatchContentType = envelope.ContentType
 // appends to the version header ("1;bin").
 const binVersionToken = "bin"
 
+// wakeupOps sizes handleBatch's stack-resident working arrays: a
+// device's wake-up envelope (queued reports, slot, cancellation probe,
+// bundle or on-demand) rarely carries more ops than this.
+const wakeupOps = 8
+
 // DefaultMaxBatchOps bounds how many sub-operations one POST /v1/batch
 // envelope may carry when ShardedServer.MaxBatchOps is unset. The bound
 // keeps a single request's lock hold time proportional to one device's
@@ -81,8 +86,15 @@ func (s *ShardedServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "malformed request: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-	} else if !decodeBytes(w, body, &env) {
-		return
+	} else if env, ok = envelope.ScanMsg(body); !ok {
+		// Not the canonical rendering the shipped client sends: counted,
+		// and encoding/json decides value, status and error text.
+		s.wireFallback.Inc()
+		var slow batchMsg // escapes into json.Unmarshal's any: allocated on this path only
+		if !decodeBytes(w, body, &slow) {
+			return
+		}
+		env = slow
 	}
 	limit := s.MaxBatchOps
 	if limit <= 0 {
@@ -102,40 +114,78 @@ func (s *ShardedServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, herr.msg, herr.status)
 		return
 	}
-	out := make([]stored, len(env.Ops))
-	groups := make([][]int, len(s.shards))
+	// A device's wake-up is a handful of ops for one client, hence one
+	// shard: its results, wire results and group index fit these
+	// stack-resident arrays, and only larger or cross-shard envelopes
+	// allocate.
+	var (
+		outArr [wakeupOps]stored
+		resArr [wakeupOps]BatchOpResult
+		idxArr [wakeupOps]int
+	)
+	out, results := outArr[:0], resArr[:0]
+	if len(env.Ops) > wakeupOps {
+		out, results = make([]stored, 0, len(env.Ops)), make([]BatchOpResult, 0, len(env.Ops))
+	}
+	out = out[:len(env.Ops)]
+	valid := idxArr[:0]
+	first, oneShard := -1, true
 	for i := range env.Ops {
 		op := &env.Ops[i]
 		if herr := validateBatchOp(op); herr != nil {
-			out[i] = storedReply(nil, herr)
+			out[i] = refused(herr)
 			s.batchInvalid.Inc()
 			continue
 		}
 		si := s.shardFor(env.ClientOf(op)).idx
-		groups[si] = append(groups[si], i)
+		if first < 0 {
+			first = si
+		}
+		oneShard = oneShard && si == first
+		valid = append(valid, i)
 		s.batchSubops[op.Op].Inc()
 	}
-	for si, idxs := range groups {
-		if len(idxs) > 0 {
-			s.shards[si].requests.Inc()
-			s.execGroup(s.shards[si], &env, idxs, nil, out)
+	switch {
+	case len(valid) == 0:
+	case oneShard:
+		s.shards[first].requests.Inc()
+		s.execGroup(s.shards[first], &env, valid, nil, out)
+	default:
+		groups := make([][]int, len(s.shards))
+		for _, i := range valid {
+			si := s.shardFor(env.ClientOf(&env.Ops[i])).idx
+			groups[si] = append(groups[si], i)
+		}
+		for si, idxs := range groups {
+			if len(idxs) > 0 {
+				s.shards[si].requests.Inc()
+				s.execGroup(s.shards[si], &env, idxs, nil, out)
+			}
 		}
 	}
 	s.batchSize.Observe(int64(len(env.Ops)))
 	s.batchSaved.Add(int64(len(env.Ops) - 1))
 	// The one conversion from the executor's currency to the wire result.
-	results := make([]BatchOpResult, len(out))
 	for i, r := range out {
-		results[i] = opResult(env.Ops[i].Op, r)
+		results = append(results, opResult(env.Ops[i].Op, r))
 	}
+	buf := getBodyBuf()
 	if binFrame {
-		buf := envelope.AppendReply(getBodyBuf(), results)
-		w.Header().Set("Content-Type", BinaryBatchContentType)
-		w.Write(buf)
+		buf = envelope.AppendReply(buf, results)
+		w.Header()["Content-Type"] = binContentType
+	} else if buf, ok = envelope.AppendReplyJSON(buf, results); ok {
+		buf = append(buf, '\n')
+		w.Header()["Content-Type"] = jsonContentType
+	} else {
+		// An error text that needs escaping (it quotes the client's own
+		// bytes back): encoding/json renders the reply. The copy keeps
+		// the results array off the heap on every other path.
 		putBodyBuf(buf)
+		writeJSON(w, BatchReply{Results: append([]BatchOpResult(nil), results...)})
 		return
 	}
-	writeJSON(w, BatchReply{Results: results})
+	w.Write(buf)
+	putBodyBuf(buf)
 }
 
 // opResult converts a stored-form response into the wire result.

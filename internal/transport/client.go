@@ -118,19 +118,26 @@ func (e *StatusError) Error() string { return e.Msg }
 // seeded virtual backoff, and optional radio-model energy charging.
 type caller struct {
 	http *http.Client
-	base string
+	// base is the server's base URL, parsed once; baseErr is what
+	// parsing it said, reported by every request (as http.NewRequest
+	// reported it when each request re-parsed the string).
+	base    *url.URL
+	baseErr error
 
 	// Retry is the resilience policy; adjust before first use.
 	Retry RetryPolicy
 
-	jitter     *simclock.Rand
-	keyPrefix  string
-	tenant     string
-	seq        int64
-	meter      *radio.Radio
-	lastCharge simclock.Time
-	net        NetCounters
-	cm         clientMetrics
+	jitter    *simclock.Rand
+	keyPrefix string
+	tenant    string
+	// tenantValue is the tenant header's value slice, built once and
+	// never mutated (see versionValue for why that matters).
+	tenantValue []string
+	seq         int64
+	meter       *radio.Radio
+	lastCharge  simclock.Time
+	net         NetCounters
+	cm          clientMetrics
 }
 
 // newCaller builds the request engine from resolved options.
@@ -149,9 +156,8 @@ func newCaller(baseURL, keyPrefix string, defaultSeed int64, o options) caller {
 	if o.seed != nil {
 		seed = *o.seed
 	}
-	return caller{
+	c := caller{
 		http:      hc,
-		base:      strings.TrimRight(baseURL, "/"),
 		Retry:     retry,
 		jitter:    simclock.NewLightRand(seed).Stream("transport-retry"),
 		keyPrefix: keyPrefix,
@@ -159,12 +165,23 @@ func newCaller(baseURL, keyPrefix string, defaultSeed int64, o options) caller {
 		meter:     o.meter,
 		cm:        newClientMetrics(o.registry),
 	}
+	if c.base, c.baseErr = url.Parse(strings.TrimRight(baseURL, "/")); c.baseErr == nil {
+		c.base.Host = strings.TrimSuffix(c.base.Host, ":") // "host:" means "host", as http.NewRequest reads it
+	}
+	if o.tenant != "" {
+		c.tenantValue = []string{o.tenant}
+	}
+	return c
 }
 
-// nextKey mints the idempotency key for one logical request.
+// nextKey mints the idempotency key for one logical request:
+// "<prefix>-<seq>".
 func (c *caller) nextKey() string {
 	c.seq++
-	return fmt.Sprintf("%s-%d", c.keyPrefix, c.seq)
+	var buf [32]byte
+	b := append(buf[:0], c.keyPrefix...)
+	b = append(b, '-')
+	return string(strconv.AppendInt(b, c.seq, 10))
 }
 
 // backoff returns the virtual delay before retry number k (1-based).
@@ -195,22 +212,25 @@ func (c *caller) chargeRetry(at simclock.Time, bytes int64) {
 	}
 }
 
-// do issues one logical request with bounded retries. now anchors the
-// virtual timeline of the attempts. key may be empty for requests that
-// need no server-side dedup (idempotent reads).
-func (c *caller) do(now simclock.Time, method, path string, body []byte, key string, out any) error {
-	return c.doDecode(now, method, path, "application/json", body, key, func(resp *http.Response) error {
-		return readJSON(path, resp, out)
-	})
-}
+// jsonBody is the content type of every request body but the binary
+// batch frame.
+const jsonBody = "application/json"
 
-// doDecode is do with an explicit request content type and response
-// decoder, for requests that speak something other than plain JSON
-// (the binary batch codec).
-func (c *caller) doDecode(now simclock.Time, method, path, contentType string, body []byte, key string, decode func(*http.Response) error) error {
+// do issues one logical request with bounded retries and decodes its
+// 200 reply into out (see decodeReply for the types). now anchors the
+// virtual timeline of the attempts. uri is the request's path plus any
+// query string, relative to the base URL; contentType describes body
+// and is ignored without one. key may be empty for requests that need
+// no server-side dedup (idempotent reads).
+func (c *caller) do(now simclock.Time, method, uri, contentType string, body []byte, key string, out any) error {
 	attempts := c.Retry.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
+	}
+	// One value slice serves every attempt: built once, never mutated.
+	var keyValue []string
+	if key != "" {
+		keyValue = []string{key}
 	}
 	at := now
 	var lastErr error
@@ -233,7 +253,7 @@ func (c *caller) doDecode(now simclock.Time, method, path, contentType string, b
 		floor = 0
 		c.net.Attempts++
 		c.cm.attempts.Inc()
-		err := c.send(method, path, contentType, body, key, attempt, decode)
+		err := c.send(method, uri, contentType, body, keyValue, attempt, out)
 		if err == nil {
 			return nil
 		}
@@ -251,50 +271,84 @@ func (c *caller) doDecode(now simclock.Time, method, path, contentType string, b
 	}
 	c.net.Unreachable++
 	c.cm.unreachable.Inc()
-	return fmt.Errorf("%w: %s %s after %d attempts: %v", ErrUnreachable, method, path, attempts, lastErr)
+	return fmt.Errorf("%w: %s %s after %d attempts: %v", ErrUnreachable, method, uri, attempts, lastErr)
 }
 
-func (c *caller) send(method, path, contentType string, body []byte, key string, attempt int, decode func(*http.Response) error) error {
-	var rd io.Reader
+// attemptValues are the X-Retry-Attempt value slices of the attempts a
+// default policy can make; shared and never mutated.
+var attemptValues = [...][]string{{"1"}, {"2"}, {"3"}, {"4"}}
+
+// send makes one HTTP attempt. The request is built by hand — what
+// http.NewRequest builds, minus re-parsing the base URL — with its
+// headers assigned under their canonical keys, the constant values as
+// shared slices. The body is a *bytes.Reader over the caller's own
+// buffer with ContentLength and GetBody set, exactly as http.NewRequest
+// arranges for that reader type: net/http then writes head and body in
+// one flush and can re-send on a dead pooled connection. Neither the
+// reader nor the buffer is pooled — the transport's write loop may
+// still hold them after Do returns an error.
+func (c *caller) send(method, uri, contentType string, body []byte, keyValue []string, attempt int, out any) error {
+	if c.baseErr != nil {
+		return fmt.Errorf("transport: %s %s: %w", method, uri, c.baseErr)
+	}
+	u := *c.base
+	path, query, _ := strings.Cut(uri, "?")
+	if u.Path != "" {
+		path = u.Path + path
+	}
+	u.Path, u.RawPath, u.RawQuery = path, "", query
+	hdr := make(http.Header, 6)
+	req := &http.Request{
+		Method: method, URL: &u, Host: u.Host, Header: hdr,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+	}
+	version := versionValue
 	if body != nil {
-		rd = bytes.NewReader(body)
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		req.ContentLength = int64(len(body))
+		req.GetBody = func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(body)), nil
+		}
+		if contentType == BinaryBatchContentType {
+			// Advertise the binary capability as a version token; servers
+			// that predate it ignore unknown tokens and the 400 their JSON
+			// decode answers drives the client's JSON fallback.
+			hdr["Content-Type"], version = binContentType, versionBinValue
+		} else {
+			hdr["Content-Type"] = jsonContentType
+		}
 	}
-	req, err := http.NewRequest(method, c.base+path, rd)
-	if err != nil {
-		return fmt.Errorf("transport: %s %s: %w", method, path, err)
+	if keyValue != nil {
+		hdr[idempotencyKeyHeader] = keyValue
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", contentType)
+	if c.tenantValue != nil {
+		hdr[TenantHeader] = c.tenantValue
 	}
-	if key != "" {
-		req.Header.Set(idempotencyKeyHeader, key)
+	if attempt <= len(attemptValues) {
+		hdr[attemptHeader] = attemptValues[attempt-1]
+	} else {
+		hdr[attemptHeader] = []string{strconv.Itoa(attempt)}
 	}
-	if c.tenant != "" {
-		req.Header.Set(TenantHeader, c.tenant)
-	}
-	req.Header.Set(attemptHeader, strconv.Itoa(attempt))
-	version := strconv.Itoa(ProtocolVersion)
-	if contentType == BinaryBatchContentType {
-		// Advertise the binary capability as a version token; servers
-		// that predate it ignore unknown tokens and the 400 their JSON
-		// decode answers drives the client's JSON fallback.
-		version += ";" + binVersionToken
-	}
-	req.Header.Set(VersionHeader, version)
+	hdr[VersionHeader] = version
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return fmt.Errorf("transport: %s %s: %w", method, path, err)
+		return fmt.Errorf("transport: %s %s: %w", method, uri, err)
 	}
-	return decode(resp)
+	data, err := readReply(uri, resp)
+	if err != nil {
+		return err
+	}
+	return c.decodeReply(uri, envelope.IsBinary(resp.Header.Get("Content-Type")), data, out)
 }
 
-// post marshals in and POSTs it under the given idempotency key.
-func (c *caller) post(now simclock.Time, path string, in any, key string, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("transport: encoding %s: %w", path, err)
-	}
-	return c.do(now, http.MethodPost, path, body, key, out)
+// post POSTs a rendered JSON body under the given idempotency key.
+func (c *caller) post(now simclock.Time, path string, body []byte, key string, out any) error {
+	return c.do(now, http.MethodPost, path, jsonBody, body, key, out)
+}
+
+// get issues a bodyless GET.
+func (c *caller) get(now simclock.Time, uri, key string, out any) error {
+	return c.do(now, http.MethodGet, uri, "", nil, key, out)
 }
 
 // Net returns the accumulated transport-resilience counters.
@@ -402,12 +456,9 @@ func (d *Device) FetchBundle(now simclock.Time) (int, error) {
 		return d.batchedFetchBundle(now)
 	}
 	d.FlushDeferred(now)
-	q := url.Values{
-		"client": {strconv.Itoa(d.ID)},
-		"now_ns": {strconv.FormatInt(int64(now), 10)},
-	}
+	var uri [64]byte
 	var reply BundleReply
-	if err := d.do(now, http.MethodGet, "/v1/bundle?"+q.Encode(), nil, d.nextKey(), &reply); err != nil {
+	if err := d.get(now, string(appendBundleURI(uri[:0], d.ID, int64(now))), d.nextKey(), &reply); err != nil {
 		if errors.Is(err, ErrUnreachable) {
 			d.net.LostBundles++
 			return 0, nil
@@ -445,7 +496,7 @@ func (d *Device) ObserveSlot(now simclock.Time) error {
 	if d.batching {
 		return d.batchedObserveSlot(now)
 	}
-	err := d.post(now, "/v1/slot", slotMsg{Client: d.ID, NowNS: int64(now)}, d.nextKey(), &struct{}{})
+	err := d.postSlot(now)
 	if errors.Is(err, ErrUnreachable) {
 		d.net.LostObservations++
 		return nil
@@ -466,7 +517,7 @@ func (d *Device) HandleSlot(now simclock.Time, cats []trace.Category) (SlotOutco
 	var out SlotOutcome
 	d.FlushDeferred(now)
 	degraded := false
-	if err := d.post(now, "/v1/slot", slotMsg{Client: d.ID, NowNS: int64(now)}, d.nextKey(), &struct{}{}); err != nil {
+	if err := d.postSlot(now); err != nil {
 		if !errors.Is(err, ErrUnreachable) {
 			return out, err
 		}
@@ -486,7 +537,7 @@ func (d *Device) HandleSlot(now simclock.Time, cats []trace.Category) (SlotOutco
 		out.Impression = ad.ID
 		msg := reportMsg{Client: d.ID, Impression: int64(ad.ID), NowNS: int64(now)}
 		key := d.nextKey()
-		if err := d.post(now, "/v1/report", msg, key, &struct{}{}); err != nil {
+		if err := d.postReport(now, msg, key); err != nil {
 			if !errors.Is(err, ErrUnreachable) {
 				return out, err
 			}
@@ -513,7 +564,7 @@ func (d *Device) HandleSlot(now simclock.Time, cats []trace.Category) (SlotOutco
 	}
 	var reply OnDemandReply
 	msg := onDemandMsg{Client: d.ID, NowNS: int64(now), Categories: catNames, NoRescue: d.NoRescue}
-	if err := d.post(now, "/v1/ondemand", msg, d.nextKey(), &reply); err != nil {
+	if err := d.post(now, "/v1/ondemand", onDemandBody(nil, msg), d.nextKey(), &reply); err != nil {
 		if !errors.Is(err, ErrUnreachable) {
 			return out, err
 		}
@@ -535,6 +586,20 @@ func (d *Device) HandleSlot(now simclock.Time, cats []trace.Category) (SlotOutco
 	return out, nil
 }
 
+// postSlot sends one slot observation under a fresh key. The body is
+// the device's own buffer (see send); 64 bytes hold any slot or report
+// body.
+func (d *Device) postSlot(now simclock.Time) error {
+	body := appendSlotMsg(make([]byte, 0, 64), d.ID, int64(now))
+	return d.post(now, "/v1/slot", body, d.nextKey(), &struct{}{})
+}
+
+// postReport sends one display report under its key.
+func (d *Device) postReport(now simclock.Time, msg reportMsg, key string) error {
+	body := appendReportMsg(make([]byte, 0, 64), msg.Client, msg.Impression, msg.NowNS)
+	return d.post(now, "/v1/report", body, key, &struct{}{})
+}
+
 // FlushDeferred attempts to deliver queued display reports. It stops at
 // the first unreachable error (the link is still down) and drops
 // reports the server definitively rejects (e.g. the impression expired
@@ -549,7 +614,7 @@ func (d *Device) FlushDeferred(now simclock.Time) {
 	}
 	for len(d.deferred) > 0 {
 		dr := d.deferred[0]
-		err := d.post(now, "/v1/report", dr.msg, dr.key, &struct{}{})
+		err := d.postReport(now, dr.msg, dr.key)
 		switch {
 		case err == nil:
 		case errors.Is(err, ErrUnreachable):
@@ -585,17 +650,9 @@ func (d *Device) refreshCancellations(now simclock.Time) error {
 	if len(raw) == 0 {
 		return nil
 	}
-	ids := make([]string, len(raw))
-	for i, id := range raw {
-		ids[i] = strconv.FormatInt(id, 10)
-	}
-	q := url.Values{
-		"client": {strconv.Itoa(d.ID)},
-		"ids":    {strings.Join(ids, ",")},
-		"now_ns": {strconv.FormatInt(int64(now), 10)},
-	}
+	var uri [128]byte
 	var reply CancelledReply
-	if err := d.do(now, http.MethodGet, "/v1/cancelled?"+q.Encode(), nil, d.nextKey(), &reply); err != nil {
+	if err := d.get(now, string(appendCancelledURI(uri[:0], d.ID, raw, int64(now))), d.nextKey(), &reply); err != nil {
 		return err
 	}
 	for _, id := range reply.Cancelled {
@@ -604,12 +661,14 @@ func (d *Device) refreshCancellations(now simclock.Time) error {
 	return nil
 }
 
-// readJSON consumes an HTTP response: non-200 statuses become a
-// StatusError, 200 bodies decode into out. The body is always drained
-// before close so the keep-alive connection returns to the pool instead
-// of being torn down (trailing bytes — or an error's tail past the
-// quoted 512 — would otherwise kill reuse).
-func readJSON(path string, resp *http.Response, out any) error {
+// readReply consumes an HTTP response, the one place both reply forms
+// pass through: a non-200 status becomes a StatusError (with a 429's
+// Retry-After), a 200 is read whole, in one buffer sized from
+// Content-Length. The body is always drained before close so the
+// keep-alive connection returns to the pool instead of being torn down
+// (trailing bytes — or an error's tail past the quoted 512 — would
+// otherwise kill reuse).
+func readReply(uri string, resp *http.Response) ([]byte, error) {
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
@@ -617,51 +676,77 @@ func readJSON(path string, resp *http.Response, out any) error {
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		ra, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
-		return &StatusError{
+		return nil, &StatusError{
 			Status:     resp.StatusCode,
-			Msg:        fmt.Sprintf("transport: %s: %s: %s", path, resp.Status, strings.TrimSpace(string(msg))),
+			Msg:        fmt.Sprintf("transport: %s: %s: %s", uri, resp.Status, strings.TrimSpace(string(msg))),
 			RetryAfter: ra,
 		}
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("transport: decoding %s: %w", path, err)
+	// One spare byte lets the read that reports EOF land without growing
+	// the buffer (io.ReadAll's loop, with the size known up front).
+	size := resp.ContentLength
+	if size < 0 {
+		size = 511 // unknown (chunked): io.ReadAll's starting size
 	}
-	return nil
+	data := make([]byte, 0, size+1)
+	for {
+		n, err := resp.Body.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("transport: reading %s: %w", uri, err)
+		}
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+	}
 }
 
-// readBatchReply consumes a /v1/batch response in whichever codec the
-// server answered: the binary frame when the reply Content-Type declares
-// it, JSON otherwise (the fallback when a server did not speak the
-// binary codec). Non-200 statuses become StatusError exactly like
-// readJSON.
-func readBatchReply(resp *http.Response, out *BatchReply) error {
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		ra, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
-		return &StatusError{
-			Status:     resp.StatusCode,
-			Msg:        fmt.Sprintf("transport: /v1/batch: %s: %s", resp.Status, strings.TrimSpace(string(msg))),
-			RetryAfter: ra,
+// decodeReply decodes a 200 reply body into out: a *BatchReply (binary
+// says the reply declared the binary frame; a JSON reply's Result.Body
+// values alias data), one of the op replies scanReplyInto knows, or a
+// func([]byte) error for callers that bring their own decoder (it runs
+// here so that a reply it rejects — a truncated one, under chaos — fails
+// the attempt and is retried like any other). Bytes the strict decoders
+// decline are counted and decoded by encoding/json exactly as every
+// reply used to be — one value off the front of the body.
+func (c *caller) decodeReply(uri string, binary bool, data []byte, out any) error {
+	switch out := out.(type) {
+	case func([]byte) error:
+		return out(data)
+	case *BatchReply:
+		if binary {
+			reply, err := envelope.DecodeReply(data)
+			if err != nil {
+				return fmt.Errorf("transport: decoding %s: %w", uri, err)
+			}
+			*out = reply
+			return nil
+		}
+		var ok bool
+		if *out, ok = envelope.ScanReply(data); ok {
+			return nil
+		}
+	default:
+		if scanReplyInto(data, out) {
+			return nil
 		}
 	}
-	if envelope.IsBinary(resp.Header.Get("Content-Type")) {
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return fmt.Errorf("transport: reading /v1/batch reply: %w", err)
-		}
-		reply, err := envelope.DecodeReply(data)
-		if err != nil {
-			return fmt.Errorf("transport: decoding /v1/batch: %w", err)
-		}
-		*out = reply
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("transport: decoding /v1/batch: %w", err)
+	c.cm.wireFallback.Inc()
+	return decodeJSONReply(uri, data, out)
+}
+
+// jsonReplyInto is the coordinator's reply decoder for caller.do.
+func jsonReplyInto(uri string, out any) func([]byte) error {
+	return func(data []byte) error { return decodeJSONReply(uri, data, out) }
+}
+
+// decodeJSONReply is encoding/json's reading of a reply body.
+func decodeJSONReply(uri string, data []byte, out any) error {
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(out); err != nil {
+		return fmt.Errorf("transport: decoding %s: %w", uri, err)
 	}
 	return nil
 }
@@ -684,34 +769,51 @@ func NewCoordinator(baseURL string, opts ...Option) *Coordinator {
 // StartPeriod opens a prefetch round.
 func (c *Coordinator) StartPeriod(now simclock.Time, index, ofDay int, weekend bool) (PeriodStartReply, error) {
 	var reply PeriodStartReply
-	err := c.post(now, "/v1/period/start", periodMsg{NowNS: int64(now), Index: index, OfDay: ofDay, Weekend: weekend}, c.nextKey(), &reply)
+	err := c.period(now, "/v1/period/start", periodMsg{NowNS: int64(now), Index: index, OfDay: ofDay, Weekend: weekend}, &reply)
 	return reply, err
 }
 
 // EndPeriod closes a round (train + sweep).
 func (c *Coordinator) EndPeriod(now simclock.Time, index, ofDay int, weekend bool) (PeriodEndReply, error) {
 	var reply PeriodEndReply
-	err := c.post(now, "/v1/period/end", periodMsg{NowNS: int64(now), Index: index, OfDay: ofDay, Weekend: weekend}, c.nextKey(), &reply)
+	err := c.period(now, "/v1/period/end", periodMsg{NowNS: int64(now), Index: index, OfDay: ofDay, Weekend: weekend}, &reply)
 	return reply, err
+}
+
+// The coordinator's traffic is a few requests per period, not per
+// wake-up: encoding/json renders its bodies and reads its replies.
+
+// period sends one period round.
+func (c *Coordinator) period(now simclock.Time, path string, msg periodMsg, out any) error {
+	body, err := json.Marshal(msg)
+	if err != nil {
+		return fmt.Errorf("transport: encoding %s: %w", path, err)
+	}
+	return c.post(now, path, body, c.nextKey(), jsonReplyInto(path, out))
+}
+
+// view fetches one of the read-only views.
+func (c *Coordinator) view(path string, out any) error {
+	return c.get(0, path, "", jsonReplyInto(path, out))
 }
 
 // Ledger fetches the exchange ledger snapshot.
 func (c *Coordinator) Ledger() (auction.Ledger, error) {
 	var l auction.Ledger
-	err := c.do(0, http.MethodGet, "/v1/ledger", nil, "", &l)
+	err := c.view("/v1/ledger", &l)
 	return l, err
 }
 
 // Stats fetches the merged ops snapshot.
 func (c *Coordinator) Stats() (StatsReply, error) {
 	var st StatsReply
-	err := c.do(0, http.MethodGet, "/v1/stats", nil, "", &st)
+	err := c.view("/v1/stats", &st)
 	return st, err
 }
 
 // Health fetches the per-shard health snapshot.
 func (c *Coordinator) Health() (HealthReply, error) {
 	var h HealthReply
-	err := c.do(0, http.MethodGet, "/v1/health", nil, "", &h)
+	err := c.view("/v1/health", &h)
 	return h, err
 }

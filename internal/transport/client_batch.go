@@ -58,14 +58,19 @@ func (d *Device) sendBatch(now simclock.Time, ops []BatchOp) ([]BatchOpResult, e
 	// Pin every op's timestamp: follow-up envelopes advance their own
 	// now_ns with the backoff, and an op inheriting the new default
 	// would hash as a different request (409) instead of replaying.
+	// (One shared timestamp: nothing writes through an op's pointers.)
+	ns := int64(now)
 	for i := range ops {
 		if ops[i].NowNS == nil {
-			ns := int64(now)
 			ops[i].NowNS = &ns
 		}
 	}
 	var reply BatchReply
-	if _, err := d.postBatch(now, batchMsg{Client: d.ID, NowNS: int64(now), Tenant: d.tenant, Ops: ops}, d.nextKey(), &reply); err != nil {
+	body, err := d.encodeBatch(&batchMsg{Client: d.ID, NowNS: int64(now), Tenant: d.tenant, Ops: ops})
+	if err != nil {
+		return nil, err
+	}
+	if err := d.postBatch(now, body, d.nextKey(), &reply); err != nil {
 		return nil, err
 	}
 	if len(reply.Results) != len(ops) {
@@ -95,13 +100,17 @@ func (d *Device) sendBatch(now simclock.Time, ops []BatchOp) ([]BatchOpResult, e
 		for j, i := range retry {
 			sub[j] = ops[i]
 		}
-		env := batchMsg{Client: d.ID, NowNS: int64(at), Tenant: d.tenant, Ops: sub}
-		d.chargeRetry(at, int64(d.envelopeLen(env))+retryOverheadBytes)
+		// Rendered once: the radio is charged the bytes that are sent.
+		body, err := d.encodeBatch(&batchMsg{Client: d.ID, NowNS: int64(at), Tenant: d.tenant, Ops: sub})
+		if err != nil {
+			break
+		}
+		d.chargeRetry(at, int64(len(body))+retryOverheadBytes)
 		d.net.Retries++
 		d.cm.retries.Inc()
 		d.cm.backoffNS.Add(int64(bo))
 		var subReply BatchReply
-		if _, err := d.postBatch(at, env, d.nextKey(), &subReply); err != nil {
+		if err := d.postBatch(at, body, d.nextKey(), &subReply); err != nil {
 			break // carrier down again; callers see the stale statuses
 		}
 		if len(subReply.Results) != len(sub) {
@@ -114,44 +123,53 @@ func (d *Device) sendBatch(now simclock.Time, ops []BatchOp) ([]BatchOpResult, e
 	return results, nil
 }
 
-// postBatch delivers one envelope in the device's wire codec — the
-// binary frame under WithBinaryBatch, JSON otherwise — and decodes the
-// reply by its response Content-Type (JSON fallback). Returns the
-// encoded envelope length for radio accounting.
-func (d *Device) postBatch(at simclock.Time, env batchMsg, key string, reply *BatchReply) (int, error) {
+// encodeBatch renders one envelope in the device's wire codec: the
+// binary frame under WithBinaryBatch, otherwise JSON — the envelope
+// codec's bytes, or json.Marshal's when a string needs an escape. The
+// buffer is the request's own (see caller.send).
+func (d *Device) encodeBatch(env *batchMsg) ([]byte, error) {
+	buf := make([]byte, 0, 96+64*len(env.Ops))
 	if d.binaryBatch {
-		body, err := envelope.AppendMsg(nil, env)
+		body, err := envelope.AppendMsg(buf, *env)
 		if err != nil {
-			return 0, fmt.Errorf("transport: encoding /v1/batch: %w", err)
+			return nil, fmt.Errorf("transport: encoding /v1/batch: %w", err)
 		}
-		return len(body), d.doDecode(at, http.MethodPost, "/v1/batch", BinaryBatchContentType, body, key, func(resp *http.Response) error {
-			return readBatchReply(resp, reply)
-		})
+		return body, nil
+	}
+	if body, ok := envelope.AppendMsgJSON(buf, env); ok {
+		return body, nil
 	}
 	body, err := json.Marshal(env)
 	if err != nil {
-		return 0, fmt.Errorf("transport: encoding /v1/batch: %w", err)
+		return nil, fmt.Errorf("transport: encoding /v1/batch: %w", err)
 	}
-	return len(body), d.doDecode(at, http.MethodPost, "/v1/batch", "application/json", body, key, func(resp *http.Response) error {
-		return readBatchReply(resp, reply)
-	})
+	return body, nil
 }
 
-// envelopeLen sizes an envelope in the device's wire codec, for the
-// radio model's byte accounting.
-func (d *Device) envelopeLen(env batchMsg) int {
+// postBatch delivers one rendered envelope and decodes the reply by its
+// response Content-Type (a server that answered JSON is decoded as
+// JSON). reply's result bodies alias the buffer the reply was read
+// into: callers decode them by value before their exchange returns.
+func (d *Device) postBatch(at simclock.Time, body []byte, key string, reply *BatchReply) error {
+	contentType := jsonBody
 	if d.binaryBatch {
-		b, err := envelope.AppendMsg(nil, env)
-		if err != nil {
-			return 0
-		}
-		return len(b)
+		contentType = BinaryBatchContentType
 	}
-	b, err := json.Marshal(env)
-	if err != nil {
-		return 0
+	return d.do(at, http.MethodPost, "/v1/batch", contentType, body, key, reply)
+}
+
+// decodeSub decodes one 200 sub-op body: the strict decoder first; bytes
+// it declines are counted and decoded by encoding/json as they always
+// were.
+func (d *Device) decodeSub(kind string, body []byte, out any) error {
+	if scanReplyInto(body, out) {
+		return nil
 	}
-	return len(b)
+	d.cm.wireFallback.Inc()
+	if err := json.Unmarshal(body, out); err != nil {
+		return fmt.Errorf("transport: decoding /v1/batch[%s]: %w", kind, err)
+	}
+	return nil
 }
 
 // outboxOps renders the queued display reports as the leading sub-ops
@@ -233,8 +251,8 @@ func (d *Device) batchedFetchBundle(now simclock.Time) (int, error) {
 		return 0, nil
 	}
 	var reply BundleReply
-	if err := json.Unmarshal(r.Body, &reply); err != nil {
-		return 0, fmt.Errorf("transport: decoding /v1/batch[bundle]: %w", err)
+	if err := d.decodeSub(OpBundle, r.Body, &reply); err != nil {
+		return 0, err
 	}
 	if len(reply.Ads) == 0 {
 		return 0, nil
@@ -299,8 +317,8 @@ func (d *Device) batchedHandleSlot(now simclock.Time, cats []trace.Category) (Sl
 			switch r := res[ci]; {
 			case r.Status == http.StatusOK:
 				var cr CancelledReply
-				if err := json.Unmarshal(r.Body, &cr); err != nil {
-					return out, fmt.Errorf("transport: decoding /v1/batch[cancelled]: %w", err)
+				if err := d.decodeSub(OpCancelled, r.Body, &cr); err != nil {
+					return out, err
 				}
 				for _, id := range cr.Cancelled {
 					d.known[auction.ImpressionID(id)] = true
@@ -363,8 +381,8 @@ func (d *Device) batchedHandleSlot(now simclock.Time, cats []trace.Category) (Sl
 			return out, nil
 		}
 		var reply OnDemandReply
-		if err := json.Unmarshal(r.Body, &reply); err != nil {
-			return out, fmt.Errorf("transport: decoding /v1/batch[ondemand]: %w", err)
+		if err := d.decodeSub(OpOnDemand, r.Body, &reply); err != nil {
+			return out, err
 		}
 		out.Impression = auction.ImpressionID(reply.Impression)
 		out.Rescued = reply.Rescued

@@ -1,8 +1,7 @@
 package transport
 
 import (
-	"hash/fnv"
-	"io"
+	"encoding/json"
 	"net/http"
 	"strconv"
 	"sync"
@@ -57,14 +56,27 @@ func (ds *dedupStore) len() int {
 // requestHash fingerprints a request (method, path, payload) for
 // key-reuse detection: reusing a key on a different endpoint or with a
 // different body is a conflict, never a cross-endpoint replay.
+//
+// The digest is FNV-1a (64-bit) over method, " ", path, NUL, payload —
+// written out rather than through hash/fnv so the hot path pays no
+// hasher allocation. It is persisted (payload_hash in snapshots and
+// migration blobs), so it must never change; TestRequestHashIsFNV1a
+// holds it to hash/fnv's.
 func requestHash(method, path string, payload []byte) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, method)
-	io.WriteString(h, " ")
-	io.WriteString(h, path)
-	h.Write([]byte{0})
-	h.Write(payload)
-	return h.Sum64()
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(method); i++ {
+		h = (h ^ uint64(method[i])) * prime
+	}
+	h = (h ^ ' ') * prime
+	for i := 0; i < len(path); i++ {
+		h = (h ^ uint64(path[i])) * prime
+	}
+	h *= prime // the NUL separator: h ^ 0 == h
+	for _, c := range payload {
+		h = (h ^ uint64(c)) * prime
+	}
+	return h
 }
 
 // validIdemKey reports whether an Idempotency-Key header value is
@@ -93,18 +105,35 @@ type stored struct {
 	retryAfter int  // 429s: the pressure-scaled hint (non-positive = flat 1 s)
 }
 
-// storedReply renders an executor's outcome — the typed reply, or the
-// refusal when herr is non-nil — in stored form. marshalReply hands
-// back shared pre-marshaled bytes for the hot constant replies.
-func storedReply(v any, herr *httpError) stored {
+// refused renders a refusal in stored form.
+func refused(herr *httpError) stored {
+	return stored{status: herr.status, body: []byte(herr.msg + "\n"), retryAfter: herr.retryAfter}
+}
+
+// okReply wraps a rendered 200 body (wirejson.go's typed renderers, or
+// a shared constant) in stored form.
+func okReply(body []byte) stored { return stored{status: http.StatusOK, body: body} }
+
+// acked renders the outcome of an op whose success reply is the empty
+// object: the shared {} constant, or the refusal.
+func acked(herr *httpError) stored {
 	if herr != nil {
-		return stored{status: herr.status, body: []byte(herr.msg + "\n"), retryAfter: herr.retryAfter}
+		return refused(herr)
 	}
-	body, err := marshalReply(v)
+	return okReply(ackBody)
+}
+
+// storedJSON renders a period round's outcome — the typed reply through
+// encoding/json, or the refusal when herr is non-nil — in stored form.
+func storedJSON(v any, herr *httpError) stored {
+	if herr != nil {
+		return refused(herr)
+	}
+	b, err := json.Marshal(v)
 	if err != nil {
 		return stored{status: http.StatusInternalServerError, body: []byte("encoding reply\n")}
 	}
-	return stored{status: http.StatusOK, body: body}
+	return okReply(append(b, '\n'))
 }
 
 const conflictMsg = "Idempotency-Key reused with a different request"
@@ -155,16 +184,17 @@ func writeStored(w http.ResponseWriter, r stored) {
 		http.Error(w, conflictMsg, r.status)
 		return
 	}
+	h := w.Header()
 	if r.replayed {
-		w.Header().Set(obs.ReplayedHeader, "true")
+		h[obs.ReplayedHeader] = replayedValue
 	}
 	if r.status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", strconv.Itoa(max(r.retryAfter, 1)))
+		h.Set("Retry-After", strconv.Itoa(max(r.retryAfter, 1)))
 	}
 	if r.status >= 400 {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		h["Content-Type"] = textContentType
 	} else {
-		w.Header().Set("Content-Type", "application/json")
+		h["Content-Type"] = jsonContentType
 	}
 	w.WriteHeader(r.status)
 	w.Write(r.body)
@@ -186,7 +216,7 @@ func handlePeriod[Resp any](ds *dedupStore, exec func(periodMsg) (Resp, *httpErr
 		if !ok {
 			return
 		}
-		run := func() stored { return storedReply(exec(msg)) }
+		run := func() stored { return storedJSON(exec(msg)) }
 		if key == "" {
 			writeStored(w, run())
 			return

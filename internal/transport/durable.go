@@ -44,6 +44,7 @@ import (
 
 	"repro/internal/adserver"
 	"repro/internal/client"
+	"repro/internal/envelope"
 	"repro/internal/simclock"
 	"repro/internal/tenant"
 	"repro/internal/wal"
@@ -98,6 +99,25 @@ func (s *ShardedServer) walAppend(sh *shardState, op, key string, body any) {
 	b, err := json.Marshal(body)
 	if err != nil {
 		panic(err) // wire types marshal by construction
+	}
+	if err := s.wlog.Append(sh.idx, op, key, b); err != nil {
+		panic(http.ErrAbortHandler)
+	}
+}
+
+// walAppendEnvelope is walAppend for a client-op record, whose body is
+// the envelope group that executed. The record body is the bytes
+// json.Marshal renders (TestWALRecordStreamGolden pins them), from the
+// envelope codec unless a string needs an escape. The buffer is the
+// record's own: the log's post-durability hook sees it.
+func (s *ShardedServer) walAppendEnvelope(sh *shardState, op, key string, env *batchMsg) {
+	if s.wlog == nil || s.recovering.Load() {
+		return
+	}
+	b, ok := envelope.AppendMsgJSON(make([]byte, 0, 64+48*len(env.Ops)), env)
+	if !ok {
+		s.walAppend(sh, op, key, env)
+		return
 	}
 	if err := s.wlog.Append(sh.idx, op, key, b); err != nil {
 		panic(http.ErrAbortHandler)

@@ -19,10 +19,24 @@ import (
 // (curl, scrapers, pre-versioning clients) are accepted.
 const (
 	// VersionHeader carries the protocol major version on requests and
-	// responses.
-	VersionHeader = "X-AdPrefetch-Version"
+	// responses: X-AdPrefetch-Version, spelled here in the canonical
+	// MIME form net/http puts on the wire and keys its header maps by,
+	// so reading or assigning it never re-canonicalizes.
+	VersionHeader = "X-Adprefetch-Version"
 	// ProtocolVersion is the major version this package speaks.
 	ProtocolVersion = 1
+)
+
+// Header values that never vary are shared slices assigned straight
+// into the header map (Header.Set allocates a fresh one per call).
+// net/http only reads them; nothing may append to or mutate them.
+var (
+	versionValue    = []string{strconv.Itoa(ProtocolVersion)}
+	versionBinValue = []string{strconv.Itoa(ProtocolVersion) + ";" + binVersionToken}
+	jsonContentType = []string{"application/json"}
+	binContentType  = []string{BinaryBatchContentType}
+	textContentType = []string{"text/plain; charset=utf-8"}
+	replayedValue   = []string{"true"}
 )
 
 // httpError is a handler-level protocol failure: a status code and a
@@ -76,6 +90,28 @@ func jsonReq[Req any](w http.ResponseWriter, r *http.Request) (Req, []byte, bool
 	return req, body, true
 }
 
+// scanReq is jsonReq for the three device POST bodies: the strict
+// scanner decodes the canonical rendering the shipped client sends;
+// any other bytes are counted and handed to encoding/json, which
+// decides value, status and error text as it always has.
+func scanReq[Req any](s *ShardedServer, w http.ResponseWriter, r *http.Request, scan func([]byte) (Req, bool)) (Req, []byte, bool) {
+	body, ok := readBody(w, r)
+	if !ok {
+		var zero Req
+		return zero, nil, false
+	}
+	req, ok := scan(body)
+	if !ok {
+		s.wireFallback.Inc()
+		var slow Req // escapes into json.Unmarshal's any: allocated on this path only
+		if !decodeBytes(w, body, &slow) {
+			return slow, nil, false
+		}
+		req = slow
+	}
+	return req, body, true
+}
+
 // noReq is the decoder for endpoints without request content (ledger,
 // stats, health).
 func noReq(http.ResponseWriter, *http.Request) (struct{}, []byte, bool) {
@@ -91,9 +127,8 @@ func noReq(http.ResponseWriter, *http.Request) (struct{}, []byte, bool) {
 // the echo stays the bare major, so capability negotiation can evolve
 // without another version bump.
 func versionMiddleware(next http.Handler) http.Handler {
-	want := strconv.Itoa(ProtocolVersion)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(VersionHeader, want)
+		w.Header()[VersionHeader] = versionValue
 		if raw := r.Header.Get(VersionHeader); raw != "" {
 			major := raw
 			if i := strings.IndexByte(major, ';'); i >= 0 {
@@ -116,8 +151,9 @@ func versionMiddleware(next http.Handler) http.Handler {
 
 // bodyPool recycles request-body buffers across requests. A pooled
 // buffer is valid only until its handler returns: the idempotency path
-// hashes the bytes and json.Unmarshal copies everything it keeps, so
-// nothing outlives the request.
+// hashes the bytes, and the decoders — the strict scanners as much as
+// json.Unmarshal — copy every string they keep, so nothing outlives the
+// request.
 var bodyPool sync.Pool // holds *[]byte
 
 func getBodyBuf() []byte {
@@ -170,66 +206,25 @@ func decodeBytes(w http.ResponseWriter, body []byte, v any) bool {
 	return true
 }
 
-// Hot replies that never vary are marshaled once at package init; the
-// serving path hands out the shared bytes. These constants are also
-// stored by reference in the dedup window, so they must NEVER be
-// mutated or appended to.
+// Hot replies that never vary are rendered once at package init; the
+// typed reply renderers (wirejson.go) hand out the shared bytes. These
+// constants are also stored by reference in the dedup window, so they
+// must NEVER be mutated or appended to.
 var (
-	ackBody         = mustMarshalLine(struct{}{})
-	emptyBundleBody = mustMarshalLine(BundleReply{})
-	houseAdBody     = mustMarshalLine(OnDemandReply{})
+	ackBody         = []byte("{}\n")
+	emptyBundleBody = []byte(`{"ads":null}` + "\n")
+	houseAdBody     = []byte(`{"impression":0,"rescued":false}` + "\n")
 )
-
-func mustMarshalLine(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return append(b, '\n')
-}
-
-// constReply returns the pre-marshaled body for a hot reply value, or
-// nil when the value needs a real marshal.
-func constReply(v any) []byte {
-	switch t := v.(type) {
-	case struct{}:
-		return ackBody
-	case BundleReply:
-		if len(t.Ads) == 0 {
-			return emptyBundleBody
-		}
-	case OnDemandReply:
-		if !t.Rescued && t.Impression == 0 && len(t.TopUp) == 0 {
-			return houseAdBody
-		}
-	}
-	return nil
-}
-
-// marshalReply renders a reply body (with trailing newline), reusing a
-// pre-marshaled constant for the replies that never vary. The returned
-// slice may be shared: callers write or store it, never mutate it.
-func marshalReply(v any) ([]byte, error) {
-	if body := constReply(v); body != nil {
-		return body, nil
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
 
 // replyBufPool recycles marshal buffers for unstored responses (the
 // non-idempotent write path, where the bytes die with the request).
 var replyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// writeJSON marshals v through encoding/json: the reply path of every
+// endpoint that is not a device op (ledger, stats, health, admin), and
+// of a batch reply the fast encoder declined.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if body := constReply(v); body != nil {
-		w.Write(body)
-		return
-	}
+	w.Header()["Content-Type"] = jsonContentType
 	buf := replyBufPool.Get().(*bytes.Buffer)
 	defer replyBufPool.Put(buf)
 	buf.Reset()

@@ -1,10 +1,8 @@
 package transport
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 
@@ -70,18 +68,18 @@ func (s *ShardedServer) handleOp(decode opDecoder) http.HandlerFunc {
 	}
 }
 
-func decodeSlot(w http.ResponseWriter, r *http.Request) (int, int64, BatchOp, []byte, bool) {
-	m, body, ok := jsonReq[slotMsg](w, r)
+func (s *ShardedServer) decodeSlot(w http.ResponseWriter, r *http.Request) (int, int64, BatchOp, []byte, bool) {
+	m, body, ok := scanReq(s, w, r, scanSlotMsg)
 	return m.Client, m.NowNS, BatchOp{Op: OpSlot}, body, ok
 }
 
-func decodeReport(w http.ResponseWriter, r *http.Request) (int, int64, BatchOp, []byte, bool) {
-	m, body, ok := jsonReq[reportMsg](w, r)
+func (s *ShardedServer) decodeReport(w http.ResponseWriter, r *http.Request) (int, int64, BatchOp, []byte, bool) {
+	m, body, ok := scanReq(s, w, r, scanReportMsg)
 	return m.Client, m.NowNS, BatchOp{Op: OpReport, Impression: m.Impression}, body, ok
 }
 
-func decodeOnDemand(w http.ResponseWriter, r *http.Request) (int, int64, BatchOp, []byte, bool) {
-	m, body, ok := jsonReq[onDemandMsg](w, r)
+func (s *ShardedServer) decodeOnDemand(w http.ResponseWriter, r *http.Request) (int, int64, BatchOp, []byte, bool) {
+	m, body, ok := scanReq(s, w, r, scanOnDemandMsg)
 	return m.Client, m.NowNS, BatchOp{Op: OpOnDemand, Categories: m.Categories, NoRescue: m.NoRescue}, body, ok
 }
 
@@ -200,7 +198,7 @@ func (s *ShardedServer) execGroup(sh *shardState, env *batchMsg, idxs []int, wir
 		if wire != nil {
 			kind, key = logged[0].Op, logged[0].Key
 		}
-		s.walAppend(sh, kind, key, batchMsg{Client: env.Client, NowNS: env.NowNS, Ops: logged})
+		s.walAppendEnvelope(sh, kind, key, &batchMsg{Client: env.Client, NowNS: env.NowNS, Ops: logged})
 	}
 }
 
@@ -224,35 +222,32 @@ func (s *ShardedServer) execOp(sh *shardState, env *batchMsg, op *BatchOp, wire 
 
 // opFingerprint hashes an op as the sequential request it stands for.
 // wire, when the request came in on that endpoint, is its payload
-// verbatim; otherwise the payload is rendered canonically — which is
-// byte-identical to what the shipped client sends (bundle hashes its
-// request URI, the POSTs their JSON bodies).
+// verbatim; otherwise the payload is rendered by the very renderers the
+// shipped client sends with (wirejson.go: bundle hashes its request URI,
+// the POSTs their JSON bodies), so the two cannot drift apart.
 func opFingerprint(client int, now int64, op *BatchOp, wire []byte) uint64 {
+	var buf [192]byte // the canonical forms fit unless an op carries a long category list
 	method, path := http.MethodPost, ""
 	switch op.Op {
 	case OpSlot:
 		path = "/v1/slot"
 		if wire == nil {
-			wire, _ = json.Marshal(slotMsg{Client: client, NowNS: now})
+			wire = appendSlotMsg(buf[:0], client, now)
 		}
 	case OpReport:
 		path = "/v1/report"
 		if wire == nil {
-			wire, _ = json.Marshal(reportMsg{Client: client, Impression: op.Impression, NowNS: now})
+			wire = appendReportMsg(buf[:0], client, op.Impression, now)
 		}
 	case OpOnDemand:
 		path = "/v1/ondemand"
 		if wire == nil {
-			wire, _ = json.Marshal(onDemandMsg{Client: client, NowNS: now, Categories: op.Categories, NoRescue: op.NoRescue})
+			wire = onDemandBody(buf[:0], onDemandMsg{Client: client, NowNS: now, Categories: op.Categories, NoRescue: op.NoRescue})
 		}
 	case OpBundle:
 		method, path = http.MethodGet, "/v1/bundle"
 		if wire == nil {
-			q := url.Values{
-				"client": {strconv.Itoa(client)},
-				"now_ns": {strconv.FormatInt(now, 10)},
-			}
-			wire = []byte("/v1/bundle?" + q.Encode())
+			wire = appendBundleURI(buf[:0], client, now)
 		}
 	}
 	return requestHash(method, path, wire)
@@ -263,18 +258,21 @@ func opFingerprint(client int, now int64, op *BatchOp, wire []byte) uint64 {
 // has handed away is refused before anything else, on every kind.
 func (s *ShardedServer) execOpLocked(sh *shardState, client int, now int64, op *BatchOp, shelfHeld bool) stored {
 	if herr := s.movedErr(client); herr != nil {
-		return storedReply(nil, herr)
+		return refused(herr)
 	}
 	switch op.Op {
 	case OpSlot:
-		return storedReply(struct{}{}, s.slotLocked(sh, client, now))
+		return acked(s.slotLocked(sh, client, now))
 	case OpReport:
-		return storedReply(struct{}{}, s.reportLocked(sh, op.Impression, now))
+		return acked(s.reportLocked(sh, op.Impression, now))
 	case OpOnDemand:
 		reply, herr := s.onDemandLocked(sh, client, now, op.Categories, op.NoRescue)
-		return storedReply(reply, herr)
+		if herr != nil {
+			return refused(herr)
+		}
+		return okReply(onDemandReplyBody(reply))
 	case OpCancelled:
-		return storedReply(s.cancelledLocked(sh, op.IDs, simclock.Time(now)), nil)
+		return okReply(cancelledReplyBody(s.cancelledLocked(sh, op.IDs, simclock.Time(now))))
 	case OpBundle:
 		// Inside an engine group, take stagedMu (the global mu ->
 		// stagedMu order) just for the shelf drain. The group's record is
@@ -286,10 +284,10 @@ func (s *ShardedServer) execOpLocked(sh *shardState, client int, now int64, op *
 		}
 		ads := sh.staged[client]
 		delete(sh.staged, client)
-		return storedReply(BundleReply{Ads: toAdMsgs(ads)}, nil)
+		return okReply(bundleReplyBody(BundleReply{Ads: toAdMsgs(ads)}))
 	}
 	// Unreachable: unknown kinds are refused before grouping.
-	return storedReply(nil, errf(http.StatusBadRequest, "unknown batch op %q", op.Op))
+	return refused(errf(http.StatusBadRequest, "unknown batch op %q", op.Op))
 }
 
 // slotLocked observes a slot firing; sh.mu must be held.

@@ -123,6 +123,10 @@ type clientMetrics struct {
 	cacheMisses   *obs.Counter
 	deferredDepth *obs.Gauge
 	retryEnergyJ  *obs.Gauge
+	// wireFallback is the device-side twin of the server's
+	// transport_wire_fallback_total: reply bodies the strict decoders
+	// declined and encoding/json decoded instead.
+	wireFallback *obs.Counter
 }
 
 func newClientMetrics(reg *obs.Registry) clientMetrics {
@@ -133,6 +137,7 @@ func newClientMetrics(reg *obs.Registry) clientMetrics {
 	reg.SetHelp("client_backoff_virtual_ns_total", "Virtual nanoseconds of retry backoff, fleet-wide.")
 	reg.SetHelp("client_deferred_reports", "Display reports queued while the server is unreachable.")
 	reg.SetHelp("client_retry_energy_joules", "Radio-model joules charged to retries (transfer-time accrual; tails settle at Flush).")
+	reg.SetHelp("client_wire_fallback_total", "Reply bodies the strict wire decoders declined and encoding/json decoded instead.")
 	return clientMetrics{
 		attempts:      reg.Counter("client_attempts_total"),
 		retries:       reg.Counter("client_retries_total"),
@@ -143,5 +148,6 @@ func newClientMetrics(reg *obs.Registry) clientMetrics {
 		cacheMisses:   reg.Counter("client_cache_misses_total"),
 		deferredDepth: reg.Gauge("client_deferred_reports"),
 		retryEnergyJ:  reg.Gauge("client_retry_energy_joules"),
+		wireFallback:  reg.Counter("client_wire_fallback_total"),
 	}
 }

@@ -100,6 +100,13 @@ type ShardedServer struct {
 	batchSubops  map[string]*obs.Counter
 	batchInvalid *obs.Counter
 
+	// wireFallback counts request bodies the strict wire decoders
+	// declined and encoding/json decoded instead (see wirejson.go). The
+	// shipped client's canonical rendering never lands here, so on a
+	// fleet of them it reads 0; anything else is foreign, hand-written or
+	// hostile traffic — served correctly, just not on the fast path.
+	wireFallback *obs.Counter
+
 	// Multi-tenant serving (see tenant.go). tenants is the immutable
 	// registry behind the per-tenant admission, attribution and config
 	// epochs; nil means legacy single-tenant serving. tm carries the
@@ -193,6 +200,8 @@ func newSharded(servers []*adserver.Server, route func(clientID int) int) *Shard
 		s.batchSubops[k] = s.reg.Counter("batch_subops_total", "op", k)
 	}
 	s.batchInvalid = s.reg.Counter("batch_subops_total", "op", "invalid")
+	s.reg.SetHelp("transport_wire_fallback_total", "Request bodies the strict wire decoders declined and encoding/json decoded instead.")
+	s.wireFallback = s.reg.Counter("transport_wire_fallback_total")
 	for i, srv := range servers {
 		sh := &shardState{
 			idx: i, srv: srv, staged: make(map[int][]client.CachedAd),
@@ -292,10 +301,10 @@ func (s *ShardedServer) Handler() http.Handler {
 		s.maybeCheckpoint()
 	})
 	mux.HandleFunc("GET /v1/bundle", s.handleOp(decodeBundle))
-	mux.HandleFunc("POST /v1/slot", s.handleOp(decodeSlot))
-	mux.HandleFunc("POST /v1/report", s.handleOp(decodeReport))
+	mux.HandleFunc("POST /v1/slot", s.handleOp(s.decodeSlot))
+	mux.HandleFunc("POST /v1/report", s.handleOp(s.decodeReport))
 	mux.HandleFunc("GET /v1/cancelled", s.handleOp(s.decodeCancelled))
-	mux.HandleFunc("POST /v1/ondemand", s.handleOp(decodeOnDemand))
+	mux.HandleFunc("POST /v1/ondemand", s.handleOp(s.decodeOnDemand))
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	mux.HandleFunc("GET /v1/ledger", handle(s.decodeLedger, s.execLedger))
 	mux.HandleFunc("GET /v1/stats", handle(noReq, s.execStats))

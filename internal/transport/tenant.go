@@ -28,11 +28,13 @@ import (
 	"repro/internal/tenant"
 )
 
-// TenantHeader carries the requesting device's tenant id. Optional:
-// attribution is authoritative from the registry's client-id ranges;
-// the header exists so a misconfigured device is refused (403) instead
-// of silently billed to another publisher.
-const TenantHeader = "X-AdPrefetch-Tenant"
+// TenantHeader carries the requesting device's tenant id
+// (X-AdPrefetch-Tenant; the constant is its canonical MIME spelling,
+// like VersionHeader). Optional: attribution is authoritative from the
+// registry's client-id ranges; the header exists so a misconfigured
+// device is refused (403) instead of silently billed to another
+// publisher.
+const TenantHeader = "X-Adprefetch-Tenant"
 
 // opConfigEpoch is the WAL record kind for one applied config epoch.
 const opConfigEpoch = "config_epoch"
