@@ -104,8 +104,11 @@ fuzz:
 # properties (intra-batch duplicates, envelope resends, partial
 # failure), the frame codec's golden frame and round trips, the fault
 # layer's codec-agnostic identities, and the envelope fuzz seeds. The
-# wire codec rides here too: the device's byte golden, the encoder
-# differentials and strict-decoder parity seeds against encoding/json
+# wire codec rides here too: the device's byte goldens (a fault-free
+# session and a degraded one — dead link, shed and refused ops, an outbox
+# past one envelope — with the device's counters beside the bytes) and
+# its exact allocations per wake-up (TestDeviceWakeUpAllocationBudget),
+# the encoder differentials and strict-decoder parity seeds against encoding/json
 # (internal/envelope's own suite and TestWire*/FuzzWireJSONParity), the
 # three codec traps (exact-size stored bodies, keys that outlive the
 # pooled request buffer, reply buffers and request bodies nobody
@@ -113,7 +116,7 @@ fuzz:
 # fallback-counters-stay-zero replays (TestBatchWireFallbackStaysZero).
 batch:
 	go test -count=1 ./internal/envelope
-	go test -count=1 -run 'TestBatch|TestBinary|TestSequentialWireGolden|TestDeviceWireGolden|TestServingAllocationBudget' ./internal/transport ./internal/sim
+	go test -count=1 -run 'TestBatch|TestBinary|TestSequentialWireGolden|TestDeviceWireGolden|TestServingAllocationBudget|TestDeviceWakeUpAllocationBudget' ./internal/transport ./internal/sim
 	go test -count=1 -run 'TestWireEncoders|TestStoredBodiesAreExactSize|TestKeyedOpsOutliveTheirRequestBuffer|TestReplyBufferMutation|TestRequestBodyIsTheRequestsOwn|TestRequestHashIsFNV1a|TestHeaderConstantsAreCanonical' ./internal/transport
 	go test -count=1 -run 'TestRelayedHeaderNamesAreCanonical' ./internal/cluster
 	go test -count=1 -run 'TestBatchIdentities' ./internal/faults

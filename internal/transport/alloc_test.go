@@ -1,11 +1,15 @@
 package transport
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"net/http"
 	"testing"
 
 	"repro/internal/auction"
 	"repro/internal/envelope"
+	"repro/internal/simclock"
 )
 
 // TestServingAllocationBudget pins, exactly, what one request allocates
@@ -80,5 +84,166 @@ func TestServingAllocationBudget(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: %v allocs per request, budget is exactly %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// cannedTransport is an in-memory http.RoundTripper that answers the
+// requests of a scripted wake-up with pre-rendered 200 replies, in order,
+// reusing one response and one body reader: what remains in a measured
+// loop is the device and net/http's client wrapper, with no server and no
+// recorder allocating beside them.
+type cannedTransport struct {
+	script [][]byte
+	next   int
+	ctype  []string
+	resp   http.Response
+	body   cannedBody
+}
+
+type cannedBody struct{ bytes.Reader }
+
+func (*cannedBody) Close() error { return nil }
+
+// play arms the transport with the replies of the next wake-up.
+func (rt *cannedTransport) play(script [][]byte) { rt.script, rt.next = script, 0 }
+
+func (rt *cannedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if rt.next >= len(rt.script) {
+		return nil, errors.New("canned transport: script exhausted")
+	}
+	reply := rt.script[rt.next]
+	rt.next++
+	rt.body.Reset(reply)
+	rt.resp = http.Response{
+		Status: "200 OK", StatusCode: http.StatusOK,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header:        http.Header{"Content-Type": rt.ctype},
+		Body:          &rt.body,
+		ContentLength: int64(len(reply)),
+		Request:       req,
+	}
+	return &rt.resp, nil
+}
+
+// TestDeviceWakeUpAllocationBudget is the device-side twin of
+// TestServingAllocationBudget: it pins, exactly, what one wake-up
+// allocates on the device in each wire form — building the ops, minting
+// keys, rendering requests, net/http's client wrapper, reading and
+// decoding the replies, cache and outbox bookkeeping — over canned
+// replies (cannedTransport), so a change to how the device builds or
+// carries a wake-up that adds an allocation fails tier-1 instead of
+// showing up as a fraction of a percent of the benchmark's allocs_per_op.
+// Recorded on the client that still carried every procedure once per wire
+// form (ISSUE 24); a lower number is an improvement: update it here.
+//
+// The three wake-ups, each in its steady state:
+//
+//	fetch      FetchBundle answered with a one-ad bundle the cache
+//	           already holds (ingest runs, the cache does not grow)
+//	miss       HandleSlot on an empty cache: slot observation, then the
+//	           on-demand fetch (answered without a top-up)
+//	fetch+hit  FetchBundle of one fresh ad, then the HandleSlot that
+//	           displays it: slot observation, cancellation probe of the
+//	           one cached id, display report — sent at once on the per-op
+//	           wire, queued write-behind on the batched ones (where it
+//	           rides the next round's fetch envelope)
+func TestDeviceWakeUpAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; the budget is exact only without it")
+	}
+	const (
+		runs = 200
+		now  = simclock.Time(60e9)
+	)
+	ad := AdMsg{ID: 4503599627370497, DeadlineNS: 5400e9, Tie: 7591864664363781332}
+	var (
+		ack       = []byte("{}\n")
+		bundle    = bundleReplyBody(BundleReply{Ads: []AdMsg{ad}})
+		cancelled = cancelledReplyBody(CancelledReply{})
+		onDemand  = onDemandReplyBody(OnDemandReply{Impression: 9007199254740993})
+	)
+	ok := func(kind string, body []byte) BatchOpResult {
+		return BatchOpResult{Op: kind, Status: http.StatusOK, Body: bytes.TrimSpace(body)}
+	}
+	for _, tc := range []struct {
+		name  string
+		opts  []Option
+		ctype string
+		// envelope renders one envelope's reply (nil on the per-op wire).
+		envelope             func(results ...BatchOpResult) []byte
+		fetch, miss, withHit float64
+	}{
+		{name: "sequential", ctype: "application/json", fetch: 19, miss: 39, withHit: 73},
+		{name: "batch_json", opts: []Option{WithBatching()}, ctype: "application/json",
+			envelope: func(results ...BatchOpResult) []byte {
+				body, _ := envelope.AppendReplyJSON(nil, results)
+				return append(body, '\n')
+			}, fetch: 29, miss: 51, withHit: 59},
+		{name: "batch_binary", opts: []Option{WithBatching(), WithBinaryBatch()}, ctype: envelope.ContentType,
+			envelope: func(results ...BatchOpResult) []byte { return envelope.AppendReply(nil, results) },
+			fetch:    30, miss: 53, withHit: 63},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := &cannedTransport{ctype: []string{tc.ctype}}
+			opts := append(tc.opts, WithHTTPClient(&http.Client{Transport: rt}))
+			newDevice := func() *Device {
+				d, err := NewDevice(0, 32, "http://adserver.test/", opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}
+			// The replies of each wake-up, per exchange: one request per
+			// op, or one envelope (two for a miss).
+			fetchScript := [][]byte{bundle}
+			missScript := [][]byte{ack, onDemand}
+			hitScript := [][]byte{bundle, ack, cancelled, ack}
+			primeScript := hitScript
+			if tc.envelope != nil {
+				fetchScript = [][]byte{tc.envelope(ok(OpBundle, bundle))}
+				missScript = [][]byte{tc.envelope(ok(OpSlot, ack)), tc.envelope(ok(OpOnDemand, onDemand))}
+				hit := tc.envelope(ok(OpSlot, ack), ok(OpCancelled, cancelled))
+				primeScript = [][]byte{fetchScript[0], hit}
+				// In the steady state the previous round's display report
+				// leads the fetch envelope.
+				hitScript = [][]byte{tc.envelope(ok(OpReport, ack), ok(OpBundle, bundle)), hit}
+			}
+			fetchAndHit := func(d *Device, script [][]byte) {
+				rt.play(script)
+				if n, err := d.FetchBundle(now); err != nil || n != 1 {
+					t.Fatalf("fetch: %d ads, %v", n, err)
+				}
+				if out, err := d.HandleSlot(now, nil); err != nil || !out.CacheHit || out.Degraded {
+					t.Fatalf("hit: %+v, %v", out, err)
+				}
+			}
+
+			d := newDevice()
+			fetchAndHit(d, primeScript) // leaves the cache empty and, when batching, one report in the outbox
+			check := func(name string, want float64, wakeUp func()) {
+				t.Helper()
+				if got := testing.AllocsPerRun(runs, wakeUp); got != want {
+					t.Errorf("%s: %v allocs per wake-up, budget is exactly %v", name, got, want)
+				}
+				if n := d.Net(); n.Retries != 0 || n.Unreachable != 0 {
+					t.Fatalf("%s: the canned wire was retried: %+v", name, n)
+				}
+			}
+			check("fetch+hit", tc.withHit, func() { fetchAndHit(d, hitScript) })
+
+			d = newDevice()
+			check("miss", tc.miss, func() {
+				rt.play(missScript)
+				if out, err := d.HandleSlot(now, nil); err != nil || !out.Fetched || out.Degraded {
+					t.Fatalf("miss: %+v, %v", out, err)
+				}
+			})
+			check("fetch", tc.fetch, func() {
+				rt.play(fetchScript)
+				if n, err := d.FetchBundle(now); err != nil || n != 1 {
+					t.Fatalf("fetch: %d ads, %v", n, err)
+				}
+			})
+		})
 	}
 }

@@ -23,10 +23,18 @@ import (
 // tests, returning the server and its pool (for ledger assertions).
 func newBatchStack(t *testing.T, shards, clients int) (*ShardedServer, *shard.Pool) {
 	t.Helper()
+	return newBatchStackSlots(t, shards, clients, 2)
+}
+
+// newBatchStackSlots is newBatchStack with every client forecast to
+// fire the given number of slots per period (the depth of its bundle).
+func newBatchStackSlots(t *testing.T, shards, clients int, slots float64) (*ShardedServer, *shard.Pool) {
+	t.Helper()
 	cfg := adserver.DefaultConfig()
 	cfg.Period = time.Hour
 	cfg.Overbook.FixedReplicas = 1
 	cfg.Overbook.AdmissionEpsilon = 0.45
+	cfg.Overbook.CacheCap = max(cfg.Overbook.CacheCap, int(slots))
 	cfg.ReportLatency = 0
 	ids := make([]int, clients)
 	for i := range ids {
@@ -39,7 +47,7 @@ func newBatchStack(t *testing.T, shards, clients int) (*ShardedServer, *shard.Po
 			}, 0.0001)
 		},
 		func(int) predict.Predictor {
-			return constPredictor{est: predict.Estimate{Slots: 2, Mean: 2, NoShowProb: 0.1}}
+			return constPredictor{est: predict.Estimate{Slots: slots, Mean: slots, NoShowProb: 0.1}}
 		}, nil)
 	if err != nil {
 		t.Fatal(err)
