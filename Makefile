@@ -193,6 +193,17 @@ tenant:
 	go test -count=1 -run 'TestTenant|TestRetryAfterSecs|TestConfigEpoch|TestLedgerTenantViews|TestBatchTenantCodec|TestClientRetryAfterFloor|TestHealthReplyGolden' ./internal/transport
 	go test -count=1 -timeout 30m -run 'TestTenant' ./internal/sim
 
+# Line budgets, counted instead of hand-copied: non-test .go lines per
+# internal/* package, then the sum ROADMAP item 4 bounds (transport + sim
+# + cluster + envelope <= 7 600). benchmark/ is its own module and is not
+# counted; neither are cmd/, examples/ or the root package.
+loc:
+	@for d in internal/*/; do \
+		printf '%6d %s\n' "$$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l)" "$${d%/}"; \
+	done
+	@printf '%6d %s\n' "$$(cat $$(ls internal/transport/*.go internal/sim/*.go internal/cluster/*.go internal/envelope/*.go | grep -v _test.go) | wc -l)" \
+		"internal/transport + sim + cluster + envelope"
+
 # Aggregate correctness gate: every functional tier in one command.
 # (`make bench` and benchmark/run.sh stay separate — they are about
 # machines, not logic — and so does the time-boxed `make fuzz`.)
@@ -203,4 +214,4 @@ verify: test batch chaos crash cluster migrate stream tenant
 # obs, which let schedule-dependent regressions through.
 verify-full: verify race obs
 
-.PHONY: fmt test race obs bench prof-inproc prof-wire fuzz chaos batch crash cluster migrate stream tenant mega verify verify-full
+.PHONY: fmt test race obs bench prof-inproc prof-wire fuzz chaos batch crash cluster migrate stream tenant mega loc verify verify-full

@@ -212,6 +212,17 @@ func (c *caller) chargeRetry(at simclock.Time, bytes int64) {
 	}
 }
 
+// countRetry books one retry — of a request, or of an envelope's
+// unanswered sub-ops — going out at virtual time at, delay after the
+// attempt before it, with size body bytes: one radio charge and the
+// retry counters.
+func (c *caller) countRetry(at simclock.Time, delay time.Duration, size int) {
+	c.chargeRetry(at, int64(size)+retryOverheadBytes)
+	c.net.Retries++
+	c.cm.retries.Inc()
+	c.cm.backoffNS.Add(int64(delay))
+}
+
 // jsonBody is the content type of every request body but the binary
 // batch frame.
 const jsonBody = "application/json"
@@ -245,10 +256,7 @@ func (c *caller) do(now simclock.Time, method, uri, contentType string, body []b
 				d = floor
 			}
 			at = at.Add(d)
-			c.chargeRetry(at, int64(len(body))+retryOverheadBytes)
-			c.net.Retries++
-			c.cm.retries.Inc()
-			c.cm.backoffNS.Add(int64(d))
+			c.countRetry(at, d, len(body))
 		}
 		floor = 0
 		c.net.Attempts++
@@ -310,9 +318,10 @@ func (c *caller) send(method, uri, contentType string, body []byte, keyValue []s
 			return io.NopCloser(bytes.NewReader(body)), nil
 		}
 		if contentType == BinaryBatchContentType {
-			// Advertise the binary capability as a version token; servers
-			// that predate it ignore unknown tokens and the 400 their JSON
-			// decode answers drives the client's JSON fallback.
+			// Advertise the binary capability as a version token. There is
+			// no fallback: a server that predates the codec ignores the
+			// token, cannot read the frame, and answers 400 — which the
+			// device returns as a definitive StatusError after one attempt.
 			hdr["Content-Type"], version = binContentType, versionBinValue
 		} else {
 			hdr["Content-Type"] = jsonContentType
@@ -341,16 +350,6 @@ func (c *caller) send(method, uri, contentType string, body []byte, keyValue []s
 	return c.decodeReply(uri, envelope.IsBinary(resp.Header.Get("Content-Type")), data, out)
 }
 
-// post POSTs a rendered JSON body under the given idempotency key.
-func (c *caller) post(now simclock.Time, path string, body []byte, key string, out any) error {
-	return c.do(now, http.MethodPost, path, jsonBody, body, key, out)
-}
-
-// get issues a bodyless GET.
-func (c *caller) get(now simclock.Time, uri, key string, out any) error {
-	return c.do(now, http.MethodGet, uri, "", nil, key, out)
-}
-
 // Net returns the accumulated transport-resilience counters.
 func (c *caller) Net() NetCounters { return c.net }
 
@@ -368,16 +367,40 @@ func (c *caller) RetryEnergyJ() float64 {
 // deferredReport is a display report queued for later delivery: it
 // keeps its original idempotency key and timestamp, so the eventual
 // delivery bills the display at display time — or replays the stored
-// answer if an earlier attempt actually landed. The sequential path
-// queues these only when the server is unreachable; the batched path
-// queues every report write-behind so it rides the next envelope.
-// counted marks entries already tallied in NetCounters.DeferredReports
-// (batched write-behinds only count if a flush actually fails).
+// answer if an earlier attempt actually landed. The per-op wire queues
+// these only when the server is unreachable; the batched wire queues
+// every report write-behind so it rides the next envelope. counted
+// marks entries already tallied in NetCounters.DeferredReports
+// (write-behinds only count if an envelope carrying them goes
+// unanswered).
 type deferredReport struct {
-	key     string
-	msg     reportMsg
-	counted bool
+	key        string
+	impression int64
+	nowNS      int64
+	counted    bool
 }
+
+// op is the queued report as the op that delivers it, pinned to its
+// display time. The timestamp points into the queue entry itself: ops
+// are rendered before the queue is next touched.
+func (dr *deferredReport) op() BatchOp {
+	return BatchOp{Op: OpReport, Key: dr.key, Impression: dr.impression, NowNS: &dr.nowNS}
+}
+
+// wakeOp is one op of a device wake-up: the op as an envelope would
+// carry it, where its 200 reply decodes to (nil for a bare ack), and —
+// once exchange returns — how it fared: nil (answered and decoded),
+// an error that Is ErrUnreachable (unanswered: the link, or a server
+// still shedding or erroring after every retry), or the definitive
+// refusal the wake-up returns to its caller.
+type wakeOp struct {
+	BatchOp
+	out any
+	err error
+}
+
+// unanswered reports whether an op's outcome is "no definitive answer".
+func unanswered(err error) bool { return errors.Is(err, ErrUnreachable) }
 
 // Device is the phone-side runtime speaking the transport protocol: it
 // owns the local ad cache and drives the HTTP endpoints at the moments
@@ -392,6 +415,12 @@ type deferredReport struct {
 // last-known cancellation state, display reports queue for later
 // delivery, and cache misses fall back to a house ad instead of
 // failing the slot.
+//
+// Each wake-up (FetchBundle, ObserveSlot, HandleSlot, FlushDeferred) is
+// written once, over a list of ops; exchange carries the list in the
+// device's wire form. What differs by wire form is decided in two
+// places only: how ops travel and when the queue rides along
+// (exchange), and when a display report goes (HandleSlot's hit).
 type Device struct {
 	ID int
 	caller
@@ -406,7 +435,7 @@ type Device struct {
 	known map[auction.ImpressionID]bool
 
 	// deferred holds display reports awaiting delivery: the unreachable
-	// queue in sequential mode, the write-behind outbox in batched mode.
+	// queue on the per-op wire, the write-behind outbox on the batched one.
 	deferred []deferredReport
 
 	// batching selects the coalesced wire mode (see WithBatching);
@@ -444,6 +473,107 @@ func (d *Device) CacheLen() int { return d.dev.Cache.Len() }
 // PendingReports returns how many display reports await delivery.
 func (d *Device) PendingReports() int { return len(d.deferred) }
 
+// exchange carries one wake-up's ops to the server in the device's wire
+// form and leaves each op's outcome in its err. flush marks the points
+// at which the per-op wire first tries to deliver the report queue.
+//
+// On the batched wire the ops share one POST /v1/batch envelope, and the
+// queue rides every envelope ahead of them — there it is free. A bare
+// flush (no ops) sends envelopes until the queue is empty or one settles
+// nothing; only then do the reports it carried count as deferred.
+//
+// On the per-op wire every op is its own request on its own endpoint, in
+// order; the first definitive refusal ends the exchange (the wake-up is
+// about to return it) and the ops behind it are never sent.
+func (d *Device) exchange(now simclock.Time, ops []wakeOp, flush bool) {
+	if d.batching {
+		for {
+			before := len(d.deferred)
+			d.sendEnvelope(now, ops)
+			if len(ops) > 0 || len(d.deferred) == 0 {
+				return
+			}
+			if len(d.deferred) >= before {
+				d.noteDeferredOutbox() // nothing settled; server still unhealthy
+				return
+			}
+		}
+	}
+	if flush {
+		d.flushPerOp(now)
+	}
+	for i := range ops {
+		d.sendOp(now, &ops[i])
+		if err := ops[i].err; err != nil && !unanswered(err) {
+			for j := i + 1; j < len(ops); j++ {
+				ops[j].err = err
+			}
+			return
+		}
+	}
+}
+
+// sendOp carries one op on its own endpoint, rendered by the function
+// the server fingerprints it with (opRequest). An unkeyed read gets its
+// request key minted here, at send, exactly as an envelope does. The
+// reply is decoded inside the retry loop (caller.do), so a truncated
+// one fails its attempt and is retried. A POST's body is the request's
+// own buffer (see send); a GET's URI is rendered on the stack.
+func (d *Device) sendOp(now simclock.Time, w *wakeOp) {
+	nowNS := int64(now)
+	if w.NowNS != nil {
+		nowNS = *w.NowNS
+	}
+	var buf [192]byte
+	method, path, payload := opRequest(buf[:0], d.ID, nowNS, &w.BatchOp)
+	key := w.Key
+	if key == "" {
+		key = d.nextKey()
+	}
+	out := w.out
+	if out == nil {
+		out = &struct{}{}
+	}
+	if method == http.MethodGet {
+		w.err = d.do(now, method, string(payload), "", nil, key, out)
+	} else {
+		w.err = d.do(now, method, path, jsonBody, bytes.Clone(payload), key, out)
+	}
+}
+
+// flushPerOp delivers queued reports one request each, oldest first,
+// and stops at the first one left unanswered: the link is still down,
+// and the reports behind it stay unattempted.
+func (d *Device) flushPerOp(now simclock.Time) {
+	for len(d.deferred) > 0 {
+		w := wakeOp{BatchOp: d.deferred[0].op()}
+		d.sendOp(now, &w)
+		if !d.settle(&d.deferred[0], w.err) {
+			return
+		}
+		d.deferred = d.deferred[1:]
+	}
+}
+
+// settle applies a delivery attempt's outcome to a queued report and
+// reports whether the entry leaves the queue: delivered (or replayed)
+// reports do, and so do reports the server definitively rejects (e.g.
+// the impression expired while the device was offline — the sweep
+// already settled it), counted lost; an unanswered report stays.
+func (d *Device) settle(dr *deferredReport, err error) bool {
+	switch {
+	case err == nil:
+	case unanswered(err):
+		return false
+	default:
+		d.net.LostReports++
+	}
+	if dr.counted {
+		d.cm.deferredDepth.Add(-1)
+	}
+	return true
+}
+
 // FetchBundle downloads the client's staged prefetch bundle (if any) and
 // ingests it into the cache. It returns the number of ads downloaded.
 // The download is idempotent: the server stages the drained bundle
@@ -452,18 +582,15 @@ func (d *Device) PendingReports() int { return len(d.deferred) }
 // unreachable the bundle is abandoned for this period (the ads expire
 // server-side) and the device carries on from its cache.
 func (d *Device) FetchBundle(now simclock.Time) (int, error) {
-	if d.batching {
-		return d.batchedFetchBundle(now)
+	reply := new(BundleReply)
+	ops := [1]wakeOp{{BatchOp: BatchOp{Op: OpBundle, Key: d.nextKey()}, out: reply}}
+	d.exchange(now, ops[:], true)
+	if unanswered(ops[0].err) {
+		d.net.LostBundles++
+		return 0, nil
 	}
-	d.FlushDeferred(now)
-	var uri [64]byte
-	var reply BundleReply
-	if err := d.get(now, string(appendBundleURI(uri[:0], d.ID, int64(now))), d.nextKey(), &reply); err != nil {
-		if errors.Is(err, ErrUnreachable) {
-			d.net.LostBundles++
-			return 0, nil
-		}
-		return 0, err
+	if ops[0].err != nil {
+		return 0, ops[0].err
 	}
 	if len(reply.Ads) == 0 {
 		return 0, nil
@@ -493,91 +620,113 @@ type SlotOutcome struct {
 // nothing is sold or displayed). A lost observation only costs training
 // data, so an unreachable server is not an error.
 func (d *Device) ObserveSlot(now simclock.Time) error {
-	if d.batching {
-		return d.batchedObserveSlot(now)
-	}
-	err := d.postSlot(now)
-	if errors.Is(err, ErrUnreachable) {
+	ops := [1]wakeOp{{BatchOp: BatchOp{Op: OpSlot, Key: d.nextKey()}}}
+	d.exchange(now, ops[:], false)
+	if unanswered(ops[0].err) {
 		d.net.LostObservations++
 		return nil
 	}
-	return err
+	return ops[0].err
 }
 
-// HandleSlot processes one ad slot: refresh cancellation knowledge,
-// serve from the local cache (reporting the display), or fall back to
-// the on-demand endpoint. When the server is unreachable the slot
-// degrades instead of failing: cached ads are served against the
-// last-known cancellation state with the report deferred, and cache
-// misses show a house ad (Impression 0, Degraded set).
+// HandleSlot processes one ad slot: tell the server the slot fired and
+// refresh cancellation knowledge, serve from the local cache (reporting
+// the display), or fall back to the on-demand endpoint. When the server
+// is unreachable the slot degrades instead of failing: cached ads are
+// served against the last-known cancellation state with the report
+// deferred, and cache misses show a house ad (Impression 0, Degraded
+// set). On the batched wire a hit costs one round trip (the report
+// rides the next envelope) and a miss two: the on-demand fallback
+// cannot wait — the slot needs its ad now.
 func (d *Device) HandleSlot(now simclock.Time, cats []trace.Category) (SlotOutcome, error) {
-	if d.batching {
-		return d.batchedHandleSlot(now, cats)
-	}
 	var out SlotOutcome
-	d.FlushDeferred(now)
+	var arr [2]wakeOp
+	arr[0] = wakeOp{BatchOp: BatchOp{Op: OpSlot, Key: d.nextKey()}}
+	ops := arr[:1]
+	// The probe asks which cached impressions are already claimed
+	// elsewhere, so the cache can skip them.
+	var probe *CancelledReply
+	if ids := d.unknownCancellationIDs(); len(ids) > 0 {
+		probe = new(CancelledReply)
+		arr[1] = wakeOp{BatchOp: BatchOp{Op: OpCancelled, IDs: ids}, out: probe}
+		ops = arr[:2]
+	}
+	d.exchange(now, ops, true)
 	degraded := false
-	if err := d.postSlot(now); err != nil {
-		if !errors.Is(err, ErrUnreachable) {
-			return out, err
+	for i := range ops {
+		if unanswered(ops[i].err) {
+			// A lost probe means serving against stale cancellation
+			// knowledge; a lost observation only costs training data.
+			degraded = true
+			if i == 0 {
+				d.net.LostObservations++
+			}
+		} else if ops[i].err != nil {
+			return out, ops[i].err
 		}
-		d.net.LostObservations++
-		degraded = true
 	}
-	if err := d.refreshCancellations(now); err != nil {
-		if !errors.Is(err, ErrUnreachable) {
-			return out, err
+	if probe != nil {
+		for _, id := range probe.Cancelled {
+			d.known[auction.ImpressionID(id)] = true
 		}
-		degraded = true // serve against stale cancellation knowledge
 	}
-	ad, hit := d.dev.ServeSlot(now, func(id auction.ImpressionID) bool { return d.known[id] })
-	if hit {
+	if ad, hit := d.dev.ServeSlot(now, func(id auction.ImpressionID) bool { return d.known[id] }); hit {
 		d.cm.cacheHits.Inc()
 		out.CacheHit = true
 		out.Impression = ad.ID
-		msg := reportMsg{Client: d.ID, Impression: int64(ad.ID), NowNS: int64(now)}
-		key := d.nextKey()
-		if err := d.postReport(now, msg, key); err != nil {
-			if !errors.Is(err, ErrUnreachable) {
-				return out, err
+		// The display happened; the bill must not be lost with the link.
+		// The report's key and timestamp are minted now, so its delivery
+		// (or replay, if an attempt landed server-side) bills the display
+		// at display time whenever it goes.
+		rep := deferredReport{key: d.nextKey(), impression: int64(ad.ID), nowNS: int64(now)}
+		// Batched wire: write-behind — the report rides the next envelope
+		// without a round trip of its own, and counts as deferred only
+		// once an envelope carrying it goes unanswered. Per-op wire: the
+		// report goes at once, and is queued (and counted) only if the
+		// link is down.
+		queue := d.batching
+		if !queue {
+			send := [1]wakeOp{{BatchOp: BatchOp{Op: OpReport, Key: rep.key, Impression: rep.impression}}}
+			d.exchange(now, send[:], false)
+			if queue = unanswered(send[0].err); queue {
+				rep.counted = true
+				d.net.DeferredReports++
+				d.cm.deferredDepth.Add(1)
+				degraded = true
+			} else if send[0].err != nil {
+				return out, send[0].err
 			}
-			// The display happened; the bill must not be lost with the
-			// link. Queue the report under its original key so delivery
-			// (or replay, if an attempt landed server-side) is exact.
-			d.deferred = append(d.deferred, deferredReport{key: key, msg: msg, counted: true})
-			d.net.DeferredReports++
-			d.cm.deferredDepth.Add(1)
-			out.Deferred = true
-			degraded = true
 		}
-		if degraded {
+		if queue {
+			d.deferred = append(d.deferred, rep)
+			out.Deferred = true
+		}
+	} else {
+		d.cm.cacheMisses.Inc()
+		out.Fetched = true
+		catNames := make([]string, len(cats))
+		for i, c := range cats {
+			catNames[i] = string(c)
+		}
+		reply := new(OnDemandReply)
+		fetch := [1]wakeOp{{BatchOp: BatchOp{Op: OpOnDemand, Key: d.nextKey(), Categories: catNames, NoRescue: d.NoRescue}, out: reply}}
+		d.exchange(now, fetch[:], false)
+		if unanswered(fetch[0].err) {
+			// Cache miss with no server (or one shedding or erroring
+			// after every retry): the slot shows a house ad.
 			out.Degraded = true
 			d.net.DegradedSlots++
+			return out, nil
 		}
-		return out, nil
-	}
-	d.cm.cacheMisses.Inc()
-	out.Fetched = true
-	catNames := make([]string, len(cats))
-	for i, c := range cats {
-		catNames[i] = string(c)
-	}
-	var reply OnDemandReply
-	msg := onDemandMsg{Client: d.ID, NowNS: int64(now), Categories: catNames, NoRescue: d.NoRescue}
-	if err := d.post(now, "/v1/ondemand", onDemandBody(nil, msg), d.nextKey(), &reply); err != nil {
-		if !errors.Is(err, ErrUnreachable) {
-			return out, err
+		if fetch[0].err != nil {
+			return out, fetch[0].err
 		}
-		// Cache miss with no server: the slot shows a house ad.
-		out.Degraded = true
-		d.net.DegradedSlots++
-		return out, nil
-	}
-	out.Impression = auction.ImpressionID(reply.Impression)
-	out.Rescued = reply.Rescued
-	if len(reply.TopUp) > 0 {
-		d.dev.Assign(fromAdMsgs(reply.TopUp), true)
-		out.TopUpAds = len(reply.TopUp)
+		out.Impression = auction.ImpressionID(reply.Impression)
+		out.Rescued = reply.Rescued
+		if len(reply.TopUp) > 0 {
+			d.dev.Assign(fromAdMsgs(reply.TopUp), true)
+			out.TopUpAds = len(reply.TopUp)
+		}
 	}
 	if degraded {
 		out.Degraded = true
@@ -586,46 +735,11 @@ func (d *Device) HandleSlot(now simclock.Time, cats []trace.Category) (SlotOutco
 	return out, nil
 }
 
-// postSlot sends one slot observation under a fresh key. The body is
-// the device's own buffer (see send); 64 bytes hold any slot or report
-// body.
-func (d *Device) postSlot(now simclock.Time) error {
-	body := appendSlotMsg(make([]byte, 0, 64), d.ID, int64(now))
-	return d.post(now, "/v1/slot", body, d.nextKey(), &struct{}{})
-}
-
-// postReport sends one display report under its key.
-func (d *Device) postReport(now simclock.Time, msg reportMsg, key string) error {
-	body := appendReportMsg(make([]byte, 0, 64), msg.Client, msg.Impression, msg.NowNS)
-	return d.post(now, "/v1/report", body, key, &struct{}{})
-}
-
-// FlushDeferred attempts to deliver queued display reports. It stops at
-// the first unreachable error (the link is still down) and drops
-// reports the server definitively rejects (e.g. the impression expired
-// while the device was offline — the sweep already settled it).
-// HandleSlot and FetchBundle flush opportunistically; call this at the
-// end of a run to settle the queue. In batched mode the queue is the
-// write-behind outbox and one envelope settles all of it.
-func (d *Device) FlushDeferred(now simclock.Time) {
-	if d.batching {
-		d.flushBatched(now)
-		return
-	}
-	for len(d.deferred) > 0 {
-		dr := d.deferred[0]
-		err := d.postReport(now, dr.msg, dr.key)
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrUnreachable):
-			return // still down; keep the queue
-		default:
-			d.net.LostReports++
-		}
-		d.deferred = d.deferred[1:]
-		d.cm.deferredDepth.Add(-1)
-	}
-}
+// FlushDeferred attempts to deliver queued display reports. HandleSlot
+// and FetchBundle flush opportunistically; call this at the end of a
+// run to settle the queue. See exchange for how far a flush goes on
+// each wire when the server is not answering.
+func (d *Device) FlushDeferred(now simclock.Time) { d.exchange(now, nil, true) }
 
 // unknownCancellationIDs lists cached impressions whose cancellation
 // state is not yet known, in cache snapshot order.
@@ -641,24 +755,6 @@ func (d *Device) unknownCancellationIDs() []int64 {
 		}
 	}
 	return ids
-}
-
-// refreshCancellations asks the server which cached impressions are
-// already claimed elsewhere, so the cache can skip them.
-func (d *Device) refreshCancellations(now simclock.Time) error {
-	raw := d.unknownCancellationIDs()
-	if len(raw) == 0 {
-		return nil
-	}
-	var uri [128]byte
-	var reply CancelledReply
-	if err := d.get(now, string(appendCancelledURI(uri[:0], d.ID, raw, int64(now))), d.nextKey(), &reply); err != nil {
-		return err
-	}
-	for _, id := range reply.Cancelled {
-		d.known[auction.ImpressionID(id)] = true
-	}
-	return nil
 }
 
 // readReply consumes an HTTP response, the one place both reply forms
@@ -789,12 +885,12 @@ func (c *Coordinator) period(now simclock.Time, path string, msg periodMsg, out 
 	if err != nil {
 		return fmt.Errorf("transport: encoding %s: %w", path, err)
 	}
-	return c.post(now, path, body, c.nextKey(), jsonReplyInto(path, out))
+	return c.do(now, http.MethodPost, path, jsonBody, body, c.nextKey(), jsonReplyInto(path, out))
 }
 
 // view fetches one of the read-only views.
 func (c *Coordinator) view(path string, out any) error {
-	return c.get(0, path, "", jsonReplyInto(path, out))
+	return c.do(0, http.MethodGet, path, "", nil, "", jsonReplyInto(path, out))
 }
 
 // Ledger fetches the exchange ledger snapshot.

@@ -2,6 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -135,27 +138,53 @@ func TestBinaryVersionNegotiation(t *testing.T) {
 	}
 }
 
-// TestBinaryDeviceAgainstJSONServer pins the fallback path: a device
-// with WithBinaryBatch talks to a server whose reply is JSON only if
-// the server ignored the binary Content-Type — the client must decode
-// by the reply's Content-Type, not by what it asked for. Simulated by
-// posting JSON envelopes from a binary-capable device: sendBatch picks
-// the codec per envelope, so a JSON reply must still parse.
+// TestBinaryDeviceAgainstJSONServer pins what a WithBinaryBatch device
+// does against a server that is not its twin. There is no fallback: a
+// JSON-only server cannot read the frame and answers 400, which the
+// device returns as a definitive StatusError after one attempt (not
+// ErrUnreachable — retrying the same bytes cannot help). What the device
+// does adapt to is the reply: it is decoded by its own Content-Type, so
+// a server that read the frame but answered in JSON is understood.
 func TestBinaryDeviceAgainstJSONServer(t *testing.T) {
-	ss, _ := newBatchStack(t, 1, 2)
-	ts := httptest.NewServer(ss.Handler())
-	defer ts.Close()
-	startPeriod(t, ss.Handler())
+	newDevice := func(h http.Handler) *Device {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		d, err := NewDevice(0, 32, ts.URL, WithHTTPClient(ts.Client()), WithBatching(), WithBinaryBatch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
 
-	d, err := NewDevice(0, 32, ts.URL, WithHTTPClient(ts.Client()), WithBatching(), WithBinaryBatch())
-	if err != nil {
-		t.Fatal(err)
+	jsonOnly := newDevice(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if envelope.IsBinary(r.Header.Get("Content-Type")) {
+			http.Error(w, "malformed request: invalid character 'A' looking for beginning of value", http.StatusBadRequest)
+			return
+		}
+		t.Errorf("a WithBinaryBatch device sent Content-Type %q", r.Header.Get("Content-Type"))
+	}))
+	err := jsonOnly.ObserveSlot(61e9)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Status != http.StatusBadRequest || errors.Is(err, ErrUnreachable) {
+		t.Fatalf("binary frame against a JSON-only server: %v, want a definitive 400 StatusError", err)
 	}
-	if _, err := d.FetchBundle(60 * 1e9); err != nil {
-		t.Fatalf("binary-capable device bundle fetch: %v", err)
+	if n := jsonOnly.Net(); n.Attempts != 1 || n.Unreachable != 0 || n.LostObservations != 0 {
+		t.Fatalf("a definitive 400 must cost one attempt and lose nothing: %+v", n)
 	}
-	if err := d.ObserveSlot(61 * 1e9); err != nil {
-		t.Fatalf("binary-capable device slot: %v", err)
+
+	ad := AdMsg{ID: 7, DeadlineNS: 5400e9, Tie: 1}
+	jsonReply := newDevice(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		env, err := envelope.DecodeMsg(body)
+		if err != nil || len(env.Ops) != 1 || env.Ops[0].Op != OpBundle {
+			t.Errorf("expected a one-op binary bundle envelope, got %+v, %v", env, err)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(BatchReply{Results: []BatchOpResult{
+			{Op: OpBundle, Status: http.StatusOK, Body: bytes.TrimSpace(bundleReplyBody(BundleReply{Ads: []AdMsg{ad}}))},
+		}})
+	}))
+	if n, err := jsonReply.FetchBundle(60e9); err != nil || n != 1 || jsonReply.CacheLen() != 1 {
+		t.Fatalf("JSON reply to a binary request: %d ads, %v, %d cached", n, err, jsonReply.CacheLen())
 	}
-	d.FlushDeferred(62 * 1e9)
 }

@@ -35,7 +35,6 @@ import (
 type wireRecorder struct {
 	h        http.Handler
 	out      bytes.Buffer
-	discard  bytes.Buffer
 	mute     bool
 	linkDown func(*http.Request) bool
 	rewrite  func(*http.Request, *httptest.ResponseRecorder)
@@ -64,8 +63,7 @@ func (rt *wireRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	out := &rt.out
 	if rt.mute {
-		rt.discard.Reset()
-		out = &rt.discard
+		out = new(bytes.Buffer)
 	}
 	fmt.Fprintf(out, "%s %s\n", req.Method, req.URL)
 	writeHeaders(out, ">", req.Header)

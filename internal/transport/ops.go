@@ -220,37 +220,39 @@ func (s *ShardedServer) execOp(sh *shardState, env *batchMsg, op *BatchOp, wire 
 	return sh.dedup.do(op.Key, opFingerprint(client, now, op, wire), simclock.Time(now), client, exec)
 }
 
-// opFingerprint hashes an op as the sequential request it stands for.
-// wire, when the request came in on that endpoint, is its payload
-// verbatim; otherwise the payload is rendered by the very renderers the
-// shipped client sends with (wirejson.go: bundle hashes its request URI,
-// the POSTs their JSON bodies), so the two cannot drift apart.
-func opFingerprint(client int, now int64, op *BatchOp, wire []byte) uint64 {
-	var buf [192]byte // the canonical forms fit unless an op carries a long category list
-	method, path := http.MethodPost, ""
+// opRequest renders op as the one-request-per-op form it stands for:
+// the method and path of its endpoint, and — appended to dst — the
+// payload an idempotency fingerprint covers, a POST's JSON body or a
+// GET's request URI. It is the one table of that form: the device's
+// per-op sender ships exactly these bytes and opFingerprint hashes them,
+// so what a keyed op hashes as and what the shipped client sends cannot
+// drift apart.
+func opRequest(dst []byte, client int, now int64, op *BatchOp) (method, path string, payload []byte) {
 	switch op.Op {
 	case OpSlot:
-		path = "/v1/slot"
-		if wire == nil {
-			wire = appendSlotMsg(buf[:0], client, now)
-		}
+		return http.MethodPost, "/v1/slot", appendSlotMsg(dst, client, now)
 	case OpReport:
-		path = "/v1/report"
-		if wire == nil {
-			wire = appendReportMsg(buf[:0], client, op.Impression, now)
-		}
+		return http.MethodPost, "/v1/report", appendReportMsg(dst, client, op.Impression, now)
 	case OpOnDemand:
-		path = "/v1/ondemand"
-		if wire == nil {
-			wire = onDemandBody(buf[:0], onDemandMsg{Client: client, NowNS: now, Categories: op.Categories, NoRescue: op.NoRescue})
-		}
+		return http.MethodPost, "/v1/ondemand", onDemandBody(dst, onDemandMsg{Client: client, NowNS: now, Categories: op.Categories, NoRescue: op.NoRescue})
 	case OpBundle:
-		method, path = http.MethodGet, "/v1/bundle"
-		if wire == nil {
-			wire = appendBundleURI(buf[:0], client, now)
-		}
+		return http.MethodGet, "/v1/bundle", appendBundleURI(dst, client, now)
+	case OpCancelled:
+		return http.MethodGet, "/v1/cancelled", appendCancelledURI(dst, client, op.IDs, now)
 	}
-	return requestHash(method, path, wire)
+	return "", "", nil
+}
+
+// opFingerprint hashes an op as the sequential request it stands for.
+// wire, when the request came in on that endpoint, is its payload
+// verbatim and replaces the canonical rendering.
+func opFingerprint(client int, now int64, op *BatchOp, wire []byte) uint64 {
+	var buf [192]byte // the canonical forms fit unless an op carries a long category list
+	method, path, payload := opRequest(buf[:0], client, now, op)
+	if wire != nil {
+		payload = wire
+	}
+	return requestHash(method, path, payload)
 }
 
 // execOpLocked dispatches one op to the engine; the group's locks must

@@ -65,9 +65,10 @@ func WithMeter(m *radio.Radio) Option {
 // one wake-up travel in a single POST /v1/batch envelope instead of one
 // request each, display reports are queued write-behind and ride the
 // next envelope (or a FlushDeferred call), and the radio model is
-// charged once per batch instead of once per op. Sub-ops keep their
-// individual idempotency keys, so retries and mode switches never
-// double-execute; outcomes are equivalent to the sequential mode (the
+// charged once per batch instead of once per op. The wake-up itself is
+// the same procedure on either wire (see Device.exchange); sub-ops keep
+// their individual idempotency keys, so retries and mode switches never
+// double-execute, and outcomes are equivalent to the per-op mode (the
 // differential suite in internal/sim pins this). Coordinators ignore
 // the option.
 func WithBatching() Option {
@@ -75,14 +76,17 @@ func WithBatching() Option {
 }
 
 // WithBinaryBatch switches a batching Device's /v1/batch envelopes to
-// the length-prefixed binary codec (see internal/transport/codec.go):
+// the length-prefixed binary codec (see internal/envelope/frame.go):
 // requests carry Content-Type application/x-adprefetch-batch and the
-// "1;bin" version token, and the reply is decoded by its Content-Type —
-// a server that answered JSON is decoded as JSON, so the option is safe
-// against servers that predate the codec. Sub-op semantics, idempotency
-// keys and results are identical to the JSON envelope (the codec
-// differential tier pins this); only the wire bytes change. Implies
-// nothing without WithBatching — sequential endpoints always speak JSON.
+// "1;bin" version token, and the reply is decoded by its own
+// Content-Type — a server that answered JSON is decoded as JSON. There
+// is no fallback on the request side: a server that predates the codec
+// cannot read the frame and answers 400, which the device returns as a
+// definitive StatusError after one attempt — set the option only against
+// servers that speak it. Sub-op semantics, idempotency keys and results
+// are identical to the JSON envelope (the codec differential tier pins
+// this); only the wire bytes change. Implies nothing without
+// WithBatching — the per-op endpoints always speak JSON.
 func WithBinaryBatch() Option {
 	return func(o *options) { o.binaryBat = true }
 }

@@ -14,9 +14,9 @@ import (
 // encoders append exactly json.Marshal's bytes (or decline when a string
 // would need an escape), decoders accept exactly that canonical
 // rendering and decline everything else, whereupon encoding/json
-// decides. The same request renderers serve the device (what it sends)
-// and opFingerprint (what a keyed op hashes as), so the two cannot
-// drift.
+// decides. The request renderers are reached through one table,
+// opRequest (ops.go), which serves the device (what it sends) and
+// opFingerprint (what a keyed op hashes as), so the two cannot drift.
 //
 // Three rules the call sites rely on:
 //
