@@ -113,6 +113,22 @@ type Ledger struct {
 	PotentialUSD float64 // total value sold (billed + violated upper bound)
 }
 
+// Add accumulates o into l, field by field. It is the one ledger sum:
+// shard pools, tenant views, the router's merged replies and the replay
+// harness all total ledgers through it, so a new field is summed
+// everywhere or nowhere. Summing in a fixed order keeps merged float
+// totals bit-identical run to run.
+func (l *Ledger) Add(o Ledger) {
+	l.Sold += o.Sold
+	l.BilledUSD += o.BilledUSD
+	l.Billed += o.Billed
+	l.FreeUSD += o.FreeUSD
+	l.FreeShows += o.FreeShows
+	l.Violations += o.Violations
+	l.ViolatedUSD += o.ViolatedUSD
+	l.PotentialUSD += o.PotentialUSD
+}
+
 // RevenueLossFrac returns the paper's revenue-loss metric: the value of
 // free (duplicate) impressions relative to billed revenue.
 func (l Ledger) RevenueLossFrac() float64 {

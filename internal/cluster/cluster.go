@@ -927,14 +927,7 @@ func mergeLedger(bodies [][]byte) (any, error) {
 		if err := json.Unmarshal(b, &l); err != nil {
 			return nil, err
 		}
-		total.Sold += l.Sold
-		total.BilledUSD += l.BilledUSD
-		total.Billed += l.Billed
-		total.FreeUSD += l.FreeUSD
-		total.FreeShows += l.FreeShows
-		total.Violations += l.Violations
-		total.ViolatedUSD += l.ViolatedUSD
-		total.PotentialUSD += l.PotentialUSD
+		total.Add(l)
 	}
 	return total, nil
 }
@@ -1038,14 +1031,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 				m.OpenBook += th.OpenBook
 				m.Admitted += th.Admitted
 				m.Shed += th.Shed
-				m.Ledger.Sold += th.Ledger.Sold
-				m.Ledger.BilledUSD += th.Ledger.BilledUSD
-				m.Ledger.Billed += th.Ledger.Billed
-				m.Ledger.FreeUSD += th.Ledger.FreeUSD
-				m.Ledger.FreeShows += th.Ledger.FreeShows
-				m.Ledger.Violations += th.Ledger.Violations
-				m.Ledger.ViolatedUSD += th.Ledger.ViolatedUSD
-				m.Ledger.PotentialUSD += th.Ledger.PotentialUSD
+				m.Ledger.Add(th.Ledger)
 			}
 		}
 	}

@@ -151,6 +151,30 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// NewPredictor builds client id's slot predictor for the configured
+// mode: the one per-mode factory behind both the in-process System and
+// the transport replay's server pools. oracle supplies the client's true
+// per-period slot series and is called only in ModeOracle. Call it on a
+// validated Config.
+func (c Config) NewPredictor(id int, oracle func(clientID int) []int) predict.Predictor {
+	switch c.Mode {
+	case ModeNaiveBulk:
+		return constPredictor{k: c.NaiveK}
+	case ModeOracle:
+		return predict.NewOracle(oracle(id))
+	default:
+		if c.AdaptivePercentile {
+			a, err := predict.NewAdaptivePercentile(c.Percentile, 0.15)
+			if err != nil {
+				// Percentile was validated by Validate; failure is a bug.
+				panic(err)
+			}
+			return a
+		}
+		return predict.NewPercentileHistogram(c.Percentile)
+	}
+}
+
 // constPredictor backs ModeNaiveBulk: it always "predicts" K slots.
 type constPredictor struct{ k int }
 
@@ -239,24 +263,7 @@ func New(cfg Config, ex *auction.Exchange, clientIDs []int,
 	if cfg.Mode == ModeOracle && oracleSeries == nil {
 		return nil, fmt.Errorf("core: ModeOracle requires oracleSeries")
 	}
-	mk := func(id int) predict.Predictor {
-		switch cfg.Mode {
-		case ModeNaiveBulk:
-			return constPredictor{k: cfg.NaiveK}
-		case ModeOracle:
-			return predict.NewOracle(oracleSeries(id))
-		default:
-			if cfg.AdaptivePercentile {
-				a, err := predict.NewAdaptivePercentile(cfg.Percentile, 0.15)
-				if err != nil {
-					// Percentile was validated above; failure is a bug.
-					panic(err)
-				}
-				return a
-			}
-			return predict.NewPercentileHistogram(cfg.Percentile)
-		}
-	}
+	mk := func(id int) predict.Predictor { return cfg.NewPredictor(id, oracleSeries) }
 	srv, err := adserver.New(cfg.Server, ex, clientIDs, mk, hints)
 	if err != nil {
 		return nil, err

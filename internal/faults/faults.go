@@ -576,19 +576,12 @@ func NewCrashSchedule(points ...CrashPoint) *CrashSchedule {
 	}
 }
 
-// Observe records one appended WAL record and reports whether the
-// currently armed crash point fires on it. Safe for concurrent use;
-// each point fires exactly once. The single-process harness calls this
-// form, which observes as node 0.
-func (c *CrashSchedule) Observe(op string) bool {
-	return c.ObserveNode(0, op)
-}
-
 // ObserveNode records one WAL record appended by the given node and
 // reports whether the currently armed crash point fires on it — in
 // which case the observing node is the one that must die: either the
 // point targets it, or the point is AnyNode-scoped and this append
-// crossed the threshold.
+// crossed the threshold. Safe for concurrent use; each point fires
+// exactly once. The single-process harness observes as node 0.
 func (c *CrashSchedule) ObserveNode(node int, op string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -277,11 +277,11 @@ func TestCrashScheduleFiresAndResets(t *testing.T) {
 	}
 	// Point 1 counts only "report" records.
 	for i, op := range []string{"slot", "report", "slot", "batch"} {
-		if s.Observe(op) {
+		if s.ObserveNode(0, op) {
 			t.Fatalf("fired early at record %d (%s)", i, op)
 		}
 	}
-	if !s.Observe("report") {
+	if !s.ObserveNode(0, "report") {
 		t.Fatal("second report must fire point 1")
 	}
 	if s.Fired() != 1 || s.Pending() != 1 {
@@ -289,10 +289,10 @@ func TestCrashScheduleFiresAndResets(t *testing.T) {
 	}
 	// Counters reset at the crash: point 2 counts records appended by
 	// the replacement process, not the 5 already observed.
-	if s.Observe("report") || s.Observe("slot") {
+	if s.ObserveNode(0, "report") || s.ObserveNode(0, "slot") {
 		t.Fatal("point 2 fired before 3 post-crash records")
 	}
-	if !s.Observe("period_end") {
+	if !s.ObserveNode(0, "period_end") {
 		t.Fatal("third post-crash record must fire the wildcard point")
 	}
 	if s.Fired() != 2 || s.Pending() != 0 {
@@ -300,7 +300,7 @@ func TestCrashScheduleFiresAndResets(t *testing.T) {
 	}
 	// An exhausted schedule never fires again.
 	for i := 0; i < 10; i++ {
-		if s.Observe("report") {
+		if s.ObserveNode(0, "report") {
 			t.Fatal("exhausted schedule fired")
 		}
 	}
@@ -361,11 +361,11 @@ func TestCrashScheduleNodeScoping(t *testing.T) {
 	}
 }
 
-// Observe must stay an alias for node 0 so the single-process harness
-// and plain CrashPoint{Op, After} literals keep their original meaning.
+// The single-process harness observes as node 0, so plain
+// CrashPoint{Op, After} literals must keep their original meaning there.
 func TestCrashScheduleObserveIsNodeZero(t *testing.T) {
 	s := NewCrashSchedule(CrashPoint{Op: "report", After: 2})
-	if s.Observe("report") {
+	if s.ObserveNode(0, "report") {
 		t.Fatal("fired after one report")
 	}
 	// Zero-value Node scopes to node 0: another node's matching append
@@ -373,7 +373,7 @@ func TestCrashScheduleObserveIsNodeZero(t *testing.T) {
 	if s.ObserveNode(1, "report") {
 		t.Fatal("node-1 append fired a zero-value (node 0) point")
 	}
-	if !s.Observe("report") {
+	if !s.ObserveNode(0, "report") {
 		t.Fatal("second node-0 report must fire")
 	}
 	if s.Fired() != 1 {

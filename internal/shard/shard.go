@@ -95,15 +95,7 @@ func (p *Pool) SetTenancy(tenantOf func(clientID int) string) {
 func (p *Pool) LedgerOf(tenant string) auction.Ledger {
 	var total auction.Ledger
 	for _, s := range p.shards {
-		l := s.Exchange().LedgerOf(tenant)
-		total.Sold += l.Sold
-		total.BilledUSD += l.BilledUSD
-		total.Billed += l.Billed
-		total.FreeUSD += l.FreeUSD
-		total.FreeShows += l.FreeShows
-		total.Violations += l.Violations
-		total.ViolatedUSD += l.ViolatedUSD
-		total.PotentialUSD += l.PotentialUSD
+		total.Add(s.Exchange().LedgerOf(tenant))
 	}
 	return total
 }
@@ -196,15 +188,7 @@ func (p *Pool) EndPeriod(now simclock.Time, per predict.Period) int {
 func (p *Pool) Ledger() auction.Ledger {
 	var total auction.Ledger
 	for _, s := range p.shards {
-		l := s.Exchange().Ledger()
-		total.Sold += l.Sold
-		total.BilledUSD += l.BilledUSD
-		total.Billed += l.Billed
-		total.FreeUSD += l.FreeUSD
-		total.FreeShows += l.FreeShows
-		total.Violations += l.Violations
-		total.ViolatedUSD += l.ViolatedUSD
-		total.PotentialUSD += l.PotentialUSD
+		total.Add(s.Exchange().Ledger())
 	}
 	return total
 }

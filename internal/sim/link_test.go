@@ -17,7 +17,7 @@ func runClusterOverHTTPHop(cfg Config, o TransportOpts) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	back, err := newClusterBackend(env, cluster.WithHTTPClient(&http.Client{
+	back, err := newLocalBackend(env, cluster.WithHTTPClient(&http.Client{
 		Transport: &http.Transport{MaxIdleConnsPerHost: 2 * env.workers},
 		Timeout:   10 * time.Second,
 	}))

@@ -24,10 +24,14 @@ import (
 )
 
 // RunTransportStream replays the deterministic trace a Config describes
-// through the deployable serving path: a transport.ShardedServer over a
-// shard.Pool (or a cluster of them behind a router, or an external
-// deployment — see TransportOpts), spoken to by one transport.Device per
-// user over real HTTP on a loopback listener. Period boundaries drive
+// through the deployable serving path, spoken to by one transport.Device
+// per user over real HTTP on a loopback listener. The serving side is
+// built in-process as a list of nodes, each a transport.ShardedServer
+// over a shard.Pool with its own WAL: one node holding every client on
+// Shards shards, reached directly, or Nodes one-shard nodes behind a
+// cluster.Router — the same harness, with the same crash, restart and
+// settle code, either way. TargetURL drives an external deployment
+// instead (see TransportOpts). Period boundaries drive
 // the fan-out/fan-in round on the server; within a period, devices
 // replay their slot events concurrently (per-device order preserved)
 // across Workers goroutines, so the run exercises the concurrent serving
@@ -62,13 +66,10 @@ func RunTransportStream(cfg Config, o TransportOpts) (*Result, error) {
 		return nil, err
 	}
 	var back serving
-	switch {
-	case o.TargetURL != "":
+	if o.TargetURL != "" {
 		back, err = newTargetBackend(env)
-	case o.Nodes > 0:
-		back, err = newClusterBackend(env)
-	default:
-		back, err = newSingleBackend(env)
+	} else {
+		back, err = newLocalBackend(env)
 	}
 	if err != nil {
 		return nil, err
@@ -248,7 +249,7 @@ func newStreamEnv(cfg Config, o TransportOpts) (*replayEnv, error) {
 			func(int) (*auction.Exchange, error) {
 				return auction.NewExchange(demand(), cfg.Reserve)
 			},
-			func(id int) predict.Predictor { return transportPredictor(cfg.Core, id, env.oracle) },
+			func(id int) predict.Predictor { return cfg.Core.NewPredictor(id, env.oracle) },
 			env.hints)
 	}
 	return env, nil

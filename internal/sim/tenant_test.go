@@ -102,7 +102,7 @@ func assertFloodContained(t *testing.T, label string, noisy *Result) {
 	}
 	var sum auction.Ledger
 	for _, l := range noisy.TenantLedgers {
-		addLedgers(&sum, l)
+		sum.Add(l)
 	}
 	if got, want := LedgerJSON(sum), LedgerJSON(noisy.Ledger); got != want {
 		t.Fatalf("%s: tenant views do not partition the aggregate ledger:\n views: %s\n total: %s", label, got, want)

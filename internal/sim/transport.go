@@ -2,11 +2,9 @@ package sim
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -14,16 +12,13 @@ import (
 	"time"
 
 	"repro/internal/auction"
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/predict"
 	"repro/internal/shard"
 	"repro/internal/simclock"
 	"repro/internal/tenant"
 	"repro/internal/trace"
 	"repro/internal/transport"
-	"repro/internal/wal"
 )
 
 // TransportOpts selects the wire-path variants of a transport replay.
@@ -76,18 +71,18 @@ type TransportOpts struct {
 	// SnapshotEvery checkpoints the full state every N period-end
 	// rounds (0 = never; the log then carries the whole run).
 	SnapshotEvery int
-	// Crashes, when non-nil, kills and restarts the serving process at
-	// the scheduled WAL-append instants. Requires WALDir. A point is
+	// Crashes, when non-nil, kills and restarts serving nodes at the
+	// scheduled WAL-append instants. Requires WALDir. A point is
 	// observed at the instant between a record becoming durable and its
-	// response being acknowledged: the process is torn down mid-request
-	// and a replacement is built from scratch, recovering from the newest
-	// snapshot plus WAL replay. Requests arriving while it is down block
-	// until the replacement is up; the aborted in-flight requests ride
-	// the devices' normal retry + idempotency machinery. In cluster mode
-	// kills are node-scoped (faults.CrashPoint.Node): the victim's
-	// listener drops, the router's circuit opens and parks that node's
-	// clients, and the router is told to Rejoin the recovered node. The
-	// single-process harness observes as node 0.
+	// response being acknowledged: the node is torn down mid-request and
+	// a replacement is built from scratch, recovering from the newest
+	// snapshot plus WAL replay; the aborted in-flight requests ride the
+	// devices' normal retry + idempotency machinery. Kills are
+	// node-scoped (faults.CrashPoint.Node), and the single process is
+	// node 0. While a node is down, requests to the single process block
+	// until the replacement is up; a cluster node's listener drops, the
+	// router's circuit opens and parks that node's clients, and the
+	// router is told to Rejoin the recovered node.
 	Crashes *faults.CrashSchedule
 	// Energy attaches a per-device radio (the Config's Radio profile) and
 	// charges app and ad transfer bytes through it, filling the Result's
@@ -216,8 +211,8 @@ type migrator interface {
 // serving is one backend of the replay: something that serves the
 // transport protocol at url and can settle the server-side result
 // fields when the replay loop is done. Two implementations: the
-// single-process ShardedServer (with its kill/restart gate) and the
-// multi-node cluster behind a router.
+// in-process nodes (localBackend: one process, or a cluster behind a
+// router) and an external deployment at TargetURL (targetBackend).
 type serving interface {
 	url() string
 	// registry is the server-side metrics surfaced as Result.Obs (the
@@ -230,223 +225,6 @@ type serving interface {
 	// close tears the backend down; idempotent, safe after finish and
 	// on error paths.
 	close()
-}
-
-// singleBackend is the single-process serving backend: one
-// ShardedServer over one pool on one loopback listener, with the
-// kill/restart gate when a crash schedule is armed.
-type singleBackend struct {
-	env      *replayEnv
-	gate     *crashGate
-	reg      *obs.Registry
-	httpSrv  *http.Server
-	serveErr chan error
-	stopOnce sync.Once
-	restarts chan struct{} // signals the restart goroutine; nil without crashes
-	done     chan struct{}
-	doneOnce sync.Once
-	logOnce  sync.Once
-}
-
-func newSingleBackend(env *replayEnv) (*singleBackend, error) {
-	o, plan := env.o, env.o.Plan
-	b := &singleBackend{env: env, serveErr: make(chan error, 1), done: make(chan struct{})}
-
-	// The crash gate: while a kill is being recovered, new requests
-	// block here until the replacement handler is installed, so clients
-	// ride out the outage inside their retry budget instead of burning
-	// attempts against a dead socket.
-	gate := &crashGate{}
-	gate.cond = sync.NewCond(&gate.mu)
-	b.gate = gate
-	restartCh := make(chan struct{}, 1)
-	var hook func(wal.Record)
-	if o.Crashes != nil {
-		hook = func(rec wal.Record) {
-			// A record that slipped past the seal of an incarnation already
-			// being killed (another shard's append racing the kill) belongs
-			// to that outage: it must not consume the next crash point.
-			gate.mu.Lock()
-			if gate.down || !o.Crashes.Observe(rec.Op) {
-				gate.mu.Unlock()
-				return
-			}
-			gate.down = true
-			gate.log.Seal() // no further op can become durable or acked
-			restartCh <- struct{}{}
-			gate.mu.Unlock()
-			// Abort the request that tripped the kill: its client never
-			// learns the outcome and must retry against the recovered
-			// process.
-			panic(http.ErrAbortHandler)
-		}
-	}
-
-	// mkServer builds one serving incarnation: pool, transport server,
-	// and — with durability on — an opened WAL plus recovery of whatever
-	// state the directory already holds.
-	mkServer := func() (*shard.Pool, *transport.ShardedServer, *wal.Log, error) {
-		pool, err := env.makePool(o.Shards, env.ids)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		ts := transport.NewShardedServer(pool)
-		if err := setTenants(ts, o.Tenants); err != nil {
-			return nil, nil, nil, err
-		}
-		if o.WALDir == "" {
-			return pool, ts, nil, nil
-		}
-		l, err := wal.Open(o.WALDir, wal.Options{NoSync: !o.Fsync, Hook: hook})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		ts.AttachWAL(l, o.SnapshotEvery)
-		if _, err := ts.Recover(); err != nil {
-			l.Close()
-			return nil, nil, nil, err
-		}
-		return pool, ts, l, nil
-	}
-	mkHandler := func(ts *transport.ShardedServer, pool *shard.Pool) http.Handler {
-		h := http.Handler(ts.Handler())
-		if plan != nil {
-			h = plan.Middleware(h, pool.IndexFor)
-		}
-		return h
-	}
-
-	pool, ts, wlog, err := mkServer()
-	if err != nil {
-		return nil, err
-	}
-	gate.pool, gate.log = pool, wlog
-	b.reg = ts.Registry()
-
-	// Serve the sharded transport on a loopback listener.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		if wlog != nil {
-			wlog.Close()
-		}
-		return nil, fmt.Errorf("sim: transport listener: %w", err)
-	}
-	handler := mkHandler(ts, pool)
-	if o.Crashes != nil {
-		gate.handler = handler
-		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			gate.mu.Lock()
-			for gate.down {
-				gate.cond.Wait()
-			}
-			h := gate.handler
-			gate.mu.Unlock()
-			h.ServeHTTP(w, r)
-		})
-		go func() {
-			for {
-				select {
-				case <-restartCh:
-				case <-b.done:
-					return
-				}
-				// Quiesce the dying incarnation's log before reopening the
-				// directory: Close waits out an append already past the seal
-				// check, so the replacement reads a complete tail (such a
-				// record was acked and must be replayed, not truncated).
-				gate.mu.Lock()
-				old := gate.log
-				gate.mu.Unlock()
-				if old != nil {
-					_ = old.Close()
-				}
-				p2, ts2, l2, rerr := mkServer()
-				gate.mu.Lock()
-				if rerr != nil {
-					gate.err = rerr
-					gate.handler = http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-						http.Error(w, "sim: crash restart failed", http.StatusInternalServerError)
-					})
-				} else {
-					gate.pool, gate.log = p2, l2
-					gate.handler = mkHandler(ts2, p2)
-					gate.restarts++
-				}
-				gate.down = false
-				gate.cond.Broadcast()
-				gate.mu.Unlock()
-			}
-		}()
-	}
-	b.httpSrv = &http.Server{Handler: handler}
-	b.gate.baseURL = "http://" + ln.Addr().String()
-	go func() { b.serveErr <- b.httpSrv.Serve(ln) }()
-	return b, nil
-}
-
-func (b *singleBackend) url() string             { return b.gate.baseURL }
-func (b *singleBackend) registry() *obs.Registry { return b.reg }
-
-// stopServe releases the port and waits the serve goroutine out.
-func (b *singleBackend) stopServe() {
-	b.stopOnce.Do(func() {
-		_ = b.httpSrv.Shutdown(context.Background())
-		<-b.serveErr // http.ErrServerClosed after Shutdown
-	})
-}
-
-func (b *singleBackend) finish(res *Result) error {
-	// The HTTP phase is over: release the port, then sweep impressions
-	// still open at trace end directly on the pool. After crashes, the
-	// live state is the latest incarnation's.
-	b.stopServe()
-	gate := b.gate
-	gate.mu.Lock()
-	pool := gate.pool
-	res.Restarts = gate.restarts
-	gerr := gate.err
-	gate.mu.Unlock()
-	if gerr != nil {
-		return fmt.Errorf("sim: crash restart: %w", gerr)
-	}
-	span := b.env.span
-	for i := 0; i < pool.Shards(); i++ {
-		pool.Shard(i).Exchange().SweepExpired(span + simclock.Week)
-	}
-	res.Ledger = pool.Ledger()
-	res.CampaignBilled = make(map[auction.CampaignID]float64, b.env.cfg.Demand.Campaigns)
-	for i := 0; i < b.env.cfg.Demand.Campaigns; i++ {
-		id := auction.CampaignID(i)
-		for s := 0; s < pool.Shards(); s++ {
-			if billed, _, err := pool.Shard(s).Exchange().CampaignSpend(id); err == nil {
-				res.CampaignBilled[id] += billed
-			}
-		}
-	}
-	if tcs := b.env.o.Tenants; len(tcs) > 0 {
-		res.TenantLedgers = make(map[string]auction.Ledger, len(tcs))
-		for _, tc := range tcs {
-			var l auction.Ledger
-			for s := 0; s < pool.Shards(); s++ {
-				addLedgers(&l, pool.Shard(s).Exchange().LedgerOf(tc.ID))
-			}
-			res.TenantLedgers[tc.ID] = l
-		}
-	}
-	return nil
-}
-
-func (b *singleBackend) close() {
-	b.stopServe()
-	b.doneOnce.Do(func() { close(b.done) })
-	b.logOnce.Do(func() {
-		b.gate.mu.Lock()
-		wlog := b.gate.log
-		b.gate.mu.Unlock()
-		if wlog != nil {
-			wlog.Close()
-		}
-	})
 }
 
 // setTenants installs a run's boot tenant registry (epoch 1) on a
@@ -580,76 +358,6 @@ func runFlood(hc *http.Client, baseURL string, f *FloodSpec, now, end simclock.T
 		}(d)
 	}
 	wg.Wait()
-}
-
-// addLedgers accumulates src into dst field by field (the sim-side twin
-// of the serving health merge).
-func addLedgers(dst *auction.Ledger, src auction.Ledger) {
-	dst.Sold += src.Sold
-	dst.Billed += src.Billed
-	dst.BilledUSD += src.BilledUSD
-	dst.FreeShows += src.FreeShows
-	dst.FreeUSD += src.FreeUSD
-	dst.Violations += src.Violations
-	dst.ViolatedUSD += src.ViolatedUSD
-	dst.PotentialUSD += src.PotentialUSD
-}
-
-// crashGate serializes the crash harness's kill/restart cycle: the
-// WAL hook marks the service down and seals the dying log, the restart
-// goroutine swaps in the recovered incarnation, and the outer handler
-// parks requests on the condition variable in between. Everything the
-// current incarnation owns (handler, pool, log) lives behind mu so the
-// swap is atomic from the requests' point of view.
-type crashGate struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	down     bool
-	handler  http.Handler
-	pool     *shard.Pool
-	log      *wal.Log
-	restarts int
-	err      error
-	baseURL  string
-}
-
-// transportPredictor mirrors core.New's per-mode predictor factory for
-// the HTTP replay path.
-func transportPredictor(cfg core.Config, id int, oracleSeries func(int) []int) predict.Predictor {
-	switch cfg.Mode {
-	case core.ModeNaiveBulk:
-		return constKPredictor{k: cfg.NaiveK}
-	case core.ModeOracle:
-		return predict.NewOracle(oracleSeries(id))
-	default:
-		if cfg.AdaptivePercentile {
-			a, err := predict.NewAdaptivePercentile(cfg.Percentile, 0.15)
-			if err != nil {
-				panic(err) // percentile validated by cfg.Validate
-			}
-			return a
-		}
-		return predict.NewPercentileHistogram(cfg.Percentile)
-	}
-}
-
-// constKPredictor backs ModeNaiveBulk on the transport path: it always
-// "predicts" K slots (mirrors core's constPredictor).
-type constKPredictor struct{ k int }
-
-func (c constKPredictor) Name() string { return fmt.Sprintf("const-%d", c.k) }
-func (c constKPredictor) Predict(predict.Period) predict.Estimate {
-	return predict.Estimate{Slots: float64(c.k), Mean: float64(c.k), NoShowProb: 0}
-}
-func (c constKPredictor) Observe(predict.Period, int) {}
-
-// ProbAtMost implements predict.Distribution: the naive client "will
-// show" exactly its K configured slots.
-func (c constKPredictor) ProbAtMost(_ predict.Period, k int) float64 {
-	if k < c.k {
-		return 0
-	}
-	return 1
 }
 
 // eachDevice runs fn(i) for i in [0,n) across at most `workers`

@@ -264,18 +264,6 @@ func (s *ShardedServer) checkEnvelopeTenant(env *batchMsg) *httpError {
 	return nil
 }
 
-// addLedger accumulates one ledger into a total, field by field.
-func addLedger(dst *auction.Ledger, l auction.Ledger) {
-	dst.Sold += l.Sold
-	dst.BilledUSD += l.BilledUSD
-	dst.Billed += l.Billed
-	dst.FreeUSD += l.FreeUSD
-	dst.FreeShows += l.FreeShows
-	dst.Violations += l.Violations
-	dst.ViolatedUSD += l.ViolatedUSD
-	dst.PotentialUSD += l.PotentialUSD
-}
-
 // tenantHealth renders the per-tenant /v1/health sections, one shard
 // lock at a time (like the merged ledger view).
 func (s *ShardedServer) tenantHealth(reg *tenant.Registry) []TenantHealth {
@@ -290,7 +278,7 @@ func (s *ShardedServer) tenantHealth(reg *tenant.Registry) []TenantHealth {
 			th.OpenBook += sh.srv.OpenBookOf(cfg.ID)
 			l := sh.srv.Exchange().LedgerOf(cfg.ID)
 			sh.mu.Unlock()
-			addLedger(&th.Ledger, l)
+			th.Ledger.Add(l)
 		}
 		if tm != nil {
 			th.Admitted = tm.admitted[cfg.ID].Value()
@@ -310,7 +298,7 @@ func (s *ShardedServer) ledgerOf(tenantID string) auction.Ledger {
 		sh.mu.Lock()
 		l := sh.srv.Exchange().LedgerOf(tenantID)
 		sh.mu.Unlock()
-		addLedger(&total, l)
+		total.Add(l)
 	}
 	return total
 }

@@ -378,7 +378,7 @@ func TestLedgerTenantViews(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("ledger %s: %d", q, code)
 		}
-		addLedger(&sum, l)
+		sum.Add(l)
 	}
 	sumJS, _ := json.Marshal(sum)
 	totalJS, _ := json.Marshal(total)

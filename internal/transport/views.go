@@ -42,7 +42,7 @@ func (s *ShardedServer) execLedger(q ledgerReq) (auction.Ledger, *httpError) {
 		sh.mu.Lock()
 		l := sh.srv.Exchange().Ledger()
 		sh.mu.Unlock()
-		addLedger(&total, l)
+		total.Add(l)
 	}
 	return total, nil
 }
