@@ -154,7 +154,11 @@ crash:
 # open/rejoin, the background prober), the router→node link (framing
 # and its fuzz seeds, pooling, abort/kill/re-dial semantics, no leaked
 # connection or goroutine), node-scoped crash scheduling, the shared
-# kill hook's straggler rule, degenerate WAL-file recovery, and the
+# kill hook's straggler rule, degenerate WAL-file recovery, the
+# router's refusal of bodies past transport.MaxBodyBytes (400, nothing
+# forwarded), one merge per aggregate view (each reply type's Add or
+# Merge* — field coverage, the rounds-weighted stats mean, the health
+# merge rules — shared by a node's shards and the router's nodes), and the
 # cluster differential suite: a cluster of N
 # nodes behind the router must match a single process at shards=N on
 # every accounting observable — fault-free, under seeded chaos, and
@@ -162,6 +166,7 @@ crash:
 # included) — and the link hop must match the injected-HTTP-client hop.
 cluster:
 	go test -count=1 ./internal/cluster ./internal/link
+	go test -count=1 -run 'AddSumsEveryField|TestTenantHealthAdd|TestMerge' ./internal/transport
 	go test -count=1 -run 'TestCrashSchedule' ./internal/faults
 	go test -count=1 -run 'TestRecoverDegenerateFiles' ./internal/wal
 	go test -count=1 -run 'TestCluster|TestKillHook' ./internal/sim
@@ -198,13 +203,15 @@ tenant:
 	go test -count=1 -timeout 30m -run 'TestTenant' ./internal/sim
 
 # Line budgets, counted instead of hand-copied: non-test .go lines per
-# internal/* package, then the sum ROADMAP item 6 bounds (transport + sim
-# + cluster + envelope <= 9 000). benchmark/ is its own module and is not
-# counted; neither are cmd/, examples/ or the root package.
+# internal/* package, their total over all of internal/*, then the sum
+# ROADMAP item 6 bounds (transport + sim + cluster + envelope <= 9 000).
+# benchmark/ is its own module and is not counted; neither are cmd/,
+# examples/ or the root package.
 loc:
 	@for d in internal/*/; do \
 		printf '%6d %s\n' "$$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l)" "$${d%/}"; \
 	done
+	@printf '%6d %s\n' "$$(cat $$(ls internal/*/*.go | grep -v _test.go) | wc -l)" "internal/* (all packages)"
 	@printf '%6d %s\n' "$$(cat $$(ls internal/transport/*.go internal/sim/*.go internal/cluster/*.go internal/envelope/*.go | grep -v _test.go) | wc -l)" \
 		"internal/transport + sim + cluster + envelope"
 

@@ -123,6 +123,17 @@ type PeriodStats struct {
 	Replicas       int     // total replicas across clients
 }
 
+// Add accumulates o into s, field by field: the one period-start sum
+// over shards (shard.Pool.StartPeriod, experiment X8), so a new field is
+// totalled everywhere or nowhere.
+func (s *PeriodStats) Add(o PeriodStats) {
+	s.PredictedSlots += o.PredictedSlots
+	s.Admitted += o.Admitted
+	s.Sold += o.Sold
+	s.Placed += o.Placed
+	s.Replicas += o.Replicas
+}
+
 // MeanK returns replicas per placed impression.
 func (s PeriodStats) MeanK() float64 {
 	if s.Placed == 0 {

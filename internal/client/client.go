@@ -147,6 +147,18 @@ type Counters struct {
 	DroppedExpired  int64 // ads dropped expired in cache
 }
 
+// Add accumulates o into ct, field by field: the one fleet-wide
+// counter sum (core.System.Counters, the transport replay's totals).
+func (ct *Counters) Add(o Counters) {
+	ct.SlotsServed += o.SlotsServed
+	ct.CacheHits += o.CacheHits
+	ct.OnDemandFetches += o.OnDemandFetches
+	ct.BundleFetches += o.BundleFetches
+	ct.BundledAds += o.BundledAds
+	ct.DroppedOverflow += o.DroppedOverflow
+	ct.DroppedExpired += o.DroppedExpired
+}
+
 // Sub returns the counter deltas c - o (for measuring a window).
 func (ct Counters) Sub(o Counters) Counters {
 	return Counters{

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -242,5 +243,26 @@ func TestCacheInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCountersAddSumsEveryField sets every Counters field to a distinct
+// value on both sides and checks Add summed each one, so a counter
+// added later cannot be silently dropped from the fleet totals.
+func TestCountersAddSumsEveryField(t *testing.T) {
+	var a, b Counters
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		if f := va.Field(i); f.Kind() != reflect.Int64 {
+			t.Fatalf("Counters.%s has kind %s: teach Add and this test to sum it", va.Type().Field(i).Name, f.Kind())
+		}
+		va.Field(i).SetInt(int64(i + 1))
+		vb.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	a.Add(b)
+	for i := 0; i < va.NumField(); i++ {
+		if got, want := va.Field(i).Int(), int64(101*(i+1)); got != want {
+			t.Errorf("Add left %s = %d, want %d", va.Type().Field(i).Name, got, want)
+		}
 	}
 }

@@ -29,7 +29,8 @@
 //
 // Period barriers tolerate a node dying mid-fan-out: the router
 // forwards the coordinator's round — same body, same idempotency key —
-// to every node and sums the per-node replies; if a node is
+// to every node and merges the per-node replies with the reply type's
+// own merge (the one a node uses over its shards); if a node is
 // unavailable past patience the coordinator gets the 503 and retries
 // the whole round, surviving nodes replay it from their period-round
 // caches (exactly-once per node), and the restarted node executes its
@@ -55,7 +56,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -544,10 +544,10 @@ func (rt *Router) Handler() http.Handler {
 	for _, p := range []string{"/v1/bundle", "/v1/slot", "/v1/report", "/v1/cancelled", "/v1/ondemand", "/v1/batch"} {
 		mux.HandleFunc(p, rt.handleClient)
 	}
-	mux.HandleFunc("POST /v1/period/start", rt.fanoutHandler(mergePeriodStart))
-	mux.HandleFunc("POST /v1/period/end", rt.fanoutHandler(mergePeriodEnd))
-	mux.HandleFunc("GET /v1/ledger", rt.fanoutHandler(mergeLedger))
-	mux.HandleFunc("GET /v1/stats", rt.fanoutHandler(mergeStats))
+	mux.HandleFunc("POST /v1/period/start", fanoutHandler(rt, sum[transport.PeriodStartReply]))
+	mux.HandleFunc("POST /v1/period/end", fanoutHandler(rt, sum[transport.PeriodEndReply]))
+	mux.HandleFunc("GET /v1/ledger", fanoutHandler(rt, sum[auction.Ledger]))
+	mux.HandleFunc("GET /v1/stats", fanoutHandler(rt, transport.MergeStats))
 	mux.HandleFunc("GET /v1/health", rt.handleHealth)
 	mux.Handle("GET /v1/metrics", rt.reg.Handler())
 	mux.HandleFunc("GET /v1/admin/nodes", rt.adminAuth(rt.handleAdminNodes))
@@ -745,24 +745,28 @@ func (rt *Router) handleClient(w http.ResponseWriter, r *http.Request) {
 	writeProxied(w, p)
 }
 
-// readRequestBody buffers a non-GET request's body once, bounded like a
-// node's own readBody. ok is false after a 400 was written.
+// readRequestBody buffers a non-GET request's body once. A body past
+// transport.MaxBodyBytes is refused with 400, as a node's own readBody
+// refuses it, and none of it is forwarded. ok is false after a 400 was
+// written.
 func readRequestBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
 	if r.Body == nil || r.Method == http.MethodGet {
 		return nil, true
 	}
-	const limit = 1 << 20
 	var err error
-	if n := r.ContentLength; n >= 0 && n <= limit {
+	switch n := r.ContentLength; {
+	case n > transport.MaxBodyBytes:
+		err = &http.MaxBytesError{Limit: transport.MaxBodyBytes}
+	case n >= 0:
 		body = make([]byte, n)
 		_, err = io.ReadFull(r.Body, body)
-	} else {
-		body, err = io.ReadAll(io.LimitReader(r.Body, limit))
+	default:
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, transport.MaxBodyBytes))
 	}
 	r.Body.Close()
 	r.Body = http.NoBody
 	if err != nil {
-		http.Error(w, "cluster: reading request body", http.StatusBadRequest)
+		http.Error(w, "cluster: reading request body: "+err.Error(), http.StatusBadRequest)
 		return nil, false
 	}
 	return body, true
@@ -839,10 +843,12 @@ func (rt *Router) fanout(method, uri string, hdr http.Header, body []byte) ([]*p
 }
 
 // fanoutHandler builds the handler for a fan-out endpoint: forward to
-// all nodes, merge the 2xx bodies with merge, propagate the first
-// non-2xx node response verbatim (idempotency conflicts, version
-// refusals and validation errors must reach the coordinator unchanged).
-func (rt *Router) fanoutHandler(merge func(bodies [][]byte) (any, error)) http.HandlerFunc {
+// all nodes, propagate the first non-2xx node response verbatim
+// (idempotency conflicts, version refusals and validation errors must
+// reach the coordinator unchanged), and answer the view's one merge
+// (transport.MergeStats, or sum over the view's Add) of the 2xx bodies
+// decoded as T. The router holds no view arithmetic of its own.
+func fanoutHandler[T any](rt *Router, merge func(parts []T) T) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rt.rebalanceMu.RLock()
 		defer rt.rebalanceMu.RUnlock()
@@ -855,20 +861,17 @@ func (rt *Router) fanoutHandler(merge func(bodies [][]byte) (any, error)) http.H
 			rt.unavailableErr(w, deadNode)
 			return
 		}
-		bodies := make([][]byte, len(out))
-		for i, p := range out {
+		for _, p := range out {
 			if p.Status < 200 || p.Status > 299 {
 				writeProxied(w, p)
 				return
 			}
-			bodies[i] = p.Body
 		}
-		reply, err := merge(bodies)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("cluster: merging node replies: %v", err), http.StatusBadGateway)
+		parts, ok := decodeParts[T](w, out)
+		if !ok {
 			return
 		}
-		buf, err := json.Marshal(reply)
+		buf, err := json.Marshal(merge(parts))
 		if err != nil {
 			http.Error(w, "cluster: encoding merged reply", http.StatusInternalServerError)
 			return
@@ -891,79 +894,42 @@ func (rt *Router) fanoutHandler(merge func(bodies [][]byte) (any, error)) http.H
 	}
 }
 
-func mergePeriodStart(bodies [][]byte) (any, error) {
-	var total transport.PeriodStartReply
-	for _, b := range bodies {
-		var pr transport.PeriodStartReply
-		if err := json.Unmarshal(b, &pr); err != nil {
-			return nil, err
+// decodeParts decodes the nodes' 2xx bodies as T, in member order. ok
+// is false after a 502 was written.
+func decodeParts[T any](w http.ResponseWriter, out []*proxied) ([]T, bool) {
+	parts := make([]T, len(out))
+	for i, p := range out {
+		if err := json.Unmarshal(p.Body, &parts[i]); err != nil {
+			http.Error(w, fmt.Sprintf("cluster: merging node replies: %v", err), http.StatusBadGateway)
+			return nil, false
 		}
-		total.PredictedSlots += pr.PredictedSlots
-		total.Admitted += pr.Admitted
-		total.Sold += pr.Sold
-		total.Placed += pr.Placed
-		total.Replicas += pr.Replicas
-		total.BundledClients += pr.BundledClients
 	}
-	return total, nil
+	return parts, true
 }
 
-func mergePeriodEnd(bodies [][]byte) (any, error) {
-	var total transport.PeriodEndReply
-	for _, b := range bodies {
-		var pr transport.PeriodEndReply
-		if err := json.Unmarshal(b, &pr); err != nil {
-			return nil, err
-		}
-		total.Expired += pr.Expired
+// sum folds the parts, in order, with the view's own Add.
+func sum[T any, P interface {
+	*T
+	Add(T)
+}](parts []T) T {
+	var total T
+	for _, p := range parts {
+		P(&total).Add(p)
 	}
-	return total, nil
+	return total
 }
 
-func mergeLedger(bodies [][]byte) (any, error) {
-	var total auction.Ledger
-	for _, b := range bodies {
-		var l auction.Ledger
-		if err := json.Unmarshal(b, &l); err != nil {
-			return nil, err
-		}
-		total.Add(l)
-	}
-	return total, nil
-}
-
-func mergeStats(bodies [][]byte) (any, error) {
-	var total transport.StatsReply
-	for _, b := range bodies {
-		var st transport.StatsReply
-		if err := json.Unmarshal(b, &st); err != nil {
-			return nil, err
-		}
-		total.Shards += st.Shards
-		total.Rounds += st.Rounds
-		total.ForecastErrP50 += float64(st.Rounds) * st.ForecastErrP50
-		total.ForecastErrP95 += float64(st.Rounds) * st.ForecastErrP95
-		total.PerShard = append(total.PerShard, st.PerShard...) // concatenated in node order
-	}
-	if total.Rounds > 0 {
-		total.ForecastErrP50 /= float64(total.Rounds)
-		total.ForecastErrP95 /= float64(total.Rounds)
-	}
-	return total, nil
-}
-
-// handleHealth merges per-node health best-effort into the same typed
-// transport.HealthReply a single node answers: registry totals summed
-// across members, Nodes carrying each member's own reply, NodesDown
-// counting the unreachable. A down or unreachable node marks the
-// cluster degraded instead of failing the scrape, so the health view
-// stays usable mid-outage. Probing never parks (health must answer
-// promptly while a node restarts).
+// handleHealth probes every member best-effort and merges the replies
+// with transport.MergeHealth into the same typed HealthReply a single
+// node answers, Nodes carrying each member's own reply. A down or
+// unreachable node marks the cluster degraded instead of failing the
+// scrape, so the health view stays usable mid-outage. Probing never
+// parks (health must answer promptly while a node restarts).
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	rt.rebalanceMu.RLock()
 	defer rt.rebalanceMu.RUnlock()
 	nodes := rt.fanoutMembers()
-	reply := transport.HealthReply{Status: "ok", WALEnabled: false, LastFsyncOK: true, Nodes: make([]transport.NodeHealth, len(nodes))}
+	healths := make([]transport.NodeHealth, len(nodes))
 	var wg sync.WaitGroup
 	for i, n := range nodes {
 		wg.Add(1)
@@ -985,68 +951,11 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 					nh.Down = true
 				}
 			}
-			reply.Nodes[i] = nh
+			healths[i] = nh
 		}(i, n)
 	}
 	wg.Wait()
-	tenants := make(map[string]*transport.TenantHealth)
-	var tenantOrder []string
-	for _, nh := range reply.Nodes {
-		if nh.Down {
-			reply.NodesDown++
-			reply.Status = "degraded"
-			continue
-		}
-		if d := nh.Detail; d != nil {
-			reply.RequestsTotal += d.RequestsTotal
-			reply.ShedTotal += d.ShedTotal
-			reply.ReplayedTotal += d.ReplayedTotal
-			reply.ReplayedOps += d.ReplayedOps
-			if d.WALEnabled {
-				reply.WALEnabled = true
-			}
-			if !d.LastFsyncOK {
-				reply.LastFsyncOK = false
-			}
-			if d.SnapshotAgePeriods > reply.SnapshotAgePeriods {
-				reply.SnapshotAgePeriods = d.SnapshotAgePeriods
-			}
-			// Tenant sections merge by id: counters and ledgers sum
-			// across members, the config fields (bounds, rates) are
-			// identical cluster-wide so the first reachable member's
-			// values stand. The merged epoch is the highest installed
-			// one — during a rolling config push it names the config
-			// at least one member is already serving.
-			if d.ConfigEpoch > reply.ConfigEpoch {
-				reply.ConfigEpoch = d.ConfigEpoch
-			}
-			for _, th := range d.Tenants {
-				m, ok := tenants[th.Tenant]
-				if !ok {
-					cp := th
-					tenants[th.Tenant] = &cp
-					tenantOrder = append(tenantOrder, th.Tenant)
-					continue
-				}
-				m.OpenBook += th.OpenBook
-				m.Admitted += th.Admitted
-				m.Shed += th.Shed
-				m.Ledger.Add(th.Ledger)
-			}
-		}
-	}
-	sort.Strings(tenantOrder)
-	for _, id := range tenantOrder {
-		reply.Tenants = append(reply.Tenants, *tenants[id])
-	}
-	if reply.Status == "ok" {
-		for _, nh := range reply.Nodes {
-			if nh.Detail != nil && nh.Detail.Status != "ok" {
-				reply.Status = nh.Detail.Status
-			}
-		}
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(transport.VersionHeader, strconv.Itoa(transport.ProtocolVersion))
-	json.NewEncoder(w).Encode(reply)
+	json.NewEncoder(w).Encode(transport.MergeHealth(healths))
 }

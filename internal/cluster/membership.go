@@ -35,7 +35,6 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -516,13 +515,11 @@ func (rt *Router) handleAdminPlan(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleAdminConfig(w http.ResponseWriter, r *http.Request) {
 	rt.rebalanceMu.RLock()
 	defer rt.rebalanceMu.RUnlock()
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	r.Body.Close()
-	if err != nil {
-		http.Error(w, "cluster: reading request body", http.StatusBadRequest)
+	body, ok := readRequestBody(w, r)
+	if !ok {
 		return
 	}
-	var merged transport.ConfigReply
+	var out []*proxied
 	for _, n := range rt.fanoutMembers() {
 		p, up := rt.forward(n, http.MethodPost, "/v1/admin/config", rt.adminHeader(), body)
 		if !up {
@@ -533,22 +530,11 @@ func (rt *Router) handleAdminConfig(w http.ResponseWriter, r *http.Request) {
 			writeProxied(w, p)
 			return
 		}
-		var cr transport.ConfigReply
-		if err := json.Unmarshal(p.Body, &cr); err != nil {
-			http.Error(w, fmt.Sprintf("cluster: member %d config reply: %v", n.idx, err), http.StatusBadGateway)
-			return
-		}
-		if cr.Epoch > merged.Epoch {
-			merged.Epoch = cr.Epoch
-		}
-		if cr.Tenants > merged.Tenants {
-			merged.Tenants = cr.Tenants
-		}
-		if cr.Applied {
-			merged.Applied = true
-		}
+		out = append(out, p)
 	}
-	writeAdminJSON(w, merged)
+	if parts, ok := decodeParts[transport.ConfigReply](w, out); ok {
+		writeAdminJSON(w, transport.MergeConfig(parts))
+	}
 }
 
 // adminNodeArg decodes the {"node": N} body the drain/remove endpoints

@@ -199,6 +199,52 @@ func TestRouterFanoutMerges(t *testing.T) {
 	}
 }
 
+// TestRouterRefusesOversizedBody: a body past transport.MaxBodyBytes is
+// refused with 400 by the router itself, as a node refuses it, on the
+// data plane, the period fan-out and the admin config push, whether its
+// length is declared or it arrives chunked. No byte of it reaches a
+// node: forwarding a truncated prefix would execute a request the node
+// itself refuses. A body exactly at the bound still goes through.
+func TestRouterRefusesOversizedBody(t *testing.T) {
+	prefix := `{"client":0,"now_ns":1}`
+	pad := func(n int) string { return prefix + strings.Repeat(" ", n-len(prefix)) }
+	for _, tc := range []struct {
+		path string
+		size int
+		want int
+	}{
+		{"/v1/slot", transport.MaxBodyBytes + 1, http.StatusBadRequest},
+		{"/v1/period/start", transport.MaxBodyBytes + 1, http.StatusBadRequest},
+		{"/v1/admin/config", transport.MaxBodyBytes + 1, http.StatusBadRequest},
+		{"/v1/slot", transport.MaxBodyBytes, http.StatusOK},
+	} {
+		for _, chunked := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/%d/chunked=%v", strings.TrimPrefix(tc.path, "/"), tc.size, chunked), func(t *testing.T) {
+				node := newFakeNode(t, jsonReply(`{}`))
+				rt := newTestRouter(t, []string{node.srv.URL})
+				var body io.Reader = strings.NewReader(pad(tc.size))
+				if chunked {
+					body = io.MultiReader(body) // hides the length: no Content-Length
+				}
+				req := httptest.NewRequest(http.MethodPost, tc.path, body)
+				if chunked {
+					req.ContentLength = -1
+				}
+				rec := httptest.NewRecorder()
+				rt.Handler().ServeHTTP(rec, req)
+				wantServed := int64(0)
+				if tc.want == http.StatusOK {
+					wantServed = 1
+				}
+				if rec.Code != tc.want || node.served.Load() != wantServed {
+					t.Fatalf("status %d, node served %d requests; want %d and %d (body %q)",
+						rec.Code, node.served.Load(), tc.want, wantServed, rec.Body.String())
+				}
+			})
+		}
+	}
+}
+
 // A node's non-2xx answer must reach the caller verbatim — an
 // idempotency conflict from one node aborts the merged round.
 func TestRouterFanoutPropagatesNodeError(t *testing.T) {

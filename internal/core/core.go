@@ -405,14 +405,7 @@ func (s *System) EndPeriod(now simclock.Time, p predict.Period) int {
 func (s *System) Counters() client.Counters {
 	var total client.Counters
 	for _, d := range s.devices {
-		c := d.Counters
-		total.SlotsServed += c.SlotsServed
-		total.CacheHits += c.CacheHits
-		total.OnDemandFetches += c.OnDemandFetches
-		total.BundleFetches += c.BundleFetches
-		total.BundledAds += c.BundledAds
-		total.DroppedOverflow += c.DroppedOverflow
-		total.DroppedExpired += c.DroppedExpired
+		total.Add(d.Counters)
 	}
 	return total
 }

@@ -74,8 +74,7 @@ func runX8(s Scale) (*metrics.Table, error) {
 			if d > slowest {
 				slowest = d
 			}
-			stats.Sold += st.Sold
-			stats.Placed += st.Placed
+			stats.Add(st)
 		}
 		pool.EndPeriod(simclock.Time(cfg.Period)*2, predict.Period{})
 		if n == 1 {

@@ -82,15 +82,6 @@ func New(n int, cfg adserver.Config, clientIDs []int,
 // Shards returns the number of shards.
 func (p *Pool) Shards() int { return len(p.shards) }
 
-// SetTenancy installs the client→tenant attribution on every shard
-// (nil restores legacy single-tenant serving). Call between requests
-// only, like the other mutating methods.
-func (p *Pool) SetTenancy(tenantOf func(clientID int) string) {
-	for _, s := range p.shards {
-		s.SetTenancy(tenantOf)
-	}
-}
-
 // LedgerOf returns one tenant's ledger view summed across shards.
 func (p *Pool) LedgerOf(tenant string) auction.Ledger {
 	var total auction.Ledger
@@ -98,15 +89,6 @@ func (p *Pool) LedgerOf(tenant string) auction.Ledger {
 		total.Add(s.Exchange().LedgerOf(tenant))
 	}
 	return total
-}
-
-// OpenBookOf returns one tenant's open book summed across shards.
-func (p *Pool) OpenBookOf(tenant string) int {
-	n := 0
-	for _, s := range p.shards {
-		n += s.OpenBookOf(tenant)
-	}
-	return n
 }
 
 // Shard returns shard i (for tests and per-shard inspection).
@@ -154,11 +136,7 @@ func (p *Pool) StartPeriod(now simclock.Time, per predict.Period) ([]adserver.Bu
 	var stats adserver.PeriodStats
 	for _, o := range outs {
 		bundles = append(bundles, o.bundles...)
-		stats.PredictedSlots += o.stats.PredictedSlots
-		stats.Admitted += o.stats.Admitted
-		stats.Sold += o.stats.Sold
-		stats.Placed += o.stats.Placed
-		stats.Replicas += o.stats.Replicas
+		stats.Add(o.stats)
 	}
 	sort.Slice(bundles, func(i, j int) bool { return bundles[i].Client < bundles[j].Client })
 	return bundles, stats
@@ -226,64 +204,4 @@ func (p *Pool) LoadPredictors(r io.Reader) error {
 		return fmt.Errorf("shard: snapshot has more than %d shard documents (saved by a larger pool?)", len(p.shards))
 	}
 	return nil
-}
-
-// poolState is the pool's serializable form: one full adserver.State
-// per shard, in shard order.
-type poolState struct {
-	Shards []*adserver.State `json:"shards"`
-}
-
-// Snapshot writes every shard's complete state (exchange, open book,
-// claims, frequency caps, predictors — see adserver.State) as one JSON
-// document, for the durability layer's full-state checkpoints.
-func (p *Pool) Snapshot(w io.Writer) error {
-	st := poolState{Shards: make([]*adserver.State, len(p.shards))}
-	for i, s := range p.shards {
-		ss, err := s.Snapshot()
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		st.Shards[i] = ss
-	}
-	return json.NewEncoder(w).Encode(st)
-}
-
-// Restore overwrites every shard with state saved by Snapshot. Like
-// LoadPredictors, a snapshot from a pool with a different shard count
-// is rejected outright — the stable partition means shard i's state is
-// only meaningful for shard i of an equally sized pool.
-func (p *Pool) Restore(r io.Reader) error {
-	var st poolState
-	if err := json.NewDecoder(r).Decode(&st); err != nil {
-		return fmt.Errorf("shard: decoding pool snapshot: %w", err)
-	}
-	if len(st.Shards) != len(p.shards) {
-		return fmt.Errorf("shard: snapshot has %d shards, pool has %d", len(st.Shards), len(p.shards))
-	}
-	for i, s := range p.shards {
-		if err := s.Restore(st.Shards[i]); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Ops aggregates the shards' monitoring snapshots: rounds are summed
-// and the forecast-error quantiles are rounds-weighted means of the
-// per-shard streams. Safe to call concurrently with period processing
-// (adserver.Ops is lock-isolated from the serving path).
-func (p *Pool) Ops() adserver.OpsStats {
-	var out adserver.OpsStats
-	for _, s := range p.shards {
-		st := s.Ops()
-		out.Rounds += st.Rounds
-		out.ForecastErrP50 += float64(st.Rounds) * st.ForecastErrP50
-		out.ForecastErrP95 += float64(st.Rounds) * st.ForecastErrP95
-	}
-	if out.Rounds > 0 {
-		out.ForecastErrP50 /= float64(out.Rounds)
-		out.ForecastErrP95 /= float64(out.Rounds)
-	}
-	return out
 }

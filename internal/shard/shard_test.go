@@ -243,33 +243,6 @@ func TestPoolPredictorsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPoolOpsAggregates(t *testing.T) {
-	p := testPool(t, 2, 20)
-	if p.Ops().Rounds != 0 {
-		t.Fatal("fresh pool reports rounds")
-	}
-	p.StartPeriod(0, predict.Period{})
-	// Shards only observe a round when they saw actual slots.
-	for id := 0; id < 20; id++ {
-		srv := p.ShardFor(id)
-		srv.ObserveSlot(id)
-		srv.ObserveSlot(id)
-	}
-	p.EndPeriod(simclock.At(time.Hour), predict.Period{})
-	ops := p.Ops()
-	if ops.Rounds != 2 {
-		t.Fatalf("rounds %d want 2 (one per shard)", ops.Rounds)
-	}
-	// Weighted mean of equal per-shard errors equals the per-shard error.
-	s0 := p.Shard(0).Ops()
-	if ops.Rounds == 2 && s0.Rounds == 1 {
-		want := (s0.ForecastErrP50 + p.Shard(1).Ops().ForecastErrP50) / 2
-		if diff := ops.ForecastErrP50 - want; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("aggregate p50 %v want %v", ops.ForecastErrP50, want)
-		}
-	}
-}
-
 // A snapshot from a pool with a different shard count must be rejected:
 // the stable partition means shard i owns different clients in each
 // layout, so a silent load would pair predictors with the wrong shards.

@@ -580,13 +580,7 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 		if res.PerClient != nil {
 			res.PerClient[i] = c
 		}
-		res.Counters.SlotsServed += c.SlotsServed
-		res.Counters.CacheHits += c.CacheHits
-		res.Counters.OnDemandFetches += c.OnDemandFetches
-		res.Counters.BundleFetches += c.BundleFetches
-		res.Counters.BundledAds += c.BundledAds
-		res.Counters.DroppedOverflow += c.DroppedOverflow
-		res.Counters.DroppedExpired += c.DroppedExpired
+		res.Counters.Add(c)
 		res.Net.Add(d.Net())
 	}
 	res.Net.Add(coord.Net())

@@ -300,7 +300,7 @@ func TestBatchCrossPathReplay(t *testing.T) {
 				before := dedupLen(ss)
 				code1, replayed1, body1 := first()
 				entry := ss.shardFor(c).dedup.entries[key]
-				ledger := ledgerJSON(t, ss.ledgerOf(""))
+				ledger := ledgerJSON(t, legacyLedger(ss))
 				code2, replayed2, body2 := second()
 				if code1 != http.StatusOK || code2 != http.StatusOK || replayed1 {
 					t.Fatalf("%s: first send %d (replayed=%v), second %d", name, code1, replayed1, code2)
@@ -322,7 +322,7 @@ func TestBatchCrossPathReplay(t *testing.T) {
 					!bytes.Equal(bytes.TrimSpace(entry.body), body2) {
 					t.Fatalf("%s: stored response moved: %d new entries, %q -> %q, served %q", name, dedupLen(ss)-before, entry.body, after.body, body2)
 				}
-				if got := ledgerJSON(t, ss.ledgerOf("")); got != ledger {
+				if got := ledgerJSON(t, legacyLedger(ss)); got != ledger {
 					t.Fatalf("%s: the retry moved money:\n before %s\n after  %s", name, ledger, got)
 				}
 			}
@@ -391,4 +391,11 @@ func TestBatchEnvelopeValidation(t *testing.T) {
 	if code, _ := postBatch(t, h, batchMsg{Client: 0, Ops: big}); code != http.StatusOK {
 		t.Fatalf("envelope under raised limit: %d, want 200", code)
 	}
+}
+
+// legacyLedger reads the legacy tenant's ledger view (GET
+// /v1/ledger?tenant=) in-process.
+func legacyLedger(ss *ShardedServer) auction.Ledger {
+	l, _ := ss.execLedger(ledgerReq{byTenant: true})
+	return l
 }

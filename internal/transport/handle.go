@@ -179,7 +179,7 @@ func putBodyBuf(b []byte) {
 // after writing a 4xx. The caller owns the buffer and releases it with
 // putBodyBuf once the response is written.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	lr := http.MaxBytesReader(w, r.Body, 1<<20)
+	lr := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	buf := getBodyBuf()
 	for {
 		if len(buf) == cap(buf) {

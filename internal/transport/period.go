@@ -44,9 +44,8 @@ func (s *ShardedServer) fanOut(fn func(i int, sh *shardState) error) error {
 // coordinator retry after a lost reply must not sell the round twice.
 func (s *ShardedServer) execPeriodStart(msg periodMsg) (PeriodStartReply, *httpError) {
 	var (
-		mu      sync.Mutex
-		reply   PeriodStartReply
-		bundled int
+		mu    sync.Mutex
+		reply PeriodStartReply
 	)
 	// Fan-out: each shard runs its own forecast/sale/replication round
 	// under its own lock; the barrier completes when every shard has
@@ -57,18 +56,12 @@ func (s *ShardedServer) execPeriodStart(msg periodMsg) (PeriodStartReply, *httpE
 		// stay held on that path.
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		stats, nb := s.periodStartShardLocked(sh, msg)
+		part := periodStartPart(s.periodStartShardLocked(sh, msg))
 		mu.Lock()
-		reply.PredictedSlots += stats.PredictedSlots
-		reply.Admitted += stats.Admitted
-		reply.Sold += stats.Sold
-		reply.Placed += stats.Placed
-		reply.Replicas += stats.Replicas
-		bundled += nb
+		reply.Add(part)
 		mu.Unlock()
 		return nil
 	})
-	reply.BundledClients = bundled
 	return reply, nil
 }
 
@@ -106,9 +99,9 @@ func (s *ShardedServer) execPeriodEnd(msg periodMsg) (PeriodEndReply, *httpError
 	_ = s.fanOut(func(_ int, sh *shardState) error {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		expired := s.periodEndShardLocked(sh, msg)
+		part := PeriodEndReply{Expired: s.periodEndShardLocked(sh, msg)}
 		mu.Lock()
-		reply.Expired += expired
+		reply.Add(part)
 		mu.Unlock()
 		return nil
 	})

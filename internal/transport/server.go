@@ -61,6 +61,11 @@ func NewServer(srv *adserver.Server) *ShardedServer {
 	return newSharded([]*adserver.Server{srv}, func(int) int { return 0 })
 }
 
+// MaxBodyBytes bounds every request body the service reads: a node
+// (readBody) refuses a longer one with 400, and so does the cluster
+// router, which never forwards any of it.
+const MaxBodyBytes = 1 << 20
+
 // Wire DTOs.
 
 type periodMsg struct {
@@ -150,9 +155,39 @@ type PeriodStartReply struct {
 	BundledClients int     `json:"bundled_clients"`
 }
 
+// Add accumulates o into r, field by field: the one period-start sum,
+// over shards on a node (execPeriodStart) and over nodes at the router,
+// so a new field is totalled at every layer or at none.
+func (r *PeriodStartReply) Add(o PeriodStartReply) {
+	r.PredictedSlots += o.PredictedSlots
+	r.Admitted += o.Admitted
+	r.Sold += o.Sold
+	r.Placed += o.Placed
+	r.Replicas += o.Replicas
+	r.BundledClients += o.BundledClients
+}
+
+// periodStartPart is one shard's round as its share of the reply.
+func periodStartPart(st adserver.PeriodStats, bundled int) PeriodStartReply {
+	return PeriodStartReply{
+		PredictedSlots: st.PredictedSlots,
+		Admitted:       st.Admitted,
+		Sold:           st.Sold,
+		Placed:         st.Placed,
+		Replicas:       st.Replicas,
+		BundledClients: bundled,
+	}
+}
+
 // PeriodEndReply reports the sweep outcome (summed across shards).
 type PeriodEndReply struct {
 	Expired int `json:"expired"`
+}
+
+// Add accumulates o into r: the one period-end sum, over shards on a
+// node (execPeriodEnd) and over nodes at the router.
+func (r *PeriodEndReply) Add(o PeriodEndReply) {
+	r.Expired += o.Expired
 }
 
 // ShardHealth is one shard's load snapshot.

@@ -34,8 +34,11 @@ var v1Endpoints = []string{
 // one shard — its lock — so the serving path scales with cores instead
 // of serializing behind a single global mutex. Period start/end fan out
 // to all shards concurrently and fan back in (a barrier over per-shard
-// rounds); the merged /v1/ledger and /v1/stats views aggregate across
-// shards one lock at a time, never pausing the whole fleet.
+// rounds); the merged /v1/ledger, /v1/stats and tenant-health views
+// aggregate across shards one lock at a time, never pausing the whole
+// fleet. Each fan-in calls its view's one merge (PeriodStartReply.Add,
+// PeriodEndReply.Add, auction.Ledger.Add, MergeStats,
+// TenantHealth.Add), the same one the cluster router runs over nodes.
 //
 // Replicas of an impression only ever live on clients of the shard that
 // sold it (see internal/shard), so routing by client id also routes

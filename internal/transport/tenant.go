@@ -56,6 +56,19 @@ type ConfigReply struct {
 	Applied bool   `json:"applied"`
 }
 
+// MergeConfig is the router's /v1/admin/config merge over the members'
+// acknowledgements: the highest epoch and tenant count any member holds,
+// and Applied when any member installed the push fresh.
+func MergeConfig(parts []ConfigReply) ConfigReply {
+	var out ConfigReply
+	for _, cr := range parts {
+		out.Epoch = max(out.Epoch, cr.Epoch)
+		out.Tenants = max(out.Tenants, cr.Tenants)
+		out.Applied = out.Applied || cr.Applied
+	}
+	return out
+}
+
 // TenantHealth is one tenant's /v1/health section: its open book and
 // configured bounds, admission outcomes, and its ledger view.
 type TenantHealth struct {
@@ -66,6 +79,18 @@ type TenantHealth struct {
 	Admitted    int64          `json:"admitted,omitempty"`
 	Shed        int64          `json:"shed,omitempty"`
 	Ledger      auction.Ledger `json:"ledger"`
+}
+
+// Add accumulates o's open book, admission counts and ledger into th:
+// the one per-tenant health sum, over shards on a node (tenantHealth)
+// and over nodes at the router (MergeHealth). The config fields —
+// Tenant, MaxOpenBook, RatePerSec — are the same in every part and stay
+// as th has them.
+func (th *TenantHealth) Add(o TenantHealth) {
+	th.OpenBook += o.OpenBook
+	th.Admitted += o.Admitted
+	th.Shed += o.Shed
+	th.Ledger.Add(o.Ledger)
 }
 
 // tenantMetrics holds the pre-resolved per-tenant counters for the
@@ -275,10 +300,9 @@ func (s *ShardedServer) tenantHealth(reg *tenant.Registry) []TenantHealth {
 		th := TenantHealth{Tenant: cfg.ID, MaxOpenBook: cfg.MaxOpenBook, RatePerSec: cfg.RatePerSec}
 		for _, sh := range s.shards {
 			sh.mu.Lock()
-			th.OpenBook += sh.srv.OpenBookOf(cfg.ID)
-			l := sh.srv.Exchange().LedgerOf(cfg.ID)
+			part := TenantHealth{OpenBook: sh.srv.OpenBookOf(cfg.ID), Ledger: sh.srv.Exchange().LedgerOf(cfg.ID)}
 			sh.mu.Unlock()
-			th.Ledger.Add(l)
+			th.Add(part)
 		}
 		if tm != nil {
 			th.Admitted = tm.admitted[cfg.ID].Value()
@@ -287,18 +311,4 @@ func (s *ShardedServer) tenantHealth(reg *tenant.Registry) []TenantHealth {
 		out = append(out, th)
 	}
 	return out
-}
-
-// ledgerOf sums one tenant's ledger view across shards, one lock at a
-// time. The legacy tenant ("") is the aggregate minus every named
-// tenant — the views always partition the total exactly.
-func (s *ShardedServer) ledgerOf(tenantID string) auction.Ledger {
-	var total auction.Ledger
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		l := sh.srv.Exchange().LedgerOf(tenantID)
-		sh.mu.Unlock()
-		total.Add(l)
-	}
-	return total
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net/http"
+	"sort"
 
 	"repro/internal/adserver"
 	"repro/internal/auction"
@@ -27,20 +28,23 @@ func (s *ShardedServer) decodeLedger(_ http.ResponseWriter, r *http.Request) (le
 }
 
 func (s *ShardedServer) execLedger(q ledgerReq) (auction.Ledger, *httpError) {
+	view := (*auction.Exchange).Ledger
 	if q.byTenant {
 		if q.tenant != tenant.Legacy {
 			if _, ok := s.tenants.Load().ConfigOf(q.tenant); !ok {
 				return auction.Ledger{}, errf(http.StatusNotFound, "unknown tenant %q", q.tenant)
 			}
 		}
-		return s.ledgerOf(q.tenant), nil
+		// The legacy tenant ("") is the aggregate minus every named
+		// tenant — the views always partition the total exactly.
+		view = func(ex *auction.Exchange) auction.Ledger { return ex.LedgerOf(q.tenant) }
 	}
 	var total auction.Ledger
 	// One shard at a time: the merged view never holds more than one
 	// lock, so a ledger scrape cannot stall the fleet.
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		l := sh.srv.Exchange().Ledger()
+		l := view(sh.srv.Exchange())
 		sh.mu.Unlock()
 		total.Add(l)
 	}
@@ -57,6 +61,28 @@ type StatsReply struct {
 	ForecastErrP50 float64             `json:"forecast_err_p50"`
 	ForecastErrP95 float64             `json:"forecast_err_p95"`
 	PerShard       []adserver.OpsStats `json:"per_shard,omitempty"`
+}
+
+// MergeStats is the one /v1/stats merge: shard snapshots into a node's
+// reply (execStats) and node replies into the router's. Shards and
+// rounds sum, PerShard concatenates in part order, and each quantile is
+// the rounds-weighted mean Σ rᵢ·pᵢ / Σ rᵢ over the parts (zero without
+// rounds). It takes the whole slice because a weighted mean cannot be
+// folded pairwise without changing its floats.
+func MergeStats(parts []StatsReply) StatsReply {
+	var out StatsReply
+	for _, p := range parts {
+		out.Shards += p.Shards
+		out.Rounds += p.Rounds
+		out.ForecastErrP50 += float64(p.Rounds) * p.ForecastErrP50
+		out.ForecastErrP95 += float64(p.Rounds) * p.ForecastErrP95
+		out.PerShard = append(out.PerShard, p.PerShard...)
+	}
+	if out.Rounds > 0 {
+		out.ForecastErrP50 /= float64(out.Rounds)
+		out.ForecastErrP95 /= float64(out.Rounds)
+	}
+	return out
 }
 
 // execHealth reports per-shard load so operators (and tests) can see
@@ -114,17 +140,66 @@ func (s *ShardedServer) execStats(struct{}) (StatsReply, *httpError) {
 	// Ops metrics are lock-isolated inside each adserver.Server, so this
 	// takes no shard locks at all: stats scrapes never contend with the
 	// serving path.
-	reply := StatsReply{Shards: len(s.shards)}
-	for _, sh := range s.shards {
+	parts := make([]StatsReply, len(s.shards))
+	for i, sh := range s.shards {
 		st := sh.srv.Ops()
-		reply.PerShard = append(reply.PerShard, st)
-		reply.Rounds += st.Rounds
-		reply.ForecastErrP50 += float64(st.Rounds) * st.ForecastErrP50
-		reply.ForecastErrP95 += float64(st.Rounds) * st.ForecastErrP95
+		parts[i] = StatsReply{Shards: 1, Rounds: st.Rounds, ForecastErrP50: st.ForecastErrP50,
+			ForecastErrP95: st.ForecastErrP95, PerShard: []adserver.OpsStats{st}}
 	}
-	if reply.Rounds > 0 {
-		reply.ForecastErrP50 /= float64(reply.Rounds)
-		reply.ForecastErrP95 /= float64(reply.Rounds)
+	return MergeStats(parts), nil
+}
+
+// MergeHealth is the router's /v1/health merge: the members' replies,
+// as probed and in member order, into the HealthReply a single node
+// answers. Status is "degraded" when any member is down, else the last
+// reachable member's non-"ok" status.
+func MergeHealth(nodes []NodeHealth) HealthReply {
+	reply := HealthReply{Status: "ok", WALEnabled: false, LastFsyncOK: true, Nodes: nodes}
+	tenants := make(map[string]*TenantHealth)
+	var tenantOrder []string
+	for _, nh := range nodes {
+		if nh.Down {
+			reply.NodesDown++
+			reply.Status = "degraded"
+			continue
+		}
+		if d := nh.Detail; d != nil {
+			reply.RequestsTotal += d.RequestsTotal
+			reply.ShedTotal += d.ShedTotal
+			reply.ReplayedTotal += d.ReplayedTotal
+			reply.ReplayedOps += d.ReplayedOps
+			reply.WALEnabled = reply.WALEnabled || d.WALEnabled
+			reply.LastFsyncOK = reply.LastFsyncOK && d.LastFsyncOK
+			reply.SnapshotAgePeriods = max(reply.SnapshotAgePeriods, d.SnapshotAgePeriods)
+			// Tenant sections merge by id: counters and ledgers sum
+			// across members, the config fields (bounds, rates) are
+			// identical cluster-wide so the first reachable member's
+			// values stand. The merged epoch is the highest installed
+			// one — during a rolling config push it names the config
+			// at least one member is already serving.
+			reply.ConfigEpoch = max(reply.ConfigEpoch, d.ConfigEpoch)
+			for _, th := range d.Tenants {
+				m, ok := tenants[th.Tenant]
+				if !ok {
+					cp := th
+					tenants[th.Tenant] = &cp
+					tenantOrder = append(tenantOrder, th.Tenant)
+					continue
+				}
+				m.Add(th)
+			}
+		}
 	}
-	return reply, nil
+	sort.Strings(tenantOrder)
+	for _, id := range tenantOrder {
+		reply.Tenants = append(reply.Tenants, *tenants[id])
+	}
+	if reply.Status == "ok" {
+		for _, nh := range nodes {
+			if nh.Detail != nil && nh.Detail.Status != "ok" {
+				reply.Status = nh.Detail.Status
+			}
+		}
+	}
+	return reply
 }
