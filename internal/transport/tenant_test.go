@@ -443,37 +443,96 @@ func TestBatchTenantCodecEquivalence(t *testing.T) {
 }
 
 // TestClientRetryAfterFloor pins the client half of the back-pressure
-// contract: a 429's Retry-After is a floor under the retry policy's own
-// exponential backoff, visible in the virtual backoff the fleet counter
-// accumulates.
+// contract on every carrier the client has: a 429's Retry-After is a
+// floor under the retry policy's own exponential backoff, visible in the
+// virtual backoff the fleet counter accumulates. The coordinator is shed
+// once by a bare handler. The devices observe a slot that a ShardedServer
+// past its open-book bound sheds on every attempt — as a per-op request,
+// and as a sub-op of a JSON or a binary envelope — and must retry it
+// alike: every wait floored, and the same counters on all three.
 func TestClientRetryAfterFloor(t *testing.T) {
-	var calls int
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls++
-		if calls == 1 {
-			w.Header().Set("Retry-After", "7")
-			w.WriteHeader(http.StatusTooManyRequests)
-			fmt.Fprintln(w, "tenant over admission rate")
-			return
+	// A shed exchange as the client saw it: its counters, the server's
+	// hint, how many retries that hint floors, and how many 429s it got.
+	type shedRun struct {
+		net           NetCounters
+		hint          time.Duration
+		floored, shed int
+	}
+	attempts := DefaultRetryPolicy().MaxAttempts
+	shedSlot := func(t *testing.T, reg *obs.Registry, opts ...Option) shedRun {
+		s := newWireSession(t)
+		startPeriod(t, s.h)
+		s.ss.MaxOpenBook = 1 // the open book is past it: every observation is shed
+		rec := s.do("probe", "POST", "/v1/slot", `{"client":1,"now_ns":0}`)
+		hint, err := strconv.Atoi(rec.Header().Get("Retry-After"))
+		if rec.Code != http.StatusTooManyRequests || err != nil || hint < 1 {
+			t.Fatalf("probe: %d, Retry-After %q", rec.Code, rec.Header().Get("Retry-After"))
 		}
-		fmt.Fprintln(w, "{}")
-	}))
-	defer ts.Close()
-
-	reg := obs.NewRegistry()
-	coord := NewCoordinator(ts.URL, WithHTTPClient(ts.Client()), WithRegistry(reg))
-	if _, err := coord.Ledger(); err != nil {
-		t.Fatalf("ledger after one shed: %v", err)
+		opts = append(opts, WithHTTPClient(&http.Client{Transport: &wireRecorder{h: s.h}}), WithRegistry(reg))
+		dev, err := NewDevice(0, 8, "http://adserver.test/", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.ObserveSlot(60e9); err != nil {
+			t.Fatal(err)
+		}
+		return shedRun{dev.Net(), time.Duration(hint) * time.Second, attempts - 1, attempts}
 	}
-	if calls != 2 {
-		t.Fatalf("expected one retry, saw %d calls", calls)
+	var devices []NetCounters
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T, *obs.Registry) shedRun
+	}{
+		{"coordinator", func(t *testing.T, reg *obs.Registry) shedRun {
+			var calls int
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				calls++
+				if calls == 1 {
+					w.Header().Set("Retry-After", "7")
+					w.WriteHeader(http.StatusTooManyRequests)
+					fmt.Fprintln(w, "tenant over admission rate")
+					return
+				}
+				fmt.Fprintln(w, "{}")
+			}))
+			defer ts.Close()
+			coord := NewCoordinator(ts.URL, WithHTTPClient(ts.Client()), WithRegistry(reg))
+			if _, err := coord.Ledger(); err != nil {
+				t.Fatalf("ledger after one shed: %v", err)
+			}
+			if calls != 2 {
+				t.Fatalf("expected one retry, saw %d calls", calls)
+			}
+			return shedRun{coord.Net(), 7 * time.Second, 1, 1}
+		}},
+		{"per-op device", func(t *testing.T, reg *obs.Registry) shedRun { return shedSlot(t, reg) }},
+		{"json-envelope device", func(t *testing.T, reg *obs.Registry) shedRun {
+			return shedSlot(t, reg, WithBatching())
+		}},
+		{"binary-envelope device", func(t *testing.T, reg *obs.Registry) shedRun {
+			return shedSlot(t, reg, WithBatching(), WithBinaryBatch())
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			r := tc.run(t, reg)
+			// The policy's own backoff starts at 2s (±20% jitter); the
+			// server asked for more. Every floored wait must honor the ask.
+			if got, want := reg.Counter("client_backoff_virtual_ns_total").Value(), int64(r.floored)*int64(r.hint); got < want {
+				t.Errorf("virtual backoff %v is under the %v Retry-After floor on %d retries (%v)",
+					time.Duration(got), r.hint, r.floored, time.Duration(want))
+			}
+			if got := reg.Counter("client_shed_total").Value(); got != int64(r.shed) || r.net.Shed != int64(r.shed) {
+				t.Errorf("client shed counter %d, net %+v; want %d sheds", got, r.net, r.shed)
+			}
+			if tc.name != "coordinator" {
+				devices = append(devices, r.net)
+			}
+		})
 	}
-	// The policy's own first backoff is 2s (±20% jitter); the server
-	// asked for 7s. The virtual wait must honor the larger ask.
-	if got := reg.Counter("client_backoff_virtual_ns_total").Value(); got < 7e9 {
-		t.Fatalf("virtual backoff %dns ignored the 7s Retry-After floor", got)
-	}
-	if got := reg.Counter("client_shed_total").Value(); got != 1 {
-		t.Fatalf("client shed counter %d, want 1", got)
+	for i := 1; i < len(devices); i++ {
+		if devices[i] != devices[0] {
+			t.Errorf("the carriers count one shed exchange differently:\n per-op:   %+v\n envelope: %+v", devices[0], devices[i])
+		}
 	}
 }
