@@ -75,13 +75,16 @@ func (m *Msg) NowOf(op *Op) int64 {
 // Result is one sub-operation's outcome. Status carries the HTTP status
 // the per-op endpoint would have answered; Body holds the JSON reply
 // for successes, Error the message for failures. Replayed marks results
-// served from the idempotency window instead of executed.
+// served from the idempotency window instead of executed. RetryAfter is
+// a 429's hint in seconds — what the per-op endpoint's Retry-After
+// header would have said — and is zero on every other status.
 type Result struct {
-	Op       string          `json:"op"`
-	Status   int             `json:"status"`
-	Replayed bool            `json:"replayed,omitempty"`
-	Error    string          `json:"error,omitempty"`
-	Body     json.RawMessage `json:"body,omitempty"`
+	Op         string          `json:"op"`
+	Status     int             `json:"status"`
+	Replayed   bool            `json:"replayed,omitempty"`
+	Error      string          `json:"error,omitempty"`
+	RetryAfter int             `json:"retry_after,omitempty"`
+	Body       json.RawMessage `json:"body,omitempty"`
 }
 
 // Reply answers POST /v1/batch: one result per op, in op order. The

@@ -42,8 +42,9 @@ import (
 //	n uint16
 //	per result:
 //	  kind   uint8    op kind code (0 for unknown ops echoed from JSON)
-//	  flags  uint8    1=replayed
+//	  flags  uint8    1=replayed, 2=has retry_after
 //	  status uint16   HTTP status of the sub-op
+//	  retry_after uint16   present iff flag 2: a 429's hint in seconds
 //	  len    uint32   body length
 //	  body   bytes    error text when status >= 400, else the JSON reply
 //
@@ -82,8 +83,9 @@ const (
 	binFlagNoRescue = 4 // ondemand: skip the rescue path
 )
 
-// Reply flag bits.
-const binFlagReplayed = 1 // result served from the idempotency window
+// Reply flag bits: 1 marks a result served from the idempotency window,
+// 2 a retry_after hint after the status.
+const binFlagReplayed, binFlagRetryAfter = 1, 2
 
 func opKindCode(op string) uint8 {
 	for i, k := range Kinds {
@@ -333,8 +335,14 @@ func AppendReply(dst []byte, results []Result) []byte {
 		if r.Replayed {
 			flags |= binFlagReplayed
 		}
+		if r.RetryAfter > 0 {
+			flags |= binFlagRetryAfter
+		}
 		dst = append(dst, opKindCode(r.Op), flags)
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.Status))
+		if r.RetryAfter > 0 {
+			dst = binary.LittleEndian.AppendUint16(dst, uint16(min(r.RetryAfter, 0xFFFF)))
+		}
 		body := []byte(r.Body)
 		if r.Status >= 400 {
 			body = []byte(r.Error)
@@ -363,8 +371,12 @@ func DecodeReply(data []byte) (Reply, error) {
 	for i := 0; i < n && c.err == nil; i++ {
 		var r Result
 		r.Op = opKindName(c.u8())
-		r.Replayed = c.u8()&binFlagReplayed != 0
+		flags := c.u8()
+		r.Replayed = flags&binFlagReplayed != 0
 		r.Status = int(c.u16())
+		if flags&binFlagRetryAfter != 0 {
+			r.RetryAfter = int(c.u16())
+		}
 		body := c.take(int(c.u32()))
 		if r.Status >= 400 {
 			r.Error = string(body)

@@ -161,6 +161,10 @@ func AppendReplyJSON(dst []byte, results []Result) ([]byte, bool) {
 				return dst, false
 			}
 		}
+		if r.RetryAfter != 0 {
+			out = append(out, `,"retry_after":`...)
+			out = strconv.AppendInt(out, int64(r.RetryAfter), 10)
+		}
 		if len(r.Body) > 0 {
 			for _, c := range r.Body {
 				if c == ' ' || !plainByte(c) && c != '"' {
@@ -531,6 +535,11 @@ func ScanReply(data []byte) (Reply, bool) {
 			}
 			if s.Try(`,"error":`) {
 				r.Error = string(s.nonEmpty())
+			}
+			if s.Try(`,"retry_after":`) {
+				if r.RetryAfter = s.IntN(); r.RetryAfter == 0 {
+					s.Fail() // omitempty never renders a zero
+				}
 			}
 			if s.Try(`,"body":`) {
 				r.Body = s.Value()

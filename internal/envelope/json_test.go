@@ -305,3 +305,36 @@ func TestJSONScanCopiesWhatItKeeps(t *testing.T) {
 		t.Fatalf("a reply body aliases the read buffer (one read, no copy), got %q", body)
 	}
 }
+
+// TestResultRetryAfter: a 429 result's hint crosses both reply codecs —
+// the JSON encoder renders it as json.Marshal does (after the error,
+// omitted when zero), the strict decoder reads it back and declines a
+// zero nobody renders, and the binary frame carries it behind flag 2.
+func TestResultRetryAfter(t *testing.T) {
+	results := []Result{
+		{Op: OpSlot, Status: 429, Error: "shard overloaded: slot observation shed", RetryAfter: 8},
+		{Op: OpCancelled, Status: 200, Body: json.RawMessage(`{"cancelled":null}`)},
+		{Op: OpOnDemand, Status: 429, Replayed: true, Error: "shed", RetryAfter: 1},
+	}
+	raw, ok := AppendReplyJSON(nil, results)
+	if !ok {
+		t.Fatal("declined")
+	}
+	want, err := json.Marshal(Reply{Results: results})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, want) {
+		t.Fatalf("JSON reply:\n got %s\nwant %s", raw, want)
+	}
+	if got, ok := ScanReply(raw); !ok || !reflect.DeepEqual(got.Results, results) {
+		t.Fatalf("ScanReply(%s) = %+v, %v", raw, got.Results, ok)
+	}
+	if _, ok := ScanReply([]byte(`{"results":[{"op":"slot","status":429,"retry_after":0}]}`)); ok {
+		t.Fatal("accepted a zero retry_after, which omitempty never renders")
+	}
+	got, err := DecodeReply(AppendReply(nil, results))
+	if err != nil || !reflect.DeepEqual(got.Results, results) {
+		t.Fatalf("binary reply round trip: %+v, %v", got.Results, err)
+	}
+}

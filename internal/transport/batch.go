@@ -188,11 +188,16 @@ func (s *ShardedServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	putBodyBuf(buf)
 }
 
-// opResult converts a stored-form response into the wire result.
+// opResult converts a stored-form response into the wire result. A
+// 429 carries its hint under the rule writeStored applies to the per-op
+// Retry-After header.
 func opResult(kind string, r stored) BatchOpResult {
 	res := BatchOpResult{Op: kind, Status: r.status, Replayed: r.replayed}
 	if r.status >= 400 {
 		res.Error = strings.TrimSpace(string(r.body))
+		if r.status == http.StatusTooManyRequests {
+			res.RetryAfter = max(r.retryAfter, 1)
+		}
 	} else {
 		res.Body = json.RawMessage(bytes.TrimSpace(r.body))
 	}
