@@ -210,7 +210,7 @@ type Membership struct {
 // concurrent use.
 type Router struct {
 	// nodesMu guards the nodes slice itself (appends, indexing). It is
-	// deliberately separate from rebalanceMu so Rejoin/MarkDown — called
+	// deliberately separate from rebalanceMu so Rejoin/markDown — called
 	// by restart machinery while a rebalance is parked waiting for that
 	// very node — never block on an in-flight rebalance.
 	nodesMu sync.Mutex
@@ -235,7 +235,6 @@ type Router struct {
 	failThreshold int
 	maxForwards   int
 	rejoinWait    time.Duration
-	retryAfter    int
 	adminToken    string
 
 	unavailable  *obs.Counter
@@ -269,14 +268,14 @@ func WithHTTPClient(hc *http.Client) Option {
 	return func(rt *Router) { rt.hop = httpHop{hc} }
 }
 
-// WithFailThreshold sets how many consecutive transport failures open a
-// node's circuit.
-func WithFailThreshold(k int) Option {
+// withFailThreshold sets how many consecutive transport failures open a
+// node's circuit: a test seam.
+func withFailThreshold(k int) Option {
 	return func(rt *Router) { rt.failThreshold = k }
 }
 
-// WithMaxForwards bounds proxy attempts per request.
-func WithMaxForwards(k int) Option {
+// withMaxForwards bounds proxy attempts per request: a test seam.
+func withMaxForwards(k int) Option {
 	return func(rt *Router) { rt.maxForwards = k }
 }
 
@@ -284,11 +283,6 @@ func WithMaxForwards(k int) Option {
 // its rejoin before giving up with 503. Zero (the default) fails fast.
 func WithRejoinWait(d time.Duration) Option {
 	return func(rt *Router) { rt.rejoinWait = d }
-}
-
-// WithRetryAfter sets the Retry-After seconds advertised on 503s.
-func WithRetryAfter(seconds int) Option {
-	return func(rt *Router) { rt.retryAfter = seconds }
 }
 
 // WithAdminToken protects the control plane: the router's /v1/admin/*
@@ -313,7 +307,6 @@ func New(m Membership, opts ...Option) (*Router, error) {
 		replicas:      m.Replicas,
 		failThreshold: DefaultFailThreshold,
 		maxForwards:   DefaultMaxForwards,
-		retryAfter:    DefaultRetryAfter,
 	}
 	rt.reg.SetHelp("cluster_node_unavailable_total", "Requests refused with 503 because the target node was unavailable past patience.")
 	rt.reg.SetHelp("cluster_forwards_total", "Proxy attempts sent to the node.")
@@ -419,8 +412,8 @@ func (rt *Router) Nodes() int {
 	return c
 }
 
-// NodeDown reports whether node i's circuit is currently open.
-func (rt *Router) NodeDown(i int) bool {
+// nodeDown reports whether node i's circuit is currently open.
+func (rt *Router) nodeDown(i int) bool {
 	n := rt.nodeAt(i)
 	if n == nil {
 		return true
@@ -436,9 +429,9 @@ func (rt *Router) Place(clientID int) int {
 	return rt.place(clientID)
 }
 
-// MarkDown takes node i out of rotation (an operator hold, or a test
-// forcing the down path without burning the failure threshold).
-func (rt *Router) MarkDown(i int) {
+// markDown takes node i out of rotation, the way tests force the down
+// path without burning the failure threshold.
+func (rt *Router) markDown(i int) {
 	n := rt.nodeAt(i)
 	if n == nil {
 		return
@@ -684,7 +677,7 @@ func (rt *Router) forward(n *node, method, uri string, hdr http.Header, body []b
 func (rt *Router) unavailableErr(w http.ResponseWriter, nodeIdx int) {
 	rt.unavailable.Inc()
 	w.Header().Set(transport.VersionHeader, strconv.Itoa(transport.ProtocolVersion))
-	w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfter))
+	w.Header().Set("Retry-After", strconv.Itoa(DefaultRetryAfter))
 	http.Error(w, fmt.Sprintf("cluster: node %d unavailable", nodeIdx), http.StatusServiceUnavailable)
 }
 

@@ -134,7 +134,7 @@ func TestLinkAbortCountsAgainstCircuit(t *testing.T) {
 		}
 		io.WriteString(w, `{"ok":true}`)
 	})
-	rt := newTestRouter(t, []string{node.srv.URL}, WithFailThreshold(2), WithMaxForwards(3))
+	rt := newTestRouter(t, []string{node.srv.URL}, withFailThreshold(2), withMaxForwards(3))
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 
@@ -160,7 +160,7 @@ func TestLinkAbortCountsAgainstCircuit(t *testing.T) {
 	if f := reg.CounterTotal("cluster_node_failures_total"); f != 2 {
 		t.Fatalf("cluster_node_failures_total = %d, want 2 (the threshold)", f)
 	}
-	if !rt.NodeDown(0) || reg.CounterTotal("cluster_node_down_total") != 1 {
+	if !rt.nodeDown(0) || reg.CounterTotal("cluster_node_down_total") != 1 {
 		t.Fatal("aborted exchanges did not open the node's circuit")
 	}
 	if reg.CounterTotal("cluster_link_broken_total") == 0 {
@@ -172,7 +172,7 @@ func TestLinkAbortCountsAgainstCircuit(t *testing.T) {
 	_, staleEpoch, _ := n.state()
 	rt.Rejoin(0, "")
 	n.fail(staleEpoch, 1)
-	if rt.NodeDown(0) {
+	if rt.nodeDown(0) {
 		t.Fatal("a stale-epoch failure reopened a rejoined node's circuit")
 	}
 }
@@ -231,10 +231,10 @@ func TestLinkRedialsAfterRejoinAtNewAddress(t *testing.T) {
 		round("new") // fails against the corpse, parks, completes after the rejoin
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for !rt.NodeDown(0) && time.Now().Before(deadline) {
+	for !rt.nodeDown(0) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if !rt.NodeDown(0) {
+	if !rt.nodeDown(0) {
 		t.Fatal("killed node's circuit never opened")
 	}
 	replacement := serveNode(t, http.HandlerFunc(reply("new")))

@@ -280,7 +280,7 @@ func TestRouterUnavailable503(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close() // nothing listens here any more
 
-	rt := newTestRouter(t, []string{deadURL}, WithFailThreshold(2), WithMaxForwards(4))
+	rt := newTestRouter(t, []string{deadURL}, withFailThreshold(2), withMaxForwards(4))
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 
@@ -302,7 +302,7 @@ func TestRouterUnavailable503(t *testing.T) {
 	if got := rt.Registry().CounterTotal("cluster_node_unavailable_total"); got != 1 {
 		t.Fatalf("cluster_node_unavailable_total = %d, want 1", got)
 	}
-	if !rt.NodeDown(0) {
+	if !rt.nodeDown(0) {
 		t.Fatal("circuit did not open after consecutive failures")
 	}
 	if got := rt.Registry().CounterTotal("cluster_node_down_total"); got != 1 {
@@ -317,7 +317,7 @@ func TestRouterRejoinClosesCircuit(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close()
 
-	rt := newTestRouter(t, []string{deadURL}, WithFailThreshold(1), WithMaxForwards(2))
+	rt := newTestRouter(t, []string{deadURL}, withFailThreshold(1), withMaxForwards(2))
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 
@@ -330,13 +330,13 @@ func TestRouterRejoinClosesCircuit(t *testing.T) {
 			t.Fatalf("dead node got %d, want 503", resp.StatusCode)
 		}
 	}
-	if !rt.NodeDown(0) {
+	if !rt.nodeDown(0) {
 		t.Fatal("circuit should be open")
 	}
 
 	live := newFakeNode(t, jsonReply(`{"ok":true}`))
 	rt.Rejoin(0, live.srv.URL)
-	if rt.NodeDown(0) {
+	if rt.nodeDown(0) {
 		t.Fatal("circuit still open after rejoin")
 	}
 	resp, err := http.Get(front.URL + "/v1/bundle?client=1")
@@ -361,7 +361,7 @@ func TestRouterParksUntilRejoin(t *testing.T) {
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 
-	rt.MarkDown(0)
+	rt.markDown(0)
 	go func() {
 		time.Sleep(50 * time.Millisecond)
 		rt.Rejoin(0, "")
@@ -409,7 +409,7 @@ func TestRouterHealthDegraded(t *testing.T) {
 		t.Fatalf("node health not relayed: %+v", h.Nodes[0])
 	}
 
-	rt.MarkDown(1)
+	rt.markDown(1)
 	resp, err = http.Get(front.URL + "/v1/health")
 	if err != nil {
 		t.Fatal(err)
@@ -428,15 +428,15 @@ func TestRouterHealthDegraded(t *testing.T) {
 // and rejoin it without an explicit Rejoin call.
 func TestRouterProberRejoins(t *testing.T) {
 	live := newFakeNode(t, jsonReply(`{"status":"ok"}`))
-	rt := newTestRouter(t, []string{live.srv.URL}, WithFailThreshold(1))
-	rt.MarkDown(0)
+	rt := newTestRouter(t, []string{live.srv.URL}, withFailThreshold(1))
+	rt.markDown(0)
 	rt.StartProber(10 * time.Millisecond)
 
 	deadline := time.Now().Add(2 * time.Second)
-	for rt.NodeDown(0) && time.Now().Before(deadline) {
+	for rt.nodeDown(0) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if rt.NodeDown(0) {
+	if rt.nodeDown(0) {
 		t.Fatal("prober never rejoined a healthy node")
 	}
 }

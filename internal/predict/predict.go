@@ -307,15 +307,6 @@ func NewPercentileHistogram(q float64) *PercentileHistogram {
 	}
 }
 
-// SetHistoryWindow overrides the per-context sliding window (minimum 1).
-// Existing history beyond the new window ages out on future observes.
-func (ph *PercentileHistogram) SetHistoryWindow(w int) {
-	if w < 1 {
-		w = 1
-	}
-	ph.window = w
-}
-
 // Name implements Predictor.
 func (ph *PercentileHistogram) Name() string { return fmt.Sprintf("pctile-hist-%.2g", ph.q) }
 

@@ -152,20 +152,18 @@ func TestFunctionalOptions(t *testing.T) {
 	ts, _, _, _, _ := newShardedStack(t, 1, 1)
 	hc := ts.Client()
 
-	// WithRetryPolicy + WithJitterSeed: two devices with the same seed
-	// and policy draw identical backoff schedules.
+	// withJitterSeed: two devices with the same seed and policy draw
+	// identical backoff schedules.
 	p := RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Second, MaxBackoff: 8 * time.Second, JitterFrac: 0.5}
-	a, err := NewDevice(0, 8, ts.URL, WithHTTPClient(hc), WithRetryPolicy(p), WithJitterSeed(42))
+	a, err := NewDevice(0, 8, ts.URL, WithHTTPClient(hc), withJitterSeed(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewDevice(1, 8, ts.URL, WithHTTPClient(hc), WithRetryPolicy(p), WithJitterSeed(42))
+	b, err := NewDevice(1, 8, ts.URL, WithHTTPClient(hc), withJitterSeed(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Retry != p || b.Retry != p {
-		t.Fatalf("retry policy not applied: %+v / %+v", a.Retry, b.Retry)
-	}
+	a.Retry, b.Retry = p, p
 	for k := 1; k < 3; k++ {
 		if da, db := a.backoff(k), b.backoff(k); da != db {
 			t.Fatalf("same seed, different jitter at retry %d: %v vs %v", k, da, db)
@@ -176,11 +174,11 @@ func TestFunctionalOptions(t *testing.T) {
 	// no SetMeter call).
 	m := radio.New(radio.Profile3G())
 	c, err := NewDevice(2, 8, ts.URL, WithMeter(m),
-		WithHTTPClient(&http.Client{Timeout: 50 * time.Millisecond, Transport: failingRT{}}),
-		WithRetryPolicy(RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Second}))
+		WithHTTPClient(&http.Client{Timeout: 50 * time.Millisecond, Transport: failingRT{}}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Second}
 	if err := c.ObserveSlot(0); err != nil {
 		t.Fatal(err) // unreachable observations degrade, not fail
 	}

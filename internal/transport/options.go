@@ -11,12 +11,12 @@ import (
 // constructors take sensible defaults (DefaultTimeout HTTP client,
 // DefaultRetryPolicy, a per-identity jitter seed, no meter, no
 // registry); options override them piecemeal, so call sites state only
-// what they change.
+// what they change. The retry policy is the exported Retry field, set
+// after construction.
 type Option func(*options)
 
 type options struct {
 	hc        *http.Client
-	retry     *RetryPolicy
 	seed      *int64
 	meter     *radio.Radio
 	registry  *obs.Registry
@@ -41,16 +41,11 @@ func WithHTTPClient(hc *http.Client) Option {
 	return func(o *options) { o.hc = hc }
 }
 
-// WithRetryPolicy replaces DefaultRetryPolicy for the resilience loop.
-func WithRetryPolicy(p RetryPolicy) Option {
-	return func(o *options) { o.retry = &p }
-}
-
-// WithJitterSeed overrides the backoff-jitter seed (by default derived
+// withJitterSeed overrides the backoff-jitter seed (by default derived
 // from the device id, so fleets don't retry in lockstep). Two callers
-// with the same seed draw identical jitter sequences — the determinism
-// chaos tests lean on.
-func WithJitterSeed(seed int64) Option {
+// with the same seed draw identical jitter sequences; tests use it to
+// pin that.
+func withJitterSeed(seed int64) Option {
 	return func(o *options) { o.seed = &seed }
 }
 
