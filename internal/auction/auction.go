@@ -184,7 +184,6 @@ type Exchange struct {
 	tenants      []string
 	tenantNext   map[string]ImpressionID
 	tenantLedger map[string]*Ledger
-	openCnt      map[string]int
 }
 
 // NewExchange creates an exchange over the campaign set with the given
@@ -315,7 +314,6 @@ func (e *Exchange) sellOne(now simclock.Time, hints []trace.Category, deadlineCa
 	}
 	stored := imp
 	e.open[imp.ID] = &stored
-	e.openCnt[best.c.Tenant]++
 	return imp, true
 }
 
@@ -425,9 +423,6 @@ func (e *Exchange) SweepExpired(now simclock.Time) int {
 }
 
 func (e *Exchange) settle(id ImpressionID, price float64) {
-	if _, ok := e.open[id]; ok {
-		e.openCnt[e.TenantOfImpression(id)]--
-	}
 	delete(e.open, id)
 	e.settled[id] = true
 	if e.settledPrice == nil {

@@ -46,7 +46,6 @@ func (e *Exchange) ExtractImpressions(open, settled []ImpressionID) (ImpressionT
 		}
 		tr.Open = append(tr.Open, *imp)
 		delete(e.open, id)
-		e.openCnt[e.TenantOfImpression(id)]--
 	}
 	sortedIDs = append(sortedIDs[:0], settled...)
 	sort.Slice(sortedIDs, func(i, j int) bool { return sortedIDs[i] < sortedIDs[j] })
@@ -82,7 +81,6 @@ func (e *Exchange) AbsorbImpressions(tr ImpressionTransfer) error {
 		}
 		stored := imp
 		e.open[imp.ID] = &stored
-		e.openCnt[e.TenantOfImpression(imp.ID)]++
 	}
 	for _, st := range tr.Settled {
 		if _, dup := e.open[st.ID]; dup || e.settled[st.ID] {

@@ -147,8 +147,5 @@ func (e *Exchange) Restore(st ExchangeState) error {
 		}
 		*dst = tl.Ledger
 	}
-	for id := range e.open {
-		e.openCnt[e.TenantOfImpression(id)]++
-	}
 	return nil
 }

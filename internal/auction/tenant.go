@@ -35,7 +35,6 @@ func (e *Exchange) initTenants() {
 		e.tenantNext[t] = ImpressionID(i+1) << tenantIDShift
 		e.tenantLedger[t] = &Ledger{}
 	}
-	e.openCnt = make(map[string]int, len(e.tenants)+1)
 }
 
 // mintID allocates the next impression id in the tenant's namespace.
@@ -95,7 +94,3 @@ func (e *Exchange) LedgerOf(tenant string) Ledger {
 	}
 	return l
 }
-
-// OpenOf returns the tenant's open (sold, unsettled) impression count —
-// the per-tenant book the shed threshold compares against.
-func (e *Exchange) OpenOf(tenant string) int { return e.openCnt[tenant] }

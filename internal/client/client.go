@@ -113,22 +113,6 @@ func (c *Cache) Take(now simclock.Time, cancelled func(auction.ImpressionID) boo
 	return chosen, found
 }
 
-// DropExpired removes entries past their deadline and returns how many
-// were dropped.
-func (c *Cache) DropExpired(now simclock.Time) int {
-	keep := c.entries[:0]
-	dropped := 0
-	for _, e := range c.entries {
-		if now.After(e.Deadline) {
-			dropped++
-			continue
-		}
-		keep = append(keep, e)
-	}
-	c.entries = keep
-	return dropped
-}
-
 // Snapshot returns a copy of the cache contents, most urgent first.
 func (c *Cache) Snapshot() []CachedAd {
 	out := make([]CachedAd, len(c.entries))

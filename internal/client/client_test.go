@@ -96,20 +96,6 @@ func TestCacheTakeEmpty(t *testing.T) {
 	}
 }
 
-func TestDropExpired(t *testing.T) {
-	c, _ := NewCache(10)
-	c.Add(
-		CachedAd{ID: 1, Deadline: simclock.Hour},
-		CachedAd{ID: 2, Deadline: 3 * simclock.Hour},
-	)
-	if n := c.DropExpired(2 * simclock.Hour); n != 1 {
-		t.Fatalf("dropped %d", n)
-	}
-	if c.Len() != 1 || c.Snapshot()[0].ID != 2 {
-		t.Fatalf("remaining %+v", c.Snapshot())
-	}
-}
-
 func TestDeviceScheduledDelivery(t *testing.T) {
 	d, err := NewDevice(7, 10)
 	if err != nil {

@@ -61,9 +61,6 @@ func (s *Stream) Var() float64 {
 	return s.m2 / float64(s.n-1)
 }
 
-// Std returns the sample standard deviation.
-func (s *Stream) Std() float64 { return math.Sqrt(s.Var()) }
-
 // Min returns the smallest observation, or 0 for an empty stream.
 func (s *Stream) Min() float64 { return s.min }
 
@@ -166,21 +163,6 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(len(s.xs))
 }
 
-// Std returns the unbiased sample standard deviation (0 if n < 2).
-func (s *Sample) Std() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, x := range s.xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(n-1))
-}
-
 // CDFAt returns the empirical CDF evaluated at x: the fraction of
 // observations ≤ x. Returns NaN for an empty sample.
 func (s *Sample) CDFAt(x float64) float64 {
@@ -194,24 +176,6 @@ func (s *Sample) CDFAt(x float64) float64 {
 		i++
 	}
 	return float64(i) / float64(len(s.xs))
-}
-
-// CDFPoints returns up to n evenly spaced (value, cumFrac) points of the
-// empirical CDF, suitable for plotting.
-func (s *Sample) CDFPoints(n int) []Point {
-	if len(s.xs) == 0 || n <= 0 {
-		return nil
-	}
-	s.ensureSorted()
-	if n > len(s.xs) {
-		n = len(s.xs)
-	}
-	pts := make([]Point, 0, n)
-	for i := 0; i < n; i++ {
-		idx := i * (len(s.xs) - 1) / max(n-1, 1)
-		pts = append(pts, Point{X: s.xs[idx], Y: float64(idx+1) / float64(len(s.xs))})
-	}
-	return pts
 }
 
 // Point is an (x, y) pair for figure series.

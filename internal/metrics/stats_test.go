@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -110,9 +109,6 @@ func TestSampleEmpty(t *testing.T) {
 	if !math.IsNaN(s.Quantile(0.5)) || !math.IsNaN(s.Mean()) || !math.IsNaN(s.CDFAt(1)) {
 		t.Fatal("empty sample should produce NaN")
 	}
-	if pts := s.CDFPoints(5); pts != nil {
-		t.Fatal("empty sample CDFPoints should be nil")
-	}
 }
 
 func TestSampleCDF(t *testing.T) {
@@ -167,23 +163,6 @@ func TestSampleMonotonicityProperty(t *testing.T) {
 	}
 }
 
-func TestSampleCDFPoints(t *testing.T) {
-	var s Sample
-	for i := 0; i < 1000; i++ {
-		s.Add(float64(i))
-	}
-	pts := s.CDFPoints(11)
-	if len(pts) != 11 {
-		t.Fatalf("len=%d", len(pts))
-	}
-	if !sort.SliceIsSorted(pts, func(i, j int) bool { return pts[i].X < pts[j].X }) {
-		t.Fatal("CDF points not sorted by x")
-	}
-	if pts[len(pts)-1].Y != 1 {
-		t.Fatalf("last CDF y=%v want 1", pts[len(pts)-1].Y)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
 	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.9, 10, 42} {
@@ -229,40 +208,6 @@ func TestRatioAndPercentChange(t *testing.T) {
 	}
 	if got := PercentChange(100, 150); got != -50 {
 		t.Fatalf("PercentChange increase=%v", got)
-	}
-}
-
-func TestBootstrapMeanCI(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = 10 + r.NormFloat64()
-	}
-	ci := BootstrapMeanCI(xs, 0.95, 500, 1)
-	if !ci.Contains(ci.Point) {
-		t.Fatal("CI does not contain the point estimate")
-	}
-	if !ci.Contains(10) {
-		t.Fatalf("CI [%v,%v] excludes true mean 10", ci.Lo, ci.Hi)
-	}
-	if ci.Width() <= 0 || ci.Width() > 1 {
-		t.Fatalf("implausible CI width %v", ci.Width())
-	}
-	// Deterministic for the same seed.
-	ci2 := BootstrapMeanCI(xs, 0.95, 500, 1)
-	if ci != ci2 {
-		t.Fatal("bootstrap not deterministic for fixed seed")
-	}
-}
-
-func TestBootstrapDegenerate(t *testing.T) {
-	ci := BootstrapMeanCI(nil, 0.95, 100, 1)
-	if !math.IsNaN(ci.Point) {
-		t.Fatal("empty input should give NaN point")
-	}
-	ci = BootstrapMeanCI([]float64{7}, 0.95, 100, 1)
-	if ci.Point != 7 || ci.Lo != 7 || ci.Hi != 7 {
-		t.Fatal("single sample should give degenerate interval")
 	}
 }
 

@@ -54,11 +54,6 @@ func (q *Queue) Schedule(at Time, name string, fn func(q *Queue)) *Event {
 	return ev
 }
 
-// ScheduleAfter enqueues fn to run d after the current time.
-func (q *Queue) ScheduleAfter(d Time, name string, fn func(q *Queue)) *Event {
-	return q.Schedule(q.now+d, name, fn)
-}
-
 // Cancel removes a pending event. Cancelling an event that already fired
 // or was already cancelled is a no-op and returns false.
 func (q *Queue) Cancel(ev *Event) bool {

@@ -135,7 +135,7 @@ func TestQueueSelfScheduling(t *testing.T) {
 	tick = func(q *Queue) {
 		count++
 		if count < 5 {
-			q.ScheduleAfter(Second, "tick", tick)
+			q.Schedule(q.Now()+Second, "tick", tick)
 		}
 	}
 	q.Schedule(0, "tick", tick)
@@ -153,7 +153,7 @@ func TestQueueSelfScheduling(t *testing.T) {
 func TestQueueEventBudget(t *testing.T) {
 	q := NewQueue()
 	var tick func(q *Queue)
-	tick = func(q *Queue) { q.ScheduleAfter(Second, "tick", tick) }
+	tick = func(q *Queue) { q.Schedule(q.Now()+Second, "tick", tick) }
 	q.Schedule(0, "tick", tick)
 	if err := q.Run(50); err == nil {
 		t.Fatal("expected budget-exhausted error")

@@ -58,9 +58,6 @@ func (t Time) DayIndex() int { return int(t / Day) }
 // HourOfDay returns the hour-of-day in [0,24).
 func (t Time) HourOfDay() int { return int((t % Day) / Hour) }
 
-// MinuteOfDay returns the minute-of-day in [0,1440).
-func (t Time) MinuteOfDay() int { return int((t % Day) / Minute) }
-
 // DayOfWeek returns the zero-based day of week in [0,7), where 0 is the
 // epoch's weekday (Monday by convention).
 func (t Time) DayOfWeek() int { return int((t / Day) % 7) }

@@ -26,17 +26,17 @@ func TestTimeArithmetic(t *testing.T) {
 
 func TestTimeCalendar(t *testing.T) {
 	cases := []struct {
-		at            Time
-		day, hour, mn int
-		dow           int
-		weekend       bool
+		at        Time
+		day, hour int
+		dow       int
+		weekend   bool
 	}{
-		{0, 0, 0, 0, 0, false},
-		{26*Hour + 15*Minute, 1, 2, 135, 1, false},
-		{5 * Day, 5, 0, 0, 5, true},
-		{6*Day + 23*Hour, 6, 23, 1380, 6, true},
-		{7 * Day, 7, 0, 0, 0, false},
-		{3*Week + 2*Day + Hour, 23, 1, 60, 2, false},
+		{0, 0, 0, 0, false},
+		{26*Hour + 15*Minute, 1, 2, 1, false},
+		{5 * Day, 5, 0, 5, true},
+		{6*Day + 23*Hour, 6, 23, 6, true},
+		{7 * Day, 7, 0, 0, false},
+		{3*Week + 2*Day + Hour, 23, 1, 2, false},
 	}
 	for _, c := range cases {
 		if got := c.at.DayIndex(); got != c.day {
@@ -44,9 +44,6 @@ func TestTimeCalendar(t *testing.T) {
 		}
 		if got := c.at.HourOfDay(); got != c.hour {
 			t.Errorf("%v HourOfDay=%d want %d", c.at, got, c.hour)
-		}
-		if got := c.at.MinuteOfDay(); got != c.mn {
-			t.Errorf("%v MinuteOfDay=%d want %d", c.at, got, c.mn)
 		}
 		if got := c.at.DayOfWeek(); got != c.dow {
 			t.Errorf("%v DayOfWeek=%d want %d", c.at, got, c.dow)

@@ -186,17 +186,6 @@ func (r *Registry) ConfigOf(id string) (Config, bool) {
 	return Config{}, false
 }
 
-// LookupClient returns the config owning a client id.
-func (r *Registry) LookupClient(clientID int) (Config, bool) {
-	if r == nil {
-		return Config{}, false
-	}
-	if i := r.index(clientID); i >= 0 {
-		return r.cfgs[i], true
-	}
-	return Config{}, false
-}
-
 // Admit charges cost tokens against the client's tenant bucket at
 // virtual time nowNS. Legacy clients (and tenants without a rate) are
 // always admitted. Refused decisions carry the tenant id and a

@@ -98,8 +98,20 @@ func TestGenerateDiurnal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ratio := NightDayRatio(pop); ratio > 0.4 {
-		t.Fatalf("population not diurnal: night/evening ratio %v", ratio)
+	// Sessions in 02:00-05:00 must be well under those in 18:00-21:00.
+	night, evening := 0, 0
+	for _, u := range pop.Users {
+		for _, s := range u.Sessions {
+			switch h := s.Start.HourOfDay(); {
+			case h >= 2 && h < 5:
+				night++
+			case h >= 18 && h < 21:
+				evening++
+			}
+		}
+	}
+	if ratio := float64(night) / float64(evening); evening == 0 || ratio > 0.4 {
+		t.Fatalf("population not diurnal: %d night vs %d evening sessions", night, evening)
 	}
 	if h := PeakHour(pop); h < 11 || h > 23 {
 		t.Fatalf("implausible peak hour %d", h)

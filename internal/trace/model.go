@@ -14,7 +14,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/simclock"
@@ -59,13 +58,6 @@ func (u *User) Validate() error {
 		}
 	}
 	return nil
-}
-
-// SessionsBetween returns the subslice of sessions starting in [from, to).
-func (u *User) SessionsBetween(from, to simclock.Time) []Session {
-	lo := sort.Search(len(u.Sessions), func(i int) bool { return u.Sessions[i].Start >= from })
-	hi := sort.Search(len(u.Sessions), func(i int) bool { return u.Sessions[i].Start >= to })
-	return u.Sessions[lo:hi]
 }
 
 // Population is a set of user traces covering the same span.

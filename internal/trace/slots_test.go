@@ -166,21 +166,3 @@ func TestUserValidate(t *testing.T) {
 		t.Fatal("zero-duration session should fail validation")
 	}
 }
-
-func TestSessionsBetween(t *testing.T) {
-	u := &User{Sessions: []Session{
-		{Start: 0, Duration: time.Second},
-		{Start: simclock.Hour, Duration: time.Second},
-		{Start: 2 * simclock.Hour, Duration: time.Second},
-	}}
-	got := u.SessionsBetween(simclock.Hour, 2*simclock.Hour)
-	if len(got) != 1 || got[0].Start != simclock.Hour {
-		t.Fatalf("got %+v", got)
-	}
-	if got := u.SessionsBetween(0, 3*simclock.Hour); len(got) != 3 {
-		t.Fatalf("full range got %d", len(got))
-	}
-	if got := u.SessionsBetween(5*simclock.Hour, 6*simclock.Hour); len(got) != 0 {
-		t.Fatalf("empty range got %d", len(got))
-	}
-}

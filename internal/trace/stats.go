@@ -159,24 +159,3 @@ func PeakHour(p *Population) int {
 	}
 	return best
 }
-
-// NightDayRatio returns total sessions in 02:00-05:00 divided by those
-// in 18:00-21:00, a diurnality check (should be well below 1).
-func NightDayRatio(p *Population) float64 {
-	night, evening := 0, 0
-	for _, u := range p.Users {
-		for _, s := range u.Sessions {
-			h := s.Start.HourOfDay()
-			if h >= 2 && h < 5 {
-				night++
-			}
-			if h >= 18 && h < 21 {
-				evening++
-			}
-		}
-	}
-	if evening == 0 {
-		return math.Inf(1)
-	}
-	return float64(night) / float64(evening)
-}
