@@ -393,3 +393,45 @@ func TestRetryEnergyCharged(t *testing.T) {
 		t.Fatalf("retries charged %v J, want > 0", j)
 	}
 }
+
+// TestEnvelopeReplyWithoutAnAnswerIsRetried: an envelope reply that
+// answers nothing leaves its ops unanswered until the attempts run out,
+// like a request that got no reply. A result with no status is read as
+// no answer for that op: the next attempt renders the op again under a
+// new key. A reply with the wrong number of results answers nothing:
+// the next attempt re-sends the same bytes under the same key, with
+// X-Retry-Attempt counting up.
+func TestEnvelopeReplyWithoutAnAnswerIsRetried(t *testing.T) {
+	for _, tc := range []struct {
+		reply, keys, attempts string
+	}{
+		{`{"results":[{"op":"slot","status":0}]}`, "c0-2,c0-3,c0-4,c0-5", "1,1,1,1"},
+		{`{"results":[]}`, "c0-2,c0-2,c0-2,c0-2", "1,2,3,4"},
+	} {
+		var keys, attempts []string
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			keys = append(keys, r.Header.Get(idempotencyKeyHeader))
+			attempts = append(attempts, r.Header.Get(attemptHeader))
+			w.Header().Set("Content-Type", "application/json")
+			w.Write([]byte(tc.reply + "\n"))
+		}))
+		d, err := NewDevice(0, 8, ts.URL, WithHTTPClient(ts.Client()), WithBatching())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.ObserveSlot(0); err != nil {
+			t.Fatalf("%s: an unanswered observation is lost, not an error: %v", tc.reply, err)
+		}
+		ts.Close()
+		n := d.Net()
+		if n.Attempts != 4 || n.Retries != 3 || n.Unreachable != 1 || n.LostObservations != 1 {
+			t.Errorf("%s: net %+v", tc.reply, n)
+		}
+		if got := strings.Join(keys, ","); got != tc.keys {
+			t.Errorf("%s: envelope keys %s, want %s", tc.reply, got, tc.keys)
+		}
+		if got := strings.Join(attempts, ","); got != tc.attempts {
+			t.Errorf("%s: X-Retry-Attempt %s, want %s", tc.reply, got, tc.attempts)
+		}
+	}
+}
