@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -105,6 +106,57 @@ func TestPredictiveRunGolden(t *testing.T) {
 		got := golden{r.Ledger, r.Counters, r.AdEnergyJ, r.SoldTotal, r.ReplicaTotal, r.PlacedTotal}
 		if got != w {
 			t.Errorf("seed %d: predictive outcomes moved\n got %+v\nwant %+v", seed, got, w)
+		}
+	}
+}
+
+// TestRunGoldenTable pins sim.Run's outcomes, one row per feature its
+// event loop touches: every mode, both delivery policies, churn, report
+// loss, the WiFi schedule, NoRescue, and a period that does not divide
+// the trace span (its trailing events replay after the last boundary).
+// A scheduler change meant to be behaviour-preserving must leave every
+// row untouched.
+func TestRunGoldenTable(t *testing.T) {
+	mode := func(m core.Mode, edit func(*Config)) Config {
+		cfg := quickConfig(m)
+		if edit != nil {
+			edit(&cfg)
+		}
+		return cfg
+	}
+	rows := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"on-demand", mode(core.ModeOnDemand, nil),
+			`{"sold":11097,"billed":11097,"billed_usd":31.092946792,"free_shows":0,"free_usd":0.000000000,"violations":0,"violated_usd":0.000000000,"potential_usd":31.092946792} counters={SlotsServed:11097 CacheHits:0 OnDemandFetches:11097 BundleFetches:0 BundledAds:0 DroppedOverflow:0 DroppedExpired:0} ad=100533.63323335949 app=52616.367884463165 sold=0 replicas=0 placed=0 periods=24`},
+		{"naive bulk", mode(core.ModeNaiveBulk, nil),
+			`{"sold":11284,"billed":11080,"billed_usd":31.045314090,"free_shows":17,"free_usd":0.047632702,"violations":204,"violated_usd":0.571592425,"potential_usd":31.616906516} counters={SlotsServed:11097 CacheHits:1418 OnDemandFetches:9679 BundleFetches:1055 BundledAds:3995 DroppedOverflow:0 DroppedExpired:2497} ad=98525.01722970643 app=59005.45721199905 sold=3840 replicas=3840 placed=3840 periods=24`},
+		{"oracle", mode(core.ModeOracle, nil),
+			`{"sold":11097,"billed":11095,"billed_usd":31.087342945,"free_shows":2,"free_usd":0.005603847,"violations":2,"violated_usd":0.005603847,"potential_usd":31.092946792} counters={SlotsServed:11097 CacheHits:10992 OnDemandFetches:105 BundleFetches:759 BundledAds:11101 DroppedOverflow:0 DroppedExpired:109} ad=8877.282993538221 app=91125.10514282275 sold=11097 replicas=10816 placed=10816 periods=24`},
+		{"predictive scheduled", mode(core.ModePredictive, nil),
+			`{"sold":11088,"billed":11046,"billed_usd":30.950048686,"free_shows":51,"free_usd":0.142898106,"violations":42,"violated_usd":0.117680793,"potential_usd":31.067729479} counters={SlotsServed:11097 CacheHits:6967 OnDemandFetches:4130 BundleFetches:1115 BundledAds:25822 DroppedOverflow:2086 DroppedExpired:16234} ad=47564.40306162467 app=78181.01221730949 sold=8476 replicas=24141 placed=8433 periods=24`},
+		{"predictive piggyback", mode(core.ModePredictive, func(c *Config) { c.Core.Delivery = core.DeliverPiggyback }),
+			`{"sold":11088,"billed":11046,"billed_usd":30.950048686,"free_shows":51,"free_usd":0.142898106,"violations":42,"violated_usd":0.117680793,"potential_usd":31.067729479} counters={SlotsServed:11097 CacheHits:6967 OnDemandFetches:4130 BundleFetches:939 BundledAds:25539 DroppedOverflow:2025 DroppedExpired:16234} ad=43148.71656144101 app=73436.99645458386 sold=8476 replicas=24141 placed=8433 periods=24`},
+		{"churn", mode(core.ModePredictive, func(c *Config) { c.ChurnProb = 0.3 }),
+			`{"sold":8031,"billed":7832,"billed_usd":21.944666061,"free_shows":22,"free_usd":0.061642320,"violations":199,"violated_usd":0.557582807,"potential_usd":22.502248868} counters={SlotsServed:7854 CacheHits:3731 OnDemandFetches:4123 BundleFetches:732 BundledAds:12198 DroppedOverflow:602 DroppedExpired:7556} ad=43606.139801270576 app=51979.08115196727 sold=5415 replicas=15821 placed=5367 periods=24`},
+		{"report loss", mode(core.ModePredictive, func(c *Config) { c.ReportLossProb = 0.5 }),
+			`{"sold":8696,"billed":6625,"billed_usd":18.562744210,"free_shows":9,"free_usd":0.025217313,"violations":2071,"violated_usd":5.802783888,"potential_usd":24.365528098} counters={SlotsServed:11097 CacheHits:8920 OnDemandFetches:2177 BundleFetches:1021 BundledAds:25201 DroppedOverflow:3848 DroppedExpired:11444} ad=29480.19608181616 app=85044.55394606137 sold=8476 replicas=24141 placed=8433 periods=24`},
+		{"wifi schedule", mode(core.ModePredictive, func(c *Config) { c.WiFiSchedule = DefaultWiFiSchedule() }),
+			`{"sold":11088,"billed":11046,"billed_usd":30.950048686,"free_shows":51,"free_usd":0.142898106,"violations":42,"violated_usd":0.117680793,"potential_usd":31.067729479} counters={SlotsServed:11097 CacheHits:6967 OnDemandFetches:4130 BundleFetches:1115 BundledAds:25822 DroppedOverflow:2086 DroppedExpired:16234} ad=29588.53978358929 app=55200.072030126124 sold=8476 replicas=24141 placed=8433 periods=24`},
+		{"no rescue", mode(core.ModePredictive, func(c *Config) { c.Core.NoRescue = true }),
+			`{"sold":11840,"billed":11078,"billed_usd":31.039710243,"free_shows":19,"free_usd":0.053236549,"violations":762,"violated_usd":2.135065825,"potential_usd":33.174776068} counters={SlotsServed:11097 CacheHits:7733 OnDemandFetches:3364 BundleFetches:847 BundledAds:24141 DroppedOverflow:3287 DroppedExpired:12374} ad=40713.163289728844 app=82032.01101013894 sold=8476 replicas=24141 placed=8433 periods=24`},
+		{"5h period", mode(core.ModePredictive, func(c *Config) { c.Core.Server.Period = 5 * time.Hour }),
+			`{"sold":11178,"billed":10964,"billed_usd":30.720290946,"free_shows":59,"free_usd":0.165313496,"violations":214,"violated_usd":0.599611662,"potential_usd":31.319902608} counters={SlotsServed:11023 CacheHits:5625 OnDemandFetches:5398 BundleFetches:909 BundledAds:21447 DroppedOverflow:2712 DroppedExpired:12935} ad=57242.89244128667 app=72744.60497454616 sold=6901 replicas=19905 placed=6702 periods=18`},
+	}
+	for _, row := range rows {
+		r := run(t, row.cfg)
+		got := fmt.Sprintf("%s counters=%+v ad=%v app=%v sold=%d replicas=%d placed=%d periods=%d",
+			LedgerJSON(r.Ledger), r.Counters, r.AdEnergyJ, r.AppEnergyJ,
+			r.SoldTotal, r.ReplicaTotal, r.PlacedTotal, r.Periods)
+		if got != row.want {
+			t.Errorf("%s: outcomes moved\n got %s\nwant %s", row.name, got, row.want)
 		}
 	}
 }
