@@ -155,8 +155,7 @@ func newStreamEnv(cfg Config, o TransportOpts) (*replayEnv, error) {
 	if cat == nil {
 		cat = trace.NewCatalog(trace.DefaultCatalog())
 	}
-	warmupEnd := simclock.Time(cfg.WarmupDays) * simclock.Day
-	if warmupEnd > st.Span() {
+	if cfg.warmupEnd() > st.Span() {
 		return nil, fmt.Errorf("sim: warm-up %d days exceeds trace span %v", cfg.WarmupDays, st.Span())
 	}
 	period := cfg.Core.Server.Period
@@ -167,9 +166,7 @@ func newStreamEnv(cfg Config, o TransportOpts) (*replayEnv, error) {
 	}
 
 	env := &replayEnv{
-		cfg: cfg, o: o, ids: ids, cat: cat,
-		span: st.Span(), days: st.Days(),
-		warmupEnd: warmupEnd, period: period, workers: workers,
+		cfg: cfg, o: o, ids: ids, cat: cat, span: st.Span(), workers: workers,
 		stream: st, firstWake: make([]simclock.Time, n),
 	}
 
@@ -399,21 +396,18 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 		return buildTimeline(st.UserAt(id), env.cat, cfg.RefreshInterval)
 	}
 
-	owner := func(at simclock.Time, kind string) radio.Owner {
-		if at < env.warmupEnd {
-			return "warmup"
-		}
-		return radio.Owner(kind)
-	}
-
 	coord := transport.NewCoordinator(baseURL, transport.WithHTTPClient(hc), transport.WithRegistry(clientReg))
 	res := &Result{Mode: cfg.Core.Mode, Delivery: cfg.Core.Delivery, Users: n,
 		Obs: back.registry(), ClientObs: clientReg}
-	prefetching := cfg.Core.Mode != core.ModeOnDemand
-	period := env.period
+	period := cfg.Core.Server.Period
 
+	// The period loop sim.Run walks: each boundary closes the previous
+	// period and opens the next, and the events between two boundaries
+	// replay before the next one. Events after the last full period
+	// replay after the final EndPeriod, with no period open, in a last
+	// StreamPeriods row of their own.
 	periodsTotal := int(env.span / simclock.Time(period))
-	res.StreamPeriods = make([]StreamPeriodStat, 0, periodsTotal)
+	res.StreamPeriods = make([]StreamPeriodStat, 0, periodsTotal+1)
 	for pi := 0; pi <= periodsTotal; pi++ {
 		now := simclock.Time(pi) * simclock.Time(period)
 		if pi > 0 {
@@ -422,79 +416,84 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 				return nil, err
 			}
 		}
-		if pi == periodsTotal {
+		open := pi < periodsTotal
+		if !open && now >= env.span {
 			break
 		}
-		// Scheduled config epochs land at the period's opening, before
-		// its selling round, so the new admission contract governs the
-		// whole period.
-		for _, step := range epochSteps[pi] {
-			if err := postTenantConfig(plainHC, baseURL, step); err != nil {
-				return nil, err
-			}
-		}
-		selling := now >= env.warmupEnd
-		p := predict.PeriodOf(now, period)
+		selling := now >= cfg.warmupEnd()
 		wallStart := time.Now()
 		lat := obs.NewRegistry().Histogram("stream_req_latency_ns")
 		var ops atomic.Int64
-		if selling && prefetching {
-			reply, err := coord.StartPeriod(now, p.Index, p.OfDay, p.Weekend)
-			if err != nil {
-				return nil, err
-			}
-			res.SoldTotal += int64(reply.Sold)
-			res.ReplicaTotal += int64(reply.Replicas)
-			res.PlacedTotal += int64(reply.Placed)
-			res.Periods++
-			// Scheduled delivery: every device downloads its bundle at
-			// the boundary, concurrently.
-			if err := eachDevice(n, workers, func(i int) error {
-				t0 := time.Now()
-				got, err := devices[i].FetchBundle(now)
-				if err != nil {
-					return err
-				}
-				lat.Observe(time.Since(t0).Nanoseconds())
-				ops.Add(1)
-				if energy != nil && got > 0 {
-					energy[i].Transfer(now, int64(got)*cfg.AdBytes, owner(now, "ads"))
-				}
-				return nil
-			}); err != nil {
-				return nil, err
-			}
-		}
-		// Fire any membership change scheduled for this period while the
-		// slot replay below is in full swing: the rebalance must win its
-		// equivalence guarantee against concurrent device traffic, not
-		// against a conveniently idle cluster. Joined before the period
-		// boundary so the EndPeriod barrier sees settled membership. The
-		// flood, when armed, pressures the serving side at the same time —
-		// victim requests and aggressor requests contend on the same locks.
-		end := now + simclock.Time(period)
+		end := endOfTime
 		var migErr error
 		var sideWg sync.WaitGroup
-		if mig, ok := back.(migrator); ok {
-			sideWg.Add(1)
-			go func(pi int) {
-				defer sideWg.Done()
-				migErr = mig.migrate(pi)
-			}(pi)
-		}
-		if o.Flood != nil && selling {
-			sideWg.Add(1)
-			go func() {
-				defer sideWg.Done()
-				runFlood(plainHC, baseURL, o.Flood, now, end, &floodAdmitted, &floodShed)
-			}()
+		if open {
+			end = now + simclock.Time(period)
+			// Scheduled config epochs land at the period's opening, before
+			// its selling round, so the new admission contract governs the
+			// whole period.
+			for _, step := range epochSteps[pi] {
+				if err := postTenantConfig(plainHC, baseURL, step); err != nil {
+					return nil, err
+				}
+			}
+			if selling && cfg.Core.Mode != core.ModeOnDemand {
+				p := predict.PeriodOf(now, period)
+				reply, err := coord.StartPeriod(now, p.Index, p.OfDay, p.Weekend)
+				if err != nil {
+					return nil, err
+				}
+				res.SoldTotal += int64(reply.Sold)
+				res.ReplicaTotal += int64(reply.Replicas)
+				res.PlacedTotal += int64(reply.Placed)
+				res.Periods++
+				// Scheduled delivery: every device downloads its bundle at
+				// the boundary, concurrently.
+				if err := eachDevice(n, workers, func(i int) error {
+					t0 := time.Now()
+					got, err := devices[i].FetchBundle(now)
+					if err != nil {
+						return err
+					}
+					lat.Observe(time.Since(t0).Nanoseconds())
+					ops.Add(1)
+					if energy != nil && got > 0 {
+						energy[i].Transfer(now, int64(got)*cfg.AdBytes, cfg.owner(now, "ads"))
+					}
+					return nil
+				}); err != nil {
+					return nil, err
+				}
+			}
+			// Fire any membership change scheduled for this period while
+			// the slot replay below is in full swing: the rebalance must
+			// win its equivalence guarantee against concurrent device
+			// traffic, not against a conveniently idle cluster. Joined
+			// before the period boundary so the EndPeriod barrier sees
+			// settled membership. The flood, when armed, pressures the
+			// serving side at the same time — victim requests and
+			// aggressor requests contend on the same locks.
+			if mig, ok := back.(migrator); ok {
+				sideWg.Add(1)
+				go func(pi int) {
+					defer sideWg.Done()
+					migErr = mig.migrate(pi)
+				}(pi)
+			}
+			if o.Flood != nil && selling {
+				sideWg.Add(1)
+				go func() {
+					defer sideWg.Done()
+					runFlood(plainHC, baseURL, o.Flood, now, end, &floodAdmitted, &floodShed)
+				}()
+			}
 		}
 		// Replay this period's events: devices advance concurrently, each
 		// through its own events in trace order.
 		visit := func(id int, ev timelineEvent) error {
 			if !ev.slot {
 				if energy != nil {
-					energy[id].Transfer(ev.at, ev.bytes, owner(ev.at, "app"))
+					energy[id].Transfer(ev.at, ev.bytes, cfg.owner(ev.at, "app"))
 				}
 				return nil
 			}
@@ -512,11 +511,7 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 					return err
 				}
 				if energy != nil {
-					if out.Fetched {
-						energy[id].Transfer(ev.at, cfg.AdBytes*int64(1+out.TopUpAds), owner(ev.at, "ads"))
-					} else if out.CacheHit && cfg.ReportBytes > 0 {
-						energy[id].Transfer(ev.at, cfg.ReportBytes, owner(ev.at, "ads"))
-					}
+					cfg.chargeSlot(energy[id], ev.at, out.Fetched, out.TopUpAds, out.CacheHit)
 				}
 			}
 			lat.Observe(time.Since(t0).Nanoseconds())
@@ -539,7 +534,7 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 		// Batched devices hold display reports write-behind; deliver them
 		// before the boundary closes the period so the server's sweep
 		// state matches the sequential wire at every EndPeriod.
-		if o.Batched && selling {
+		if o.Batched && selling && open {
 			if err := eachDevice(n, workers, func(i int) error {
 				devices[i].FlushDeferred(end)
 				return nil
@@ -571,7 +566,7 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 		}
 	}
 
-	res.Days = env.days - cfg.WarmupDays
+	res.Days = st.Days() - cfg.WarmupDays
 	if !o.Lean {
 		res.PerClient = make(map[int]client.Counters, n)
 	}

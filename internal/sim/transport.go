@@ -170,15 +170,12 @@ type MigrationStep struct {
 // derived predictor inputs, and the pool factory the backends build
 // their engines from.
 type replayEnv struct {
-	cfg       Config
-	o         TransportOpts
-	ids       []int
-	cat       *trace.Catalog
-	span      simclock.Time
-	days      int
-	warmupEnd simclock.Time
-	period    time.Duration
-	workers   int
+	cfg     Config
+	o       TransportOpts
+	ids     []int
+	cat     *trace.Catalog
+	span    simclock.Time
+	workers int
 
 	// hints and oracle feed the server's per-client targeting hints and
 	// the oracle predictor series: hints from interned init-sweep data

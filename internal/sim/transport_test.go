@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -91,28 +92,35 @@ func TestTransportRepeatable(t *testing.T) {
 
 // The HTTP path must agree with the in-process engine on the physical
 // counters that don't depend on policy internals: slots served is a
-// property of the trace alone. Both wire modes are held to it.
+// property of the trace alone. Both wire modes are held to it, at the
+// default period and at a 5 h one that leaves a partial period after
+// the last boundary (its events replay too, on both paths).
 func TestTransportMatchesInProcessSlots(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full HTTP replay")
 	}
-	cfg := transportConfig()
-	ip, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batched := range []bool{false, true} {
-		ht, err := RunTransportStream(cfg, TransportOpts{Shards: 2, Workers: 4, Batched: batched})
+	for _, period := range []time.Duration{0, 5 * time.Hour} {
+		cfg := transportConfig()
+		if period > 0 {
+			cfg.Core.Server.Period = period
+		}
+		ip, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("batched=%v: %v", batched, err)
+			t.Fatal(err)
 		}
-		if ht.Counters.SlotsServed != ip.Counters.SlotsServed {
-			t.Fatalf("batched=%v: slots served: HTTP %d vs in-process %d",
-				batched, ht.Counters.SlotsServed, ip.Counters.SlotsServed)
-		}
-		if ht.Users != ip.Users || ht.Days != ip.Days {
-			t.Fatalf("batched=%v: population drift: %d/%d users, %v/%v days",
-				batched, ht.Users, ip.Users, ht.Days, ip.Days)
+		for _, batched := range []bool{false, true} {
+			ht, err := RunTransportStream(cfg, TransportOpts{Shards: 2, Workers: 4, Batched: batched})
+			if err != nil {
+				t.Fatalf("period=%v batched=%v: %v", cfg.Core.Server.Period, batched, err)
+			}
+			if ht.Counters.SlotsServed != ip.Counters.SlotsServed {
+				t.Fatalf("period=%v batched=%v: slots served: HTTP %d vs in-process %d",
+					cfg.Core.Server.Period, batched, ht.Counters.SlotsServed, ip.Counters.SlotsServed)
+			}
+			if ht.Users != ip.Users || ht.Days != ip.Days {
+				t.Fatalf("period=%v batched=%v: population drift: %d/%d users, %v/%v days",
+					cfg.Core.Server.Period, batched, ht.Users, ip.Users, ht.Days, ip.Days)
+			}
 		}
 	}
 }

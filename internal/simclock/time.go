@@ -1,6 +1,6 @@
-// Package simclock provides virtual time, a deterministic discrete-event
-// queue, and seedable random-number streams for the ad-prefetching
-// simulator.
+// Package simclock provides virtual time, the wake heap both simulation
+// drivers schedule events with, and seedable random-number streams for
+// the ad-prefetching simulator.
 //
 // All simulation components share a single virtual clock. Time is a
 // nanosecond count from the start of the simulation (Time 0 is "midnight

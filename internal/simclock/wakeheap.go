@@ -4,21 +4,23 @@ package simclock
 // event fires at At. It is the whole per-client footprint the streaming
 // simulator keeps between wake-ups — 16 bytes — which is what makes a
 // million-device event schedule fit in memory while the traces behind
-// it stay lazy.
+// it stay lazy. The in-process simulator queues the same value per user,
+// its ID an index into the users' timeline cursors.
 type Wake struct {
 	At Time
 	ID int
 }
 
-// WakeHeap is a min-heap of wake-ups ordered by (At, ID). Unlike Queue
-// it holds no closures and no per-event allocations: entries are plain
-// values in one backing slice, pushed and popped with zero boxing, so
-// a heap over an entire simulated population costs 16 bytes per tracked
-// client. The (At, ID) order makes drain order deterministic even when
-// many clients share a wake-up instant.
+// WakeHeap is a min-heap of wake-ups ordered by (At, ID). It holds no
+// closures and no per-event allocations: entries are plain values in
+// one backing slice, pushed and popped with zero boxing, so a heap over
+// an entire simulated population costs 16 bytes per tracked client. The
+// (At, ID) order makes drain order deterministic even when many clients
+// share a wake-up instant — it is the simulator's one tie rule.
 //
 // The zero value is an empty, ready-to-use heap. WakeHeap is not safe
-// for concurrent use; the streaming scheduler keeps one per worker.
+// for concurrent use; the streaming scheduler keeps one per worker, the
+// in-process one a single heap.
 type WakeHeap struct {
 	a []Wake
 }

@@ -182,10 +182,10 @@ func TestDeviceWakeUpAllocationBudget(t *testing.T) {
 			envelope: func(results ...BatchOpResult) []byte {
 				body, _ := envelope.AppendReplyJSON(nil, results)
 				return append(body, '\n')
-			}, fetch: 28, miss: 49, withHit: 56},
+			}, fetch: 27, miss: 47, withHit: 54},
 		{name: "batch_binary", opts: []Option{WithBatching(), WithBinaryBatch()}, ctype: envelope.ContentType,
 			envelope: func(results ...BatchOpResult) []byte { return envelope.AppendReply(nil, results) },
-			fetch:    29, miss: 51, withHit: 60},
+			fetch:    28, miss: 49, withHit: 58},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := &cannedTransport{ctype: []string{tc.ctype}}

@@ -49,7 +49,7 @@ func resultErr(r BatchOpResult) error {
 // carries it and its replies decode into it.
 type envelopeCall struct {
 	ops      []BatchOp
-	msg      *batchMsg       // the envelope last rendered, carrying the ops still pending
+	msg      batchMsg        // the envelope last rendered, carrying the ops still pending
 	binary   bool            // the binary frame (WithBinaryBatch), not JSON
 	reply    BatchReply      // the last 200 reply; bodies alias its own read buffer
 	results  []BatchOpResult // each op's final answer, indexed like ops; zero while pending
@@ -94,7 +94,7 @@ func (e *envelopeCall) render(at simclock.Time) ([]byte, error) {
 		ops[j] = e.ops[i]
 	}
 	e.msg.NowNS, e.msg.Ops, e.answered = int64(at), ops, false
-	return encodeBatch(e.msg, e.binary)
+	return encodeBatch(&e.msg, e.binary)
 }
 
 // encodeBatch renders one envelope in the device's wire codec: the
@@ -158,8 +158,8 @@ func (d *Device) sendEnvelope(now simclock.Time, ops []wakeOp) {
 			all[len(all)-1].NowNS = &ns
 		}
 	}
-	e := &envelopeCall{ops: all, msg: &batchMsg{Client: d.ID, NowNS: ns, Tenant: d.tenant, Ops: all}, binary: d.binaryBatch}
-	body, err := encodeBatch(e.msg, e.binary)
+	e := &envelopeCall{ops: all, msg: batchMsg{Client: d.ID, NowNS: ns, Tenant: d.tenant, Ops: all}, binary: d.binaryBatch}
+	body, err := encodeBatch(&e.msg, e.binary)
 	if err == nil {
 		contentType := jsonBody
 		if e.binary {
