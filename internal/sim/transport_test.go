@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -90,14 +91,32 @@ func TestTransportRepeatable(t *testing.T) {
 	}
 }
 
-// The HTTP path must agree with the in-process engine on the physical
-// counters that don't depend on policy internals: slots served is a
-// property of the trace alone. Both wire modes are held to it, at the
-// default period and at a 5 h one that leaves a partial period after
-// the last boundary (its events replay too, on both paths).
+// The HTTP path must agree with the in-process engine. At Shards=2,
+// Workers=4 it agrees on the physical counters that don't depend on
+// policy internals: slots served is a property of the trace alone. At
+// Workers=1, Shards=1 the replay walks sim.Run's exact event order, so
+// it agrees on everything: ledger, counters, book totals and energy —
+// the order-free naive config on both wire modes, and the paper's
+// predictive mechanism (rescue on, overbooked replicas) per-op. Every
+// row runs at the default period and at a 5 h one that leaves a partial
+// period after the last boundary (its events replay too, on both paths)
+// and an hour between warm-up end and the first selling boundary.
 func TestTransportMatchesInProcessSlots(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full HTTP replay")
+	}
+	predictive := DefaultConfig(core.ModePredictive)
+	predictive.TraceCfg.Users = 40
+	predictive.TraceCfg.Days = 4
+	predictive.WarmupDays = 1
+	exact := []struct {
+		name    string
+		cfg     Config
+		batched bool
+	}{
+		{"naive per-op", transportConfig(), false},
+		{"naive batched", transportConfig(), true},
+		{"predictive per-op", predictive, false},
 	}
 	for _, period := range []time.Duration{0, 5 * time.Hour} {
 		cfg := transportConfig()
@@ -120,6 +139,41 @@ func TestTransportMatchesInProcessSlots(t *testing.T) {
 			if ht.Users != ip.Users || ht.Days != ip.Days {
 				t.Fatalf("period=%v batched=%v: population drift: %d/%d users, %v/%v days",
 					cfg.Core.Server.Period, batched, ht.Users, ip.Users, ht.Days, ip.Days)
+			}
+		}
+
+		for _, row := range exact {
+			cfg := row.cfg
+			if period > 0 {
+				cfg.Core.Server.Period = period
+			}
+			label := fmt.Sprintf("%s, period=%v", row.name, cfg.Core.Server.Period)
+			ip, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ht, err := RunTransportStream(cfg, TransportOpts{Shards: 1, Workers: 1, Batched: row.batched, Energy: true})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if ip.Ledger.Billed == 0 {
+				t.Fatalf("%s: inert run: %+v", label, ip.Ledger)
+			}
+			if got, want := LedgerJSON(ht.Ledger), LedgerJSON(ip.Ledger); got != want {
+				t.Errorf("%s: ledger:\n HTTP       %s\n in-process %s", label, got, want)
+			}
+			if ht.Counters != ip.Counters {
+				t.Errorf("%s: counters:\n HTTP       %+v\n in-process %+v", label, ht.Counters, ip.Counters)
+			}
+			if ht.SoldTotal != ip.SoldTotal || ht.ReplicaTotal != ip.ReplicaTotal ||
+				ht.PlacedTotal != ip.PlacedTotal || ht.Periods != ip.Periods {
+				t.Errorf("%s: sold/replicas/placed/periods: HTTP %d/%d/%d/%d vs in-process %d/%d/%d/%d", label,
+					ht.SoldTotal, ht.ReplicaTotal, ht.PlacedTotal, ht.Periods,
+					ip.SoldTotal, ip.ReplicaTotal, ip.PlacedTotal, ip.Periods)
+			}
+			if ht.AdEnergyJ != ip.AdEnergyJ || ht.AppEnergyJ != ip.AppEnergyJ {
+				t.Errorf("%s: energy ad/app: HTTP %.3f/%.3f J vs in-process %.3f/%.3f J",
+					label, ht.AdEnergyJ, ht.AppEnergyJ, ip.AdEnergyJ, ip.AppEnergyJ)
 			}
 		}
 	}
