@@ -30,18 +30,20 @@ obs:
 # driver rests on. Lazy derivation properties (UserAt == Generate
 # byte-for-byte, order- and concurrency-independence, the UserAt fuzz
 # seeds), the wake-heap ordering invariants, the light-RNG stream
-# split, the HTTP-free scheduler property test (every timeline event of
-# every client visited exactly once, in order, in the period that
-# contains it, the partial last period included), sim.Run's drain order
-# test on the same wake heap (every event once, in (time, user id)
-# order, inside its period, trailing events too) and golden tables (its
-# outcomes per mode and feature), the replay's input validation, and the
-# bounded-memory regression (100k devices under a pinned heap budget,
-# ~50 s).
+# split, the HTTP-free scheduler property tests on the one walker both
+# drivers use (seedHeaps + drainDue: every timeline event of every
+# client visited exactly once, in order, in the period that contains it,
+# the partial last period included, each worker in (time, user id)
+# order, one load per client and period, no timeline held at a
+# boundary), sim.Run's golden tables (its outcomes per mode and
+# feature), the wire replay against sim.Run at one worker (ledger,
+# counters, totals and energy equal, naive and predictive), the
+# replay's input validation, and the bounded-memory regression (100k
+# devices under a pinned heap budget, ~50 s).
 stream:
 	go test -count=1 -run 'TestUserAt|TestStreamConcurrent|TestStreamMetadata|TestValidateRejects|FuzzUserAt' ./internal/trace
 	go test -count=1 -run 'TestWakeHeap|TestLightRand' ./internal/simclock
-	go test -count=1 -run 'TestStreamScheduler|TestDrainDue|TestRunGoldenTable|TestPredictiveRunGolden|TestStreamValidation|TestStreamBoundedMemory' ./internal/sim
+	go test -count=1 -run 'TestStreamScheduler|TestDrainDue|TestRunGoldenTable|TestPredictiveRunGolden|TestTransportMatchesInProcessSlots|TestStreamValidation|TestStreamBoundedMemory' ./internal/sim
 
 # Mega: a million simulated devices with the diurnal two-peak load
 # through the sharded serving path — the headline replay run. Lazy

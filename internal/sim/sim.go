@@ -7,13 +7,13 @@
 // one schedule: an explicit loop over the prefetch-period boundaries
 // (each closes the previous period, switches selling on once warm-up
 // ends, and opens the next), and between two boundaries the users'
-// trace events (app traffic and ad slots) popped from
-// simclock.WakeHeaps ordered by (time, user id). A boundary comes
-// before any event at its own instant, and events after the last full
-// period fire after the final EndPeriod. Run pops one heap one event at
-// a time, so its events fire in (time, user id) order; it is
-// single-threaded and deterministic for a given configuration. The wire
-// replay keeps one heap per worker and each device's own order.
+// trace events (app traffic and ad slots), popped one at a time by
+// drainDue from simclock.WakeHeaps ordered by (time, user id). A
+// boundary comes before any event at its own instant, and events after
+// the last full period fire after the final EndPeriod. Run walks one
+// heap over every user; it is single-threaded and deterministic for a
+// given configuration. The wire replay walks one heap per worker,
+// concurrently, so at one worker its events fire in Run's order.
 package sim
 
 import (
@@ -296,12 +296,12 @@ func (r Result) String() string {
 		100*r.Ledger.ViolationRate(), 100*r.Ledger.RevenueLossFrac())
 }
 
-// timelineEvent is one precomputed user event.
+// timelineEvent is one precomputed user event, kept to 24 bytes.
 type timelineEvent struct {
 	at    simclock.Time
 	bytes int64 // app transfer size; 0 for slot events
+	app   int32 // slot's app; its hints are slotHints(cat)[app]
 	slot  bool
-	cats  []trace.Category // slot's app category
 }
 
 // endOfTime is the drain bound after the last period boundary: every
@@ -331,13 +331,30 @@ func (c Config) chargeSlot(r *radio.Radio, at simclock.Time, fetched bool, topUp
 	}
 }
 
-// simUser is one user in sim.Run: the timeline and the index of the
-// next event to fire, a cellular radio and, under a WiFi schedule, a
-// WiFi radio with its own tail state and the user's personal window;
-// down[p] marks the periods churn takes the device offline.
+// addEnergy flushes one user's radios (nil ones skipped) and adds their
+// ad and app energy to the totals and, unless lean, the ad energy per
+// measured day to PerUserAdJPerDay: both drivers measure with it, after
+// setting Days.
+func (r *Result) addEnergy(lean bool, radios ...*radio.Radio) {
+	var adJ, appJ float64
+	for _, rd := range radios {
+		if rd != nil {
+			rd.Flush()
+			adJ += rd.UsageOf("ads").TotalJ()
+			appJ += rd.UsageOf("app").TotalJ()
+		}
+	}
+	r.AdEnergyJ += adJ
+	r.AppEnergyJ += appJ
+	if !lean && r.Days > 0 {
+		r.PerUserAdJPerDay.Add(adJ / float64(r.Days))
+	}
+}
+
+// simUser is one user in sim.Run: a cellular radio and, under a WiFi
+// schedule, a WiFi radio with its own tail state and the user's personal
+// window; down[p] marks the periods churn takes the device offline.
 type simUser struct {
-	tl         []timelineEvent
-	next       int
 	cell, wifi *radio.Radio
 	hasWiFi    bool
 	shift      int
@@ -359,24 +376,62 @@ func (u *simUser) offline(at simclock.Time, period time.Duration) bool {
 	return p >= 0 && p < len(u.down) && u.down[p]
 }
 
-// drainDue fires every queued event due before end, one at a time: it
-// pops the earliest (time, user id) wake-up, visits that user's event
-// at its cursor, and pushes the user back at its next event. A wake-up's
-// ID indexes users. An event at end stays queued, so the period
-// boundary at end fires before it.
-func drainDue(h *simclock.WakeHeap, end simclock.Time, users []simUser, visit func(id int, ev timelineEvent) error) error {
-	for h.Len() > 0 && h.Peek().At < end {
-		id := h.Pop().ID
-		u := &users[id]
-		ev := u.tl[u.next]
-		if u.next++; u.next < len(u.tl) {
-			h.Push(simclock.Wake{At: u.tl[u.next].at, ID: id})
-		}
-		if err := visit(id, ev); err != nil {
-			return err
+// seedHeaps shards the users into contiguous id ranges, one WakeHeap
+// per worker (never more workers than users), and seeds each heap with
+// its range's first wake-ups. Users with empty traces (firstWake < 0)
+// never enter a heap: on the wire they still fetch bundles (the server
+// plans for every member) but cost nothing per period.
+func seedHeaps(firstWake []simclock.Time, workers int) []simclock.WakeHeap {
+	n := len(firstWake)
+	workers = min(workers, n)
+	heaps := make([]simclock.WakeHeap, workers)
+	for w := range heaps {
+		for id := w * n / workers; id < (w+1)*n/workers; id++ {
+			if at := firstWake[id]; at >= 0 {
+				heaps[w].Push(simclock.Wake{At: at, ID: id})
+			}
 		}
 	}
-	return nil
+	return heaps
+}
+
+// cursor is a user's place in its timeline during a drain; tl is held
+// only while the user has events left before the drain bound.
+type cursor struct {
+	tl   []timelineEvent
+	next int
+}
+
+// drainDue fires every queued event due before end, one at a time: it
+// pops the earliest (time, user id) wake-up, visits the event at that
+// user's cursor cur[ID], and pushes the user back at its next event. At
+// a user's first wake-up in the drain, load supplies the timeline; the
+// cursor resumes at the wake-up's time and drops the timeline once the
+// next event is at or past end. An event at end stays queued, so the
+// boundary at end fires before it. It returns the number of loads.
+func drainDue(h *simclock.WakeHeap, end simclock.Time, cur []cursor,
+	load func(id int) []timelineEvent, visit func(id int, ev timelineEvent) error) (int64, error) {
+	var loads int64
+	for h.Len() > 0 && h.Peek().At < end {
+		wk := h.Pop()
+		c := &cur[wk.ID]
+		if c.tl == nil {
+			c.tl = load(wk.ID)
+			c.next = sort.Search(len(c.tl), func(i int) bool { return c.tl[i].at >= wk.At })
+			loads++
+		}
+		ev := c.tl[c.next]
+		if c.next++; c.next < len(c.tl) {
+			h.Push(simclock.Wake{At: c.tl[c.next].at, ID: wk.ID})
+		}
+		if c.next == len(c.tl) || c.tl[c.next].at >= end {
+			c.tl = nil
+		}
+		if err := visit(wk.ID, ev); err != nil {
+			return loads, err
+		}
+	}
+	return loads, nil
 }
 
 // Run executes the simulation: the period loop, and between two
@@ -434,9 +489,10 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Per-user radios and timelines, each user's first event queued.
+	// Per-user radios, timelines and first wake-ups.
 	sims := make([]simUser, len(users))
-	var h simclock.WakeHeap
+	timelines := make([][]timelineEvent, len(users))
+	firstWake := make([]simclock.Time, len(users))
 	wifiRNG := rng.Stream("wifi")
 	for i, u := range users {
 		sims[i].cell = radio.New(cfg.Radio)
@@ -446,10 +502,15 @@ func Run(cfg Config) (*Result, error) {
 			sims[i].hasWiFi = r.Bernoulli(cfg.WiFiSchedule.Coverage)
 			sims[i].shift = r.Intn(5) - 2
 		}
-		if sims[i].tl = buildTimeline(u, cat, cfg.RefreshInterval); len(sims[i].tl) > 0 {
-			h.Push(simclock.Wake{At: sims[i].tl[0].at, ID: i})
+		firstWake[i] = -1
+		if timelines[i] = buildTimeline(u, cat, cfg.RefreshInterval); len(timelines[i]) > 0 {
+			firstWake[i] = timelines[i][0].at
 		}
 	}
+	heaps := seedHeaps(firstWake, 1)
+	cur := make([]cursor, len(users))
+	load := func(i int) []timelineEvent { return timelines[i] }
+	appHints := slotHints(cat)
 
 	if cfg.ReportLossProb > 0 {
 		lossRNG := rng.Stream("report-loss")
@@ -485,7 +546,7 @@ func Run(cfg Config) (*Result, error) {
 			r.Transfer(ev.at, ev.bytes, cfg.owner(ev.at, "app"))
 			return nil
 		}
-		out, err := sys.HandleSlot(ev.at, ids[i], ev.cats)
+		out, err := sys.HandleSlot(ev.at, ids[i], appHints[ev.app])
 		if err != nil {
 			return err
 		}
@@ -522,8 +583,10 @@ func Run(cfg Config) (*Result, error) {
 			}
 			end = now + simclock.Time(period)
 		}
-		if err := drainDue(&h, end, sims, visit); err != nil {
-			return nil, err
+		for w := range heaps {
+			if _, err := drainDue(&heaps[w], end, cur, load, visit); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -531,21 +594,8 @@ func Run(cfg Config) (*Result, error) {
 	ex.SweepExpired(pop.Span + simclock.Week)
 
 	res.Days = pop.Days() - cfg.WarmupDays
-	for i := range sims {
-		u := &sims[i]
-		u.cell.Flush()
-		adJ := u.cell.UsageOf("ads").TotalJ()
-		appJ := u.cell.UsageOf("app").TotalJ()
-		if u.wifi != nil {
-			u.wifi.Flush()
-			adJ += u.wifi.UsageOf("ads").TotalJ()
-			appJ += u.wifi.UsageOf("app").TotalJ()
-		}
-		res.AdEnergyJ += adJ
-		res.AppEnergyJ += appJ
-		if res.Days > 0 {
-			res.PerUserAdJPerDay.Add(adJ / float64(res.Days))
-		}
+	for _, u := range sims {
+		res.addEnergy(false, u.cell, u.wifi)
 	}
 	res.Ledger = ex.Ledger()
 	res.Counters = sys.Counters().Sub(warmupCounters)
@@ -575,14 +625,21 @@ func buildTimeline(u *trace.User, cat *trace.Catalog, refresh time.Duration) []t
 			}
 		}
 		if app.AdSupported {
-			cats := []trace.Category{app.Category}
 			for _, at := range trace.SlotsOfSession(s, refresh) {
-				tl = append(tl, timelineEvent{at: at, slot: true, cats: cats})
+				tl = append(tl, timelineEvent{at: at, slot: true, app: int32(s.App)})
 			}
 		}
 	}
 	sort.SliceStable(tl, func(i, j int) bool { return tl[i].at < tl[j].at })
 	return tl
+}
+
+// slotHints interns each app's slot targeting hints, its category.
+func slotHints(cat *trace.Catalog) (hints [][]trace.Category) {
+	for _, a := range cat.Apps() {
+		hints = append(hints, []trace.Category{a.Category})
+	}
+	return hints
 }
 
 // topCategoriesOf computes a user's dominant app categories (by session

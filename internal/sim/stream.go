@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,30 +29,33 @@ import (
 // Shards shards, reached directly, or Nodes one-shard nodes behind a
 // cluster.Router — the same harness, with the same crash, restart and
 // settle code, either way. TargetURL drives an external deployment
-// instead (see TransportOpts). Period boundaries drive
-// the fan-out/fan-in round on the server; within a period, devices
-// replay their slot events concurrently (per-device order preserved)
-// across Workers goroutines, so the run exercises the concurrent serving
-// path end-to-end. Campaign demand is instantiated per shard from the
-// same seed (each shard sees the same campaign set with a full budget),
-// matching shard.New's per-shard-exchange deployment model.
+// instead (see TransportOpts). Period boundaries drive the
+// fan-out/fan-in round on the server; within a period, Workers
+// goroutines each replay one contiguous id range of clients in (time,
+// client id) order with sim.Run's walker, drainDue. Campaign demand is
+// instantiated per shard from the same seed (each shard sees the same
+// campaign set with a full budget), matching shard.New's
+// per-shard-exchange deployment model.
 //
 // The population is never held in memory. Traces are derived lazily
-// from the generator's per-client seeds (trace.Stream), and an
-// event-driven scheduler — a min-heap of 16-byte next-wakeup entries per
-// worker — walks them: a client's trace is re-derived transiently for
-// each period it is active in and discarded as soon as its events are
-// replayed. Resident state is what a real fleet would hold anyway (one
-// transport.Device per client, the server pool) plus the wake heaps, so
-// population size stops being a memory ceiling.
+// from the generator's per-client seeds (trace.Stream): a client's
+// timeline is derived at its first wake-up in a period and dropped after
+// its last event there. Resident state is what a real fleet would hold
+// anyway (one transport.Device per client, the server pool) plus a
+// 16-byte wake-heap entry and a 32-byte cursor per client and the
+// timelines of clients part-way through a period.
 //
-// Monetary results are independent of request interleaving — and of the
-// shard or node count, the wire mode, and kills or migrations ridden out
-// mid-run — when per-impression outcomes are order-free: FixedReplicas=1
-// (no racing duplicates), NoRescue (no cross-client claim stealing),
-// AdmissionEpsilon=0.5 with integral per-client means (additive
-// admission). The differential tiers pin exactly that contract; outside
-// it, totals may legitimately vary with scheduling.
+// At Workers=1, per-op, on one shard the replay is sim.Run: the same
+// ledger, counters, book totals and energy in every mode. At Workers>1
+// clients on different workers drift apart in simulated time within a
+// period, and the batched wire's write-behind reports arrive later, so
+// order-dependent outcomes (rescue, replicas > 1) move: a 40-client
+// predictive run billing $21.510 at one worker bills $20.0-20.2 at two
+// and $18.5-18.6 at eight, run to run. Monetary results are independent
+// of worker, shard and node count, wire mode, and kills or migrations
+// ridden out mid-run when per-impression outcomes are order-free:
+// FixedReplicas=1, NoRescue, AdmissionEpsilon=0.5 with integral
+// per-client means. The differential tiers pin exactly that contract.
 //
 // Every run reports per-period client-observed load and latency
 // quantiles in Result.StreamPeriods, which is how a million-device
@@ -177,25 +178,19 @@ func newStreamEnv(cfg Config, o TransportOpts) (*replayEnv, error) {
 	// plus a few dozen small slices, not a map of slices per client.
 	comboOf := make([]uint32, n)
 	var mu sync.Mutex
-	comboIdx := map[string]uint32{}
+	comboIdx := map[[3]trace.Category]uint32{} // topCategoriesOf returns at most 3
 	var combos [][]trace.Category
 	if err := eachDevice(workers, workers, func(w int) error {
 		lo, hi := w*n/workers, (w+1)*n/workers
 		for id := lo; id < hi; id++ {
 			u := st.UserAt(id)
-			tl := buildTimeline(u, cat, cfg.RefreshInterval)
-			if len(tl) == 0 {
-				env.firstWake[id] = -1
-			} else {
+			env.firstWake[id] = -1
+			if tl := buildTimeline(u, cat, cfg.RefreshInterval); len(tl) > 0 {
 				env.firstWake[id] = tl[0].at
 			}
 			top := topCategoriesOf(u, cat)
-			var sb strings.Builder
-			for _, c := range top {
-				sb.WriteString(string(c))
-				sb.WriteByte(0)
-			}
-			key := sb.String()
+			var key [3]trace.Category
+			copy(key[:], top)
 			mu.Lock()
 			ci, ok := comboIdx[key]
 			if !ok {
@@ -252,57 +247,10 @@ func newStreamEnv(cfg Config, o TransportOpts) (*replayEnv, error) {
 	return env, nil
 }
 
-// seedHeaps shards the clients into contiguous id ranges, one WakeHeap
-// per worker (never more workers than clients), and seeds each heap
-// with its range's first wake-ups. Clients with empty traces
-// (firstWake < 0) never enter a heap: they still fetch bundles (the
-// server plans for every member) but cost nothing per period.
-func seedHeaps(firstWake []simclock.Time, workers int) []simclock.WakeHeap {
-	n := len(firstWake)
-	if workers > n {
-		workers = n
-	}
-	heaps := make([]simclock.WakeHeap, workers)
-	for w := range heaps {
-		for id := w * n / workers; id < (w+1)*n/workers; id++ {
-			if at := firstWake[id]; at >= 0 {
-				heaps[w].Push(simclock.Wake{At: at, ID: id})
-			}
-		}
-	}
-	return heaps
-}
-
-// replayDue advances one worker's heap through the period ending at
-// end: it pops every client due before the boundary, re-derives that
-// client's timeline, resumes at the wake-up time, visits its events up
-// to the boundary in order, and pushes the client back with its next
-// event time — so a device inactive for a period costs nothing and no
-// timeline outlives its wake-up. It returns the number of wake-ups.
-func replayDue(h *simclock.WakeHeap, end simclock.Time,
-	timeline func(id int) []timelineEvent, visit func(id int, ev timelineEvent) error) (int64, error) {
-	var wakeups int64
-	for h.Len() > 0 && h.Peek().At < end {
-		wk := h.Pop()
-		wakeups++
-		tl := timeline(wk.ID)
-		i := sort.Search(len(tl), func(i int) bool { return tl[i].at >= wk.At })
-		for ; i < len(tl) && tl[i].at < end; i++ {
-			if err := visit(wk.ID, tl[i]); err != nil {
-				return wakeups, err
-			}
-		}
-		if i < len(tl) {
-			h.Push(simclock.Wake{At: tl[i].at, ID: wk.ID})
-		}
-	}
-	return wakeups, nil
-}
-
 // driveStream runs the replay loop against a serving backend: one
 // transport.Device per client plus the period coordinator, all over
 // real HTTP, the devices walked by the per-worker wake heaps (seedHeaps,
-// replayDue). It fills every client-side Result field; the backend's
+// drainDue). It fills every client-side Result field; the backend's
 // finish settles the server-side ones.
 func driveStream(env *replayEnv, back serving) (*Result, error) {
 	cfg, o, plan, workers := env.cfg, env.o, env.o.Plan, env.workers
@@ -390,11 +338,13 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 
 	heaps := seedHeaps(env.firstWake, workers)
 	env.firstWake = nil // consumed; do not hold it for the whole run
-	// Transient derivation: a client's trace exists only for the duration
-	// of one wake-up.
+	// Transient derivation: drainDue loads a client's timeline at its
+	// first wake-up in a period. Workers touch disjoint id ranges of cur.
+	cur := make([]cursor, n)
 	timeline := func(id int) []timelineEvent {
 		return buildTimeline(st.UserAt(id), env.cat, cfg.RefreshInterval)
 	}
+	appHints := slotHints(env.cat)
 
 	coord := transport.NewCoordinator(baseURL, transport.WithHTTPClient(hc), transport.WithRegistry(clientReg))
 	res := &Result{Mode: cfg.Core.Mode, Delivery: cfg.Core.Delivery, Users: n,
@@ -488,8 +438,8 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 				}()
 			}
 		}
-		// Replay this period's events: devices advance concurrently, each
-		// through its own events in trace order.
+		// Replay this period's events: each worker walks its clients'
+		// events in (time, client id) order, the workers concurrently.
 		visit := func(id int, ev timelineEvent) error {
 			if !ev.slot {
 				if energy != nil {
@@ -498,21 +448,22 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 				return nil
 			}
 			t0 := time.Now()
+			// Before selling starts a slot is a status-quo fetch, as in sim.Run.
+			out := transport.SlotOutcome{Fetched: true}
+			var err error
 			if !selling {
-				if err := devices[id].ObserveSlot(ev.at); err != nil {
-					return err
-				}
+				err = devices[id].ObserveSlot(ev.at)
 			} else {
-				out, err := devices[id].HandleSlot(ev.at, ev.cats)
+				out, err = devices[id].HandleSlot(ev.at, appHints[ev.app])
 				if slotLat != nil {
 					slotLat[tenantReg.TenantOf(id)].Observe(time.Since(t0).Nanoseconds())
 				}
-				if err != nil {
-					return err
-				}
-				if energy != nil {
-					cfg.chargeSlot(energy[id], ev.at, out.Fetched, out.TopUpAds, out.CacheHit)
-				}
+			}
+			if err != nil {
+				return err
+			}
+			if energy != nil {
+				cfg.chargeSlot(energy[id], ev.at, out.Fetched, out.TopUpAds, out.CacheHit)
 			}
 			lat.Observe(time.Since(t0).Nanoseconds())
 			ops.Add(1)
@@ -520,7 +471,7 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 		}
 		var wakeups atomic.Int64
 		err := eachDevice(len(heaps), len(heaps), func(w int) error {
-			woke, err := replayDue(&heaps[w], end, timeline, visit)
+			woke, err := drainDue(&heaps[w], end, cur, timeline, visit)
 			wakeups.Add(woke)
 			return err
 		})
@@ -586,16 +537,8 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 		}
 		res.FaultsInjected = plan.InjectedTotal()
 	}
-	if energy != nil {
-		for _, r := range energy {
-			r.Flush()
-			adJ := r.UsageOf("ads").TotalJ()
-			res.AdEnergyJ += adJ
-			res.AppEnergyJ += r.UsageOf("app").TotalJ()
-			if !o.Lean && res.Days > 0 {
-				res.PerUserAdJPerDay.Add(adJ / float64(res.Days))
-			}
-		}
+	for _, r := range energy {
+		res.addEnergy(o.Lean, r)
 	}
 	if slotLat != nil {
 		res.TenantSlotP99NS = make(map[string]float64, len(slotLat))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,13 +29,17 @@ func streamConfig(users, days int) Config {
 	return cfg
 }
 
-// replaySchedule drives the scheduler exactly as driveStream does —
-// seedHeaps once, then replayDue on every worker's heap for every
-// period and for the partial period after the last boundary — with a
-// recording visitor in place of the HTTP devices, and fails unless
-// every timeline event of every client is visited exactly once, in that
-// client's order, in the period that contains it.
-func replaySchedule(t *testing.T, label string, timelines [][]timelineEvent, period, span simclock.Time, workers int) {
+// walkSchedule drives the scheduler exactly as both drivers do —
+// seedHeaps once, then drainDue on every worker's heap for every period
+// and, without bound, after the last boundary — with a recording
+// visitor in place of the engine or the HTTP devices. It fails unless
+// every timeline event of every user is visited exactly once, in that
+// user's order, in the period that contains it, by the worker owning
+// the user's id range; each worker's visits come in (time, user id)
+// order; a period costs one load per user with events in it; and no
+// cursor holds a timeline at a boundary. It returns how many times two
+// users' events fired back to back on one worker at the same instant.
+func walkSchedule(t *testing.T, label string, timelines [][]timelineEvent, period, span simclock.Time, workers int) (ties int) {
 	t.Helper()
 	n := len(timelines)
 	firstWake := make([]simclock.Time, n)
@@ -50,67 +53,87 @@ func replaySchedule(t *testing.T, label string, timelines [][]timelineEvent, per
 	}
 	heaps := seedHeaps(firstWake, workers)
 	if want := min(workers, n); len(heaps) != want {
-		t.Fatalf("%s: %d heaps for %d workers over %d clients, want %d", label, len(heaps), workers, n, want)
+		t.Fatalf("%s: %d heaps for %d workers over %d users, want %d", label, len(heaps), workers, n, want)
 	}
 	seeded := 0
 	for i := range heaps {
 		seeded += heaps[i].Len()
 	}
 	if seeded != awake {
-		t.Fatalf("%s: %d clients seeded, want the %d with a non-empty trace", label, seeded, awake)
+		t.Fatalf("%s: %d users seeded, want the %d with a non-empty timeline", label, seeded, awake)
 	}
 
-	next := make([]int, n) // index of the event each client must see next
-	timeline := func(id int) []timelineEvent { return timelines[id] }
+	cur := make([]cursor, n)
+	next := make([]int, n) // index of the event each user must see next
+	load := func(id int) []timelineEvent { return timelines[id] }
 	periods := int(span / period)
 	for pi := 0; pi <= periods; pi++ {
 		now := simclock.Time(pi) * period
 		end := now + period
 		if pi == periods {
-			if now >= span {
-				break
-			}
 			end = endOfTime
 		}
-		// A client costs a wake-up in exactly the periods it has events in.
-		var wantWakeups int64
+		var wantLoads int64
 		for id, tl := range timelines {
 			if next[id] < len(tl) && tl[next[id]].at < end {
-				wantWakeups++
+				wantLoads++
 			}
 		}
-		var wakeups int64
+		var loads int64
 		for w := range heaps {
-			woke, err := replayDue(&heaps[w], end, timeline, func(id int, ev timelineEvent) error {
+			lo, hi := w*n/len(heaps), (w+1)*n/len(heaps)
+			last := simclock.Wake{At: -1}
+			loaded, err := drainDue(&heaps[w], end, cur, load, func(id int, ev timelineEvent) error {
 				tl := timelines[id]
-				if next[id] >= len(tl) {
-					t.Fatalf("%s: client %d visited past its %d events (at %v)", label, id, len(tl), ev.at)
+				if id < lo || id >= hi {
+					t.Fatalf("%s: worker %d visited user %d outside its range [%d, %d)", label, w, id, lo, hi)
 				}
-				if want := tl[next[id]]; ev.at != want.at || ev.slot != want.slot || ev.bytes != want.bytes {
-					t.Fatalf("%s: client %d visit #%d is the event at %v, want the one at %v",
+				if next[id] >= len(tl) {
+					t.Fatalf("%s: user %d visited past its %d events (at %v)", label, id, len(tl), ev.at)
+				}
+				if want := tl[next[id]]; ev != want {
+					t.Fatalf("%s: user %d visit #%d is the event at %v, want the one at %v",
 						label, id, next[id], ev.at, want.at)
 				}
-				if ev.at < now || ev.at >= end {
-					t.Fatalf("%s: client %d event at %v replayed in period %d [%v, %v)", label, id, ev.at, pi, now, end)
+				if ev.at < last.At || ev.at == last.At && id < last.ID {
+					t.Fatalf("%s: worker %d fired user %d's event at %v after user %d's at %v",
+						label, w, id, ev.at, last.ID, last.At)
 				}
+				if ev.at == last.At && id != last.ID {
+					ties++
+				}
+				if ev.at < now || ev.at >= end {
+					t.Fatalf("%s: user %d event at %v fired in period %d [%v, %v)", label, id, ev.at, pi, now, end)
+				}
+				last = simclock.Wake{At: ev.at, ID: id}
 				next[id]++
 				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			wakeups += woke
+			loads += loaded
 		}
-		if wakeups != wantWakeups {
-			t.Fatalf("%s: period %d cost %d wake-ups, want %d", label, pi, wakeups, wantWakeups)
+		if loads != wantLoads {
+			t.Fatalf("%s: period %d cost %d loads, want %d", label, pi, loads, wantLoads)
+		}
+		for id := range cur {
+			if cur[id].tl != nil {
+				t.Fatalf("%s: user %d's cursor holds its timeline at the boundary ending period %d", label, id, pi)
+			}
+		}
+	}
+	for w := range heaps {
+		if heaps[w].Len() != 0 {
+			t.Fatalf("%s: worker %d has %d wake-ups left after the trailing drain", label, w, heaps[w].Len())
 		}
 	}
 	for id, tl := range timelines {
-		want := sort.Search(len(tl), func(i int) bool { return tl[i].at >= span })
-		if next[id] != want {
-			t.Fatalf("%s: client %d saw %d of its %d events before %v", label, id, next[id], want, span)
+		if next[id] != len(tl) {
+			t.Fatalf("%s: user %d saw %d of its %d events", label, id, next[id], len(tl))
 		}
 	}
+	return ties
 }
 
 // seededTimelines derives a 40-user, 3-day population's timelines from
@@ -163,18 +186,18 @@ func edgeTimelines() [][]timelineEvent {
 }
 
 // TestStreamSchedulerVisitsEveryEventOnce is the scheduler's property
-// test, HTTP-free: over seeded lazy traces, several period lengths
-// (dividing the span and not, and one placed so a real event lands
-// exactly on a boundary) and worker counts from one to more than the
-// population, the wake-heap walk must deliver each client's timeline
-// once and in order — what per-device request-sequence correctness on
-// the wire rests on.
+// test, engine- and HTTP-free: over seeded lazy traces, several period
+// lengths (dividing the span and not, and one placed so a real event
+// lands exactly on a boundary) and worker counts from one to more than
+// the population, the wake-heap walk must deliver each user's timeline
+// once and in order — what sim.Run's outcomes and per-device request
+// order on the wire rest on.
 func TestStreamSchedulerVisitsEveryEventOnce(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		timelines, span, onBoundary := seededTimelines(t, seed)
 		for _, period := range []simclock.Time{simclock.Hour, 4 * simclock.Hour, 7 * simclock.Hour, simclock.Day, onBoundary} {
 			for _, workers := range []int{1, 3, 64} {
-				replaySchedule(t, fmt.Sprintf("seed=%d period=%v workers=%d", seed, period, workers),
+				walkSchedule(t, fmt.Sprintf("seed=%d period=%v workers=%d", seed, period, workers),
 					timelines, period, span, workers)
 			}
 		}
@@ -183,117 +206,50 @@ func TestStreamSchedulerVisitsEveryEventOnce(t *testing.T) {
 	const period = simclock.Hour
 	edge := edgeTimelines()
 	for _, workers := range []int{1, 2, 5, 8} {
-		replaySchedule(t, fmt.Sprintf("edge workers=%d", workers), edge, period, 4*period, workers)
+		walkSchedule(t, fmt.Sprintf("edge workers=%d", workers), edge, period, 4*period, workers)
+		walkSchedule(t, fmt.Sprintf("edge, partial last period, workers=%d", workers), edge, period, 3*period+1, workers)
 	}
-	replaySchedule(t, "no clients", nil, period, 4*period, 4)
+	walkSchedule(t, "no users", nil, period, 4*period, 4)
 }
 
-// drainSchedule drives drainDue exactly as sim.Run does — one wake heap
-// seeded with every user's first event, drained up to each period
-// boundary and then without bound after the last one — with a
-// recording visitor, and fails unless every event of every user is
-// visited exactly once in that user's order, in (time, user id) order
-// across users, and in the period that contains it. It returns how many
-// times two users' events fired back to back at the same instant.
-func drainSchedule(t *testing.T, label string, timelines [][]timelineEvent, period, span simclock.Time) (ties int) {
-	t.Helper()
-	users := make([]simUser, len(timelines))
-	var h simclock.WakeHeap
-	for id, tl := range timelines {
-		if len(tl) > 0 {
-			users[id].tl = tl
-			h.Push(simclock.Wake{At: tl[0].at, ID: id})
-		}
-	}
-	next := make([]int, len(timelines))
-	last := simclock.Wake{At: -1}
-	periods := int(span / period)
-	for pi := 0; pi <= periods; pi++ {
-		now := simclock.Time(pi) * period
-		end := now + period
-		if pi == periods {
-			end = endOfTime
-		}
-		err := drainDue(&h, end, users, func(id int, ev timelineEvent) error {
-			tl := timelines[id]
-			if next[id] >= len(tl) {
-				t.Fatalf("%s: user %d visited past its %d events (at %v)", label, id, len(tl), ev.at)
-			}
-			if want := tl[next[id]]; ev.at != want.at || ev.slot != want.slot || ev.bytes != want.bytes {
-				t.Fatalf("%s: user %d visit #%d is the event at %v, want the one at %v", label, id, next[id], ev.at, want.at)
-			}
-			if ev.at < last.At || ev.at == last.At && id < last.ID {
-				t.Fatalf("%s: user %d's event at %v fired after user %d's at %v", label, id, ev.at, last.ID, last.At)
-			}
-			if ev.at == last.At && id != last.ID {
-				ties++
-			}
-			if ev.at < now || ev.at >= end {
-				t.Fatalf("%s: user %d event at %v fired in period %d [%v, %v)", label, id, ev.at, pi, now, end)
-			}
-			last = simclock.Wake{At: ev.at, ID: id}
-			next[id]++
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if h.Len() != 0 {
-		t.Fatalf("%s: %d wake-ups left after the trailing drain", label, h.Len())
-	}
-	for id, tl := range timelines {
-		if next[id] != len(tl) {
-			t.Fatalf("%s: user %d saw %d of its %d events", label, id, next[id], len(tl))
-		}
-	}
-	return ties
-}
-
-// TestDrainDueOrder is sim.Run's scheduler property test: over seeded
-// traces (as derived, and quantized to the minute so users share
-// instants), period lengths that divide the span and that do not, a
-// boundary on a real event, and the hand-built edge cases, one wake heap
-// fires every event once, in (time, user id) order, within its own
-// period, each user's next event queued as its last one fires, and
-// drains the events after the last boundary too.
+// TestDrainDueOrder pins the tie rule on traces quantized to the minute,
+// so users share instants: at one worker (sim.Run's walk, and the
+// wire's at Workers=1) and at three, same-instant events of different
+// users fire in user id order, each worker's walk in (time, user id)
+// order, every event once within its own period.
 func TestDrainDueOrder(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		timelines, span, onBoundary := seededTimelines(t, seed)
-		quantized := make([][]timelineEvent, len(timelines))
-		for id, tl := range timelines {
-			quantized[id] = slices.Clone(tl)
-			for i := range quantized[id] {
-				quantized[id][i].at -= quantized[id][i].at % simclock.Minute
+		for _, tl := range timelines {
+			for i := range tl {
+				tl[i].at -= tl[i].at % simclock.Minute
 			}
 		}
 		for _, period := range []simclock.Time{simclock.Hour, 7 * simclock.Hour, simclock.Day, onBoundary} {
-			drainSchedule(t, fmt.Sprintf("seed=%d period=%v", seed, period), timelines, period, span)
-			label := fmt.Sprintf("seed=%d period=%v quantized", seed, period)
-			if drainSchedule(t, label, quantized, period, span) == 0 {
-				t.Fatalf("%s: no two users share an instant; the tie rule went untested", label)
+			for _, workers := range []int{1, 3} {
+				label := fmt.Sprintf("seed=%d period=%v workers=%d quantized", seed, period, workers)
+				if walkSchedule(t, label, timelines, period, span, workers) == 0 {
+					t.Fatalf("%s: no two users share an instant; the tie rule went untested", label)
+				}
 			}
 		}
 	}
-	if drainSchedule(t, "edge", edgeTimelines(), simclock.Hour, 4*simclock.Hour) == 0 {
+	if walkSchedule(t, "edge", edgeTimelines(), simclock.Hour, 4*simclock.Hour, 1) == 0 {
 		t.Fatal("edge: no two users share an instant")
 	}
-	drainSchedule(t, "edge, partial last period", edgeTimelines(), simclock.Hour, 3*simclock.Hour+1)
-	drainSchedule(t, "no users", nil, simclock.Hour, 4*simclock.Hour)
 }
 
-// drainUsers loads timelines into per-user cursors and a wake heap
-// seeded with each user's first event, pushing users in the given order.
-func drainUsers(timelines [][]timelineEvent, pushOrder []int) ([]simUser, *simclock.WakeHeap) {
-	users := make([]simUser, len(timelines))
+// drainUsers returns empty cursors for timelines, a loader over them,
+// and a wake heap seeded with each user's first event, pushing users in
+// the given order.
+func drainUsers(timelines [][]timelineEvent, pushOrder []int) ([]cursor, func(int) []timelineEvent, *simclock.WakeHeap) {
 	h := new(simclock.WakeHeap)
 	for _, id := range pushOrder {
 		if tl := timelines[id]; len(tl) > 0 {
-			users[id].tl = tl
 			h.Push(simclock.Wake{At: tl[0].at, ID: id})
 		}
 	}
-	return users, h
+	return make([]cursor, len(timelines)), func(id int) []timelineEvent { return timelines[id] }, h
 }
 
 // TestDrainDueFiresInOrder: one event per user, queued out of time
@@ -306,9 +262,9 @@ func TestDrainDueFiresInOrder(t *testing.T) {
 		timelines[id] = []timelineEvent{{at: at}}
 		order[id] = id
 	}
-	users, h := drainUsers(timelines, order)
+	cur, load, h := drainUsers(timelines, order)
 	var got []simclock.Time
-	if err := drainDue(h, endOfTime, users, func(_ int, ev timelineEvent) error {
+	if _, err := drainDue(h, endOfTime, cur, load, func(_ int, ev timelineEvent) error {
 		got = append(got, ev.at)
 		return nil
 	}); err != nil {
@@ -331,7 +287,7 @@ func TestDrainDueTiesByUserID(t *testing.T) {
 		timelines[id] = []timelineEvent{{at: simclock.Second}, {at: 2 * simclock.Second}}
 		reversed[id] = n - 1 - id
 	}
-	users, h := drainUsers(timelines, reversed)
+	cur, load, h := drainUsers(timelines, reversed)
 	var got []int
 	visit := func(id int, ev timelineEvent) error {
 		if ev.at != simclock.Second {
@@ -340,7 +296,7 @@ func TestDrainDueTiesByUserID(t *testing.T) {
 		got = append(got, id)
 		return nil
 	}
-	if err := drainDue(h, 2*simclock.Second, users, visit); err != nil {
+	if _, err := drainDue(h, 2*simclock.Second, cur, load, visit); err != nil {
 		t.Fatal(err)
 	}
 	for i, id := range got {
@@ -362,10 +318,10 @@ func TestDrainDueQueuesNextEvent(t *testing.T) {
 	for i := range tl {
 		tl[i] = timelineEvent{at: simclock.Time(i) * simclock.Second}
 	}
-	users, h := drainUsers([][]timelineEvent{tl}, []int{0})
+	cur, load, h := drainUsers([][]timelineEvent{tl}, []int{0})
 	count := 0
 	var last simclock.Time
-	if err := drainDue(h, endOfTime, users, func(_ int, ev timelineEvent) error {
+	if _, err := drainDue(h, endOfTime, cur, load, func(_ int, ev timelineEvent) error {
 		count++
 		last = ev.at
 		if want := min(1, n-count); h.Len() != want {
