@@ -1,11 +1,10 @@
 // Package metrics provides the small statistics toolkit the simulator
 // and experiment harness rely on: streaming moments, exact quantiles,
-// histograms, CDFs, bootstrap confidence intervals, and plain-text /
-// CSV table rendering for regenerating the paper's tables and figures.
+// CDFs, bootstrap confidence intervals, and plain-text / CSV table
+// rendering for regenerating the paper's tables and figures.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -180,53 +179,6 @@ func (s *Sample) CDFAt(x float64) float64 {
 
 // Point is an (x, y) pair for figure series.
 type Point struct{ X, Y float64 }
-
-// Histogram counts observations into fixed-width bins over [lo, hi).
-// Observations outside the range are clamped into the edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	total  int64
-}
-
-// NewHistogram creates a histogram with the given number of bins.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic(fmt.Sprintf("metrics: invalid histogram [%v,%v) bins=%d", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
-}
-
-// Add incorporates one observation.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	i := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= bins {
-		i = bins - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Frac returns the fraction of observations in bin i.
-func (h *Histogram) Frac(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
 
 // Ratio safely divides a by b, returning 0 when b is 0.
 func Ratio(a, b float64) float64 {

@@ -163,39 +163,6 @@ func TestSampleMonotonicityProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.9, 10, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("Total=%d", h.Total())
-	}
-	// Bins: [0,2) [2,4) [4,6) [6,8) [8,10); clamping puts -1 in bin 0 and
-	// 10,42 in bin 4.
-	want := []int64{3, 1, 1, 0, 3}
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Fatalf("bin %d: got %d want %d (%v)", i, h.Counts[i], w, h.Counts)
-		}
-	}
-	if !almostEq(h.BinCenter(0), 1, 1e-12) || !almostEq(h.BinCenter(4), 9, 1e-12) {
-		t.Fatal("BinCenter wrong")
-	}
-	if !almostEq(h.Frac(0), 3.0/8.0, 1e-12) {
-		t.Fatalf("Frac=%v", h.Frac(0))
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid histogram should panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
 func TestRatioAndPercentChange(t *testing.T) {
 	if Ratio(1, 0) != 0 || Ratio(6, 3) != 2 {
 		t.Fatal("Ratio wrong")
