@@ -15,19 +15,23 @@ import (
 // TestShardedStress hammers a live sharded server from 32 goroutines
 // with a mixed workload — slot observations, display reports, bundle
 // downloads, cancellation queries, on-demand sales, batch envelopes,
-// stats and ledger scrapes — while a coordinator concurrently cycles
-// period start/end.
+// stats, ledger, health and metrics scrapes — while a coordinator
+// concurrently cycles period start/end with a WAL attached and a
+// checkpoint after every round, and one more goroutine migrates a
+// served client out of the node and back in, epoch after epoch.
 // It exists for `go test -race ./internal/transport` (`make race`): any
 // unsynchronized access on the serving path is a failure even if every
-// response looks fine.
+// response looks fine. Between them the scrapes' gauges, the
+// checkpoint and the migration take every lock the serving path has.
 func TestShardedStress(t *testing.T) {
 	const (
 		goroutines = 32
 		iterations = 40
 		clients    = 64
 		shards     = 4
+		migrating  = 3 // a client the workers below serve
 	)
-	ts, coord, _, _, _ := newShardedStack(t, shards, clients)
+	ts, coord, _, ss, _, wlog := newDurableStack(t, t.TempDir(), shards, clients, 1)
 	hc := ts.Client()
 
 	// drain consumes a response regardless of status: under concurrent
@@ -52,9 +56,10 @@ func TestShardedStress(t *testing.T) {
 	}
 
 	var (
-		wg   sync.WaitGroup
-		stop atomic.Bool
-		errs = make([]error, goroutines+1)
+		wg         sync.WaitGroup
+		stop       atomic.Bool
+		migrations atomic.Uint64
+		errs       = make([]error, goroutines+2)
 	)
 
 	// Coordinator goroutine: period churn concurrent with serving.
@@ -79,6 +84,28 @@ func TestShardedStress(t *testing.T) {
 		stop.Store(true)
 	}()
 
+	// Migration goroutine: hand one client away and take it back until
+	// the coordinator is done. Requests for it meanwhile get 421.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for epoch := uint64(1); ; epoch++ {
+			blob, err := ss.migrateOut(epoch, []int{migrating})
+			if err == nil {
+				err = ss.migrateIn(blob)
+			}
+			if err != nil {
+				errs[goroutines+1] = err
+				return
+			}
+			ss.migrateCommit(epoch)
+			migrations.Store(epoch)
+			if stop.Load() {
+				return
+			}
+		}
+	}()
+
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -90,7 +117,7 @@ func TestShardedStress(t *testing.T) {
 				}
 				now := simclock.Time(g*iterations+i) * simclock.Second
 				var err error
-				switch i % 8 {
+				switch i % 10 {
 				case 0:
 					err = drain(hc.Post(ts.URL+"/v1/slot", "application/json",
 						strings.NewReader(fmt.Sprintf(`{"client":%d,"now_ns":%d}`, cid, now))))
@@ -116,6 +143,10 @@ func TestShardedStress(t *testing.T) {
 						strings.NewReader(fmt.Sprintf(
 							`{"client":%d,"now_ns":%d,"ops":[{"op":"slot","key":"st-%d-%d"},{"op":"cancelled","ids":[%d,%d]},{"op":"ondemand","key":"od-%d-%d","no_rescue":true},{"op":"bundle"}]}`,
 							cid, now, g, i, i+1, i+2, g, i))))
+				case 8:
+					err = drain(hc.Get(ts.URL + "/v1/health"))
+				case 9:
+					err = drain(hc.Get(ts.URL + "/v1/metrics"))
 				}
 				if err != nil {
 					errs[g] = err
@@ -143,4 +174,8 @@ func TestShardedStress(t *testing.T) {
 	if l.Sold == 0 {
 		t.Fatal("stress run sold nothing; workload inert")
 	}
+	if gen := wlog.Stats().Gen; gen < 6 {
+		t.Fatalf("log generation %d after 6 rounds; the checkpoints did not run", gen)
+	}
+	t.Logf("%d migrations, log generation %d", migrations.Load(), wlog.Stats().Gen)
 }
