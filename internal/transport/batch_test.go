@@ -145,7 +145,7 @@ func fetchImpression(t *testing.T, h http.Handler, client int) int64 {
 func dedupLen(ss *ShardedServer) int {
 	n := 0
 	for _, sh := range ss.shards {
-		n += sh.dedup.len()
+		n += len(sh.dedup.entries)
 	}
 	return n
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/simclock"
@@ -24,12 +23,11 @@ type dedupEntry struct {
 	client      int
 }
 
-// dedupStore is an idempotency-key window. Its mutex is held across
-// handler execution (lookup + execute + store must be atomic, or two
-// racing duplicates would both execute); per-shard requests already
-// serialize on the shard lock, so this costs no extra parallelism.
+// dedupStore is an idempotency-key window. It has no lock of its own:
+// a shard's window is guarded by the shard lock, the period store by
+// ShardedServer.periodMu, and either is held across lookup + execute +
+// store, or two racing duplicates would both execute.
 type dedupStore struct {
-	mu      sync.Mutex
 	entries map[string]dedupEntry
 }
 
@@ -38,19 +36,11 @@ type dedupStore struct {
 // policy's backoff horizon, so anything older than a couple of periods
 // can only be a client bug, and replaying it is not worth the RAM.
 func (ds *dedupStore) sweep(cutoff simclock.Time) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
 	for k, e := range ds.entries {
 		if e.at < cutoff {
 			delete(ds.entries, k)
 		}
 	}
-}
-
-func (ds *dedupStore) len() int {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return len(ds.entries)
 }
 
 // requestHash fingerprints a request (method, path, payload) for
@@ -145,8 +135,9 @@ const conflictMsg = "Idempotency-Key reused with a different request"
 // asked the client to go elsewhere (429 back off, 421 moved) are not
 // stored, so the retry re-executes against a healthy — or correct —
 // owner. at stamps the entry for the period sweep and client (negative
-// for none) for live migration. ds.mu must be held: lookup, execute and
-// store are one atomic step, or two racing duplicates would both run.
+// for none) for live migration. The store's guarding lock must be held:
+// lookup, execute and store are one atomic step, or two racing
+// duplicates would both run.
 func (ds *dedupStore) do(key string, fingerprint uint64, at simclock.Time, client int, exec func() stored) stored {
 	if e, ok := ds.entries[key]; ok {
 		if e.payloadHash != fingerprint {
@@ -200,12 +191,13 @@ func writeStored(w http.ResponseWriter, r stored) {
 	w.Write(r.body)
 }
 
-// handlePeriod serves a period round: exec runs under the idempotency
-// policy in the server-wide store ds — rounds fan out to every shard,
-// so no shard's store can hold them, and a coordinator retry after a
-// lost reply must not sell the round twice. Requests without a key
-// execute without dedup; a malformed key is refused before exec runs.
-func handlePeriod[Resp any](ds *dedupStore, exec func(periodMsg) (Resp, *httpError)) http.HandlerFunc {
+// handlePeriod serves a period round: exec runs under periodMu and the
+// idempotency policy of the server-wide period store — rounds fan out
+// to every shard, so no shard's store can hold them, and a coordinator
+// retry after a lost reply must not sell the round twice. Requests
+// without a key execute without dedup; a malformed key is refused
+// before exec runs.
+func handlePeriod[Resp any](s *ShardedServer, exec func(periodMsg) (Resp, *httpError)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		msg, body, ok := jsonReq[periodMsg](w, r)
 		if !ok {
@@ -217,12 +209,12 @@ func handlePeriod[Resp any](ds *dedupStore, exec func(periodMsg) (Resp, *httpErr
 			return
 		}
 		run := func() stored { return storedJSON(exec(msg)) }
+		s.periodMu.Lock()
+		defer s.periodMu.Unlock()
 		if key == "" {
 			writeStored(w, run())
 			return
 		}
-		ds.mu.Lock()
-		defer ds.mu.Unlock()
-		writeStored(w, ds.do(key, requestHash(r.Method, r.URL.Path, body), simclock.Time(msg.NowNS), noClient, run))
+		writeStored(w, s.periodDedup.do(key, requestHash(r.Method, r.URL.Path, body), simclock.Time(msg.NowNS), noClient, run))
 	}
 }

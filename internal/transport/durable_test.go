@@ -86,18 +86,9 @@ func ledgerJSON(t *testing.T, l auction.Ledger) string {
 // server before calling, so taking the locks here is belt-and-braces.
 func snapshotBytes(t *testing.T, ss *ShardedServer) []byte {
 	t.Helper()
-	ss.periodDedup.mu.Lock()
-	defer ss.periodDedup.mu.Unlock()
-	for _, sh := range ss.shards {
-		sh.dedup.mu.Lock()
-		sh.mu.Lock()
-	}
-	defer func() {
-		for i := len(ss.shards) - 1; i >= 0; i-- {
-			ss.shards[i].mu.Unlock()
-			ss.shards[i].dedup.mu.Unlock()
-		}
-	}()
+	ss.periodMu.Lock()
+	defer ss.periodMu.Unlock()
+	defer ss.lockAll()()
 	var buf bytes.Buffer
 	if err := ss.writeSnapshotLocked(&buf); err != nil {
 		t.Fatal(err)

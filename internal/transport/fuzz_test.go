@@ -169,7 +169,7 @@ func FuzzIdempotencyKey(f *testing.F) {
 				// Slot counts are internal; re-sending /v1/slot twice under
 				// one key must not have counted twice. The dedup store is
 				// the observable: exactly one entry per key.
-				if n := ss.shards[0].dedup.len(); n > 1 {
+				if n := len(ss.shards[0].dedup.entries); n > 1 {
 					t.Fatalf("dedup store holds %d entries for one key", n)
 				}
 			}
@@ -260,7 +260,7 @@ func FuzzBatchDecode(f *testing.F) {
 		if rec.Code != 200 {
 			// A rejected envelope commits nothing: no dedup entries, no
 			// money moved.
-			if n := ss.shards[0].dedup.len(); n != 0 {
+			if n := len(ss.shards[0].dedup.entries); n != 0 {
 				t.Fatalf("rejected envelope (%d) left %d dedup entries", rec.Code, n)
 			}
 			if l := ex.Ledger(); l.Billed != 0 || l.Sold != 0 {

@@ -72,35 +72,27 @@ type ClientsReply struct {
 }
 
 // movedErr returns the 421 refusal for a client this node has handed
-// away, or nil. Callers hold a serving lock (shard mu, staged, or
-// dedup), which excludes concurrent extraction; migMu is the innermost
-// lock in the global order.
+// away, or nil. The caller holds a shard lock, which is enough to read
+// moved: it is written only under lockAll.
 func (s *ShardedServer) movedErr(client int) *httpError {
-	s.migMu.RLock()
-	moved := s.moved[client]
-	s.migMu.RUnlock()
-	if !moved {
+	if !s.moved[client] {
 		return nil
 	}
 	return errf(http.StatusMisdirectedRequest, "client %d migrated to another node", client)
 }
 
-// lockAll takes every shard's dedup, engine and staged locks in the
-// global order (dedup before mu before stagedMu, ascending shard
-// index), quiescing the whole node; the returned function releases in
-// reverse. Same discipline as Checkpoint: a migration must be atomic
-// against every serving path.
+// lockAll takes every shard's lock in ascending shard index, quiescing
+// the whole node; the returned function releases in reverse. The lock
+// order is periodMu or adminMu first, then the shard locks, so
+// Checkpoint, migrations and config epochs are atomic against every
+// serving path and against each other.
 func (s *ShardedServer) lockAll() func() {
 	for _, sh := range s.shards {
-		sh.dedup.mu.Lock()
 		sh.mu.Lock()
-		sh.stagedMu.Lock()
 	}
 	return func() {
 		for i := len(s.shards) - 1; i >= 0; i-- {
-			s.shards[i].stagedMu.Unlock()
 			s.shards[i].mu.Unlock()
-			s.shards[i].dedup.mu.Unlock()
 		}
 	}
 }
@@ -114,10 +106,7 @@ func (s *ShardedServer) lockAll() func() {
 func (s *ShardedServer) migrateOut(epoch uint64, clients []int) ([]byte, error) {
 	s.adminMu.Lock()
 	defer s.adminMu.Unlock()
-	s.migMu.RLock()
-	blob, done := s.outbox[epoch]
-	s.migMu.RUnlock()
-	if done {
+	if blob, done := s.outbox[epoch]; done {
 		return blob, nil
 	}
 	unlock := s.lockAll()
@@ -176,7 +165,6 @@ func (s *ShardedServer) migrateOut(epoch uint64, clients []int) ([]byte, error) 
 	if err != nil {
 		return nil, fmt.Errorf("transport: encoding migration blob: %w", err)
 	}
-	s.migMu.Lock()
 	if s.moved == nil {
 		s.moved = make(map[int]bool)
 	}
@@ -187,7 +175,6 @@ func (s *ShardedServer) migrateOut(epoch uint64, clients []int) ([]byte, error) 
 		s.outbox = make(map[uint64][]byte)
 	}
 	s.outbox[epoch] = data
-	s.migMu.Unlock()
 	// Logged while every serving lock is held, so no op for a moved
 	// client can be ordered after this record (it would have been
 	// refused 421 and never logged).
@@ -206,10 +193,7 @@ func (s *ShardedServer) migrateIn(raw []byte) error {
 	}
 	s.adminMu.Lock()
 	defer s.adminMu.Unlock()
-	s.migMu.RLock()
-	done := s.applied[blob.Epoch]
-	s.migMu.RUnlock()
-	if done {
+	if s.applied[blob.Epoch] {
 		return nil
 	}
 	unlock := s.lockAll()
@@ -230,7 +214,6 @@ func (s *ShardedServer) migrateIn(raw []byte) error {
 			sh.dedup.entries[r.Key] = dedupEntry{payloadHash: r.PayloadHash, status: r.Status, body: r.Body, at: simclock.Time(r.At), client: r.Client}
 		}
 	}
-	s.migMu.Lock()
 	if s.applied == nil {
 		s.applied = make(map[uint64]bool)
 	}
@@ -240,7 +223,6 @@ func (s *ShardedServer) migrateIn(raw []byte) error {
 	for _, cb := range blob.Clients {
 		delete(s.moved, cb.Client)
 	}
-	s.migMu.Unlock()
 	s.walAppend(s.shards[0], opMigrateIn, "", json.RawMessage(raw))
 	return nil
 }
@@ -252,11 +234,9 @@ func (s *ShardedServer) migrateIn(raw []byte) error {
 func (s *ShardedServer) migrateCommit(epoch uint64) {
 	s.adminMu.Lock()
 	defer s.adminMu.Unlock()
-	s.migMu.Lock()
-	_, present := s.outbox[epoch]
-	delete(s.outbox, epoch)
-	s.migMu.Unlock()
-	if present {
+	if _, present := s.outbox[epoch]; present {
+		defer s.lockAll()()
+		delete(s.outbox, epoch)
 		s.walAppend(s.shards[0], opMigrateCommit, "", migrateCommitMsg{Epoch: epoch})
 	}
 }

@@ -76,12 +76,6 @@ func (s *ShardedServer) periodStartShardLocked(sh *shardState, msg periodMsg) (a
 	}
 	now := simclock.Time(msg.NowNS)
 	bundles, stats := sh.srv.StartPeriod(now, msg.period())
-	// Stage and log under stagedMu so the shelves' WAL order matches
-	// their mutation order against concurrent bundle drains (which hold
-	// stagedMu, not mu). Deferred unlock: walAppend may panic
-	// (fail-stop), and the lock must not stay held on that path.
-	sh.stagedMu.Lock()
-	defer sh.stagedMu.Unlock()
 	for _, b := range bundles {
 		sh.staged[b.Client] = append(sh.staged[b.Client], b.Ads...)
 	}
@@ -91,7 +85,6 @@ func (s *ShardedServer) periodStartShardLocked(sh *shardState, msg periodMsg) (a
 }
 
 func (s *ShardedServer) execPeriodEnd(msg periodMsg) (PeriodEndReply, *httpError) {
-	now := simclock.Time(msg.NowNS)
 	var (
 		mu    sync.Mutex
 		reply PeriodEndReply
@@ -105,39 +98,35 @@ func (s *ShardedServer) execPeriodEnd(msg periodMsg) (PeriodEndReply, *httpError
 		mu.Unlock()
 		return nil
 	})
-	// The dedup window rides the period cadence: anything older than
-	// two periods can no longer be a live retry (the retry policy's
-	// backoff horizon is seconds), so the period boundary bounds the
-	// stores' memory the same way it bounds staged bundles.
-	window := 2 * simclock.Time(s.shards[0].srv.Config().Period)
-	for _, sh := range s.shards {
-		sh.dedup.sweep(now - window)
-	}
-	// The period store itself is locked by the caller (handlePeriod);
-	// record the cutoff for the route wrapper to sweep after the reply.
-	s.periodSweep.Store(int64(now - window))
 	return reply, nil
 }
 
 // periodEndShardLocked closes one shard's slice of a period round;
-// sh.mu must be held. Cached like periodStartShardLocked, and for the
-// same reason. The dedup sweeps stay with the caller (or, on replay,
-// with applyWALRecord): sweeping sh.dedup here would take ds.mu while
-// holding sh.mu, inverting execGroup's lock order.
+// sh.mu must be held, and periodMu too on a live round (WAL replay runs
+// single-threaded). Cached like periodStartShardLocked, and for the
+// same reason. Live rounds and replay run this one copy of the dedup
+// sweeps.
 func (s *ShardedServer) periodEndShardLocked(sh *shardState, msg periodMsg) int {
+	now := simclock.Time(msg.NowNS)
+	// The dedup windows ride the period cadence: anything older than two
+	// periods can no longer be a live retry (the retry policy's backoff
+	// horizon is seconds), so the period boundary bounds the stores'
+	// memory the same way it bounds staged bundles. Shard 0 sweeps the
+	// period store for the round.
+	cutoff := now - 2*simclock.Time(sh.srv.Config().Period)
+	sh.dedup.sweep(cutoff)
+	if sh.idx == 0 {
+		s.periodDedup.sweep(cutoff)
+		s.periodSweep = int64(cutoff)
+	}
 	if r := sh.endRounds[periodKey{msg.NowNS, msg.Index}]; r != nil {
 		return r.Expired
 	}
-	now := simclock.Time(msg.NowNS)
 	expired := sh.srv.EndPeriod(now, msg.period())
 	// Bound staged-bundle memory: ads a client never downloaded are
 	// worthless once expired, so sweep them with the period. Without
 	// this, clients that stop contacting the server pin their
-	// bundles forever. Sweep and log under stagedMu (mu -> stagedMu, the
-	// global order) so the sweep is atomic with its WAL record against
-	// concurrent bundle drains.
-	sh.stagedMu.Lock()
-	defer sh.stagedMu.Unlock()
+	// bundles forever.
 	for cid, ads := range sh.staged {
 		kept := ads[:0]
 		for _, ad := range ads {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/envelope"
 	"repro/internal/obs"
 	"repro/internal/shard"
-	"repro/internal/simclock"
 	"repro/internal/tenant"
 	"repro/internal/wal"
 )
@@ -74,27 +73,28 @@ type ShardedServer struct {
 	AdminToken string
 
 	// Live migration state (see migrate.go). adminMu serializes whole
-	// migration operations; migMu guards the maps and is always the
-	// innermost lock (acquired after shard locks, never before). moved
-	// marks clients handed to another node — their requests are refused
-	// with 421 so nothing mutates state the new owner already took.
-	// outbox keeps each extraction's blob until the epoch commits, and
-	// applied remembers adopted epochs; both make the transfer endpoints
-	// idempotent across retries and crash recovery.
+	// migration operations and config epochs. moved marks clients handed
+	// to another node — their requests are refused with 421 so nothing
+	// mutates state the new owner already took. outbox keeps each
+	// extraction's blob until the epoch commits, and applied remembers
+	// adopted epochs; both make the transfer endpoints idempotent across
+	// retries and crash recovery. The maps are written only under
+	// adminMu and every shard lock (lockAll), so either one of those
+	// locks is enough to read them: a request reads moved under its own
+	// shard's lock.
 	adminMu sync.Mutex
-	migMu   sync.RWMutex
 	moved   map[int]bool
 	outbox  map[uint64][]byte
 	applied map[uint64]bool
 
 	// periodDedup dedups the coordinator's period start/end calls,
 	// which fan out to every shard and so cannot live in one shard's
-	// store. periodSweep carries the latest sweep cutoff out of the
-	// period/end handler: the store's own window cannot be swept while
-	// handlePeriod holds its lock, so the route wrapper sweeps after
-	// the response is written.
+	// store. periodMu guards it and periodSweep (the latest sweep
+	// cutoff, kept for the snapshot), and is held across a whole period
+	// round: shard 0's slice of a period-end round sweeps the store.
+	periodMu    sync.Mutex
 	periodDedup dedupStore
-	periodSweep atomic.Int64
+	periodSweep int64
 
 	// Batch instrumentation: envelope sizes, sub-ops by kind, and the
 	// round trips batching saved versus one request per op.
@@ -132,32 +132,24 @@ type ShardedServer struct {
 }
 
 // shardState is one shard's serving state: the single-threaded engine,
-// its lock, the per-client bundles staged for download, the
-// idempotency-dedup window for the shard's mutating requests, and the
-// shard's slice of the metrics registry.
+// the per-client bundles staged for download, the idempotency-dedup
+// window for the shard's mutating requests, and the shard's slice of
+// the metrics registry. One lock, mu, guards all of it: an op takes it
+// once, executes, and appends its WAL record before releasing it, so
+// each shard's log order is its execution order.
 type shardState struct {
 	idx int // position in ShardedServer.shards, stamped on WAL records
 	mu  sync.Mutex
 	srv *adserver.Server
 
-	// staged holds each client's sold-but-not-downloaded bundle, guarded
-	// by stagedMu — its own lock, not mu, so a bundle download (a pure
-	// shelf drain) never queues behind slot observations, reports and
-	// on-demand sales contending for the engine. Lock order: mu before
-	// stagedMu, always; stagedMu is the innermost lock and nothing is
-	// acquired while holding it (the WAL append inside a stagedMu
-	// critical section only takes the log's internal locks). Paths that
-	// both mutate a shelf and log the mutation hold stagedMu across
-	// drain/stage *and* append, so each shard's WAL order matches its
-	// shelf-mutation order.
-	stagedMu sync.Mutex
-	staged   map[int][]client.CachedAd
+	// staged holds each client's sold-but-not-downloaded bundle.
+	staged map[int][]client.CachedAd
 
 	dedup dedupStore
 
 	// startRounds/endRounds cache the outcome of this shard's slice of
-	// every period round in the current WAL generation (guarded by mu;
-	// pruned to the latest round at each checkpoint). A repeat of a
+	// every period round in the current WAL generation (pruned to the
+	// latest round at each checkpoint). A repeat of a
 	// cached round — a coordinator retry after a lost reply, or a WAL
 	// replay — returns the cached outcome instead of re-running it, so
 	// period rounds are exactly-once per shard even when the
@@ -222,16 +214,14 @@ func newSharded(servers []*adserver.Server, route func(clientID int) int) *Shard
 			return float64(sh.srv.OpenBook())
 		}, "shard", label)
 		s.reg.GaugeFunc("shard_staged_ads", func() float64 {
-			sh.stagedMu.Lock()
-			defer sh.stagedMu.Unlock()
-			n := 0
-			for _, ads := range sh.staged {
-				n += len(ads)
-			}
-			return float64(n)
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			return float64(sh.stagedAdsLocked())
 		}, "shard", label)
 		s.reg.GaugeFunc("shard_dedup_keys", func() float64 {
-			return float64(sh.dedup.len())
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			return float64(len(sh.dedup.entries))
 		}, "shard", label)
 		s.shards[i] = sh
 	}
@@ -267,13 +257,20 @@ func (s *ShardedServer) Registry() *obs.Registry { return s.reg }
 func (s *ShardedServer) StagedAds() int {
 	total := 0
 	for _, sh := range s.shards {
-		sh.stagedMu.Lock()
-		for _, ads := range sh.staged {
-			total += len(ads)
-		}
-		sh.stagedMu.Unlock()
+		sh.mu.Lock()
+		total += sh.stagedAdsLocked()
+		sh.mu.Unlock()
 	}
 	return total
+}
+
+// stagedAdsLocked counts the shard's staged ads; sh.mu must be held.
+func (sh *shardState) stagedAdsLocked() int {
+	n := 0
+	for _, ads := range sh.staged {
+		n += len(ads)
+	}
+	return n
 }
 
 // shardFor resolves the shard owning a client.
@@ -291,16 +288,13 @@ func (s *ShardedServer) shardFor(clientID int) *shardState {
 // measured.
 func (s *ShardedServer) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/period/start", handlePeriod(&s.periodDedup, s.execPeriodStart))
-	periodEnd := handlePeriod(&s.periodDedup, s.execPeriodEnd)
+	mux.HandleFunc("POST /v1/period/start", handlePeriod(s, s.execPeriodStart))
+	periodEnd := handlePeriod(s, s.execPeriodEnd)
 	mux.HandleFunc("POST /v1/period/end", func(w http.ResponseWriter, r *http.Request) {
 		periodEnd(w, r)
-		// The period store's own lock is free again; sweep it to the
-		// cutoff the handler recorded.
-		s.periodDedup.sweep(simclock.Time(s.periodSweep.Load()))
-		// Checkpoint cadence rides the period boundary too, after the
-		// reply is on the wire: a crash mid-checkpoint leaves the
-		// previous snapshot+log generation intact.
+		// Checkpoint cadence rides the period boundary, after the reply
+		// is on the wire: a crash mid-checkpoint leaves the previous
+		// snapshot+log generation intact.
 		s.maybeCheckpoint()
 	})
 	mux.HandleFunc("GET /v1/bundle", s.handleOp(decodeBundle))

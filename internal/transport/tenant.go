@@ -110,13 +110,8 @@ type tenantMetrics struct {
 // callers recovering a WAL must install the same initial registry
 // before Recover, exactly like they must rebuild the same shard layout.
 func (s *ShardedServer) SetTenants(reg *tenant.Registry) {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
+	defer s.lockAll()()
 	s.installTenants(reg)
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].mu.Unlock()
-	}
 }
 
 // Tenants returns the currently installed registry (nil = legacy).
@@ -186,14 +181,7 @@ func (s *ShardedServer) ApplyConfig(msg ConfigMsg) (ConfigReply, error) {
 	// after the whole reload — never inside it. The append precedes the
 	// swap; if it fail-stops, nothing was applied and the retry
 	// re-executes on the recovered process.
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for i := len(s.shards) - 1; i >= 0; i-- {
-			s.shards[i].mu.Unlock()
-		}
-	}()
+	defer s.lockAll()()
 	s.walAppend(s.shards[0], opConfigEpoch, "", msg)
 	s.installTenants(reg)
 	return ConfigReply{Epoch: msg.Epoch, Tenants: len(msg.Tenants), Applied: true}, nil

@@ -109,13 +109,9 @@ func (s *ShardedServer) execHealth(struct{}) (HealthReply, *httpError) {
 		sh.mu.Lock()
 		open := sh.srv.OpenBook()
 		shedding := s.shedding(sh)
+		staged := sh.stagedAdsLocked()
+		dedupKeys := len(sh.dedup.entries)
 		sh.mu.Unlock()
-		staged := 0
-		sh.stagedMu.Lock()
-		for _, ads := range sh.staged {
-			staged += len(ads)
-		}
-		sh.stagedMu.Unlock()
 		if shedding {
 			reply.Status = "shedding"
 		}
@@ -124,7 +120,7 @@ func (s *ShardedServer) execHealth(struct{}) (HealthReply, *httpError) {
 			Shard:     i,
 			OpenBook:  open,
 			StagedAds: staged,
-			DedupKeys: sh.dedup.len(),
+			DedupKeys: dedupKeys,
 			Shedding:  shedding,
 			Requests:  sh.requests.Value(),
 		})
