@@ -116,6 +116,8 @@ func validateTransport(cfg Config, o TransportOpts) error {
 		return fmt.Errorf("sim: transport replay supports scheduled delivery only")
 	case cfg.ChurnProb > 0 || cfg.ReportLossProb > 0:
 		return fmt.Errorf("sim: transport replay does not support failure injection")
+	case cfg.WiFiSchedule.Enabled:
+		return fmt.Errorf("sim: transport replay charges every transfer to one cellular radio; a WiFi schedule is not replayed")
 	case o.BinaryBatch && !o.Batched:
 		return fmt.Errorf("sim: BinaryBatch selects the batch envelope's codec; it requires Batched")
 	case o.Crashes != nil && o.WALDir == "":

@@ -370,13 +370,19 @@ func TestStreamValidation(t *testing.T) {
 	if err := validateTransport(huge, TransportOpts{Shards: 1, Flood: flood}); err != nil {
 		t.Fatalf("rejected a flood above a MaxUsers-capped population: %v", err)
 	}
-	for name, o := range map[string]TransportOpts{
-		"zero shards":              {},
-		"BinaryBatch sans Batched": {Shards: 1, BinaryBatch: true},
-		"crashes without a WAL":    {Shards: 1, Crashes: faults.NewCrashSchedule(faults.CrashPoint{Op: "slot", After: 1})},
-		"migrations without nodes": {Shards: 1, Migrations: []MigrationStep{{Period: 1, AddNode: true}}},
+	wifi := cfg
+	wifi.WiFiSchedule = DefaultWiFiSchedule()
+	for name, c := range map[string]struct {
+		cfg Config
+		o   TransportOpts
+	}{
+		"zero shards":              {cfg, TransportOpts{}},
+		"BinaryBatch sans Batched": {cfg, TransportOpts{Shards: 1, BinaryBatch: true}},
+		"crashes without a WAL":    {cfg, TransportOpts{Shards: 1, Crashes: faults.NewCrashSchedule(faults.CrashPoint{Op: "slot", After: 1})}},
+		"migrations without nodes": {cfg, TransportOpts{Shards: 1, Migrations: []MigrationStep{{Period: 1, AddNode: true}}}},
+		"a WiFi schedule":          {wifi, ok},
 	} {
-		if err := validateTransport(cfg, o); err == nil {
+		if err := validateTransport(c.cfg, c.o); err == nil {
 			t.Fatalf("accepted %s", name)
 		}
 	}
