@@ -122,7 +122,6 @@ func TestPublicEventDrivenSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SetSelling(true)
 	p := adprefetch.PeriodOf(0, cfg.Server.Period)
 	deliveries, stats := sys.StartPeriod(0, p)
 	if stats.Sold != 4 || len(deliveries) != 2 {

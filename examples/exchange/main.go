@@ -53,7 +53,6 @@ func main() {
 		}
 		sys.EndPeriod(adprefetch.Time(day)*adprefetch.Day+adprefetch.Hour, p)
 	}
-	sys.SetSelling(true)
 
 	// Period opens: the server sells predicted slots BEFORE they exist.
 	now := 5 * adprefetch.Day

@@ -217,8 +217,8 @@ type SlotOutcome struct {
 	TopUpAds int
 
 	// Impression is the impression displayed, when one was sold
-	// (cache hits always have one; on-demand fetches only when selling
-	// was enabled and a campaign bid).
+	// (cache hits always have one; on-demand fetches only when a
+	// campaign bid).
 	Impression auction.ImpressionID
 }
 
@@ -234,10 +234,6 @@ type System struct {
 	cfg     Config
 	server  *adserver.Server
 	devices map[int]*client.Device
-
-	// selling gates monetary flows: during predictor warm-up the caller
-	// keeps selling disabled so the ledger reflects steady state.
-	selling bool
 
 	// reportHook, when set, filters display reports: returning false
 	// drops the report (failure injection — the display happened but the
@@ -301,24 +297,17 @@ func (s *System) SetOfflineFn(fn func(clientID int, at simclock.Time) bool) {
 	s.offline = fn
 }
 
-// SetSelling enables or disables monetary flows. While disabled, slots
-// are still observed (predictors train) and fetches still happen
-// (energy), but nothing is sold or billed.
-func (s *System) SetSelling(on bool) { s.selling = on }
-
-// Selling reports whether monetary flows are enabled.
-func (s *System) Selling() bool { return s.selling }
-
 // Period returns the configured prefetch window.
 func (s *System) Period() time.Duration { return s.cfg.Server.Period }
 
 // StartPeriod opens the period beginning at now. In prefetching modes
-// with selling enabled it runs the forecast/sale/replication round and
-// routes bundles per the delivery policy: scheduled deliveries are
-// returned for the caller to charge now; piggyback bundles are queued on
-// the devices. OnDemand mode and disabled selling return nothing.
+// it runs the forecast/sale/replication round and routes bundles per
+// the delivery policy: scheduled deliveries are returned for the caller
+// to charge now; piggyback bundles are queued on the devices. OnDemand
+// mode returns nothing. A caller still training predictors (warm-up)
+// does not open periods; it observes slots on Server directly.
 func (s *System) StartPeriod(now simclock.Time, p predict.Period) ([]ScheduledDelivery, adserver.PeriodStats) {
-	if s.cfg.Mode == ModeOnDemand || !s.selling {
+	if s.cfg.Mode == ModeOnDemand {
 		return nil, adserver.PeriodStats{}
 	}
 	bundles, stats := s.server.StartPeriod(now, p)
@@ -375,21 +364,19 @@ func (s *System) HandleSlot(now simclock.Time, clientID int, hints []trace.Categ
 	// modes the fetch first tries to rescue an open sold impression; only
 	// when none is pending does it sell fresh inventory.
 	out.Fetched = true
-	if s.selling {
-		if s.cfg.Mode != ModeOnDemand && !s.cfg.NoRescue {
-			if id, ok := s.server.RescueOpen(now, clientID); ok {
-				out.Impression = id
-				out.Rescued = true
-				if ads := s.server.TopUp(now, clientID); len(ads) > 0 {
-					dev.Assign(ads, true)
-					out.TopUpAds = len(ads)
-				}
-				return out, nil
+	if s.cfg.Mode != ModeOnDemand && !s.cfg.NoRescue {
+		if id, ok := s.server.RescueOpen(now, clientID); ok {
+			out.Impression = id
+			out.Rescued = true
+			if ads := s.server.TopUp(now, clientID); len(ads) > 0 {
+				dev.Assign(ads, true)
+				out.TopUpAds = len(ads)
 			}
+			return out, nil
 		}
-		if imp, ok := s.server.OnDemandSell(now, clientID, hints); ok {
-			out.Impression = imp.ID
-		}
+	}
+	if imp, ok := s.server.OnDemandSell(now, clientID, hints); ok {
+		out.Impression = imp.ID
 	}
 	return out, nil
 }

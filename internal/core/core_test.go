@@ -81,10 +81,6 @@ func TestOnDemandModeFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SetSelling(true)
-	if !sys.Selling() {
-		t.Fatal("selling flag")
-	}
 	dl, stats := sys.StartPeriod(0, predict.Period{})
 	if dl != nil || stats.Sold != 0 {
 		t.Fatal("on-demand mode should not prefetch")
@@ -105,24 +101,6 @@ func TestOnDemandModeFlow(t *testing.T) {
 	}
 }
 
-func TestSellingDisabledNoMoney(t *testing.T) {
-	ex := deepExchange(t)
-	sys, err := New(DefaultConfig(ModePredictive), ex, ids(2), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := sys.HandleSlot(0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Fetched || out.Impression != 0 {
-		t.Fatalf("outcome %+v", out)
-	}
-	if l := ex.Ledger(); l.Sold != 0 {
-		t.Fatalf("warm-up sold impressions: %+v", l)
-	}
-}
-
 func TestHandleSlotUnknownClient(t *testing.T) {
 	sys, err := New(DefaultConfig(ModeOnDemand), deepExchange(t), ids(1), nil, nil)
 	if err != nil {
@@ -133,7 +111,7 @@ func TestHandleSlotUnknownClient(t *testing.T) {
 	}
 }
 
-// naiveSystem builds a 4-client naive-bulk system with selling on.
+// naiveSystem builds a 4-client naive-bulk system.
 func naiveSystem(t *testing.T, delivery Delivery) (*System, *auction.Exchange) {
 	t.Helper()
 	cfg := DefaultConfig(ModeNaiveBulk)
@@ -144,7 +122,6 @@ func naiveSystem(t *testing.T, delivery Delivery) (*System, *auction.Exchange) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SetSelling(true)
 	return sys, ex
 }
 
@@ -236,7 +213,6 @@ func TestPredictiveEndToEndPeriod(t *testing.T) {
 		}
 		sys.EndPeriod(simclock.Time(pi)*simclock.Day+simclock.Time(window), p)
 	}
-	sys.SetSelling(true)
 	p := predict.Period{Index: 5 * 24, OfDay: 0}
 	deliveries, stats := sys.StartPeriod(5*simclock.Day, p)
 	if stats.Sold == 0 || stats.Placed == 0 {
@@ -270,7 +246,6 @@ func TestOracleModeNoViolationsWhenExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SetSelling(true)
 	p := predict.PeriodOf(0, cfg.Server.Period)
 	_, stats := sys.StartPeriod(0, p)
 	if stats.Sold != 6 {
@@ -317,7 +292,6 @@ func TestRevenueLossFromRacingReplicas(t *testing.T) {
 		sys.Server().ObserveSlot(1)
 		sys.EndPeriod(simclock.Time(pi)*simclock.Day+simclock.Hour, p)
 	}
-	sys.SetSelling(true)
 	p := predict.Period{Index: 6 * 24, OfDay: 0}
 	_, stats := sys.StartPeriod(6*simclock.Day, p)
 	if stats.Replicas != 2*stats.Placed {
@@ -363,7 +337,6 @@ func TestCancellationPreventsRace(t *testing.T) {
 		sys.Server().ObserveSlot(1)
 		sys.EndPeriod(simclock.Time(pi)*simclock.Day+simclock.Hour, p)
 	}
-	sys.SetSelling(true)
 	p := predict.Period{Index: 6 * 24, OfDay: 0}
 	sys.StartPeriod(6*simclock.Day, p)
 	o1, _ := sys.HandleSlot(6*simclock.Day+simclock.Minute, 0, nil)

@@ -61,7 +61,6 @@ func TestNoRescueFallsBackToFreshSale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SetSelling(true)
 	sys.StartPeriod(0, predict.Period{})
 	// Exhaust the cache, then miss: with NoRescue the fallback sells
 	// fresh inventory even though sold impressions are pending.
@@ -86,7 +85,6 @@ func TestRescuePathServesOpenImpression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SetSelling(true)
 	_, stats := sys.StartPeriod(0, predict.Period{})
 	// Drain client 0's cache (2 ads), then miss: rescue serves one of
 	// client 1's still-open impressions.
@@ -120,7 +118,6 @@ func TestPiggybackWithTopUpCharging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SetSelling(true)
 	sys.StartPeriod(0, predict.Period{})
 	out, err := sys.HandleSlot(simclock.At(time.Minute), 0, nil)
 	if err != nil {

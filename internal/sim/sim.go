@@ -535,7 +535,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// One user event: an app transfer, or a slot served by the system. A
-	// user that churn holds offline does nothing.
+	// user that churn holds offline does nothing. Before selling starts
+	// (warm-up) a slot is a status-quo fetch that trains the predictor.
+	selling := false
 	visit := func(i int, ev timelineEvent) error {
 		u := &sims[i]
 		if u.offline(ev.at, period) {
@@ -544,6 +546,11 @@ func Run(cfg Config) (*Result, error) {
 		r := u.radioAt(cfg.WiFiSchedule, ev.at)
 		if !ev.slot {
 			r.Transfer(ev.at, ev.bytes, cfg.owner(ev.at, "app"))
+			return nil
+		}
+		if !selling {
+			sys.Server().ObserveSlot(ids[i])
+			cfg.chargeSlot(r, ev.at, true, 0, false)
 			return nil
 		}
 		out, err := sys.HandleSlot(ev.at, ids[i], appHints[ev.app])
@@ -558,28 +565,24 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{Mode: cfg.Core.Mode, Delivery: cfg.Core.Delivery, Users: len(users)}
-	var warmupCounters client.Counters
 	periodsTotal := int(pop.Span / simclock.Time(period))
 	for pi := 0; pi <= periodsTotal; pi++ {
 		now := simclock.Time(pi) * simclock.Time(period)
 		if pi > 0 {
 			sys.EndPeriod(now, predict.PeriodOf(now-simclock.Time(period), period))
 		}
-		if now >= warmupEnd && !sys.Selling() {
-			sys.SetSelling(true)
-			warmupCounters = sys.Counters()
-		}
+		selling = now >= warmupEnd
 		end := endOfTime
 		if pi < periodsTotal {
-			deliveries, stats := sys.StartPeriod(now, predict.PeriodOf(now, period))
-			if sys.Selling() {
+			if selling {
+				deliveries, stats := sys.StartPeriod(now, predict.PeriodOf(now, period))
 				res.SoldTotal += int64(stats.Sold)
 				res.ReplicaTotal += int64(stats.Replicas)
 				res.PlacedTotal += int64(stats.Placed)
 				res.Periods++
-			}
-			for _, d := range deliveries {
-				sims[pos[d.Client]].radioAt(cfg.WiFiSchedule, now).Transfer(now, int64(d.Ads)*cfg.AdBytes, cfg.owner(now, "ads"))
+				for _, d := range deliveries {
+					sims[pos[d.Client]].radioAt(cfg.WiFiSchedule, now).Transfer(now, int64(d.Ads)*cfg.AdBytes, cfg.owner(now, "ads"))
+				}
 			}
 			end = now + simclock.Time(period)
 		}
@@ -598,7 +601,7 @@ func Run(cfg Config) (*Result, error) {
 		res.addEnergy(false, u.cell, u.wifi)
 	}
 	res.Ledger = ex.Ledger()
-	res.Counters = sys.Counters().Sub(warmupCounters)
+	res.Counters = sys.Counters()
 	res.CampaignBilled = make(map[auction.CampaignID]float64, cfg.Demand.Campaigns)
 	for i := 0; i < cfg.Demand.Campaigns; i++ {
 		id := auction.CampaignID(i)
