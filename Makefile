@@ -13,8 +13,11 @@ test: fmt
 # Race tier: the concurrent serving path (sharded transport, HTTP
 # replay, shard pool, lock-isolated ops metrics, the obs registry)
 # under the race detector. Includes the 32-goroutine stress tests in
-# internal/transport/race_test.go and internal/link (one pooled client,
-# one node, exchanges racing Forget).
+# internal/transport/race_test.go — one lock per shard guards engine,
+# staged shelf and dedup window, and TestShardedStress races the serving
+# mix against health and metrics scrapes, a checkpoint every round and a
+# migration loop — and internal/link (one pooled client, one node,
+# exchanges racing Forget).
 race:
 	go test -race -timeout 30m ./internal/transport ./internal/sim ./internal/adserver ./internal/shard ./internal/obs ./internal/wal ./internal/cluster ./internal/link
 
@@ -151,10 +154,13 @@ chaos:
 # killed mid-period, mid-batch, during the period-end sweep, in the
 # group-commit window between a batched fsync and its ack, and at every
 # single record position of a small run — each recovered run must match
-# the uninterrupted baseline on every accounting observable.
+# the uninterrupted baseline on every accounting observable. Checkpoints
+# and migrations racing live traffic ride here under the race detector
+# (TestShardedStress), so `make verify` checks the shard lock too.
 crash:
 	go test -count=1 ./internal/wal
 	go test -count=1 -run 'TestCheckpoint|TestDedupWindow|TestWALReplay|TestWALRecordStreamGolden' ./internal/transport
+	go test -race -count=1 -run TestShardedStress ./internal/transport
 	go test -count=1 -run 'TestCrash|TestKillHook' ./internal/sim
 
 # Cluster tier: the multi-node routing tier. Router/ring unit tests
