@@ -17,15 +17,17 @@
 //   - the overbooking model: admission control and rank-aware replica
 //     planning — internal/overbook;
 //   - the ad server and client runtime — internal/adserver,
-//     internal/client;
-//   - the assembled system engine and the trace-driven simulator —
+//     internal/client — and their HTTP protocol, internal/transport;
+//   - the system configuration and the trace-driven simulator —
 //     internal/core, internal/sim;
 //   - and the experiment harness regenerating every table and figure —
 //     internal/experiments.
 //
 // This package re-exports the surface a downstream user needs: generate
-// or load a workload, assemble a system in one of the four delivery
+// or load a workload, configure a system in one of the four delivery
 // modes, run the simulation, and read the energy/SLA/revenue outcomes.
+// Callers driving slot and period events themselves use the wire trio:
+// TransportServer, TransportDevice and TransportCoordinator.
 //
 // Quick start:
 //
@@ -74,11 +76,8 @@ type (
 	Mode = core.Mode
 	// Delivery selects when prefetch bundles download.
 	Delivery = core.Delivery
-	// SystemConfig assembles the prefetching engine.
+	// SystemConfig configures the prefetching system.
 	SystemConfig = core.Config
-	// System is the assembled engine (server + devices), for callers
-	// driving events themselves rather than via the simulator.
-	System = core.System
 
 	// SimConfig parameterizes an end-to-end simulation run.
 	SimConfig = sim.Config
@@ -126,14 +125,10 @@ type (
 	Table = metrics.Table
 
 	// Time is an instant in virtual time (nanoseconds since the
-	// simulation epoch), used by the event-driven System API.
+	// simulation epoch), the clock of traces and of the wire protocol.
 	Time = simclock.Time
-	// Period describes one prefetch window for the event-driven API.
+	// Period describes one prefetch window.
 	Period = predict.Period
-	// SlotOutcome reports what one ad slot did.
-	SlotOutcome = core.SlotOutcome
-	// ScheduledDelivery is a bundle download charged at a period start.
-	ScheduledDelivery = core.ScheduledDelivery
 	// Category tags apps/campaigns for targeting.
 	Category = trace.Category
 
@@ -148,7 +143,7 @@ type (
 	TransportCoordinator = transport.Coordinator
 )
 
-// Virtual-time units for the event-driven System API.
+// Virtual-time units.
 const (
 	Second = simclock.Second
 	Minute = simclock.Minute
@@ -209,15 +204,6 @@ func NewCatalog(apps []App) *Catalog { return trace.NewCatalog(apps) }
 
 // DefaultSystemConfig returns the evaluation operating point for a mode.
 func DefaultSystemConfig(mode Mode) SystemConfig { return core.DefaultConfig(mode) }
-
-// NewSystem assembles the prefetching engine over an exchange and client
-// set, for callers that drive slot/period events themselves (see the
-// core package documentation). oracleSeries is required for ModeOracle.
-func NewSystem(cfg SystemConfig, ex *Exchange, clientIDs []int,
-	oracleSeries func(clientID int) []int,
-	hints func(clientID int) []trace.Category) (*System, error) {
-	return core.New(cfg, ex, clientIDs, oracleSeries, hints)
-}
 
 // NewTransportServer wraps an ad server for HTTP serving; mount
 // .Handler() on any mux (see cmd/adserverd and examples/httpdemo).

@@ -108,38 +108,6 @@ func TestPublicCompareModes(t *testing.T) {
 	}
 }
 
-func TestPublicEventDrivenSystem(t *testing.T) {
-	ex, err := adprefetch.NewExchange([]adprefetch.Campaign{
-		{ID: 0, Name: "acme", BidCPM: 2, BudgetUSD: 100},
-		{ID: 1, Name: "globex", BidCPM: 1, BudgetUSD: 100},
-	}, 0.0001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := adprefetch.DefaultSystemConfig(adprefetch.ModeNaiveBulk)
-	cfg.NaiveK = 2
-	sys, err := adprefetch.NewSystem(cfg, ex, []int{0, 1}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := adprefetch.PeriodOf(0, cfg.Server.Period)
-	deliveries, stats := sys.StartPeriod(0, p)
-	if stats.Sold != 4 || len(deliveries) != 2 {
-		t.Fatalf("stats %+v deliveries %v", stats, deliveries)
-	}
-	out, err := sys.HandleSlot(adprefetch.Minute, 0, []adprefetch.Category{"game"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.CacheHit {
-		t.Fatalf("outcome %+v", out)
-	}
-	sys.EndPeriod(2*adprefetch.Day, p)
-	if ex.Ledger().Billed != 1 {
-		t.Fatalf("ledger %+v", ex.Ledger())
-	}
-}
-
 func TestPublicRadioProfiles(t *testing.T) {
 	for _, p := range []adprefetch.RadioProfile{
 		adprefetch.Profile3G(), adprefetch.ProfileLTE(), adprefetch.ProfileWiFi(),

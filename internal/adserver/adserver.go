@@ -752,6 +752,39 @@ func (s *Server) OnDemandSell(now simclock.Time, clientID int, hints []trace.Cat
 	return sold[0], true
 }
 
+// Miss is what the cache-miss fallback served a slot.
+type Miss struct {
+	// Impression is the impression displayed; 0 when nothing was open
+	// to rescue and no campaign bid, so the slot shows a house ad.
+	Impression auction.ImpressionID
+
+	// Rescued is true when Impression is an already-sold open
+	// impression rather than a fresh sale.
+	Rescued bool
+
+	// TopUp is the open impressions the rescue contact carries back
+	// into the client's cache (rescues only).
+	TopUp []client.CachedAd
+}
+
+// ServeMiss runs the cache-miss fallback for a slot on clientID at now.
+// With rescue it first serves the most urgent open sold impression
+// (RescueOpen) and tops the client's cache up (TopUp); otherwise, or
+// when nothing is open, it sells fresh inventory targeted by hints
+// (OnDemandSell).
+func (s *Server) ServeMiss(now simclock.Time, clientID int, hints []trace.Category, rescue bool) Miss {
+	if rescue {
+		if id, ok := s.RescueOpen(now, clientID); ok {
+			return Miss{Impression: id, Rescued: true, TopUp: s.TopUp(now, clientID)}
+		}
+	}
+	var m Miss
+	if imp, ok := s.OnDemandSell(now, clientID, hints); ok {
+		m.Impression = imp.ID
+	}
+	return m
+}
+
 // EndPeriod closes the period that just elapsed: trains every client's
 // predictor on the observed slot counts, resets the counters, and
 // sweeps expired impressions in the exchange. It returns the number of

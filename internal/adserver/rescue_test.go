@@ -7,6 +7,7 @@ import (
 	"repro/internal/auction"
 	"repro/internal/predict"
 	"repro/internal/simclock"
+	"repro/internal/trace"
 )
 
 // rescueServer builds a server with sold, bundled inventory in flight.
@@ -210,4 +211,71 @@ func TestEndPeriodAfterRescueNoDoubleCount(t *testing.T) {
 		t.Fatalf("violations %d want %d", l.Violations, l.Sold-1)
 	}
 	_ = id
+}
+
+func TestServeMissRescuesOpenImpression(t *testing.T) {
+	s, ex, _ := rescueServer(t, 0)
+	sold := ex.Ledger().Sold
+	m := s.ServeMiss(simclock.At(time.Minute), 0, nil, true)
+	if !m.Rescued || m.Impression == 0 || m.TopUp != nil {
+		t.Fatalf("miss %+v", m)
+	}
+	// The rescue bills sold inventory; it sells nothing fresh.
+	if l := ex.Ledger(); l.Sold != sold || l.Billed != 1 {
+		t.Fatalf("ledger %+v, sold before %d", l, sold)
+	}
+}
+
+func TestServeMissWithoutRescueSellsFresh(t *testing.T) {
+	s, ex, _ := rescueServer(t, 8)
+	sold := ex.Ledger().Sold
+	// Open impressions are pending, but without rescue the fallback
+	// sells fresh inventory and carries no top-up.
+	m := s.ServeMiss(simclock.At(time.Minute), 0, []trace.Category{trace.CatGame}, false)
+	if m.Rescued || m.Impression == 0 || m.TopUp != nil {
+		t.Fatalf("miss %+v", m)
+	}
+	if l := ex.Ledger(); l.Sold != sold+1 || l.Billed != 1 {
+		t.Fatalf("ledger %+v, sold before %d", l, sold)
+	}
+}
+
+func TestServeMissTopsUpOnRescue(t *testing.T) {
+	s, _, _ := rescueServer(t, 8)
+	m := s.ServeMiss(simclock.At(time.Minute), 0, nil, true)
+	if !m.Rescued {
+		t.Fatalf("miss %+v", m)
+	}
+	// Client 0 forecasts 5 slots and has shown none: up to 5 top-ups,
+	// never the impression just rescued.
+	if len(m.TopUp) == 0 || len(m.TopUp) > 5 {
+		t.Fatalf("top-up of %d ads, want 1..5", len(m.TopUp))
+	}
+	for _, ad := range m.TopUp {
+		if ad.ID == m.Impression {
+			t.Fatalf("rescued impression %d handed out as a top-up", ad.ID)
+		}
+	}
+	// Past every deadline nothing is open: the rescue falls through to
+	// a fresh sale, with no top-up.
+	m = s.ServeMiss(simclock.At(100*time.Hour), 0, nil, true)
+	if m.Rescued || m.Impression == 0 || m.TopUp != nil {
+		t.Fatalf("miss past every deadline %+v", m)
+	}
+}
+
+func TestServeMissHouseAdWhenNothingBids(t *testing.T) {
+	ex, err := auction.NewExchange(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newServer(t, DefaultConfig(), ex, 2, predict.Estimate{})
+	for _, rescue := range []bool{false, true} {
+		if m := s.ServeMiss(simclock.At(time.Minute), 0, nil, rescue); m.Impression != 0 || m.Rescued || m.TopUp != nil {
+			t.Fatalf("rescue=%v: miss %+v, want a house ad", rescue, m)
+		}
+	}
+	if l := ex.Ledger(); l.Sold != 0 || l.Billed != 0 {
+		t.Fatalf("ledger %+v", l)
+	}
 }

@@ -1,9 +1,9 @@
 // Package client implements the device-side runtime of the prefetching
 // ad system: a deadline-aware ad cache, delivery bookkeeping (scheduled
-// or piggybacked bundles), and per-device counters. The simulator (and
-// the core library) drive a Device with slot and period events; the
-// Device decides whether each ad slot is served from cache or must fall
-// back to an energy-expensive on-demand fetch.
+// or piggybacked bundles), and per-device counters. The simulator and
+// the HTTP device runtime (internal/transport) drive a Device with slot
+// and period events; the Device decides whether each ad slot is served
+// from cache or must fall back to an energy-expensive on-demand fetch.
 package client
 
 import (
@@ -132,7 +132,7 @@ type Counters struct {
 }
 
 // Add accumulates o into ct, field by field: the one fleet-wide
-// counter sum (core.System.Counters, the transport replay's totals).
+// counter sum (both replay drivers' Result.Counters).
 func (ct *Counters) Add(o Counters) {
 	ct.SlotsServed += o.SlotsServed
 	ct.CacheHits += o.CacheHits

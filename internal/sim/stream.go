@@ -331,7 +331,7 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.NoRescue = cfg.Core.NoRescue || cfg.Core.Mode == core.ModeOnDemand
+		d.NoRescue = !cfg.Core.Rescue()
 		devices[i] = d
 		if o.Energy {
 			energy[i] = radio.New(cfg.Radio)

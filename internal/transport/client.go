@@ -607,7 +607,8 @@ func (d *Device) FetchBundle(now simclock.Time) (int, error) {
 	return len(reply.Ads), nil
 }
 
-// SlotOutcome mirrors core.SlotOutcome for the HTTP path.
+// SlotOutcome is what one ad slot did on the HTTP path, so the caller
+// can charge the network transfers it implied.
 type SlotOutcome struct {
 	CacheHit   bool
 	Fetched    bool

@@ -301,8 +301,8 @@ func (s *ShardedServer) cancelledLocked(sh *shardState, ids []int64, now simcloc
 	return reply
 }
 
-// onDemandLocked runs the cache-miss fallback (rescue, then a fresh
-// sale); sh.mu must be held.
+// onDemandLocked runs the cache-miss fallback (adserver.ServeMiss)
+// behind the shedding and admission checks; sh.mu must be held.
 func (s *ShardedServer) onDemandLocked(sh *shardState, client int, nowNS int64, categories []string, noRescue bool) (OnDemandReply, *httpError) {
 	cats := make([]trace.Category, len(categories))
 	for i, c := range categories {
@@ -320,18 +320,10 @@ func (s *ShardedServer) onDemandLocked(sh *shardState, client int, nowNS int64, 
 	if herr := s.admitLocked(sh, client, nowNS, "on-demand sale"); herr != nil {
 		return OnDemandReply{}, herr
 	}
-	var reply OnDemandReply
-	if !noRescue {
-		if id, ok := sh.srv.RescueOpen(now, client); ok {
-			reply.Impression = int64(id)
-			reply.Rescued = true
-			reply.TopUp = toAdMsgs(sh.srv.TopUp(now, client))
-		}
-	}
-	if !reply.Rescued {
-		if imp, ok := sh.srv.OnDemandSell(now, client, cats); ok {
-			reply.Impression = int64(imp.ID)
-		}
+	m := sh.srv.ServeMiss(now, client, cats, !noRescue)
+	reply := OnDemandReply{Impression: int64(m.Impression), Rescued: m.Rescued}
+	if m.Rescued {
+		reply.TopUp = toAdMsgs(m.TopUp)
 	}
 	return reply, nil
 }
