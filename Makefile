@@ -217,8 +217,9 @@ tenant:
 	go test -count=1 -timeout 30m -run 'TestTenant' ./internal/sim
 
 # Line budgets, counted instead of hand-copied: non-test .go lines per
-# internal/* package, their total over all of internal/*, then the sum
-# ROADMAP item 8 bounds (transport + sim + cluster + envelope <= 9 000).
+# internal/* package, their total over all of internal/*, the sum ROADMAP
+# item 4's acceptance counts (core + sim), then the sum ROADMAP item 8
+# bounds (transport + sim + cluster + envelope <= 9 000).
 # benchmark/ is its own module and is not counted; neither are cmd/,
 # examples/ or the root package.
 loc:
@@ -226,17 +227,28 @@ loc:
 		printf '%6d %s\n' "$$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l)" "$${d%/}"; \
 	done
 	@printf '%6d %s\n' "$$(cat $$(ls internal/*/*.go | grep -v _test.go) | wc -l)" "internal/* (all packages)"
+	@printf '%6d %s\n' "$$(cat $$(ls internal/core/*.go internal/sim/*.go | grep -v _test.go) | wc -l)" \
+		"internal/core + sim"
 	@printf '%6d %s\n' "$$(cat $$(ls internal/transport/*.go internal/sim/*.go internal/cluster/*.go internal/envelope/*.go | grep -v _test.go) | wc -l)" \
 		"internal/transport + sim + cluster + envelope"
+
+# Examples tier: every examples/* program runs to completion (each in
+# about a second); a non-zero exit fails the target. The programs' output
+# is discarded, their errors are not.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		go run ./$$d >/dev/null || exit 1; \
+	done
 
 # Aggregate correctness gate: every functional tier in one command.
 # (`make bench` and benchmark/run.sh stay separate — they are about
 # machines, not logic — and so does the time-boxed `make fuzz`.)
-verify: test batch chaos crash cluster migrate stream tenant
+verify: test examples batch chaos crash cluster migrate stream tenant
 
 # Everything: the functional gate plus the race-detector tiers. This is
 # the pre-merge command; `verify` alone used to silently skip race and
 # obs, which let schedule-dependent regressions through.
 verify-full: verify race obs
 
-.PHONY: fmt test race obs bench prof-inproc prof-wire fuzz chaos batch crash cluster migrate stream tenant mega loc verify verify-full
+.PHONY: fmt test race obs bench prof-inproc prof-wire fuzz chaos batch crash cluster migrate stream tenant mega loc examples verify verify-full
