@@ -241,14 +241,20 @@ examples:
 		go run ./$$d >/dev/null || exit 1; \
 	done
 
+# Benchmark-harness tier: benchmark/ is a module of its own, so the
+# root `go build ./...` never compiles it. Vetting it here catches an
+# internal API change that would break the harness.
+bench-vet:
+	cd benchmark && go vet ./...
+
 # Aggregate correctness gate: every functional tier in one command.
 # (`make bench` and benchmark/run.sh stay separate — they are about
 # machines, not logic — and so does the time-boxed `make fuzz`.)
-verify: test examples batch chaos crash cluster migrate stream tenant
+verify: test bench-vet examples batch chaos crash cluster migrate stream tenant
 
 # Everything: the functional gate plus the race-detector tiers. This is
 # the pre-merge command; `verify` alone used to silently skip race and
 # obs, which let schedule-dependent regressions through.
 verify-full: verify race obs
 
-.PHONY: fmt test race obs bench prof-inproc prof-wire fuzz chaos batch crash cluster migrate stream tenant mega loc examples verify verify-full
+.PHONY: fmt test race obs bench bench-vet prof-inproc prof-wire fuzz chaos batch crash cluster migrate stream tenant mega loc examples verify verify-full

@@ -59,7 +59,7 @@ func main() {
 	)
 	flag.Parse()
 
-	m, err := parseMode(*mode)
+	m, err := core.ParseMode(*mode)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -107,21 +107,6 @@ func main() {
 		return
 	}
 	printReport(res, wall)
-}
-
-func parseMode(s string) (core.Mode, error) {
-	switch s {
-	case "ondemand", "on-demand":
-		return core.ModeOnDemand, nil
-	case "naive", "naive-bulk":
-		return core.ModeNaiveBulk, nil
-	case "predictive":
-		return core.ModePredictive, nil
-	case "oracle":
-		return core.ModeOracle, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (want ondemand|naive|predictive|oracle)", s)
-	}
 }
 
 // runReport is the machine-readable summary -json emits.

@@ -81,7 +81,7 @@ func main() {
 		period    = flag.Duration("period", 4*time.Hour, "prefetch period")
 		campaigns = flag.Int("campaigns", 40, "synthetic campaign count")
 		cpm       = flag.Float64("cpm", 1.0, "median campaign CPM in USD")
-		reserve   = flag.Float64("reserve", 0.0002, "per-impression reserve price in USD")
+		reserve   = flag.Float64("reserve", auction.DefaultReserveUSD, "per-impression reserve price in USD")
 		pctile    = flag.Float64("percentile", 0.9, "client forecast percentile")
 		seed      = flag.Int64("seed", 1, "demand generation seed")
 		shards    = flag.Int("shards", 1, "ad-server shards (clients hash-partitioned; one lock each)")
@@ -94,9 +94,8 @@ func main() {
 		routeNode = flag.String("route-nodes", "", "comma-separated node base URLs: run the cluster routing tier over them instead of serving ads")
 		probeEach = flag.Duration("probe-every", 2*time.Second, "with -route-nodes: how often down nodes are probed for rejoin")
 		adminTok  = flag.String("admin-token", "", "bearer token protecting /v1/admin (node migration endpoints; router membership endpoints); empty leaves admin open")
-		impBase   = flag.Int64("imp-base", 0, "impression-id namespace floor for this node (give each elastic-cluster node a disjoint block, e.g. node i gets (i+1)<<40)")
 		clNode    = flag.Int("cluster-node", 0, "with -cluster-size: this node's member index in the routing ring")
-		clSize    = flag.Int("cluster-size", 0, "boot owning only the clients the routing ring places on member -cluster-node among this many members (a joiner passes the pre-join size and its new index, owning none); 0 owns the whole id space")
+		clSize    = flag.Int("cluster-size", 0, "boot owning only the clients the routing ring places on member -cluster-node among this many members (a joiner passes the pre-join size and its new index, owning none), and mint impression ids from that member's disjoint block; 0 owns the whole id space")
 		tenantsFl = flag.String("tenants", "", "JSON file with the boot tenant table ([{id, lo, hi, rate_per_sec, burst, max_open_book}, ...]); empty serves the legacy single tenant")
 	)
 	flag.Parse()
@@ -178,13 +177,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *impBase > 0 {
+	if *clSize > 0 {
 		// Elastic clusters migrate client state between nodes; disjoint
 		// id namespaces keep adopted impressions from colliding with
 		// locally minted ones. Seeded before WAL recovery so replay mints
 		// the same ids the live run did.
 		for i := 0; i < pool.Shards(); i++ {
-			pool.Shard(i).Exchange().SeedImpressionIDs(auction.ImpressionID(*impBase))
+			pool.Shard(i).Exchange().SeedMemberIDs(*clNode)
 		}
 	}
 

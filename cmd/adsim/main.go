@@ -18,6 +18,7 @@ import (
 	"time"
 
 	adprefetch "repro"
+	"repro/internal/core"
 )
 
 func main() {
@@ -41,7 +42,7 @@ func main() {
 	)
 	flag.Parse()
 
-	m, err := parseMode(*mode)
+	m, err := core.ParseMode(*mode)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -121,19 +122,4 @@ func main() {
 	fmt.Printf("  SLA violations %d (%.3g%%)\n", res.Ledger.Violations, 100*res.Ledger.ViolationRate())
 	fmt.Printf("  revenue loss   $%.4f (%.3g%% of billed, %d free shows)\n",
 		res.Ledger.FreeUSD, 100*res.Ledger.RevenueLossFrac(), res.Ledger.FreeShows)
-}
-
-func parseMode(s string) (adprefetch.Mode, error) {
-	switch s {
-	case "ondemand", "on-demand":
-		return adprefetch.ModeOnDemand, nil
-	case "naive", "naive-bulk":
-		return adprefetch.ModeNaiveBulk, nil
-	case "predictive":
-		return adprefetch.ModePredictive, nil
-	case "oracle":
-		return adprefetch.ModeOracle, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (want ondemand|naive|predictive|oracle)", s)
-	}
 }

@@ -29,7 +29,7 @@ func main() {
 		{ID: 0, Name: "acme-spring-sale", BidCPM: 2.0, BudgetUSD: 50},
 		{ID: 1, Name: "globex-brand", BidCPM: 1.0, BudgetUSD: 50},
 	}
-	ex, err := adprefetch.NewExchange(campaigns, 0.0002)
+	ex, err := adprefetch.NewExchange(campaigns, auction.DefaultReserveUSD)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func main() {
 	}
 	devices := make([]*client.Device, 4)
 	for c := range devices {
-		if devices[c], err = client.NewDevice(c, cfg.CacheCap); err != nil {
+		if devices[c], err = client.NewDevice(c, cfg.Server.Overbook.CacheCap); err != nil {
 			log.Fatal(err)
 		}
 	}

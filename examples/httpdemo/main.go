@@ -17,6 +17,7 @@ import (
 
 	adprefetch "repro"
 	"repro/internal/adserver"
+	"repro/internal/auction"
 	"repro/internal/predict"
 	"repro/internal/transport"
 )
@@ -28,7 +29,7 @@ func main() {
 	ex, err := adprefetch.NewExchange([]adprefetch.Campaign{
 		{ID: 0, Name: "acme", BidCPM: 2.0, BudgetUSD: 100},
 		{ID: 1, Name: "globex", BidCPM: 1.0, BudgetUSD: 100},
-	}, 0.0002)
+	}, auction.DefaultReserveUSD)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,13 +33,9 @@ type Config struct {
 	// Period is the prefetch window length.
 	Period time.Duration
 
-	// AdDeadline caps how long a sold impression may wait before
-	// display; zero means DeadlineFactor periods.
-	AdDeadline time.Duration
-
-	// DeadlineFactor sizes the default deadline as a multiple of the
-	// period when AdDeadline is zero (values > 1 grant a grace window
-	// past the period boundary; 0 means exactly one period).
+	// DeadlineFactor caps how long a sold impression may wait before
+	// display, as a multiple of the period (values > 1 grant a grace
+	// window past the period boundary; 0 means exactly one period).
 	DeadlineFactor float64
 
 	// ReportLatency is the delay between a client displaying an ad and
@@ -87,7 +83,7 @@ func (c Config) Validate() error {
 	switch {
 	case c.Period <= 0:
 		return fmt.Errorf("adserver: Period must be positive, got %v", c.Period)
-	case c.AdDeadline < 0 || c.ReportLatency < 0 || c.SyncDelay < 0:
+	case c.ReportLatency < 0 || c.SyncDelay < 0:
 		return fmt.Errorf("adserver: negative delay parameter")
 	case c.TopUpCap < 0:
 		return fmt.Errorf("adserver: negative TopUpCap")
@@ -99,9 +95,6 @@ func (c Config) Validate() error {
 
 // Deadline returns the effective display deadline for sold impressions.
 func (c Config) Deadline() time.Duration {
-	if c.AdDeadline > 0 {
-		return c.AdDeadline
-	}
 	if c.DeadlineFactor > 0 {
 		return time.Duration(c.DeadlineFactor * float64(c.Period))
 	}

@@ -265,9 +265,9 @@ func TestDeadlineDefaults(t *testing.T) {
 	if cfg.Deadline() != 2*time.Hour {
 		t.Fatalf("zero factor should mean one period, got %v", cfg.Deadline())
 	}
-	cfg.AdDeadline = 15 * time.Minute
+	cfg.DeadlineFactor = 0.125
 	if cfg.Deadline() != 15*time.Minute {
-		t.Fatalf("explicit deadline should win, got %v", cfg.Deadline())
+		t.Fatalf("factor 0.125 of 2h should give 15m, got %v", cfg.Deadline())
 	}
 	bad := DefaultConfig()
 	bad.DeadlineFactor = -1

@@ -189,7 +189,7 @@ func TestStateSurvivesTheSeams(t *testing.T) {
 				t.Fatal(err)
 			}
 			ex := seamExchange(t)
-			ex.SeedImpressionIDs(1 << 40) // another node's id namespace
+			ex.SeedMemberIDs(0) // another node's id namespace, from 1<<40
 			target := seamServer(t, ex, nil)
 			if err := target.AdoptClients(moved); err != nil {
 				t.Fatal(err)

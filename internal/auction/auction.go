@@ -172,11 +172,10 @@ type Exchange struct {
 	nextID  ImpressionID
 	ledger  Ledger
 	open    map[ImpressionID]*Impression // sold, not yet settled
-	settled map[ImpressionID]bool        // billed or violated; extra shows are free
-
-	// settledPrice remembers prices of settled impressions so late
-	// duplicate displays can still be valued as revenue loss.
-	settledPrice map[ImpressionID]float64
+	// settled holds the price of every billed or violated impression:
+	// a present key means settled, so extra shows are free and are
+	// valued at that price as revenue loss.
+	settled map[ImpressionID]float64
 
 	// Multi-tenant state (see tenant.go): distinct campaign tenants in
 	// sorted order, per-tenant impression-id cursors, per-tenant ledger
@@ -196,7 +195,7 @@ func NewExchange(campaigns []Campaign, reserveUSD float64) (*Exchange, error) {
 		states:  make(map[CampaignID]*campaignState, len(campaigns)),
 		reserve: reserveUSD,
 		open:    make(map[ImpressionID]*Impression),
-		settled: make(map[ImpressionID]bool),
+		settled: make(map[ImpressionID]float64),
 	}
 	for _, c := range campaigns {
 		if _, dup := e.states[c.ID]; dup {
@@ -326,15 +325,13 @@ func (e *Exchange) sellOne(now simclock.Time, hints []trace.Category, deadlineCa
 func (e *Exchange) RecordDisplay(id ImpressionID, at simclock.Time) error {
 	imp, openOK := e.open[id]
 	if !openOK {
-		if e.settled[id] {
+		if price, ok := e.settled[id]; ok {
 			// Late duplicate from a replica that didn't hear the news.
 			e.ledger.FreeShows++
-			// Value: we no longer know the price cheaply unless we keep it;
-			// see settledPrice map below.
-			e.ledger.FreeUSD += e.settledPrice[id]
+			e.ledger.FreeUSD += price
 			if tl := e.ledgerOfID(id); tl != nil {
 				tl.FreeShows++
-				tl.FreeUSD += e.settledPrice[id]
+				tl.FreeUSD += price
 			}
 			return nil
 		}
@@ -424,9 +421,5 @@ func (e *Exchange) SweepExpired(now simclock.Time) int {
 
 func (e *Exchange) settle(id ImpressionID, price float64) {
 	delete(e.open, id)
-	e.settled[id] = true
-	if e.settledPrice == nil {
-		e.settledPrice = make(map[ImpressionID]float64)
-	}
-	e.settledPrice[id] = price
+	e.settled[id] = price
 }

@@ -31,6 +31,10 @@ type DemandConfig struct {
 	TargetedFrac float64
 }
 
+// DefaultReserveUSD is the evaluation's per-impression reserve price:
+// a $0.20 CPM floor, well under the ~$1 CPM bid median of DefaultDemand.
+const DefaultReserveUSD = 0.0002
+
 // DefaultDemand returns demand deep enough that auctions stay
 // competitive for the whole simulation.
 func DefaultDemand() DemandConfig {

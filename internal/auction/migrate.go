@@ -50,12 +50,12 @@ func (e *Exchange) ExtractImpressions(open, settled []ImpressionID) (ImpressionT
 	sortedIDs = append(sortedIDs[:0], settled...)
 	sort.Slice(sortedIDs, func(i, j int) bool { return sortedIDs[i] < sortedIDs[j] })
 	for _, id := range sortedIDs {
-		if !e.settled[id] {
+		price, ok := e.settled[id]
+		if !ok {
 			return ImpressionTransfer{}, fmt.Errorf("auction: extract: impression %d not settled", id)
 		}
-		tr.Settled = append(tr.Settled, SettledImpression{ID: id, PriceUSD: e.settledPrice[id]})
+		tr.Settled = append(tr.Settled, SettledImpression{ID: id, PriceUSD: price})
 		delete(e.settled, id)
-		delete(e.settledPrice, id)
 	}
 	return tr, nil
 }
@@ -72,7 +72,7 @@ func (e *Exchange) AbsorbImpressions(tr ImpressionTransfer) error {
 		if !ok {
 			return fmt.Errorf("auction: absorb: impression %d references unknown campaign %d", imp.ID, imp.Campaign)
 		}
-		if _, dup := e.open[imp.ID]; dup || e.settled[imp.ID] {
+		if open, settled := e.StatusOf(imp.ID); open || settled {
 			return fmt.Errorf("auction: absorb: impression id %d already known", imp.ID)
 		}
 		s.committedUSD += imp.PriceUSD
@@ -83,14 +83,10 @@ func (e *Exchange) AbsorbImpressions(tr ImpressionTransfer) error {
 		e.open[imp.ID] = &stored
 	}
 	for _, st := range tr.Settled {
-		if _, dup := e.open[st.ID]; dup || e.settled[st.ID] {
+		if open, settled := e.StatusOf(st.ID); open || settled {
 			return fmt.Errorf("auction: absorb: settled impression id %d already known", st.ID)
 		}
-		e.settled[st.ID] = true
-		if e.settledPrice == nil {
-			e.settledPrice = make(map[ImpressionID]float64)
-		}
-		e.settledPrice[st.ID] = st.PriceUSD
+		e.settled[st.ID] = st.PriceUSD
 	}
 	return nil
 }
@@ -102,16 +98,19 @@ func (e *Exchange) AbsorbImpressions(tr ImpressionTransfer) error {
 // settled window existed).
 func (e *Exchange) StatusOf(id ImpressionID) (open, settled bool) {
 	_, open = e.open[id]
-	return open, e.settled[id]
+	_, settled = e.settled[id]
+	return open, settled
 }
 
-// SeedImpressionIDs moves the impression-id cursor forward to at least
-// base, so exchanges on different nodes mint from disjoint namespaces
-// and a migrated impression can never collide with a locally sold one.
-// Never moves the cursor backward; call before the first sale (and
-// before WAL recovery replays sales, so replayed executions mint the
-// same ids the live ones did).
-func (e *Exchange) SeedImpressionIDs(base ImpressionID) {
+// SeedMemberIDs moves the impression-id cursor forward to the floor of
+// elastic-cluster member member's namespace, (member+1)<<40, so
+// exchanges on different nodes mint from disjoint 2^40 blocks and a
+// migrated impression can never collide with a locally sold one. Never
+// moves the cursor backward; call before the first sale (and before WAL
+// recovery replays sales, so replayed executions mint the same ids the
+// live ones did).
+func (e *Exchange) SeedMemberIDs(member int) {
+	base := ImpressionID(member+1) << 40
 	if e.nextID < base {
 		e.nextID = base
 	}

@@ -79,8 +79,8 @@ func (e *Exchange) Snapshot() ExchangeState {
 		st.Open = append(st.Open, *imp)
 	}
 	sort.Slice(st.Open, func(i, j int) bool { return st.Open[i].ID < st.Open[j].ID })
-	for id := range e.settled {
-		st.Settled = append(st.Settled, SettledImpression{ID: id, PriceUSD: e.settledPrice[id]})
+	for id, price := range e.settled {
+		st.Settled = append(st.Settled, SettledImpression{ID: id, PriceUSD: price})
 	}
 	sort.Slice(st.Settled, func(i, j int) bool { return st.Settled[i].ID < st.Settled[j].ID })
 	for _, t := range e.tenants {
@@ -116,11 +116,9 @@ func (e *Exchange) Restore(st ExchangeState) error {
 		stored := imp
 		open[imp.ID] = &stored
 	}
-	settled := make(map[ImpressionID]bool, len(st.Settled))
-	settledPrice := make(map[ImpressionID]float64, len(st.Settled))
+	settled := make(map[ImpressionID]float64, len(st.Settled))
 	for _, s := range st.Settled {
-		settled[s.ID] = true
-		settledPrice[s.ID] = s.PriceUSD
+		settled[s.ID] = s.PriceUSD
 	}
 	e.states = states
 	e.order = order
@@ -129,7 +127,6 @@ func (e *Exchange) Restore(st ExchangeState) error {
 	e.ledger = st.Ledger
 	e.open = open
 	e.settled = settled
-	e.settledPrice = settledPrice
 	// The tenant namespace order derives from the campaign set, then the
 	// snapshot's cursors/ledgers overlay it and the open counts are
 	// recounted from the restored open book.

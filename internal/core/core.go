@@ -50,6 +50,23 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode is the inverse of Mode.String. It also accepts the short
+// names "ondemand" and "naive".
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "ondemand":
+		return ModeOnDemand, nil
+	case "naive":
+		return ModeNaiveBulk, nil
+	}
+	for _, m := range []Mode{ModeOnDemand, ModeNaiveBulk, ModePredictive, ModeOracle} {
+		if s == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (want ondemand|naive|predictive|oracle)", s)
+}
+
 // Delivery selects when prefetch bundles are downloaded.
 type Delivery int
 
@@ -78,7 +95,9 @@ type Config struct {
 	Delivery Delivery
 
 	// Server carries the period length, deadlines, latencies and the
-	// overbooking policy.
+	// overbooking policy. Server.Overbook.CacheCap is also the size of
+	// each device's ad cache: the planner never places more replicas on
+	// a client than its device can hold.
 	Server adserver.Config
 
 	// Percentile is the percentile-histogram operating point for
@@ -97,9 +116,6 @@ type Config struct {
 	// impressions on cache misses); used by ablation experiments to
 	// isolate what replication alone buys.
 	NoRescue bool
-
-	// CacheCap bounds each device's ad cache.
-	CacheCap int
 }
 
 // DefaultConfig returns the evaluation operating point for the given mode.
@@ -110,7 +126,6 @@ func DefaultConfig(mode Mode) Config {
 		Server:     adserver.DefaultConfig(),
 		Percentile: 0.9,
 		NaiveK:     4,
-		CacheCap:   64,
 	}
 	switch mode {
 	case ModeNaiveBulk:
@@ -138,8 +153,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Percentile must be in (0,1), got %v", c.Percentile)
 	case c.Mode == ModeNaiveBulk && c.NaiveK < 1:
 		return fmt.Errorf("core: NaiveK must be >= 1, got %d", c.NaiveK)
-	case c.CacheCap < 1:
-		return fmt.Errorf("core: CacheCap must be >= 1, got %d", c.CacheCap)
 	}
 	return nil
 }

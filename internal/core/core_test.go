@@ -30,7 +30,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("bad NaiveK accepted")
 	}
 	bad = DefaultConfig(ModeOnDemand)
-	bad.CacheCap = 0
+	bad.Server.Overbook.CacheCap = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("bad CacheCap accepted")
 	}
@@ -50,6 +50,24 @@ func TestConfigRescue(t *testing.T) {
 		cfg.NoRescue = true
 		if cfg.Rescue() {
 			t.Errorf("%v with NoRescue: Rescue() = true", m)
+		}
+	}
+}
+
+func TestParseModeRoundTrip(t *testing.T) {
+	for _, m := range []Mode{ModeOnDemand, ModeNaiveBulk, ModePredictive, ModeOracle} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for s, want := range map[string]Mode{"ondemand": ModeOnDemand, "naive": ModeNaiveBulk} {
+		if got, err := ParseMode(s); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"", "nope", "Predictive", "Mode(9)"} {
+		if _, err := ParseMode(s); err == nil {
+			t.Errorf("ParseMode(%q) accepted", s)
 		}
 	}
 }

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -46,6 +50,37 @@ func TestScaleValidate(t *testing.T) {
 	}
 }
 
+// smallRun is RunAll(Small()), run once per test binary: every
+// per-experiment test below checks its table from this one run.
+var smallRun struct {
+	once   sync.Once
+	tables []*metrics.Table
+	err    error
+}
+
+func smallTables(t *testing.T) []*metrics.Table {
+	t.Helper()
+	smallRun.once.Do(func() { smallRun.tables, smallRun.err = RunAll(Small()) })
+	if smallRun.err != nil {
+		t.Fatal(smallRun.err)
+	}
+	return smallRun.tables
+}
+
+// smallTable returns experiment id's table at Small scale. In -short
+// mode, where the slow experiments skip, it runs just that experiment.
+func smallTable(t *testing.T, id string) *metrics.Table {
+	t.Helper()
+	if testing.Short() {
+		tbl, err := Run(id, Small())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tbl
+	}
+	return smallTables(t)[slices.Index(IDs(), id)]
+}
+
 // percent parses a table cell like "63.2%".
 func percent(t *testing.T, cell string) float64 {
 	t.Helper()
@@ -57,10 +92,7 @@ func percent(t *testing.T, cell string) float64 {
 }
 
 func TestT1Shape(t *testing.T) {
-	tbl, err := Run("t1", Small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := smallTable(t, "t1")
 	if len(tbl.Rows) != 15 {
 		t.Fatalf("rows=%d want 15 apps", len(tbl.Rows))
 	}
@@ -112,10 +144,7 @@ func sscanNote(note string, c, t *float64) (int, error) {
 }
 
 func TestF1Shape(t *testing.T) {
-	tbl, err := Run("f1", Small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := smallTable(t, "f1")
 	// Column 1 = 3G J/ad: must fall as interval grows... actually it
 	// RISES as the interval grows (less tail sharing), saturating at the
 	// isolated cost. Check monotone nondecreasing and the 10s << 5m gap.
@@ -145,10 +174,7 @@ func TestF1Shape(t *testing.T) {
 }
 
 func TestF3RanksPercentileModel(t *testing.T) {
-	tbl, err := Run("f3", Small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := smallTable(t, "f3")
 	var pctUnder, lastUnder float64
 	for _, row := range tbl.Rows {
 		switch row[0] {
@@ -164,10 +190,7 @@ func TestF3RanksPercentileModel(t *testing.T) {
 }
 
 func TestF4PercentileMonotone(t *testing.T) {
-	tbl, err := Run("f4", Small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := smallTable(t, "f4")
 	// Under-frequency must fall (weakly) as the percentile rises.
 	prev := 1000.0
 	for _, row := range tbl.Rows {
@@ -195,10 +218,7 @@ func mustFloat(t *testing.T, s string) float64 {
 }
 
 func TestF7Headline(t *testing.T) {
-	tbl, err := Run("f7", Small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := smallTable(t, "f7")
 	// Find the 4h predictive row: saving must exceed 50%, SLA and revenue
 	// loss must be negligible; oracle must save even more.
 	var predSaving, oracleSaving, predViol, predLoss float64
@@ -232,10 +252,7 @@ func TestF7Headline(t *testing.T) {
 }
 
 func TestF5ReplicationHelps(t *testing.T) {
-	tbl, err := Run("f5", Small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := smallTable(t, "f5")
 	byK := map[string]float64{}
 	for _, row := range tbl.Rows {
 		byK[row[0]] = percent(t, row[2])
@@ -249,10 +266,7 @@ func TestF5ReplicationHelps(t *testing.T) {
 }
 
 func TestF6SyncDelayMonotone(t *testing.T) {
-	tbl, err := Run("f6", Small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := smallTable(t, "f6")
 	first := percent(t, tbl.Rows[0][2])
 	last := percent(t, tbl.Rows[len(tbl.Rows)-1][2])
 	if last < first {
@@ -261,10 +275,7 @@ func TestF6SyncDelayMonotone(t *testing.T) {
 }
 
 func TestF9DeadlineMonotone(t *testing.T) {
-	tbl, err := Run("f9", Small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := smallTable(t, "f9")
 	tight := percent(t, tbl.Rows[0][1])
 	loose := percent(t, tbl.Rows[len(tbl.Rows)-1][1])
 	if tight <= loose {
@@ -276,10 +287,7 @@ func TestT2Throughput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock throughput in -short mode")
 	}
-	tbl, err := Run("t2", Small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := smallTable(t, "t2")
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows %d", len(tbl.Rows))
 	}
@@ -294,10 +302,7 @@ func TestX2RadioGenerality(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-sim experiment in -short mode")
 	}
-	tbl, err := Run("x2", Small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := smallTable(t, "x2")
 	// 3G saving large, WiFi negligible (near zero either way).
 	g := percent(t, tbl.Rows[0][3])
 	if g < 40 {
@@ -313,10 +318,7 @@ func TestX3RobustnessShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-sim experiment in -short mode")
 	}
-	tbl, err := Run("x3", Small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := smallTable(t, "x3")
 	byLabel := map[string][]string{}
 	for _, row := range tbl.Rows {
 		byLabel[row[0]] = row
@@ -337,10 +339,7 @@ func TestX9EnergyDelta(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full HTTP chaos replay")
 	}
-	tbl, err := Run("x9", Small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := smallTable(t, "x9")
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows=%d want 3 (fault-free, chaos s1, chaos s4)", len(tbl.Rows))
 	}
@@ -368,10 +367,7 @@ func TestRunAllSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite in -short mode")
 	}
-	tables, err := RunAll(Small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := smallTables(t)
 	if len(tables) != len(IDs()) {
 		t.Fatalf("tables %d want %d", len(tables), len(IDs()))
 	}
@@ -386,10 +382,7 @@ func TestX11BatchedWire(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full HTTP replay x6")
 	}
-	tbl, err := Run("x11", Small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := smallTable(t, "x11")
 	if len(tbl.Rows) != 6 {
 		t.Fatalf("rows=%d want 6 (sequential+batched at 1, 2, 4 shards)", len(tbl.Rows))
 	}

@@ -211,7 +211,7 @@ func runF9(s Scale) (*metrics.Table, error) {
 	for _, f := range factors {
 		cfg := simConfig(s, core.ModePredictive)
 		cfg.Population = pop
-		cfg.Core.Server.AdDeadline = time.Duration(f * float64(cfg.Core.Server.Period))
+		cfg.Core.Server.DeadlineFactor = f
 		cfgs = append(cfgs, cfg)
 	}
 	results, err := sim.RunParallel(cfgs)

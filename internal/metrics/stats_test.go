@@ -9,82 +9,6 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestStreamBasics(t *testing.T) {
-	var s Stream
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
-	}
-	if s.N() != 8 {
-		t.Fatalf("N=%d", s.N())
-	}
-	if !almostEq(s.Mean(), 5, 1e-12) {
-		t.Fatalf("Mean=%v", s.Mean())
-	}
-	if !almostEq(s.Var(), 32.0/7.0, 1e-12) {
-		t.Fatalf("Var=%v", s.Var())
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("Min/Max=%v/%v", s.Min(), s.Max())
-	}
-	if !almostEq(s.Sum(), 40, 1e-9) {
-		t.Fatalf("Sum=%v", s.Sum())
-	}
-}
-
-func TestStreamEmptyAndSingle(t *testing.T) {
-	var s Stream
-	if s.Mean() != 0 || s.Var() != 0 || s.N() != 0 {
-		t.Fatal("empty stream should be all zeros")
-	}
-	s.Add(3)
-	if s.Var() != 0 || s.Mean() != 3 || s.Min() != 3 || s.Max() != 3 {
-		t.Fatal("single-element stream stats wrong")
-	}
-}
-
-func TestStreamAddN(t *testing.T) {
-	var a, b Stream
-	a.AddN(4, 3)
-	for i := 0; i < 3; i++ {
-		b.Add(4)
-	}
-	if a.N() != b.N() || a.Mean() != b.Mean() {
-		t.Fatal("AddN != repeated Add")
-	}
-}
-
-// Property: merging two streams equals a single stream over the
-// concatenated data.
-func TestStreamMergeProperty(t *testing.T) {
-	f := func(seed int64, na, nb uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		var a, b, all Stream
-		for i := 0; i < int(na); i++ {
-			x := r.NormFloat64() * 10
-			a.Add(x)
-			all.Add(x)
-		}
-		for i := 0; i < int(nb); i++ {
-			x := r.NormFloat64() * 10
-			b.Add(x)
-			all.Add(x)
-		}
-		a.Merge(&b)
-		if a.N() != all.N() {
-			return false
-		}
-		if all.N() == 0 {
-			return true
-		}
-		return almostEq(a.Mean(), all.Mean(), 1e-9) &&
-			almostEq(a.Var(), all.Var(), 1e-9) &&
-			a.Min() == all.Min() && a.Max() == all.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSampleQuantiles(t *testing.T) {
 	var s Sample
 	for i := 1; i <= 100; i++ {
@@ -106,26 +30,12 @@ func TestSampleQuantiles(t *testing.T) {
 
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
-	if !math.IsNaN(s.Quantile(0.5)) || !math.IsNaN(s.Mean()) || !math.IsNaN(s.CDFAt(1)) {
+	if !math.IsNaN(s.Quantile(0.5)) || !math.IsNaN(s.Mean()) {
 		t.Fatal("empty sample should produce NaN")
 	}
 }
 
-func TestSampleCDF(t *testing.T) {
-	var s Sample
-	s.AddAll([]float64{1, 2, 2, 3, 10})
-	cases := []struct{ x, want float64 }{
-		{0, 0}, {1, 0.2}, {2, 0.6}, {2.5, 0.6}, {10, 1}, {100, 1},
-	}
-	for _, c := range cases {
-		if got := s.CDFAt(c.x); !almostEq(got, c.want, 1e-12) {
-			t.Errorf("CDF(%v)=%v want %v", c.x, got, c.want)
-		}
-	}
-}
-
-// Property: quantile is monotone in q and bounded by min/max; CDF is
-// monotone in x.
+// Property: quantile is monotone in q and bounded by min/max.
 func TestSampleMonotonicityProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		if n == 0 {
@@ -147,14 +57,6 @@ func TestSampleMonotonicityProperty(t *testing.T) {
 		vals := s.Values()
 		if s.Quantile(0) != vals[0] || s.Quantile(1) != vals[len(vals)-1] {
 			return false
-		}
-		prevC := -1.0
-		for x := -300.0; x <= 300; x += 25 {
-			c := s.CDFAt(x)
-			if c < prevC || c < 0 || c > 1 {
-				return false
-			}
-			prevC = c
 		}
 		return true
 	}

@@ -149,19 +149,3 @@ func EvaluatePopulation(pop *trace.Population, cat *trace.Catalog, factories []F
 	}
 	return evals, nil
 }
-
-// TableF3 renders the predictor comparison.
-func TableF3(evals []*Eval) *metrics.Table {
-	t := metrics.NewTable(
-		"F3: predictor accuracy (slots per period)",
-		"predictor", "MAE", "mean under", "p90 under", "mean over", "under-freq", "mean actual")
-	for _, e := range evals {
-		t.AddRow(e.PredictorName,
-			e.AbsErr.Mean(), e.Under.Mean(), e.Under.Quantile(0.9), e.Over.Mean(),
-			fmt.Sprintf("%.1f%%", 100*e.UnderFrac()), e.Actual.Mean())
-	}
-	if len(evals) > 0 {
-		t.AddNote("window %v, %d test periods per predictor", evals[0].Window, evals[0].TestPeriods())
-	}
-	return t
-}

@@ -1,7 +1,6 @@
 package predict
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -115,17 +114,5 @@ func TestSeriesMatchesSlotsPerPeriod(t *testing.T) {
 		if p.Index != i {
 			t.Fatalf("period %d has index %d", i, p.Index)
 		}
-	}
-}
-
-func TestTableF3(t *testing.T) {
-	pop, cat := testPopulation(t, 5, 7)
-	evals, err := EvaluatePopulation(pop, cat, StandardFactories(0.9), 30*time.Second, 4*time.Hour, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := TableF3(evals).String()
-	if !strings.Contains(s, "oracle") || !strings.Contains(s, "pctile-hist") {
-		t.Fatalf("table missing rows:\n%s", s)
 	}
 }

@@ -251,7 +251,7 @@ func (b *localBackend) buildNode(nd *simNode) error {
 		// collide with ids the adopter minted itself. Seeded before WAL
 		// recovery, so replayed sales mint exactly the ids the live run did.
 		for i := 0; i < pool.Shards(); i++ {
-			pool.Shard(i).Exchange().SeedImpressionIDs(auction.ImpressionID(nd.idx+1) << 40)
+			pool.Shard(i).Exchange().SeedMemberIDs(nd.idx)
 		}
 	}
 	ts := transport.NewShardedServer(pool)

@@ -4,64 +4,6 @@ import (
 	"testing"
 )
 
-// assertModeEquivalence compares a sequential-wire run against a
-// batched-wire run of the same trace: the batching layer is a pure
-// transport optimization, so every observable outcome — the money
-// ledger, SLA violations, aggregate client counters, per-device
-// counters, server-side sales totals and per-campaign spend — must
-// match field-for-field. Only the wire-economics (Result.Net) may
-// differ, and there the batched run must be strictly cheaper.
-func assertModeEquivalence(t *testing.T, label string, seq, bat *Result) {
-	t.Helper()
-	if seq.Ledger.Sold == 0 || seq.Ledger.Billed == 0 {
-		t.Fatalf("%s: inert sequential run: %+v", label, seq.Ledger)
-	}
-	if got, want := LedgerJSON(bat.Ledger), LedgerJSON(seq.Ledger); got != want {
-		t.Fatalf("%s: ledger differs across wire modes:\n sequential: %s\n batched:    %s", label, want, got)
-	}
-	if seq.Ledger.Violations != bat.Ledger.Violations {
-		t.Fatalf("%s: SLA violations differ: %d sequential vs %d batched",
-			label, seq.Ledger.Violations, bat.Ledger.Violations)
-	}
-	if seq.Counters != bat.Counters {
-		t.Fatalf("%s: aggregate counters differ:\n sequential: %+v\n batched:    %+v",
-			label, seq.Counters, bat.Counters)
-	}
-	if seq.SoldTotal != bat.SoldTotal || seq.Periods != bat.Periods {
-		t.Fatalf("%s: server totals differ: sold %d/%d periods %d/%d",
-			label, seq.SoldTotal, bat.SoldTotal, seq.Periods, bat.Periods)
-	}
-	if len(seq.PerClient) != len(bat.PerClient) {
-		t.Fatalf("%s: device count differs: %d vs %d", label, len(seq.PerClient), len(bat.PerClient))
-	}
-	for id, sc := range seq.PerClient {
-		bc, ok := bat.PerClient[id]
-		if !ok {
-			t.Fatalf("%s: client %d missing from batched run", label, id)
-		}
-		if sc != bc {
-			t.Fatalf("%s: client %d counters differ:\n sequential: %+v\n batched:    %+v", label, id, sc, bc)
-		}
-	}
-	if len(seq.CampaignBilled) != len(bat.CampaignBilled) {
-		t.Fatalf("%s: campaign count differs: %d vs %d",
-			label, len(seq.CampaignBilled), len(bat.CampaignBilled))
-	}
-	for id, s := range seq.CampaignBilled {
-		if b := bat.CampaignBilled[id]; b != s {
-			t.Fatalf("%s: campaign %d billed %v sequential vs %v batched", label, id, s, b)
-		}
-	}
-	// The whole point: identical outcomes for fewer HTTP round trips.
-	if bat.Net.Attempts >= seq.Net.Attempts {
-		t.Fatalf("%s: batching saved nothing: %d attempts vs %d sequential",
-			label, bat.Net.Attempts, seq.Net.Attempts)
-	}
-	t.Logf("%s: attempts %d sequential -> %d batched (%.2fx fewer)",
-		label, seq.Net.Attempts, bat.Net.Attempts,
-		float64(seq.Net.Attempts)/float64(bat.Net.Attempts))
-}
-
 // TestBatchedEquivalenceFaultFree is the differential acceptance for
 // the batched wire protocol: the same seeded trace through the
 // sequential transport and the batched transport, at 1 shard and at 4,
@@ -82,7 +24,7 @@ func TestBatchedEquivalenceFaultFree(t *testing.T) {
 			t.Fatalf("shards=%d batched: %v", shards, err)
 		}
 		label := map[int]string{1: "shards=1", 4: "shards=4"}[shards]
-		assertModeEquivalence(t, label, seq, bat)
+		assertSameOutcome(t, label, seq, bat, netCheaper)
 		if bat.Obs.CounterTotal("batch_round_trips_saved_total") == 0 {
 			t.Fatalf("%s: batched run never used /v1/batch", label)
 		}
@@ -122,7 +64,7 @@ func TestBatchedEquivalenceUnderChaos(t *testing.T) {
 			t.Fatalf("%s: chaos did not fire: %d sequential, %d batched faults",
 				label, seqPlan.InjectedTotal(), batPlan.InjectedTotal())
 		}
-		assertModeEquivalence(t, label, seq, bat)
+		assertSameOutcome(t, label, seq, bat, netCheaper)
 	}
 }
 

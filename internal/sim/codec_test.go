@@ -4,53 +4,6 @@ import (
 	"testing"
 )
 
-// assertCodecEquivalence compares a JSON-envelope batched run against a
-// binary-envelope batched run of the same trace. The codec is a pure
-// wire encoding — decoded envelopes are value-identical, idempotency
-// fingerprints hash the codec-independent sequential form, and WAL
-// records re-marshal the decoded envelope — so unlike the
-// sequential-vs-batched comparison, *everything* must match here,
-// including the resilience counters: the same wake-ups, the same
-// retries, the same attempts, just fewer bytes per envelope.
-func assertCodecEquivalence(t *testing.T, label string, js, bin *Result) {
-	t.Helper()
-	if js.Ledger.Sold == 0 || js.Ledger.Billed == 0 {
-		t.Fatalf("%s: inert JSON run: %+v", label, js.Ledger)
-	}
-	if got, want := LedgerJSON(bin.Ledger), LedgerJSON(js.Ledger); got != want {
-		t.Fatalf("%s: ledger differs across codecs:\n json:   %s\n binary: %s", label, want, got)
-	}
-	if js.Ledger.Violations != bin.Ledger.Violations {
-		t.Fatalf("%s: SLA violations differ: %d json vs %d binary",
-			label, js.Ledger.Violations, bin.Ledger.Violations)
-	}
-	if js.Counters != bin.Counters {
-		t.Fatalf("%s: aggregate counters differ:\n json:   %+v\n binary: %+v",
-			label, js.Counters, bin.Counters)
-	}
-	if js.SoldTotal != bin.SoldTotal || js.Periods != bin.Periods {
-		t.Fatalf("%s: server totals differ: sold %d/%d periods %d/%d",
-			label, js.SoldTotal, bin.SoldTotal, js.Periods, bin.Periods)
-	}
-	if js.Net != bin.Net {
-		t.Fatalf("%s: resilience counters differ:\n json:   %+v\n binary: %+v",
-			label, js.Net, bin.Net)
-	}
-	if len(js.PerClient) != len(bin.PerClient) {
-		t.Fatalf("%s: device count differs: %d vs %d", label, len(js.PerClient), len(bin.PerClient))
-	}
-	for id, jc := range js.PerClient {
-		if bc := bin.PerClient[id]; bc != jc {
-			t.Fatalf("%s: client %d counters differ:\n json:   %+v\n binary: %+v", label, id, jc, bc)
-		}
-	}
-	for id, s := range js.CampaignBilled {
-		if b := bin.CampaignBilled[id]; b != s {
-			t.Fatalf("%s: campaign %d billed %v json vs %v binary", label, id, s, b)
-		}
-	}
-}
-
 // TestBinaryCodecEquivalence is the differential acceptance for the
 // binary /v1/batch codec: the same seeded trace over JSON envelopes and
 // over binary envelopes, at 1 shard and at 4, must produce identical
@@ -71,7 +24,7 @@ func TestBinaryCodecEquivalence(t *testing.T) {
 			t.Fatalf("shards=%d binary: %v", shards, err)
 		}
 		label := map[int]string{1: "codec shards=1", 4: "codec shards=4"}[shards]
-		assertCodecEquivalence(t, label, js, bin)
+		assertSameOutcome(t, label, js, bin, netEqual)
 		if bin.Obs.CounterTotal("batch_round_trips_saved_total") == 0 {
 			t.Fatalf("%s: binary run never used /v1/batch", label)
 		}
@@ -104,6 +57,6 @@ func TestBinaryCodecEquivalenceUnderChaos(t *testing.T) {
 			t.Fatalf("%s: chaos did not fire: %d json, %d binary faults",
 				label, jsPlan.InjectedTotal(), binPlan.InjectedTotal())
 		}
-		assertCodecEquivalence(t, label, js, bin)
+		assertSameOutcome(t, label, js, bin, netEqual)
 	}
 }

@@ -22,57 +22,6 @@ func crashConfig() Config {
 	return cfg
 }
 
-// assertCrashEquivalence compares a kill/restart run against the
-// uninterrupted baseline of the same trace: recovery must be invisible
-// to every accounting observable — the money ledger, SLA violations,
-// per-device and aggregate client counters, server sales totals and
-// per-campaign spend. Only the wire economics (Result.Net, retries
-// burned riding out the outages) and Result.Restarts may differ.
-func assertCrashEquivalence(t *testing.T, label string, base, crash *Result) {
-	t.Helper()
-	if base.Ledger.Sold == 0 || base.Ledger.Billed == 0 {
-		t.Fatalf("%s: inert baseline: %+v", label, base.Ledger)
-	}
-	if got, want := LedgerJSON(crash.Ledger), LedgerJSON(base.Ledger); got != want {
-		t.Fatalf("%s: ledger diverged across kills:\n baseline:  %s\n recovered: %s", label, want, got)
-	}
-	if base.Ledger.Violations != crash.Ledger.Violations {
-		t.Fatalf("%s: SLA violations differ: %d baseline vs %d recovered",
-			label, base.Ledger.Violations, crash.Ledger.Violations)
-	}
-	if base.Counters != crash.Counters {
-		t.Fatalf("%s: aggregate counters differ:\n baseline:  %+v\n recovered: %+v",
-			label, base.Counters, crash.Counters)
-	}
-	if base.SoldTotal != crash.SoldTotal || base.Periods != crash.Periods {
-		t.Fatalf("%s: server totals differ: sold %d/%d periods %d/%d",
-			label, base.SoldTotal, crash.SoldTotal, base.Periods, crash.Periods)
-	}
-	if len(base.PerClient) != len(crash.PerClient) {
-		t.Fatalf("%s: device count differs: %d vs %d", label, len(base.PerClient), len(crash.PerClient))
-	}
-	for id, bc := range base.PerClient {
-		if cc := crash.PerClient[id]; cc != bc {
-			t.Fatalf("%s: client %d counters differ:\n baseline:  %+v\n recovered: %+v", label, id, bc, cc)
-		}
-	}
-	if len(base.CampaignBilled) != len(crash.CampaignBilled) {
-		t.Fatalf("%s: campaign count differs: %d vs %d",
-			label, len(base.CampaignBilled), len(crash.CampaignBilled))
-	}
-	for id, b := range base.CampaignBilled {
-		// Quantized at the nano-dollar like LedgerJSON: a campaign's
-		// spend is a float sum grouped by whichever exchange billed each
-		// impression, and a live migration regroups that sum — the
-		// addends are identical but association-order jitter at ~1e-14
-		// is not an accounting difference.
-		c := crash.CampaignBilled[id]
-		if fmt.Sprintf("%.9f", c) != fmt.Sprintf("%.9f", b) {
-			t.Fatalf("%s: campaign %d billed %v baseline vs %v recovered", label, id, b, c)
-		}
-	}
-}
-
 // TestCrashRecoveryEquivalence is the tentpole acceptance: the service
 // is killed at adversarial instants — mid-period between a WAL append
 // and its ack, inside a batch envelope, during the period-end sweep,
@@ -118,7 +67,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 			if res.Restarts != 2 || midPeriod.Fired() != 2 {
 				t.Fatalf("%s mid-period: restarts %d fired %d, want 2", label, res.Restarts, midPeriod.Fired())
 			}
-			assertCrashEquivalence(t, label+" mid-period", base, res)
+			assertSameOutcome(t, label+" mid-period", base, res, netMayDiffer)
 
 			// A kill during the period-end round, then another on the
 			// first record the replacement makes durable — recovery under
@@ -135,7 +84,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 			if res.Restarts != 2 || boundary.Fired() != 2 {
 				t.Fatalf("%s period-end: restarts %d fired %d, want 2", label, res.Restarts, boundary.Fired())
 			}
-			assertCrashEquivalence(t, label+" period-end", base, res)
+			assertSameOutcome(t, label+" period-end", base, res, netMayDiffer)
 		}
 	}
 }
@@ -158,7 +107,7 @@ func TestCrashWALIsPureObserver(t *testing.T) {
 	if walled.Restarts != 0 {
 		t.Fatalf("restarts without a crash schedule: %d", walled.Restarts)
 	}
-	assertCrashEquivalence(t, "wal-on", bare, walled)
+	assertSameOutcome(t, "wal-on", bare, walled, netMayDiffer)
 }
 
 // TestCrashAtEveryRecord kills the service once at record K for every
@@ -201,7 +150,7 @@ func TestCrashAtEveryRecord(t *testing.T) {
 		if res.Restarts != 1 {
 			t.Fatalf("kill at record %d: restarts %d", k, res.Restarts)
 		}
-		assertCrashEquivalence(t, fmt.Sprintf("kill at record %d", k), base, res)
+		assertSameOutcome(t, fmt.Sprintf("kill at record %d", k), base, res, netMayDiffer)
 	}
 }
 
@@ -273,7 +222,7 @@ func TestCrashOnConfigEpochRecord(t *testing.T) {
 		if res.Restarts != 1 || sched.Fired() != 1 {
 			t.Fatalf("%s: config-epoch kill did not fire: restarts %d fired %d", wire, res.Restarts, sched.Fired())
 		}
-		assertCrashEquivalence(t, wire+" config-epoch kill", base, res)
+		assertSameOutcome(t, wire+" config-epoch kill", base, res, netMayDiffer)
 	}
 }
 
@@ -320,6 +269,6 @@ func TestCrashGroupCommitFsync(t *testing.T) {
 		if res.Restarts != 2 || sched.Fired() != 2 {
 			t.Fatalf("%s: restarts %d fired %d, want 2", label, res.Restarts, sched.Fired())
 		}
-		assertCrashEquivalence(t, label, base, res)
+		assertSameOutcome(t, label, base, res, netMayDiffer)
 	}
 }

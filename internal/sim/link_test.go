@@ -83,10 +83,7 @@ func TestClusterLinkHopEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s over HTTP: %v", label, err)
 			}
-			assertCrashEquivalence(t, label, overHTTP, overLink)
-			if overHTTP.Net != overLink.Net {
-				t.Fatalf("%s: device wire counters differ:\n http: %+v\n link: %+v", label, overHTTP.Net, overLink.Net)
-			}
+			assertSameOutcome(t, label, overHTTP, overLink, netEqual)
 			if tc.kill && (overLink.Restarts != 1 || overHTTP.Restarts != 1) {
 				t.Fatalf("%s: restarts link %d http %d, want 1 each", label, overLink.Restarts, overHTTP.Restarts)
 			}

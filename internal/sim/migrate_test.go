@@ -60,7 +60,7 @@ func TestMigrationEquivalenceFaultFree(t *testing.T) {
 	if got := grow.Obs.CounterTotal("cluster_misdirected_total"); got != 0 {
 		t.Fatalf("grow 2→3: %d misdirected requests in a clean run, want 0", got)
 	}
-	assertCrashEquivalence(t, "grow 2→3", base, grow)
+	assertSameOutcome(t, "grow 2→3", base, grow, netMayDiffer)
 
 	drain, err := RunTransportStream(cfg, TransportOpts{Nodes: 3, Workers: 4, Migrations: drainSteps()})
 	if err != nil {
@@ -72,7 +72,7 @@ func TestMigrationEquivalenceFaultFree(t *testing.T) {
 	if got := drain.Obs.CounterTotal("cluster_clients_moved_total"); got == 0 {
 		t.Fatal("drain 3→2: no clients left the drained node")
 	}
-	assertCrashEquivalence(t, "drain 3→2", base, drain)
+	assertSameOutcome(t, "drain 3→2", base, drain, netMayDiffer)
 
 	// Both directions in one run: grow 2→3, then drain the original
 	// member 0 away again — the cluster the run ends with shares no
@@ -90,7 +90,7 @@ func TestMigrationEquivalenceFaultFree(t *testing.T) {
 	if got := churn.Obs.CounterTotal("cluster_migrations_total"); got < 2 {
 		t.Fatalf("churn: %d completed migrations, want >= 2", got)
 	}
-	assertCrashEquivalence(t, "grow+drain churn", base, churn)
+	assertSameOutcome(t, "grow+drain churn", base, churn, netMayDiffer)
 }
 
 // TestMigrationEquivalenceUnderChaos reruns the grow+drain churn under
@@ -129,7 +129,7 @@ func TestMigrationEquivalenceUnderChaos(t *testing.T) {
 	if got := res.Obs.CounterTotal("cluster_migrations_total"); got < 2 {
 		t.Fatalf("chaos churn: %d completed migrations, want >= 2", got)
 	}
-	assertCrashEquivalence(t, "chaos grow+drain churn", base, res)
+	assertSameOutcome(t, "chaos grow+drain churn", base, res, netMayDiffer)
 }
 
 // TestMigrationNodeKillDuringHandoff is the acceptance's hardest case:
@@ -172,7 +172,7 @@ func TestMigrationNodeKillDuringHandoff(t *testing.T) {
 	if grow.Net.Retries != 0 {
 		t.Fatalf("migrate-out kill leaked to devices: %d retries", grow.Net.Retries)
 	}
-	assertCrashEquivalence(t, "grow, source killed mid-handoff", base, grow)
+	assertSameOutcome(t, "grow, source killed mid-handoff", base, grow, netMayDiffer)
 
 	// Drain 3→2, killing whichever survivor first appends a migrate-in
 	// record: the adopter dies mid-absorb, recovers the blob from its
@@ -193,5 +193,5 @@ func TestMigrationNodeKillDuringHandoff(t *testing.T) {
 	if drain.Net.Retries != 0 {
 		t.Fatalf("migrate-in kill leaked to devices: %d retries", drain.Net.Retries)
 	}
-	assertCrashEquivalence(t, "drain, adopter killed mid-handoff", base, drain)
+	assertSameOutcome(t, "drain, adopter killed mid-handoff", base, drain, netMayDiffer)
 }

@@ -37,12 +37,16 @@ import (
 	"repro/internal/transport"
 )
 
+// AdBytes is the size of one ad download (creative plus HTTP overhead),
+// charged to the radio for every ad a device fetches.
+const AdBytes int64 = 2048
+
 // Config assembles one simulation run.
 type Config struct {
 	// Population to replay; if nil, one is generated from TraceCfg.
+	// Either way its app ids index trace.DefaultCatalog.
 	Population *trace.Population
 	TraceCfg   trace.GenConfig
-	Catalog    *trace.Catalog // nil = DefaultCatalog
 
 	// MaxUsers truncates the population for quick runs (0 = all).
 	MaxUsers int
@@ -54,8 +58,6 @@ type Config struct {
 	// nights) and on the cellular Radio otherwise. Transfers route to
 	// whichever radio is active, each with its own tail state.
 	WiFiSchedule WiFiSchedule
-
-	AdBytes int64
 
 	// ReportBytes charges a radio transfer per cache-hit display report.
 	// The deployed design batches reports and piggybacks them on
@@ -69,12 +71,13 @@ type Config struct {
 	RefreshInterval time.Duration
 
 	// Core selects mode, delivery policy and server policy (including
-	// the prefetch period).
+	// the prefetch period, and in Core.Server.Overbook.CacheCap the
+	// size of every device's ad cache).
 	Core core.Config
 
-	// Demand and Reserve shape the exchange.
-	Demand  auction.DemandConfig
-	Reserve float64
+	// Demand shapes the exchange; every run prices at
+	// auction.DefaultReserveUSD.
+	Demand auction.DemandConfig
 
 	// WarmupDays trains predictors before selling begins; all monetary
 	// and energy metrics are measured after warm-up.
@@ -135,12 +138,10 @@ func DefaultConfig(mode core.Mode) Config {
 	return Config{
 		TraceCfg:        tc,
 		Radio:           radio.Profile3G(),
-		AdBytes:         2048,
 		ReportBytes:     0,
 		RefreshInterval: 30 * time.Second,
 		Core:            core.DefaultConfig(mode),
 		Demand:          auction.DefaultDemand(),
-		Reserve:         0.0002, // $0.20 CPM floor, well under the ~$1 CPM bid median
 		WarmupDays:      5,
 		Seed:            1,
 	}
@@ -155,8 +156,6 @@ func (c Config) Validate() error {
 		return err
 	}
 	switch {
-	case c.AdBytes <= 0:
-		return fmt.Errorf("sim: AdBytes must be positive, got %d", c.AdBytes)
 	case c.ReportBytes < 0:
 		return fmt.Errorf("sim: negative ReportBytes")
 	case c.RefreshInterval <= 0:
@@ -167,8 +166,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: ReportLossProb must be in [0,1], got %v", c.ReportLossProb)
 	case c.ChurnProb < 0 || c.ChurnProb > 1:
 		return fmt.Errorf("sim: ChurnProb must be in [0,1], got %v", c.ChurnProb)
-	case c.Reserve < 0:
-		return fmt.Errorf("sim: negative Reserve")
 	}
 	return nil
 }
@@ -327,7 +324,7 @@ func (c Config) owner(at simclock.Time, kind radio.Owner) radio.Owner {
 // ReportBytes is set.
 func (c Config) chargeSlot(r *radio.Radio, at simclock.Time, fetched bool, topUps int, hit bool) {
 	if fetched {
-		r.Transfer(at, c.AdBytes*int64(1+topUps), c.owner(at, "ads"))
+		r.Transfer(at, AdBytes*int64(1+topUps), c.owner(at, "ads"))
 	} else if hit && c.ReportBytes > 0 {
 		r.Transfer(at, c.ReportBytes, c.owner(at, "ads"))
 	}
@@ -458,7 +455,7 @@ func newInproc(cfg core.Config, ex *auction.Exchange, ids []int,
 	}
 	s := &inproc{cfg: cfg, srv: srv, devs: make([]*client.Device, len(ids)), pos: make(map[int]int, len(ids))}
 	for i, id := range ids {
-		if s.devs[i], err = client.NewDevice(id, cfg.CacheCap); err != nil {
+		if s.devs[i], err = client.NewDevice(id, cfg.Server.Overbook.CacheCap); err != nil {
 			return nil, err
 		}
 		s.pos[id] = i
@@ -558,10 +555,7 @@ func Run(cfg Config) (*Result, error) {
 	// population lists its users in.
 	users = slices.Clone(users)
 	sort.SliceStable(users, func(i, j int) bool { return users[i].ID < users[j].ID })
-	cat := cfg.Catalog
-	if cat == nil {
-		cat = trace.NewCatalog(trace.DefaultCatalog())
-	}
+	cat := trace.NewCatalog(trace.DefaultCatalog())
 	warmupEnd := cfg.warmupEnd()
 	if warmupEnd > pop.Span {
 		return nil, fmt.Errorf("sim: warm-up %d days exceeds trace span %v", cfg.WarmupDays, pop.Span)
@@ -570,7 +564,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// Exchange and system assembly.
 	rng := simclock.NewRand(cfg.Seed).Stream("sim")
-	ex, err := auction.NewExchange(cfg.Demand.Generate(rng.Stream("demand")), cfg.Reserve)
+	ex, err := auction.NewExchange(cfg.Demand.Generate(rng.Stream("demand")), auction.DefaultReserveUSD)
 	if err != nil {
 		return nil, err
 	}
@@ -654,7 +648,7 @@ func Run(cfg Config) (*Result, error) {
 			return err
 		}
 		if out.piggyback > 0 {
-			r.Transfer(ev.at, int64(out.piggyback)*cfg.AdBytes, cfg.owner(ev.at, "ads"))
+			r.Transfer(ev.at, int64(out.piggyback)*AdBytes, cfg.owner(ev.at, "ads"))
 		}
 		cfg.chargeSlot(r, ev.at, !out.hit, out.topUps, out.hit)
 		return nil
@@ -674,7 +668,7 @@ func Run(cfg Config) (*Result, error) {
 				stats := sys.open(now, predict.PeriodOf(now, period),
 					func(i int) bool { return sims[i].offline(now, period) },
 					func(i, ads int) {
-						sims[i].radioAt(cfg.WiFiSchedule, now).Transfer(now, int64(ads)*cfg.AdBytes, cfg.owner(now, "ads"))
+						sims[i].radioAt(cfg.WiFiSchedule, now).Transfer(now, int64(ads)*AdBytes, cfg.owner(now, "ads"))
 					})
 				res.SoldTotal += int64(stats.Sold)
 				res.ReplicaTotal += int64(stats.Replicas)
@@ -793,21 +787,22 @@ func Compare(base Config, modes []core.Mode) ([]*Result, error) {
 }
 
 // retargetMode rebuilds a core config for a different mode, preserving
-// the shared knobs (period, delivery, deadlines, latencies).
+// the shared knobs (period, delivery, deadlines, latencies, cache size).
 func retargetMode(base core.Config, m core.Mode) core.Config {
 	cfg := core.DefaultConfig(m)
 	cfg.Delivery = base.Delivery
 	cfg.Server.Period = base.Server.Period
-	cfg.Server.AdDeadline = base.Server.AdDeadline
+	cfg.Server.DeadlineFactor = base.Server.DeadlineFactor
 	cfg.Server.ReportLatency = base.Server.ReportLatency
 	cfg.Server.SyncDelay = base.Server.SyncDelay
 	cfg.Percentile = base.Percentile
 	cfg.NaiveK = base.NaiveK
-	cfg.CacheCap = base.CacheCap
 	if m == base.Mode {
 		// Keep the caller's overbooking knobs for its own mode.
 		cfg.Server.Overbook = base.Server.Overbook
 	}
+	// The cache size is a device fact, not a mode's overbooking choice.
+	cfg.Server.Overbook.CacheCap = base.Server.Overbook.CacheCap
 	return cfg
 }
 

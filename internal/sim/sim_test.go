@@ -310,14 +310,12 @@ func TestMaxUsersTruncates(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
-		func(c *Config) { c.AdBytes = 0 },
 		func(c *Config) { c.ReportBytes = -1 },
 		func(c *Config) { c.RefreshInterval = 0 },
 		func(c *Config) { c.WarmupDays = -1 },
 		func(c *Config) { c.ReportLossProb = 2 },
-		func(c *Config) { c.Reserve = -1 },
 		func(c *Config) { c.Radio = radio.Profile{} },
-		func(c *Config) { c.Core.CacheCap = 0 },
+		func(c *Config) { c.Core.Server.Overbook.CacheCap = 0 },
 	}
 	for i, mutate := range bad {
 		cfg := quickConfig(core.ModeOnDemand)
@@ -441,7 +439,7 @@ func TestRunParallelSharedPopulation(t *testing.T) {
 
 func TestRunParallelErrors(t *testing.T) {
 	bad := quickConfig(core.ModeOnDemand)
-	bad.AdBytes = 0
+	bad.RefreshInterval = 0
 	if _, err := RunParallel([]Config{quickConfig(core.ModeOnDemand), bad}); err == nil {
 		t.Fatal("expected error from bad config")
 	}

@@ -154,10 +154,7 @@ func newStreamEnv(cfg Config, o TransportOpts) (*replayEnv, error) {
 	if cfg.MaxUsers > 0 && cfg.MaxUsers < n {
 		n = cfg.MaxUsers
 	}
-	cat := cfg.Catalog
-	if cat == nil {
-		cat = trace.NewCatalog(trace.DefaultCatalog())
-	}
+	cat := st.Catalog()
 	if cfg.warmupEnd() > st.Span() {
 		return nil, fmt.Errorf("sim: warm-up %d days exceeds trace span %v", cfg.WarmupDays, st.Span())
 	}
@@ -241,7 +238,7 @@ func newStreamEnv(cfg Config, o TransportOpts) (*replayEnv, error) {
 		}
 		return shard.New(shards, cfg.Core.Server, members,
 			func(int) (*auction.Exchange, error) {
-				return auction.NewExchange(demand(), cfg.Reserve)
+				return auction.NewExchange(demand(), auction.DefaultReserveUSD)
 			},
 			func(id int) predict.Predictor { return cfg.Core.NewPredictor(id, env.oracle) },
 			env.hints)
@@ -327,7 +324,7 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 		if t := tenantReg.TenantOf(i); t != tenant.Legacy {
 			opts = append(opts, transport.WithTenant(t))
 		}
-		d, err := transport.NewDevice(i, cfg.Core.CacheCap, baseURL, opts...)
+		d, err := transport.NewDevice(i, cfg.Core.Server.Overbook.CacheCap, baseURL, opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -410,7 +407,7 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 					lat.Observe(time.Since(t0).Nanoseconds())
 					ops.Add(1)
 					if energy != nil && got > 0 {
-						energy[i].Transfer(now, int64(got)*cfg.AdBytes, cfg.owner(now, "ads"))
+						energy[i].Transfer(now, int64(got)*AdBytes, cfg.owner(now, "ads"))
 					}
 					return nil
 				}); err != nil {

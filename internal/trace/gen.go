@@ -19,8 +19,6 @@ type GenConfig struct {
 	Days  int   // trace span in days
 	Seed  int64 // root seed; everything derives from it
 
-	Catalog *Catalog // app catalog; nil means DefaultCatalog
-
 	// Cross-user heterogeneity: each user's mean sessions/day is drawn
 	// from a lognormal with this median and sigma.
 	SessionsPerDayMedian float64

@@ -6,19 +6,11 @@ import (
 	"repro/internal/simclock"
 )
 
-// Slot is one ad display opportunity: the ad control shows an ad when a
-// session starts and refreshes it at a fixed interval while the app stays
-// in the foreground (the Microsoft Ad SDK default is 30 s).
-type Slot struct {
-	User    int
-	App     AppID
-	At      simclock.Time
-	Session int // index of the originating session within the user trace
-}
-
 // SlotsOfSession returns the ad display instants of one session under
-// the given refresh interval: one at session start, then one per refresh
-// boundary strictly inside the session.
+// the given refresh interval: the ad control shows an ad when a session
+// starts and refreshes it at a fixed interval while the app stays in the
+// foreground (the Microsoft Ad SDK default is 30 s), so one at session
+// start, then one per refresh boundary strictly inside the session.
 func SlotsOfSession(s Session, refresh time.Duration) []simclock.Time {
 	if refresh <= 0 {
 		return []simclock.Time{s.Start}
@@ -36,36 +28,9 @@ func SlotsOfSession(s Session, refresh time.Duration) []simclock.Time {
 	return out
 }
 
-// SlotCount returns len(SlotsOfSession) without allocating.
-func SlotCount(s Session, refresh time.Duration) int {
-	if refresh <= 0 {
-		return 1
-	}
-	n := 1 + int(s.Duration/refresh)
-	if s.Duration%refresh == 0 && s.Duration > 0 {
-		n--
-	}
-	return n
-}
-
-// UserSlots expands a user's sessions into a time-ordered slot stream,
-// restricted to ad-supported apps in the catalog.
-func UserSlots(u *User, cat *Catalog, refresh time.Duration) []Slot {
-	var out []Slot
-	for si, s := range u.Sessions {
-		if !cat.App(s.App).AdSupported {
-			continue
-		}
-		for _, at := range SlotsOfSession(s, refresh) {
-			out = append(out, Slot{User: u.ID, App: s.App, At: at, Session: si})
-		}
-	}
-	return out
-}
-
-// SlotsPerPeriod buckets a user's slot count into consecutive periods of
-// the given length covering [0, span). This is the series the client
-// predictors are trained on.
+// SlotsPerPeriod buckets a user's slots in ad-supported apps into
+// consecutive periods of the given length covering [0, span). This is
+// the series the client predictors are trained on.
 func SlotsPerPeriod(u *User, cat *Catalog, refresh, period time.Duration, span simclock.Time) []int {
 	n := int(span / simclock.Time(period))
 	if simclock.Time(n)*simclock.Time(period) < span {

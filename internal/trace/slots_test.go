@@ -24,14 +24,14 @@ func TestSlotsExactMultiple(t *testing.T) {
 	s := Session{Start: 0, Duration: 60 * time.Second}
 	// Exactly two refresh intervals: ads at +0 and +30 only (the ad at
 	// +60 would render at the closing instant).
-	if got := SlotCount(s, 30*time.Second); got != 2 {
+	if got := len(SlotsOfSession(s, 30*time.Second)); got != 2 {
 		t.Fatalf("got %d want 2", got)
 	}
 }
 
 func TestSlotsShortSession(t *testing.T) {
 	s := Session{Start: 0, Duration: 3 * time.Second}
-	if got := SlotCount(s, 30*time.Second); got != 1 {
+	if got := len(SlotsOfSession(s, 30*time.Second)); got != 1 {
 		t.Fatalf("short session slots=%d want 1", got)
 	}
 }
@@ -44,15 +44,15 @@ func TestSlotsZeroRefresh(t *testing.T) {
 	}
 }
 
-// Property: SlotCount agrees with len(SlotsOfSession); slots lie inside
-// [start, end) and are spaced exactly one refresh apart.
+// Property: a session shows ceil(duration/refresh) slots, which lie
+// inside [start, end) and are spaced exactly one refresh apart.
 func TestSlotsProperty(t *testing.T) {
 	f := func(durSec uint16, refreshSec uint8) bool {
 		dur := time.Duration(durSec%3600+1) * time.Second
 		refresh := time.Duration(refreshSec%120+5) * time.Second
 		s := Session{Start: simclock.At(time.Hour), Duration: dur}
 		slots := SlotsOfSession(s, refresh)
-		if len(slots) != SlotCount(s, refresh) {
+		if len(slots) != int((dur+refresh-1)/refresh) {
 			return false
 		}
 		for i, at := range slots {
@@ -70,7 +70,7 @@ func TestSlotsProperty(t *testing.T) {
 	}
 }
 
-func TestUserSlotsFiltersAndOrders(t *testing.T) {
+func TestSlotsPerPeriodSkipsAdFreeApps(t *testing.T) {
 	cat := NewCatalog([]App{
 		{Name: "withAds", AdSupported: true},
 		{Name: "noAds", AdSupported: false},
@@ -80,17 +80,11 @@ func TestUserSlotsFiltersAndOrders(t *testing.T) {
 		{App: 1, Start: simclock.At(2 * time.Minute), Duration: 65 * time.Second},
 		{App: 0, Start: simclock.At(4 * time.Minute), Duration: 10 * time.Second},
 	}}
-	slots := UserSlots(u, cat, 30*time.Second)
-	if len(slots) != 4 { // 3 from first session + 0 + 1 from last
-		t.Fatalf("len=%d want 4: %+v", len(slots), slots)
-	}
-	for i := 1; i < len(slots); i++ {
-		if slots[i].At < slots[i-1].At {
-			t.Fatal("slots out of order")
-		}
-	}
-	if slots[0].User != 3 || slots[3].Session != 2 {
-		t.Fatalf("slot metadata wrong: %+v", slots)
+	// 3 slots from the first session, none from the ad-free app, 1 from
+	// the last.
+	counts := SlotsPerPeriod(u, cat, 30*time.Second, time.Hour, simclock.Hour)
+	if len(counts) != 1 || counts[0] != 4 {
+		t.Fatalf("counts=%v want [4]", counts)
 	}
 }
 
@@ -120,7 +114,12 @@ func TestSlotsPerPeriodConservation(t *testing.T) {
 	}
 	cat := NewCatalog(DefaultCatalog())
 	for _, u := range pop.Users[:10] {
-		total := len(UserSlots(u, cat, 30*time.Second))
+		total := 0
+		for _, s := range u.Sessions {
+			if cat.App(s.App).AdSupported {
+				total += len(SlotsOfSession(s, 30*time.Second))
+			}
+		}
 		counts := SlotsPerPeriod(u, cat, 30*time.Second, 4*time.Hour, pop.Span)
 		sum := 0
 		for _, n := range counts {

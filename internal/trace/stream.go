@@ -32,11 +32,7 @@ func NewStream(cfg GenConfig) (*Stream, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cat := cfg.Catalog
-	if cat == nil {
-		cat = NewCatalog(DefaultCatalog())
-	}
-	return &Stream{cfg: cfg, cat: cat, root: simclock.NewRand(cfg.Seed).Stream("tracegen")}, nil
+	return &Stream{cfg: cfg, cat: NewCatalog(DefaultCatalog()), root: simclock.NewRand(cfg.Seed).Stream("tracegen")}, nil
 }
 
 // Users returns the population size.

@@ -49,23 +49,17 @@ const RetryOwner = radio.Owner("transport:retry")
 // request/response pair (headers both ways) for energy accounting.
 const retryOverheadBytes = 512
 
-// RetryPolicy bounds the client's resilience loop: how many attempts a
-// logical request gets and how the virtual backoff between them grows.
+// The client's resilience loop: four attempts per logical request,
+// with 2s/4s/8s virtual backoff and 20% seeded jitter between them.
 // Backoff rides the simulated clock (it positions retries on a device's
 // virtual timeline and prices them in the radio model); the wall-clock
 // loop never sleeps.
-type RetryPolicy struct {
-	MaxAttempts int           // total attempts per request, minimum 1
-	BaseBackoff time.Duration // virtual delay before the second attempt
-	MaxBackoff  time.Duration // cap on the exponential growth
-	JitterFrac  float64       // seeded +/- fraction applied to each delay
-}
-
-// DefaultRetryPolicy returns the evaluation's operating point: four
-// attempts with 2s/4s/8s backoff and 20% jitter.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, BaseBackoff: 2 * time.Second, MaxBackoff: 30 * time.Second, JitterFrac: 0.2}
-}
+const (
+	maxAttempts = 4                // total attempts per request
+	baseBackoff = 2 * time.Second  // virtual delay before the second attempt
+	maxBackoff  = 30 * time.Second // cap on the exponential growth
+	jitterFrac  = 0.2              // seeded +/- fraction applied to each delay
+)
 
 // NetCounters tracks a client's transport-resilience outcomes. Each
 // counter has one unit on both device carriers. An exchange is what one
@@ -127,9 +121,6 @@ type caller struct {
 	base    *url.URL
 	baseErr error
 
-	// Retry is the resilience policy; adjust before first use.
-	Retry RetryPolicy
-
 	jitter    *simclock.Rand
 	keyPrefix string
 	tenant    string
@@ -157,7 +148,6 @@ func newCaller(baseURL, keyPrefix string, defaultSeed int64, o options) caller {
 	}
 	c := caller{
 		http:      hc,
-		Retry:     DefaultRetryPolicy(),
 		jitter:    simclock.NewLightRand(seed).Stream("transport-retry"),
 		keyPrefix: keyPrefix,
 		tenant:    o.tenant,
@@ -185,14 +175,8 @@ func (c *caller) nextKey() string {
 
 // backoff returns the virtual delay before retry number k (1-based).
 func (c *caller) backoff(k int) time.Duration {
-	d := c.Retry.BaseBackoff << (k - 1)
-	if c.Retry.MaxBackoff > 0 && d > c.Retry.MaxBackoff {
-		d = c.Retry.MaxBackoff
-	}
-	if c.Retry.JitterFrac > 0 && d > 0 {
-		d = time.Duration(c.jitter.Jitter(float64(d), c.Retry.JitterFrac))
-	}
-	return d
+	d := min(baseBackoff<<(k-1), maxBackoff)
+	return time.Duration(c.jitter.Jitter(float64(d), jitterFrac))
 }
 
 // chargeRetry prices one retry attempt in the radio model: the extra
@@ -225,7 +209,6 @@ const jsonBody = "application/json"
 // relative to the base URL; key may be empty (idempotent reads); a 200
 // reply decodes into out (see decodeReply).
 func (c *caller) do(now simclock.Time, method, uri, contentType string, body []byte, key string, out any) error {
-	attempts := max(c.Retry.MaxAttempts, 1)
 	e, _ := out.(*envelopeCall)
 	// One value slice serves every send of a key: built once, never mutated.
 	var keyValue []string
@@ -236,7 +219,7 @@ func (c *caller) do(now simclock.Time, method, uri, contentType string, body []b
 	var lastErr error
 	var floor time.Duration // server-asked minimum before the next attempt
 	sends := 0              // sends of body under keyValue: X-Retry-Attempt
-	for attempt := 1; attempt <= attempts; attempt++ {
+	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		if attempt > 1 {
 			// The server's Retry-After is a floor under the policy's own
 			// exponential backoff: come back no sooner than asked, but
@@ -274,7 +257,7 @@ func (c *caller) do(now simclock.Time, method, uri, contentType string, body []b
 	}
 	c.net.Unreachable++
 	c.cm.unreachable.Inc()
-	return fmt.Errorf("%w: %s %s after %d attempts: %v", ErrUnreachable, method, uri, attempts, lastErr)
+	return fmt.Errorf("%w: %s %s after %d attempts: %v", ErrUnreachable, method, uri, maxAttempts, lastErr)
 }
 
 // final is the one rule for an op's answer, a request's status or a
@@ -454,8 +437,8 @@ type Device struct {
 }
 
 // NewDevice creates a device talking to the server at baseURL. With no
-// options it uses a DefaultTimeout HTTP client, DefaultRetryPolicy and
-// a jitter seed derived from the device id; see Option for the knobs.
+// options it uses a DefaultTimeout HTTP client and a jitter seed
+// derived from the device id; see Option for the knobs.
 func NewDevice(id, cacheCap int, baseURL string, opts ...Option) (*Device, error) {
 	dev, err := client.NewDevice(id, cacheCap)
 	if err != nil {
@@ -869,8 +852,8 @@ type Coordinator struct {
 }
 
 // NewCoordinator creates a period driver for the server at baseURL.
-// With no options it uses a DefaultTimeout HTTP client and
-// DefaultRetryPolicy; see Option for the knobs.
+// With no options it uses a DefaultTimeout HTTP client; see Option for
+// the knobs.
 func NewCoordinator(baseURL string, opts ...Option) *Coordinator {
 	return &Coordinator{caller: newCaller(baseURL, "coord", -1, buildOptions(opts))}
 }

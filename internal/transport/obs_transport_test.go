@@ -152,9 +152,8 @@ func TestFunctionalOptions(t *testing.T) {
 	ts, _, _, _, _ := newShardedStack(t, 1, 1)
 	hc := ts.Client()
 
-	// withJitterSeed: two devices with the same seed and policy draw
-	// identical backoff schedules.
-	p := RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Second, MaxBackoff: 8 * time.Second, JitterFrac: 0.5}
+	// withJitterSeed: two devices with the same seed draw identical
+	// backoff schedules.
 	a, err := NewDevice(0, 8, ts.URL, WithHTTPClient(hc), withJitterSeed(42))
 	if err != nil {
 		t.Fatal(err)
@@ -163,8 +162,7 @@ func TestFunctionalOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Retry, b.Retry = p, p
-	for k := 1; k < 3; k++ {
+	for k := 1; k < maxAttempts; k++ {
 		if da, db := a.backoff(k), b.backoff(k); da != db {
 			t.Fatalf("same seed, different jitter at retry %d: %v vs %v", k, da, db)
 		}
@@ -178,7 +176,6 @@ func TestFunctionalOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Second}
 	if err := c.ObserveSlot(0); err != nil {
 		t.Fatal(err) // unreachable observations degrade, not fail
 	}

@@ -8,11 +8,10 @@ import (
 )
 
 // Option configures a Device or Coordinator at construction. The
-// constructors take sensible defaults (DefaultTimeout HTTP client,
-// DefaultRetryPolicy, a per-identity jitter seed, no meter, no
-// registry); options override them piecemeal, so call sites state only
-// what they change. The retry policy is the exported Retry field, set
-// after construction.
+// constructors take sensible defaults (DefaultTimeout HTTP client, a
+// per-identity jitter seed, no meter, no registry); options override
+// them piecemeal, so call sites state only what they change. The retry
+// policy is fixed (see maxAttempts).
 type Option func(*options)
 
 type options struct {

@@ -458,7 +458,6 @@ func TestClientRetryAfterFloor(t *testing.T) {
 		hint          time.Duration
 		floored, shed int
 	}
-	attempts := DefaultRetryPolicy().MaxAttempts
 	shedSlot := func(t *testing.T, reg *obs.Registry, opts ...Option) shedRun {
 		s := newWireSession(t)
 		startPeriod(t, s.h)
@@ -476,7 +475,7 @@ func TestClientRetryAfterFloor(t *testing.T) {
 		if err := dev.ObserveSlot(60e9); err != nil {
 			t.Fatal(err)
 		}
-		return shedRun{dev.Net(), time.Duration(hint) * time.Second, attempts - 1, attempts}
+		return shedRun{dev.Net(), time.Duration(hint) * time.Second, maxAttempts - 1, maxAttempts}
 	}
 	var devices []NetCounters
 	for _, tc := range []struct {
