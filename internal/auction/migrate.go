@@ -44,7 +44,7 @@ func (e *Exchange) ExtractImpressions(open, settled []ImpressionID) (ImpressionT
 		if s.c.Goal > 0 {
 			s.soldCount--
 		}
-		tr.Open = append(tr.Open, *imp)
+		tr.Open = append(tr.Open, imp)
 		delete(e.open, id)
 	}
 	sortedIDs = append(sortedIDs[:0], settled...)
@@ -79,8 +79,7 @@ func (e *Exchange) AbsorbImpressions(tr ImpressionTransfer) error {
 		if s.c.Goal > 0 {
 			s.soldCount++
 		}
-		stored := imp
-		e.open[imp.ID] = &stored
+		e.open[imp.ID] = imp
 	}
 	for _, st := range tr.Settled {
 		if open, settled := e.StatusOf(st.ID); open || settled {

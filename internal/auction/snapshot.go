@@ -76,7 +76,7 @@ func (e *Exchange) Snapshot() ExchangeState {
 		})
 	}
 	for _, imp := range e.open {
-		st.Open = append(st.Open, *imp)
+		st.Open = append(st.Open, imp)
 	}
 	sort.Slice(st.Open, func(i, j int) bool { return st.Open[i].ID < st.Open[j].ID })
 	for id, price := range e.settled {
@@ -108,13 +108,12 @@ func (e *Exchange) Restore(st ExchangeState) error {
 		order = append(order, cs.Campaign.ID)
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	open := make(map[ImpressionID]*Impression, len(st.Open))
+	open := make(map[ImpressionID]Impression, len(st.Open))
 	for _, imp := range st.Open {
 		if _, ok := states[imp.Campaign]; !ok {
 			return fmt.Errorf("auction: restore: open impression %d references unknown campaign %d", imp.ID, imp.Campaign)
 		}
-		stored := imp
-		open[imp.ID] = &stored
+		open[imp.ID] = imp
 	}
 	settled := make(map[ImpressionID]float64, len(st.Settled))
 	for _, s := range st.Settled {
@@ -127,6 +126,7 @@ func (e *Exchange) Restore(st ExchangeState) error {
 	e.ledger = st.Ledger
 	e.open = open
 	e.settled = settled
+	e.indexBids()
 	// The tenant namespace order derives from the campaign set, then the
 	// snapshot's cursors/ledgers overlay it and the open counts are
 	// recounted from the restored open book.
