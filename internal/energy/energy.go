@@ -17,13 +17,15 @@ import (
 	"repro/internal/trace"
 )
 
+// AdBytes is the size of one ad download, the creative plus HTTP
+// overhead; mobile banner ads in the paper's era were a few KB. The
+// measurement study, the simulator's radios and experiment F1 all
+// charge it.
+const AdBytes int64 = 2048
+
 // Config parameterizes a measurement run.
 type Config struct {
 	Profile radio.Profile
-
-	// AdBytes is the size of one ad creative plus HTTP overhead; mobile
-	// banner ads in the paper's era were a few KB.
-	AdBytes int64
 
 	// RefreshInterval is the ad rotation period while an app is in the
 	// foreground (Microsoft Ad SDK default: 30 s).
@@ -44,7 +46,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Profile:         radio.Profile3G(),
-		AdBytes:         2048,
 		RefreshInterval: 30 * time.Second,
 		DevicePowerW:    1.0,
 	}
@@ -54,9 +55,6 @@ func DefaultConfig() Config {
 func (c Config) Validate() error {
 	if err := c.Profile.Validate(); err != nil {
 		return err
-	}
-	if c.AdBytes < 0 {
-		return fmt.Errorf("energy: negative AdBytes %d", c.AdBytes)
 	}
 	if c.RefreshInterval <= 0 {
 		return fmt.Errorf("energy: RefreshInterval must be positive, got %v", c.RefreshInterval)
@@ -199,7 +197,7 @@ func buildEvents(u *trace.User, cat *trace.Catalog, cfg Config) []transferEvent 
 		if app.AdSupported && !cfg.ServeAdsLocally {
 			for _, at := range trace.SlotsOfSession(s, cfg.RefreshInterval) {
 				events = append(events, transferEvent{
-					at: at, bytes: cfg.AdBytes, owner: adOwner(app.ID), isAd: true, app: app.ID,
+					at: at, bytes: AdBytes, owner: adOwner(app.ID), isAd: true, app: app.ID,
 				})
 			}
 		}

@@ -84,8 +84,8 @@ func TestAdEnergyBetweenBatchedAndIsolated(t *testing.T) {
 	}
 	a := rep.Apps[0]
 	perAd := a.AdCommJ / float64(a.AdDownloads)
-	iso := cfg.Profile.IsolatedTransferEnergy(cfg.AdBytes)
-	xferOnly := cfg.Profile.ActivePower * cfg.Profile.TransferDuration(cfg.AdBytes).Seconds()
+	iso := cfg.Profile.IsolatedTransferEnergy(AdBytes)
+	xferOnly := cfg.Profile.ActivePower * cfg.Profile.TransferDuration(AdBytes).Seconds()
 	if perAd <= xferOnly*2 || perAd > iso+1e-9 {
 		t.Fatalf("per-ad %.3fJ should be in (%.3f, %.3f]", perAd, xferOnly*2, iso)
 	}
@@ -140,7 +140,6 @@ func TestMeasurePopulationMatchesSum(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
-		func(c *Config) { c.AdBytes = -1 },
 		func(c *Config) { c.RefreshInterval = 0 },
 		func(c *Config) { c.DevicePowerW = -1 },
 		func(c *Config) { c.Profile = radio.Profile{} },

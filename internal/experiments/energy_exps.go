@@ -38,7 +38,6 @@ func runT1(s Scale) (*metrics.Table, error) {
 // cost per ad includes exactly the promotion/tail sharing the interval
 // allows.
 func runF1(Scale) (*metrics.Table, error) {
-	const adBytes = 2048
 	const ads = 200
 	intervals := []time.Duration{5 * time.Second, 10 * time.Second, 30 * time.Second,
 		time.Minute, 2 * time.Minute, 5 * time.Minute}
@@ -55,7 +54,7 @@ func runF1(Scale) (*metrics.Table, error) {
 			r := radio.New(p)
 			at := simclock.Time(0)
 			for i := 0; i < ads; i++ {
-				r.Transfer(at, adBytes, "ads")
+				r.Transfer(at, energy.AdBytes, "ads")
 				at = at.Add(iv)
 			}
 			r.Flush()
@@ -68,8 +67,8 @@ func runF1(Scale) (*metrics.Table, error) {
 		row = append(row, fmt.Sprintf("%.0f%%", 100*tailShare))
 		t.AddRow(row...)
 	}
-	t.AddNote("%d ads of %d B each; per-ad cost includes promotion and (truncated) tail", ads, adBytes)
+	t.AddNote("%d ads of %d B each; per-ad cost includes promotion and (truncated) tail", ads, energy.AdBytes)
 	t.AddNote("batched bulk download of %d ads on 3G: %.2f J/ad", 10,
-		radio.Profile3G().BatchedTransferEnergy(adBytes, 10)/10)
+		radio.Profile3G().BatchedTransferEnergy(energy.AdBytes, 10)/10)
 	return t, nil
 }

@@ -28,6 +28,7 @@ import (
 	"repro/internal/auction"
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/energy"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/predict"
@@ -36,10 +37,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
-
-// AdBytes is the size of one ad download (creative plus HTTP overhead),
-// charged to the radio for every ad a device fetches.
-const AdBytes int64 = 2048
 
 // Config assembles one simulation run.
 type Config struct {
@@ -324,7 +321,7 @@ func (c Config) owner(at simclock.Time, kind radio.Owner) radio.Owner {
 // ReportBytes is set.
 func (c Config) chargeSlot(r *radio.Radio, at simclock.Time, fetched bool, topUps int, hit bool) {
 	if fetched {
-		r.Transfer(at, AdBytes*int64(1+topUps), c.owner(at, "ads"))
+		r.Transfer(at, energy.AdBytes*int64(1+topUps), c.owner(at, "ads"))
 	} else if hit && c.ReportBytes > 0 {
 		r.Transfer(at, c.ReportBytes, c.owner(at, "ads"))
 	}
@@ -648,7 +645,7 @@ func Run(cfg Config) (*Result, error) {
 			return err
 		}
 		if out.piggyback > 0 {
-			r.Transfer(ev.at, int64(out.piggyback)*AdBytes, cfg.owner(ev.at, "ads"))
+			r.Transfer(ev.at, int64(out.piggyback)*energy.AdBytes, cfg.owner(ev.at, "ads"))
 		}
 		cfg.chargeSlot(r, ev.at, !out.hit, out.topUps, out.hit)
 		return nil
@@ -668,7 +665,7 @@ func Run(cfg Config) (*Result, error) {
 				stats := sys.open(now, predict.PeriodOf(now, period),
 					func(i int) bool { return sims[i].offline(now, period) },
 					func(i, ads int) {
-						sims[i].radioAt(cfg.WiFiSchedule, now).Transfer(now, int64(ads)*AdBytes, cfg.owner(now, "ads"))
+						sims[i].radioAt(cfg.WiFiSchedule, now).Transfer(now, int64(ads)*energy.AdBytes, cfg.owner(now, "ads"))
 					})
 				res.SoldTotal += int64(stats.Sold)
 				res.ReplicaTotal += int64(stats.Replicas)

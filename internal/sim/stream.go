@@ -11,6 +11,7 @@ import (
 	"repro/internal/auction"
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/energy"
 	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/radio"
@@ -305,9 +306,9 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 	if plan != nil {
 		meters = make([]*radio.Radio, n)
 	}
-	var energy []*radio.Radio // app/ad transfer radios; Energy runs only
+	var radios []*radio.Radio // app/ad transfer radios; Energy runs only
 	if o.Energy {
-		energy = make([]*radio.Radio, n)
+		radios = make([]*radio.Radio, n)
 	}
 	for i := 0; i < n; i++ {
 		opts := []transport.Option{transport.WithHTTPClient(hc), transport.WithRegistry(clientReg)}
@@ -331,7 +332,7 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 		d.NoRescue = !cfg.Core.Rescue()
 		devices[i] = d
 		if o.Energy {
-			energy[i] = radio.New(cfg.Radio)
+			radios[i] = radio.New(cfg.Radio)
 		}
 	}
 
@@ -406,8 +407,8 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 					}
 					lat.Observe(time.Since(t0).Nanoseconds())
 					ops.Add(1)
-					if energy != nil && got > 0 {
-						energy[i].Transfer(now, int64(got)*AdBytes, cfg.owner(now, "ads"))
+					if radios != nil && got > 0 {
+						radios[i].Transfer(now, int64(got)*energy.AdBytes, cfg.owner(now, "ads"))
 					}
 					return nil
 				}); err != nil {
@@ -441,8 +442,8 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 		// events in (time, client id) order, the workers concurrently.
 		visit := func(id int, ev timelineEvent) error {
 			if !ev.slot {
-				if energy != nil {
-					energy[id].Transfer(ev.at, ev.bytes, cfg.owner(ev.at, "app"))
+				if radios != nil {
+					radios[id].Transfer(ev.at, ev.bytes, cfg.owner(ev.at, "app"))
 				}
 				return nil
 			}
@@ -461,8 +462,8 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 			if err != nil {
 				return err
 			}
-			if energy != nil {
-				cfg.chargeSlot(energy[id], ev.at, out.Fetched, out.TopUpAds, out.CacheHit)
+			if radios != nil {
+				cfg.chargeSlot(radios[id], ev.at, out.Fetched, out.TopUpAds, out.CacheHit)
 			}
 			lat.Observe(time.Since(t0).Nanoseconds())
 			ops.Add(1)
@@ -536,7 +537,7 @@ func driveStream(env *replayEnv, back serving) (*Result, error) {
 		}
 		res.FaultsInjected = plan.InjectedTotal()
 	}
-	for _, r := range energy {
+	for _, r := range radios {
 		res.addEnergy(o.Lean, r)
 	}
 	if slotLat != nil {
