@@ -106,6 +106,15 @@ func main() {
 	if *shards < 1 {
 		log.Fatalf("-shards must be >= 1, got %d", *shards)
 	}
+	// A member index without a ring size would boot owning every client
+	// and minting from the base id namespace, which the control plane
+	// only notices later as overlapping partitions.
+	if *clNode < 0 || *clSize < 0 {
+		log.Fatalf("-cluster-node and -cluster-size must be >= 0, got %d and %d", *clNode, *clSize)
+	}
+	if *clNode != 0 && *clSize == 0 {
+		log.Fatalf("-cluster-node %d needs -cluster-size, the member count of the routing ring", *clNode)
+	}
 
 	demand := auction.DefaultDemand()
 	demand.Campaigns = *campaigns
@@ -145,7 +154,7 @@ func main() {
 		}
 		ring := cluster.NewRingOf(members, 0)
 		for c := 0; c < *clients; c++ {
-			if *clNode >= 0 && *clNode < *clSize && ring.Place(c) == *clNode {
+			if *clNode < *clSize && ring.Place(c) == *clNode {
 				ids = append(ids, c)
 			}
 		}
