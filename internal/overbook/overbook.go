@@ -127,40 +127,6 @@ func (c *Candidate) nextQ() float64 {
 	return c.NoShowProb
 }
 
-// RequiredK returns the smallest k with q^k <= target (homogeneous
-// clients), capped at maxK. Clients with q=0 need k=1; q>=1 needs the cap.
-func RequiredK(q, target float64, maxK int) int {
-	if maxK < 1 {
-		maxK = 1
-	}
-	if q <= 0 {
-		return 1
-	}
-	if q >= 1 {
-		return maxK
-	}
-	// The 1e-9 slack absorbs floating-point noise in the log ratio (e.g.
-	// q=0.1, target=0.01 computes 2.0000000000000004).
-	k := int(math.Ceil(math.Log(target)/math.Log(q) - 1e-9))
-	if k < 1 {
-		k = 1
-	}
-	if k > maxK {
-		k = maxK
-	}
-	return k
-}
-
-// NoShowProduct returns ∏ q̂ᵢ over the chosen replica holders: the
-// modeled probability the impression misses its deadline.
-func NoShowProduct(qs []float64) float64 {
-	p := 1.0
-	for _, q := range qs {
-		p *= q
-	}
-	return p
-}
-
 // AdmissionCount decides how many impressions to sell for the upcoming
 // period given per-client forecasts. It models aggregate supply as a
 // normal sum of independent per-client counts (mean = expected forecast,
@@ -336,20 +302,4 @@ func (p *Planner) Plan(n int) [][]int {
 		out[i] = clients
 	}
 	return out
-}
-
-// MeanReplication returns the average replicas per placed impression of
-// a Plan result, the x-axis of the F5/F6 figures.
-func MeanReplication(plan [][]int) float64 {
-	total, placed := 0, 0
-	for _, c := range plan {
-		if len(c) > 0 {
-			total += len(c)
-			placed++
-		}
-	}
-	if placed == 0 {
-		return 0
-	}
-	return float64(total) / float64(placed)
 }

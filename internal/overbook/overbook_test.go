@@ -8,64 +8,6 @@ import (
 	"repro/internal/simclock"
 )
 
-func TestRequiredK(t *testing.T) {
-	cases := []struct {
-		q, target float64
-		maxK      int
-		want      int
-	}{
-		{0.1, 0.01, 10, 2},
-		{0.1, 0.001, 10, 3},
-		{0.5, 0.01, 10, 7},
-		{0.5, 0.01, 3, 3},  // capped
-		{0, 0.01, 10, 1},   // certain client
-		{1, 0.01, 10, 10},  // hopeless client: cap
-		{0.01, 0.5, 10, 1}, // single replica suffices
-		{0.3, 0.05, 0, 1},  // bad cap clamps to 1
-	}
-	for _, c := range cases {
-		if got := RequiredK(c.q, c.target, c.maxK); got != c.want {
-			t.Errorf("RequiredK(%v,%v,%d)=%d want %d", c.q, c.target, c.maxK, got, c.want)
-		}
-	}
-}
-
-// Property: RequiredK is monotone — tighter targets and flakier clients
-// need at least as many replicas, and the product constraint holds when
-// uncapped.
-func TestRequiredKProperty(t *testing.T) {
-	f := func(qRaw, tRaw uint16) bool {
-		q := 0.01 + 0.98*float64(qRaw)/65535
-		target := 0.001 + 0.5*float64(tRaw)/65535
-		k := RequiredK(q, target, 1000)
-		if math.Pow(q, float64(k)) > target+1e-12 {
-			return false
-		}
-		if k > 1 && math.Pow(q, float64(k-1)) <= target {
-			return false // not minimal
-		}
-		if RequiredK(q, target/2, 1000) < k {
-			return false // tighter target must not need fewer
-		}
-		if RequiredK(math.Min(q+0.01, 0.999), target, 1000) < k {
-			return false // flakier client must not need fewer
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNoShowProduct(t *testing.T) {
-	if got := NoShowProduct([]float64{0.5, 0.5, 0.2}); math.Abs(got-0.05) > 1e-12 {
-		t.Fatalf("got %v", got)
-	}
-	if NoShowProduct(nil) != 1 {
-		t.Fatal("empty product should be 1")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatal(err)
@@ -252,16 +194,6 @@ func TestPlanExhaustion(t *testing.T) {
 	clients, noShow := p.PlanOne()
 	if clients != nil || noShow != 1 {
 		t.Fatalf("empty pool should return nil,1: %v,%v", clients, noShow)
-	}
-}
-
-func TestMeanReplication(t *testing.T) {
-	plan := [][]int{{1, 2}, {3}, nil, {4, 5, 6}}
-	if got := MeanReplication(plan); math.Abs(got-2.0) > 1e-12 {
-		t.Fatalf("got %v", got)
-	}
-	if MeanReplication(nil) != 0 || MeanReplication([][]int{nil}) != 0 {
-		t.Fatal("degenerate plans should give 0")
 	}
 }
 
