@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/simclock"
+	"repro/internal/tenant"
 	"repro/internal/trace"
 )
 
@@ -335,6 +336,49 @@ func TestDemandGenerate(t *testing.T) {
 	camps2 := d.Generate(simclock.NewRand(1))
 	if camps[0].BidCPM != camps2[0].BidCPM {
 		t.Fatal("demand generation not deterministic")
+	}
+}
+
+// NodeCampaigns is the one campaign set every engine builder sells: the
+// legacy set from r.Stream("demand"), then one set per named tenant from
+// its own stream, ids offset per tenant, and every budget split over the
+// node's shards.
+func TestNodeCampaigns(t *testing.T) {
+	d := DefaultDemand()
+	d.Campaigns = 5
+	tenants := []tenant.Config{{ID: "pubA", Lo: 0, Hi: 10}, {ID: "pubB", Lo: 10, Hi: 20}}
+	r := simclock.NewRand(7).Stream("sim")
+	whole := d.NodeCampaigns(r, tenants, 1)
+	if again := d.NodeCampaigns(simclock.NewRand(7).Stream("sim"), tenants, 1); !reflect.DeepEqual(whole, again) {
+		t.Fatal("the same seed and tenant table gave different campaigns")
+	}
+	if len(whole) != 3*d.Campaigns {
+		t.Fatalf("%d campaigns, want %d", len(whole), 3*d.Campaigns)
+	}
+	for k, id := range []string{"", "pubA", "pubB"} {
+		stream := "demand"
+		if id != "" {
+			stream += ":" + id
+		}
+		want := d.Generate(r.Stream(stream))
+		for j := range want {
+			want[j].ID += CampaignID(k * d.Campaigns)
+			want[j].Tenant = id
+		}
+		if got := whole[k*d.Campaigns : (k+1)*d.Campaigns]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("set %q is not %s's campaigns with ids from %d:\n got %+v\nwant %+v", id, stream, k*d.Campaigns, got, want)
+		}
+	}
+	const shards = 4
+	split := d.NodeCampaigns(r, tenants, shards)
+	for i, c := range split {
+		if math.Abs(c.BudgetUSD*shards-whole[i].BudgetUSD) > 1e-12*whole[i].BudgetUSD {
+			t.Fatalf("campaign %d: %d shards x %v USD != undivided %v USD", c.ID, shards, c.BudgetUSD, whole[i].BudgetUSD)
+		}
+		c.BudgetUSD = whole[i].BudgetUSD
+		if !reflect.DeepEqual(c, whole[i]) {
+			t.Fatalf("campaign %d differs beyond its budget at %d shards: %+v vs %+v", c.ID, shards, c, whole[i])
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/simclock"
+	"repro/internal/tenant"
 	"repro/internal/trace"
 )
 
@@ -71,6 +72,33 @@ func (d DemandConfig) Generate(r *simclock.Rand) []Campaign {
 		out[i] = c
 	}
 	return out
+}
+
+// NodeCampaigns is the campaign set one shard of a node sells, drawn
+// from r; every engine builder calls it. The legacy set comes from
+// r.Stream("demand") with ids 0..Campaigns-1 and no tenant tag, so a
+// multi-tenant run's aggregate books stay comparable with a
+// single-tenant run's. Each named tenant's set comes from
+// r.Stream("demand:"+id), ids offset past every set before it and
+// tagged with the tenant. Every budget is divided by the node's shard
+// count, so its shards together never spend more than one budget. A
+// cluster node holds its own budget: sharing one across nodes would
+// need a cross-node ledger. Generation is pure, so the same arguments
+// always give the same campaigns.
+func (d DemandConfig) NodeCampaigns(r *simclock.Rand, tenants []tenant.Config, shards int) []Campaign {
+	all := d.Generate(r.Stream("demand"))
+	for ti, tc := range tenants {
+		set := d.Generate(r.Stream("demand:" + tc.ID))
+		for i := range set {
+			set[i].ID += CampaignID((ti + 1) * d.Campaigns)
+			set[i].Tenant = tc.ID
+		}
+		all = append(all, set...)
+	}
+	for i := range all {
+		all[i].BudgetUSD /= float64(shards)
+	}
+	return all
 }
 
 func campaignName(i int) string {

@@ -33,9 +33,7 @@ func runX9(s Scale) (*metrics.Table, error) {
 	cfg.Core.NoRescue = true
 	cfg.Demand.TargetedFrac = 0
 	cfg.Demand.BudgetImpressions = 1_000_000_000
-	if cfg.MaxUsers == 0 || cfg.MaxUsers > 80 {
-		cfg.MaxUsers = 80
-	}
+	cfg.TraceCfg.Users = min(cfg.TraceCfg.Users, 80)
 
 	plan := func() *faults.Plan {
 		return &faults.Plan{

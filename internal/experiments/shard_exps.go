@@ -47,11 +47,10 @@ func runX8(s Scale) (*metrics.Table, error) {
 	for _, n := range []int{1, 2, 4, 8} {
 		cfg := adserver.DefaultConfig()
 		cfg.Period = 4 * time.Hour
-		demandSeed := rng.Stream("demand")
 		pool, err := shard.New(n, cfg, ids, func(int) (*auction.Exchange, error) {
 			d := auction.DefaultDemand()
 			d.BudgetImpressions = 10_000_000
-			return auction.NewExchange(d.Generate(demandSeed), 0.0001)
+			return auction.NewExchange(d.NodeCampaigns(rng, nil, n), 0.0001)
 		}, func(id int) predict.Predictor {
 			c := perClient[id]
 			return staticPredictor{predict.Estimate{Slots: c.slots, Mean: c.mean, NoShowProb: c.noShow}}

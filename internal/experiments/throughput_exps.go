@@ -27,7 +27,7 @@ func runT2(s Scale) (*metrics.Table, error) {
 		// Auction throughput: one deep exchange, sell `batch` slots.
 		demand := auction.DefaultDemand()
 		demand.BudgetImpressions = int64(batch) * 10
-		ex, err := auction.NewExchange(demand.Generate(rng.Stream("demand")), 0.0001)
+		ex, err := auction.NewExchange(demand.NodeCampaigns(rng, nil, 1), 0.0001)
 		if err != nil {
 			return nil, err
 		}

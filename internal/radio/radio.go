@@ -70,9 +70,6 @@ func New(p Profile) *Radio {
 	return &Radio{profile: p, usage: make(map[Owner]*Usage)}
 }
 
-// Profile returns the profile the radio was built with.
-func (r *Radio) Profile() Profile { return r.profile }
-
 // Transfer replays a transfer of the given size requested at instant at,
 // attributed to owner. It returns the instant the transfer completes on
 // the air. Requests may arrive while an earlier transfer is still in

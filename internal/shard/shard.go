@@ -47,8 +47,9 @@ func Route(clientID, n int) int {
 }
 
 // New partitions clientIDs across n shards. Each shard gets its own
-// exchange built by mkExchange (campaign budgets are per-shard: a real
-// deployment splits campaign budgets across shards the same way).
+// exchange built by mkExchange, so budgets are per shard: a node builds
+// them with auction.DemandConfig.NodeCampaigns, which gives each shard
+// 1/n of every campaign's budget.
 func New(n int, cfg adserver.Config, clientIDs []int,
 	mkExchange func(shard int) (*auction.Exchange, error),
 	mkPredictor func(clientID int) predict.Predictor,

@@ -245,19 +245,11 @@ func (b *localBackend) buildNode(nd *simNode) error {
 	if err != nil {
 		return err
 	}
+	member := -1
 	if b.elastic {
-		// (F2) Disjoint impression-id namespaces: each node mints from its
-		// own 2^40 block, so state handed to another node can never
-		// collide with ids the adopter minted itself. Seeded before WAL
-		// recovery, so replayed sales mint exactly the ids the live run did.
-		for i := 0; i < pool.Shards(); i++ {
-			pool.Shard(i).Exchange().SeedMemberIDs(nd.idx)
-		}
-	}
-	ts := transport.NewShardedServer(pool)
-	ts.SetNodeID(nd.id)
-	if err := setTenants(ts, o.Tenants); err != nil {
-		return err
+		// (F2) Each node mints impression ids from its own block, so
+		// state handed to another node never collides with the adopter's.
+		member = nd.idx
 	}
 	var l *wal.Log
 	if nd.walDir != "" {
@@ -268,11 +260,13 @@ func (b *localBackend) buildNode(nd *simNode) error {
 		if l, err = wal.Open(nd.walDir, wal.Options{NoSync: !o.Fsync, Hook: hook}); err != nil {
 			return fmt.Errorf("sim: node %d wal: %w", nd.idx, err)
 		}
-		ts.AttachWAL(l, o.SnapshotEvery)
-		if _, err := ts.Recover(); err != nil {
+	}
+	ts, _, err := transport.BootNode(pool, member, nd.id, o.Tenants, l, o.SnapshotEvery)
+	if err != nil {
+		if l != nil {
 			l.Close()
-			return fmt.Errorf("sim: node %d recovery: %w", nd.idx, err)
 		}
+		return fmt.Errorf("sim: node %d: %w", nd.idx, err)
 	}
 	handler := ts.Handler()
 	var srv *http.Server

@@ -17,7 +17,6 @@ import (
 func crashConfig() Config {
 	cfg := transportConfig()
 	cfg.TraceCfg.Users = 24
-	cfg.MaxUsers = 24
 	cfg.TraceCfg.Days = 3
 	return cfg
 }
@@ -123,7 +122,6 @@ func TestCrashAtEveryRecord(t *testing.T) {
 	}
 	cfg := transportConfig()
 	cfg.TraceCfg.Users = 2
-	cfg.MaxUsers = 2
 	cfg.TraceCfg.Days = 1
 	cfg.WarmupDays = 0
 

@@ -45,9 +45,6 @@ type Config struct {
 	Population *trace.Population
 	TraceCfg   trace.GenConfig
 
-	// MaxUsers truncates the population for quick runs (0 = all).
-	MaxUsers int
-
 	Radio radio.Profile
 
 	// WiFiSchedule, when enabled, models mixed connectivity: each user
@@ -543,14 +540,10 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	users := pop.Users
-	if cfg.MaxUsers > 0 && cfg.MaxUsers < len(users) {
-		users = users[:cfg.MaxUsers]
-	}
 	// A user's position is its wake-heap ID, so positions follow user ids:
 	// same-instant events then fire in user id order whatever order the
 	// population lists its users in.
-	users = slices.Clone(users)
+	users := slices.Clone(pop.Users)
 	sort.SliceStable(users, func(i, j int) bool { return users[i].ID < users[j].ID })
 	cat := trace.NewCatalog(trace.DefaultCatalog())
 	warmupEnd := cfg.warmupEnd()
@@ -561,7 +554,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// Exchange and system assembly.
 	rng := simclock.NewRand(cfg.Seed).Stream("sim")
-	ex, err := auction.NewExchange(cfg.Demand.Generate(rng.Stream("demand")), auction.DefaultReserveUSD)
+	ex, err := auction.NewExchange(cfg.Demand.NodeCampaigns(rng, nil, 1), auction.DefaultReserveUSD)
 	if err != nil {
 		return nil, err
 	}

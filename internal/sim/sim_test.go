@@ -299,15 +299,6 @@ func TestSyncDelaySweepRaisesRevenueLoss(t *testing.T) {
 	}
 }
 
-func TestMaxUsersTruncates(t *testing.T) {
-	cfg := quickConfig(core.ModeOnDemand)
-	cfg.MaxUsers = 10
-	r := run(t, cfg)
-	if r.Users != 10 {
-		t.Fatalf("users=%d", r.Users)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.ReportBytes = -1 },

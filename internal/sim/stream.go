@@ -98,10 +98,6 @@ func validateTransport(cfg Config, o TransportOpts) error {
 			return err
 		}
 	}
-	users := cfg.TraceCfg.Users
-	if cfg.MaxUsers > 0 && cfg.MaxUsers < users {
-		users = cfg.MaxUsers
-	}
 	switch {
 	case cfg.Population != nil:
 		return fmt.Errorf("sim: transport replay derives traces lazily from TraceCfg; a supplied Population is not replayed")
@@ -127,8 +123,8 @@ func validateTransport(cfg Config, o TransportOpts) error {
 		return fmt.Errorf("sim: migration steps require cluster mode (Nodes > 0)")
 	case o.Flood != nil && (o.Flood.Devices < 1 || o.Flood.PerPeriod < 1):
 		return fmt.Errorf("sim: a flood spec needs Devices and PerPeriod >= 1")
-	case o.Flood != nil && users > FloodClientBase:
-		return fmt.Errorf("sim: flood ids start at %d; a population of %d would collide with them", FloodClientBase, users)
+	case o.Flood != nil && cfg.TraceCfg.Users > FloodClientBase:
+		return fmt.Errorf("sim: flood ids start at %d; a population of %d would collide with them", FloodClientBase, cfg.TraceCfg.Users)
 	}
 	return nil
 }
@@ -152,9 +148,6 @@ func newStreamEnv(cfg Config, o TransportOpts) (*replayEnv, error) {
 		return nil, err
 	}
 	n := st.Users()
-	if cfg.MaxUsers > 0 && cfg.MaxUsers < n {
-		n = cfg.MaxUsers
-	}
 	cat := st.Catalog()
 	if cfg.warmupEnd() > st.Span() {
 		return nil, fmt.Errorf("sim: warm-up %d days exceeds trace span %v", cfg.WarmupDays, st.Span())
@@ -215,31 +208,11 @@ func newStreamEnv(cfg Config, o TransportOpts) (*replayEnv, error) {
 	env.oracle = func(id int) []int {
 		return trace.SlotsPerPeriod(st.UserAt(id), cat, cfg.RefreshInterval, period, env.span)
 	}
-	tenants := o.Tenants
 	env.makePool = func(shards int, members []int) (*shard.Pool, error) {
 		rng := simclock.NewRand(cfg.Seed).Stream("sim")
-		// The legacy campaign set keeps ids 0..Campaigns-1 and no tenant
-		// tag, so a multi-tenant run's aggregate books stay comparable
-		// with a single-tenant run's. Each named tenant then gets its own
-		// full set from a tenant-keyed stream, ids offset past every set
-		// before it. Generation is pure, so a solo run and a combined run
-		// with the same tenant table instantiate identical demand — the
-		// noisy-neighbor equality assertions lean on exactly that.
-		demand := func() []auction.Campaign {
-			all := cfg.Demand.Generate(rng.Stream("demand"))
-			for ti, tc := range tenants {
-				set := cfg.Demand.Generate(rng.Stream("demand:" + tc.ID))
-				for i := range set {
-					set[i].ID += auction.CampaignID((ti + 1) * cfg.Demand.Campaigns)
-					set[i].Tenant = tc.ID
-				}
-				all = append(all, set...)
-			}
-			return all
-		}
 		return shard.New(shards, cfg.Core.Server, members,
 			func(int) (*auction.Exchange, error) {
-				return auction.NewExchange(demand(), auction.DefaultReserveUSD)
+				return auction.NewExchange(cfg.Demand.NodeCampaigns(rng, o.Tenants, shards), auction.DefaultReserveUSD)
 			},
 			func(id int) predict.Predictor { return cfg.Core.NewPredictor(id, env.oracle) },
 			env.hints)

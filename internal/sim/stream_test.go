@@ -366,9 +366,9 @@ func TestStreamValidation(t *testing.T) {
 	if err := validateTransport(huge, TransportOpts{Shards: 1, Flood: flood}); err == nil {
 		t.Fatal("accepted a flood whose ids collide with the population")
 	}
-	huge.MaxUsers = FloodClientBase
+	huge.TraceCfg.Users = FloodClientBase
 	if err := validateTransport(huge, TransportOpts{Shards: 1, Flood: flood}); err != nil {
-		t.Fatalf("rejected a flood above a MaxUsers-capped population: %v", err)
+		t.Fatalf("rejected a flood just above the population: %v", err)
 	}
 	wifi := cfg
 	wifi.WiFiSchedule = DefaultWiFiSchedule()

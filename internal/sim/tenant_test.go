@@ -14,7 +14,6 @@ import (
 func tenantConfig() Config {
 	cfg := transportConfig()
 	cfg.TraceCfg.Users = 24
-	cfg.MaxUsers = 24
 	cfg.TraceCfg.Days = 3
 	return cfg
 }

@@ -224,23 +224,6 @@ type serving interface {
 	close()
 }
 
-// setTenants installs a run's boot tenant registry (epoch 1) on a
-// fresh serving incarnation. Installed before WAL recovery, so a
-// higher config epoch logged by a previous incarnation supersedes it —
-// a crash-rebuilt process converges to exactly the table the dead one
-// last acknowledged, never a blend.
-func setTenants(ts *transport.ShardedServer, cfgs []tenant.Config) error {
-	if len(cfgs) == 0 {
-		return nil
-	}
-	reg, err := tenant.NewRegistry(1, cfgs)
-	if err != nil {
-		return err
-	}
-	ts.SetTenants(reg)
-	return nil
-}
-
 // targetBackend drives an external serving deployment (adloadgen
 // -target): devices speak to the operator's own node or cluster router
 // at the given base URL, and the harness owns no server-side state.

@@ -45,6 +45,7 @@ import (
 	"repro/internal/adserver"
 	"repro/internal/client"
 	"repro/internal/envelope"
+	"repro/internal/shard"
 	"repro/internal/simclock"
 	"repro/internal/tenant"
 	"repro/internal/wal"
@@ -169,6 +170,42 @@ func (s *ShardedServer) Recover() (wal.RecoverStats, error) {
 	s.recovering.Store(true)
 	defer s.recovering.Store(false)
 	return s.wlog.Recover(s.restoreSnapshot, s.applyWALRecord)
+}
+
+// BootNode turns a freshly built pool into a recovered server; every
+// process that serves a node boots through it. The steps run in the
+// order recovery depends on. A ring member (member >= 0) mints
+// impression ids from its own disjoint namespace, seeded first so
+// replayed sales mint the ids the live run did. The node is named
+// (id, "" for none). The boot tenant table is installed as epoch 1, so
+// a higher config epoch in the log supersedes it and a rebuilt process
+// converges to the table the dead one last acknowledged. Last, l (nil
+// runs without durability) is attached with the given checkpoint
+// cadence and recovered. The caller owns l and closes it.
+func BootNode(pool *shard.Pool, member int, id string, tenants []tenant.Config, l *wal.Log, snapshotEvery int) (*ShardedServer, wal.RecoverStats, error) {
+	if member >= 0 {
+		for i := 0; i < pool.Shards(); i++ {
+			pool.Shard(i).Exchange().SeedMemberIDs(member)
+		}
+	}
+	s := NewShardedServer(pool)
+	s.SetNodeID(id)
+	if len(tenants) > 0 {
+		reg, err := tenant.NewRegistry(1, tenants)
+		if err != nil {
+			return nil, wal.RecoverStats{}, fmt.Errorf("transport: boot tenant table: %w", err)
+		}
+		s.SetTenants(reg)
+	}
+	if l == nil {
+		return s, wal.RecoverStats{}, nil
+	}
+	s.AttachWAL(l, snapshotEvery)
+	st, err := s.Recover()
+	if err != nil {
+		return nil, st, fmt.Errorf("transport: recovery: %w", err)
+	}
+	return s, st, nil
 }
 
 // maybeCheckpoint runs the configured checkpoint cadence; called from

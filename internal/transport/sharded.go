@@ -245,9 +245,6 @@ func (s *ShardedServer) SetNodeID(id string) {
 	s.reg.GaugeFunc("adserver_node_info", func() float64 { return 1 }, "node", id)
 }
 
-// NodeID returns the id set by SetNodeID ("" for unnamed instances).
-func (s *ShardedServer) NodeID() string { return s.nodeID }
-
 // Registry exposes the server's metrics registry (the same one scraped
 // at GET /v1/metrics), for debug listeners, experiments and tests.
 func (s *ShardedServer) Registry() *obs.Registry { return s.reg }

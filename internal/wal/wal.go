@@ -222,16 +222,10 @@ func (l *Log) writeHeaderLocked() error {
 	return nil
 }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Seal makes every subsequent Append fail with ErrSealed. The crash
 // harness seals the "dead" process's log at the kill instant so no
 // in-flight request can become durable — or acknowledged — afterwards.
 func (l *Log) Seal() { l.sealed.Store(true) }
-
-// Sealed reports whether the log has been sealed.
-func (l *Log) Sealed() bool { return l.sealed.Load() }
 
 // Append makes one record durable: frame, write, group-commit fsync
 // (unless NoSync), then run the post-durability Hook. Callers must not
