@@ -60,13 +60,15 @@ mega:
 # cluster routing tier's proxy overhead (1 vs 3 nodes over an HTTP hop,
 # then the HTTP hop and the persistent link side by side against real
 # nodes), and the live shard-migration handoff (clients/s transferred, serving p99 while a
-# handoff holds the rebalance lock), and one auction sale's cost and
-# allocations at 40, 400 and 4000 campaigns.
+# handoff holds the rebalance lock), one auction sale's cost and
+# allocations at 40, 400 and 4000 campaigns, and one bundle of 8 merged
+# into a device cache of 64.
 bench:
 	go test -bench 'ShardedServing|WakeUp' -benchtime 2s -run '^$$' ./internal/transport
 	go test -bench 'ClusterRoundTrip|MigrationHandoff' -benchtime 2s -run '^$$' ./internal/cluster
 	go test -bench 'StreamingReplay' -benchtime 1x -run '^$$' ./internal/sim
 	go test -bench 'SellOne' -benchtime 1s -run '^$$' ./internal/auction
+	go test -bench 'CacheAdd' -benchtime 1s -run '^$$' ./internal/client
 
 # Engine profile: one paper_inproc-sized sim.Run (BenchmarkPaperInproc)
 # under the CPU and allocation profilers, then the two pprof -top tables.

@@ -231,6 +231,7 @@ func BenchmarkPaperInproc(b *testing.B) {
 	cfg.TraceCfg.Days = 6
 	cfg.WarmupDays = 3
 	cfg.Core.Server.Period = 4 * time.Hour
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := adprefetch.RunSimulation(cfg)
 		if err != nil {

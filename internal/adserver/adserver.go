@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -454,10 +455,10 @@ func (s *Server) StartPeriod(now simclock.Time, p predict.Period) ([]Bundle, Per
 	s.curPeriod = p
 	defer func() { s.lastForecast = stats.PredictedSlots }()
 
-	bundles := make(map[int]*Bundle)
+	var pairs []bundlePair
 	built := false
 	if s.tenantOf == nil {
-		built = s.startGroup(now, p, s.clientIDs, "", nil, &stats, bundles)
+		built = s.startGroup(now, p, s.clientIDs, "", nil, &stats, &pairs)
 	} else {
 		for _, g := range s.tenantGroups() {
 			tenant := g.tenant
@@ -465,7 +466,7 @@ func (s *Server) StartPeriod(now simclock.Time, p predict.Period) ([]Bundle, Per
 				camp, ok := s.ex.Campaign(c)
 				return ok && camp.Tenant == tenant
 			}
-			if s.startGroup(now, p, g.clients, tenant, allow, &stats, bundles) {
+			if s.startGroup(now, p, g.clients, tenant, allow, &stats, &pairs) {
 				built = true
 			}
 		}
@@ -473,28 +474,70 @@ func (s *Server) StartPeriod(now simclock.Time, p predict.Period) ([]Bundle, Per
 	if !built {
 		return nil, stats
 	}
-	out := make([]Bundle, 0, len(bundles))
-	for _, b := range bundles {
-		out = append(out, *b)
+	return s.bundlesOf(pairs), stats
+}
+
+// bundlePair is one replica bound for a client's bundle: at is the
+// client's index in s.clientIDs.
+type bundlePair struct {
+	at int
+	ad client.CachedAd
+}
+
+// bundlesOf groups the round's replicas into one bundle per client, in
+// client order, each client's ads in sale order. It is a counting sort
+// on the client index: the bundles share one backing array, each carved
+// full-cap so an append to one cannot overwrite the next.
+func (s *Server) bundlesOf(pairs []bundlePair) []Bundle {
+	// ends[i] counts client i's ads, then (prefix sums) is where they
+	// start, then (after the scatter) where they end.
+	ends := make([]int, len(s.clientIDs))
+	clients := 0
+	for _, pr := range pairs {
+		if ends[pr.at] == 0 {
+			clients++
+		}
+		ends[pr.at]++
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Client < out[j].Client })
-	return out, stats
+	start := 0
+	for i, n := range ends {
+		ends[i] = start
+		start += n
+	}
+	ads := make([]client.CachedAd, len(pairs))
+	for _, pr := range pairs {
+		ads[ends[pr.at]] = pr.ad
+		ends[pr.at]++
+	}
+	out := make([]Bundle, 0, clients)
+	lo := 0
+	for i, hi := range ends {
+		if hi > lo {
+			out = append(out, Bundle{Client: s.clientIDs[i], Ads: ads[lo:hi:hi]})
+		}
+		lo = hi
+	}
+	return out
 }
 
 // startGroup runs one tenant's forecast/admission/sale/replication
-// round, accumulating into the shared stats and bundle map. It reports
-// whether the round reached the bundling stage (sold anything), which
-// preserves the legacy nil-vs-empty reply distinction.
+// round, accumulating into the shared stats and the round's replicas.
+// It reports whether the round reached the bundling stage (sold
+// anything), which preserves the legacy nil-vs-empty reply distinction.
 func (s *Server) startGroup(now simclock.Time, p predict.Period, clientIDs []int,
 	tenant string, allow func(auction.CampaignID) bool,
-	stats *PeriodStats, bundles map[int]*Bundle) bool {
+	stats *PeriodStats, pairs *[]bundlePair) bool {
 
-	cands := make([]*overbook.Candidate, 0, len(clientIDs))
-	for _, id := range clientIDs {
+	// One slab each for the candidates and the distributions they
+	// point at, resolved once here so the planner's per-replica
+	// question costs no context lookup.
+	cands := make([]overbook.Candidate, len(clientIDs))
+	cdfs := make([]predict.CDF, len(clientIDs))
+	for i, id := range clientIDs {
 		pred := s.predictors[id]
 		est := pred.Predict(p)
 		stats.PredictedSlots += est.Slots
-		cand := &overbook.Candidate{
+		cands[i] = overbook.Candidate{
 			Client:         id,
 			PredictedSlots: est.Slots,
 			ExpectedSlots:  est.Mean,
@@ -502,12 +545,12 @@ func (s *Server) startGroup(now simclock.Time, p predict.Period, clientIDs []int
 			NoShowProb:     est.NoShowProb,
 		}
 		if dist, ok := pred.(predict.Distribution); ok {
-			cand.ShortfallProb = func(rank int) float64 { return dist.ProbAtMost(p, rank) }
+			cdfs[i] = dist.CDF(p)
+			cands[i].Shortfall = &cdfs[i]
 		}
-		cands = append(cands, cand)
 	}
 
-	admitted := overbook.AdmissionCount(candValues(cands), s.cfg.Overbook)
+	admitted := overbook.AdmissionCount(cands, s.cfg.Overbook)
 	stats.Admitted += admitted
 	if admitted == 0 {
 		return false
@@ -519,11 +562,20 @@ func (s *Server) startGroup(now simclock.Time, p predict.Period, clientIDs []int
 		return false
 	}
 
-	planner, err := overbook.NewPlanner(s.cfg.Overbook, cands)
+	ptrs := make([]*overbook.Candidate, len(cands))
+	for i := range cands {
+		ptrs[i] = &cands[i]
+	}
+	planner, err := overbook.NewPlanner(s.cfg.Overbook, ptrs)
 	if err != nil {
 		// Config was validated at construction; a failure here is a bug.
 		panic(err)
 	}
+	maxK := s.cfg.Overbook.MaxReplicas
+	if k := s.cfg.Overbook.FixedReplicas; k > 0 {
+		maxK = k
+	}
+	*pairs = slices.Grow(*pairs, len(sold)*maxK)
 	day := now.DayIndex()
 	book := s.bookOf(tenant)
 	for _, imp := range sold {
@@ -550,27 +602,18 @@ func (s *Server) startGroup(now simclock.Time, p predict.Period, clientIDs []int
 		stats.Placed++
 		stats.Replicas += len(holders)
 		for _, c := range holders {
-			b, ok := bundles[c]
-			if !ok {
-				b = &Bundle{Client: c}
-				bundles[c] = b
-			}
-			b.Ads = append(b.Ads, client.CachedAd{
-				ID:       imp.ID,
-				Deadline: imp.Deadline,
-				Tie:      displayTie(c, imp.ID),
+			at, _ := slices.BinarySearch(s.clientIDs, c)
+			*pairs = append(*pairs, bundlePair{
+				at: at,
+				ad: client.CachedAd{
+					ID:       imp.ID,
+					Deadline: imp.Deadline,
+					Tie:      displayTie(c, imp.ID),
+				},
 			})
 		}
 	}
 	return true
-}
-
-func candValues(cands []*overbook.Candidate) []overbook.Candidate {
-	out := make([]overbook.Candidate, len(cands))
-	for i, c := range cands {
-		out[i] = *c
-	}
-	return out
 }
 
 // aggregateHintsOf unions the given clients' category hints (prefetched

@@ -170,7 +170,7 @@ func (c Config) Rescue() bool { return c.Mode != ModeOnDemand && !c.NoRescue }
 func (c Config) NewPredictor(id int, oracle func(clientID int) []int) predict.Predictor {
 	switch c.Mode {
 	case ModeNaiveBulk:
-		return constPredictor{k: c.NaiveK}
+		return &constPredictor{k: [1]int{c.NaiveK}}
 	case ModeOracle:
 		return predict.NewOracle(oracle(id))
 	default:
@@ -187,19 +187,15 @@ func (c Config) NewPredictor(id int, oracle func(clientID int) []int) predict.Pr
 }
 
 // constPredictor backs ModeNaiveBulk: it always "predicts" K slots.
-type constPredictor struct{ k int }
+// K is held as a one-element array so CDF can hand out a slice of it.
+type constPredictor struct{ k [1]int }
 
-func (c constPredictor) Name() string { return fmt.Sprintf("const-%d", c.k) }
-func (c constPredictor) Predict(predict.Period) predict.Estimate {
-	return predict.Estimate{Slots: float64(c.k), Mean: float64(c.k), NoShowProb: 0}
+func (c *constPredictor) Name() string { return fmt.Sprintf("const-%d", c.k[0]) }
+func (c *constPredictor) Predict(predict.Period) predict.Estimate {
+	return predict.Estimate{Slots: float64(c.k[0]), Mean: float64(c.k[0]), NoShowProb: 0}
 }
-func (c constPredictor) Observe(predict.Period, int) {}
+func (c *constPredictor) Observe(predict.Period, int) {}
 
-// ProbAtMost implements predict.Distribution: the naive client "will
-// show" exactly its K configured slots.
-func (c constPredictor) ProbAtMost(_ predict.Period, k int) float64 {
-	if k < c.k {
-		return 0
-	}
-	return 1
-}
+// CDF implements predict.Distribution: the naive client "will show"
+// exactly its K configured slots.
+func (c *constPredictor) CDF(predict.Period) predict.CDF { return predict.ExactCDF(c.k[:]) }

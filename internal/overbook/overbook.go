@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/minheap"
+	"repro/internal/predict"
 )
 
 // Config holds the overbooking policy parameters.
@@ -107,11 +108,12 @@ type Candidate struct {
 	// nothing during the period.
 	NoShowProb float64
 
-	// ShortfallProb, when non-nil, returns P(the client produces <= rank
-	// slots this period): the rank-aware no-show probability of a
+	// Shortfall, when non-nil, is the client's slot-count distribution
+	// for the period: P(the client produces <= rank slots), its
+	// ProbAtMost(rank), is the rank-aware no-show probability of a
 	// replica placed at cache position rank. Nil falls back to the
 	// rank-independent NoShowProb (the binary model).
-	ShortfallProb func(rank int) float64
+	Shortfall *predict.CDF
 
 	// Assigned counts replicas already placed on this client this
 	// period (mutated by the planner).
@@ -121,8 +123,8 @@ type Candidate struct {
 // nextQ returns the no-show probability of the next replica placed on
 // this candidate, given how many it already holds.
 func (c *Candidate) nextQ() float64 {
-	if c.ShortfallProb != nil {
-		return c.ShortfallProb(c.Assigned)
+	if c.Shortfall != nil {
+		return c.Shortfall.ProbAtMost(c.Assigned)
 	}
 	return c.NoShowProb
 }
@@ -180,7 +182,14 @@ type Planner struct {
 	// chosen is PlanOne's scratch: the entries held aside while one
 	// impression's holders are picked, reused across calls.
 	chosen []candEntry
+
+	// slab is where PlanOne carves the holder lists it returns: callers
+	// keep them per impression, so they are handed out, never reused.
+	slab []int
 }
+
+// slabChunk is how many holder ids one slab allocation covers.
+const slabChunk = 512
 
 // candEntry caches a candidate's score at insertion time.
 type candEntry struct {
@@ -227,7 +236,8 @@ func NewPlanner(cfg Config, cands []*Candidate) (*Planner, error) {
 // until the no-show product reaches the target SLA (or the fixed k, or
 // the replica cap, or capacity runs out). It returns the chosen client
 // ids and the modeled no-show probability; an empty result means no
-// capacity remained anywhere.
+// capacity remained anywhere. The ids are the caller's to keep: each
+// list is its own full-cap stretch of the planner's slab.
 func (p *Planner) PlanOne() (clients []int, noShow float64) {
 	wantK := p.cfg.MaxReplicas
 	fixed := p.cfg.FixedReplicas > 0
@@ -270,8 +280,13 @@ func (p *Planner) PlanOne() (clients []int, noShow float64) {
 		noShow *= q
 		chosen = append(chosen, e)
 	}
-	if len(chosen) > 0 {
-		clients = make([]int, len(chosen)) // exact: callers retain it per impression
+	if n := len(chosen); n > 0 {
+		if cap(p.slab)-len(p.slab) < n {
+			p.slab = make([]int, 0, max(slabChunk, n))
+		}
+		// Full-cap: an append by the caller cannot reach the next list.
+		clients = p.slab[len(p.slab) : len(p.slab)+n : len(p.slab)+n]
+		p.slab = p.slab[:len(p.slab)+n]
 	}
 	for i, e := range chosen {
 		c := e.c

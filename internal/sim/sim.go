@@ -18,6 +18,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -711,12 +712,12 @@ func buildTimeline(u *trace.User, cat *trace.Catalog, refresh time.Duration) []t
 			}
 		}
 		if app.AdSupported {
-			for _, at := range trace.SlotsOfSession(s, refresh) {
-				tl = append(tl, timelineEvent{at: at, slot: true, app: int32(s.App)})
+			for i := range trace.SlotCount(s, refresh) {
+				tl = append(tl, timelineEvent{at: s.Start.Add(time.Duration(i) * refresh), slot: true, app: int32(s.App)})
 			}
 		}
 	}
-	sort.SliceStable(tl, func(i, j int) bool { return tl[i].at < tl[j].at })
+	slices.SortStableFunc(tl, func(a, b timelineEvent) int { return cmp.Compare(a.at, b.at) })
 	return tl
 }
 

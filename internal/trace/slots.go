@@ -6,14 +6,15 @@ import (
 	"repro/internal/simclock"
 )
 
-// SlotsOfSession returns the ad display instants of one session under
-// the given refresh interval: the ad control shows an ad when a session
-// starts and refreshes it at a fixed interval while the app stays in the
-// foreground (the Microsoft Ad SDK default is 30 s), so one at session
-// start, then one per refresh boundary strictly inside the session.
-func SlotsOfSession(s Session, refresh time.Duration) []simclock.Time {
+// SlotCount is how many ads one session shows under the given refresh
+// interval: the ad control shows an ad when a session starts and
+// refreshes it at a fixed interval while the app stays in the foreground
+// (the Microsoft Ad SDK default is 30 s), so one at session start, then
+// one per refresh boundary strictly inside the session. The i-th shows
+// at s.Start + i·refresh.
+func SlotCount(s Session, refresh time.Duration) int {
 	if refresh <= 0 {
-		return []simclock.Time{s.Start}
+		return 1
 	}
 	n := 1 + int(s.Duration/refresh)
 	if s.Duration%refresh == 0 && s.Duration > 0 {
@@ -21,9 +22,16 @@ func SlotsOfSession(s Session, refresh time.Duration) []simclock.Time {
 		// at the closing instant never renders).
 		n--
 	}
-	out := make([]simclock.Time, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, s.Start.Add(time.Duration(i)*refresh))
+	return n
+}
+
+// SlotsOfSession returns the ad display instants of one session under
+// the given refresh interval (see SlotCount).
+func SlotsOfSession(s Session, refresh time.Duration) []simclock.Time {
+	n := SlotCount(s, refresh)
+	out := make([]simclock.Time, n)
+	for i := range out {
+		out[i] = s.Start.Add(time.Duration(i) * refresh)
 	}
 	return out
 }
@@ -41,8 +49,8 @@ func SlotsPerPeriod(u *User, cat *Catalog, refresh, period time.Duration, span s
 		if !cat.App(s.App).AdSupported {
 			continue
 		}
-		for _, at := range SlotsOfSession(s, refresh) {
-			i := int(at / simclock.Time(period))
+		for k := range SlotCount(s, refresh) {
+			i := int(s.Start.Add(time.Duration(k)*refresh) / simclock.Time(period))
 			if i >= 0 && i < n {
 				counts[i]++
 			}

@@ -137,7 +137,9 @@ func (rt *cannedTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 // form (ISSUE 24: per-op 19 · 39 · 73, JSON envelopes 29 · 51 · 59, binary
 // 30 · 53 · 63 for fetch · miss · fetch+hit); writing the wake-up once
 // took the on-demand body's growth steps, the outbox's settle closure and
-// a heap copy per queued report with it. A lower number is an
+// a heap copy per queued report with it; merging a bundle into the
+// sorted cache instead of re-sorting it took the cache's dedup map out of
+// every fetch (one each on the fetch and fetch+hit rows). A lower number is an
 // improvement: update it here.
 //
 // The three wake-ups, each in its steady state:
@@ -177,15 +179,15 @@ func TestDeviceWakeUpAllocationBudget(t *testing.T) {
 		envelope             func(results ...BatchOpResult) []byte
 		fetch, miss, withHit float64
 	}{
-		{name: "sequential", ctype: "application/json", fetch: 19, miss: 37, withHit: 73},
+		{name: "sequential", ctype: "application/json", fetch: 18, miss: 37, withHit: 72},
 		{name: "batch_json", opts: []Option{WithBatching()}, ctype: "application/json",
 			envelope: func(results ...BatchOpResult) []byte {
 				body, _ := envelope.AppendReplyJSON(nil, results)
 				return append(body, '\n')
-			}, fetch: 27, miss: 47, withHit: 54},
+			}, fetch: 26, miss: 47, withHit: 53},
 		{name: "batch_binary", opts: []Option{WithBatching(), WithBinaryBatch()}, ctype: envelope.ContentType,
 			envelope: func(results ...BatchOpResult) []byte { return envelope.AppendReply(nil, results) },
-			fetch:    28, miss: 49, withHit: 58},
+			fetch:    27, miss: 49, withHit: 57},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := &cannedTransport{ctype: []string{tc.ctype}}
