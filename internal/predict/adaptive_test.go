@@ -71,7 +71,7 @@ func TestAdaptiveDelegatesDistribution(t *testing.T) {
 	p := Period{OfDay: 1}
 	a.Observe(p, 3)
 	a.Observe(p, 5)
-	if got := a.ProbAtMost(p, 4); got <= 0 || got >= 1 {
+	if got := a.CDF(p).ProbAtMost(4); got <= 0 || got >= 1 {
 		t.Fatalf("ProbAtMost %v", got)
 	}
 	// Observe without a preceding Predict must not move the controller.

@@ -23,7 +23,7 @@ func TestPercentileHistogramProbAtMost(t *testing.T) {
 		99: 6.0 / 7.0,
 	}
 	for k, want := range cases {
-		if got := ph.ProbAtMost(p, k); math.Abs(got-want) > 1e-12 {
+		if got := ph.CDF(p).ProbAtMost(k); math.Abs(got-want) > 1e-12 {
 			t.Errorf("ProbAtMost(%d)=%v want %v", k, got, want)
 		}
 	}
@@ -31,25 +31,25 @@ func TestPercentileHistogramProbAtMost(t *testing.T) {
 
 func TestProbAtMostUnknownContext(t *testing.T) {
 	ph := NewPercentileHistogram(0.9)
-	if got := ph.ProbAtMost(Period{OfDay: 5}, 3); got != 1 {
+	if got := ph.CDF(Period{OfDay: 5}).ProbAtMost(3); got != 1 {
 		t.Fatalf("unknown context should be certain shortfall, got %v", got)
 	}
 	// Weekend falls back to weekday data.
 	ph.Observe(Period{OfDay: 5, Weekend: false}, 10)
-	if got := ph.ProbAtMost(Period{OfDay: 5, Weekend: true}, 3); got >= 1 {
+	if got := ph.CDF(Period{OfDay: 5, Weekend: true}).ProbAtMost(3); got >= 1 {
 		t.Fatalf("weekend fallback failed: %v", got)
 	}
 }
 
 func TestOracleProbAtMost(t *testing.T) {
 	o := NewOracle([]int{3})
-	if got := o.ProbAtMost(Period{Index: 0}, 2); got != 0 {
+	if got := o.CDF(Period{Index: 0}).ProbAtMost(2); got != 0 {
 		t.Fatalf("P(<=2) with 3 slots should be 0, got %v", got)
 	}
-	if got := o.ProbAtMost(Period{Index: 0}, 3); got != 1 {
+	if got := o.CDF(Period{Index: 0}).ProbAtMost(3); got != 1 {
 		t.Fatalf("P(<=3) with 3 slots should be 1, got %v", got)
 	}
-	if got := o.ProbAtMost(Period{Index: 7}, 100); got != 1 {
+	if got := o.CDF(Period{Index: 7}).ProbAtMost(100); got != 1 {
 		t.Fatalf("out of range should be 1, got %v", got)
 	}
 }
@@ -74,7 +74,7 @@ func TestProbAtMostCDFProperty(t *testing.T) {
 		}
 		prev := -1.0
 		for k := -1; k <= 14; k++ {
-			q := ph.ProbAtMost(p, k)
+			q := ph.CDF(p).ProbAtMost(k)
 			if q < prev-1e-12 || q <= 0 || q >= 1 {
 				return false
 			}

@@ -39,7 +39,7 @@ func FuzzRestore(f *testing.F) {
 				}
 				prev := -1.0
 				for k := -1; k < 8; k++ {
-					q := p.ProbAtMost(per, k)
+					q := p.CDF(per).ProbAtMost(k)
 					if q < prev || q < 0 || q > 1 {
 						t.Fatalf("restored CDF not monotone/in-range at k=%d: %v", k, q)
 					}

@@ -30,7 +30,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("context %+v: %+v vs %+v", p, a, b)
 			}
 			for k := 0; k < 10; k++ {
-				if ph.ProbAtMost(p, k) != restored.ProbAtMost(p, k) {
+				if ph.CDF(p).ProbAtMost(k) != restored.CDF(p).ProbAtMost(k) {
 					t.Fatalf("context %+v ProbAtMost(%d) differs", p, k)
 				}
 			}
