@@ -26,8 +26,8 @@ func TestRunAllocationsPerSlot(t *testing.T) {
 	}
 	const mapSlack = 16
 	want := map[core.Mode]uint64{
-		core.ModeOnDemand:   15326,
-		core.ModePredictive: 9015,
+		core.ModeOnDemand:   14737,
+		core.ModePredictive: 8426,
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, m := range []core.Mode{core.ModeOnDemand, core.ModePredictive} {

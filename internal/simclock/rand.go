@@ -1,7 +1,6 @@
 package simclock
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
 )
@@ -17,11 +16,19 @@ type Rand struct {
 	light bool
 }
 
-// NewRand returns a stream seeded with the given root seed, backed by
-// the stdlib generator (~5 KB of state). Population-scale fleets that
-// need one stream per entity want NewLightRand instead.
+// NewRand returns a stream seeded with the given root seed. It draws
+// exactly what rand.New(rand.NewSource(seed)) draws, from this
+// package's copy of that 607-word source (lfSource), which seeds in
+// about a third of the stdlib's time: a derivation costs about 3 µs
+// and one 4.9 KB register instead of 11–13 µs. Fleets that need one
+// stream per entity and no pinned sequence (per-device retry jitter)
+// still want NewLightRand: 8 bytes and 0.2 µs. Callers that derive
+// one stream per entity, use it and drop it re-seed one stream in
+// place with StreamNInto instead of allocating a register each time.
 func NewRand(seed int64) *Rand {
-	return &Rand{Rand: rand.New(rand.NewSource(seed)), seed: seed}
+	var src lfSource
+	src.Seed(seed)
+	return &Rand{Rand: rand.New(&src), seed: seed}
 }
 
 // NewLightRand returns a stream backed by a 8-byte splitmix64 state
@@ -42,33 +49,56 @@ func (r *Rand) Seed() int64 { return r.seed }
 // randomness does not perturb existing streams. The sub-stream uses
 // the same generator kind as its parent.
 func (r *Rand) Stream(name string) *Rand {
-	h := fnv.New64a()
-	var buf [8]byte
-	s := uint64(r.seed)
-	for i := range buf {
-		buf[i] = byte(s >> (8 * i))
-	}
-	h.Write(buf[:])
-	h.Write([]byte(name))
-	return r.derive(int64(h.Sum64()))
+	return r.derive(int64(fnvString(fnvWord(fnvOffset, uint64(r.seed)), name)))
 }
 
 // StreamN derives an independent sub-stream identified by (name, n),
 // e.g. one stream per simulated user.
 func (r *Rand) StreamN(name string, n int) *Rand {
-	h := fnv.New64a()
-	var buf [16]byte
-	s := uint64(r.seed)
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(s >> (8 * i))
+	return r.derive(r.streamNSeed(name, n))
+}
+
+// StreamNInto re-seeds dst in place as the sub-stream r.StreamN(name, n):
+// it draws exactly what a fresh StreamN would, and allocates nothing.
+// dst must be of r's generator kind (derived from r, say) and owned by
+// the caller; every sampler built over dst (ZipfRanks) follows it.
+func (r *Rand) StreamNInto(dst *Rand, name string, n int) {
+	if dst.light != r.light {
+		panic("simclock: StreamNInto across generator kinds")
 	}
-	u := uint64(n)
+	dst.seed = r.streamNSeed(name, n)
+	dst.Rand.Seed(dst.seed)
+}
+
+// streamNSeed is FNV-1a over the parent seed's and n's little-endian
+// bytes, then name's.
+func (r *Rand) streamNSeed(name string, n int) int64 {
+	return int64(fnvString(fnvWord(fnvWord(fnvOffset, uint64(r.seed)), uint64(n)), name))
+}
+
+// The 64-bit FNV-1a parameters (hash/fnv's New64a), hashed inline so a
+// derivation allocates no hasher.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvWord folds v's eight little-endian bytes into the FNV-1a hash h.
+func fnvWord(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
-		buf[8+i] = byte(u >> (8 * i))
+		h ^= v >> (8 * i) & 0xff
+		h *= fnvPrime
 	}
-	h.Write(buf[:])
-	h.Write([]byte(name))
-	return r.derive(int64(h.Sum64()))
+	return h
+}
+
+// fnvString folds s's bytes into the FNV-1a hash h.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return h
 }
 
 func (r *Rand) derive(seed int64) *Rand {

@@ -1,9 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/simclock"
@@ -136,7 +137,11 @@ func Generate(cfg GenConfig) (*Population, error) {
 	return pop, nil
 }
 
-func generateUser(cfg GenConfig, cat *Catalog, r *simclock.Rand, id int) *User {
+// generateUser draws user id's trace from g, whose stream is already
+// seeded as the user's own. Sessions are drawn, sorted and de-overlapped
+// in g's buffer; the user gets an exact-size copy.
+func generateUser(cfg GenConfig, cat *Catalog, g *userGen, id int) *User {
+	r := g.r
 	u := &User{ID: id}
 	if float64(id) < cfg.FracIPhone*float64(cfg.Users) {
 		u.Platform = PlatformIPhone
@@ -162,12 +167,12 @@ func generateUser(cfg GenConfig, cat *Catalog, r *simclock.Rand, id int) *User {
 
 	// Per-user app preference: a permutation of the catalog sampled by
 	// Zipf rank, so each user has their own top apps.
-	perm := r.Perm(cat.Len())
-	zipf := r.ZipfRanks(cfg.ZipfExponent, cat.Len())
+	perm := permInto(r, g.perm)
+	zipf := g.zipf
 
 	noiseSigma := (1 - cfg.Regularity) * 0.8
 
-	var sessions []Session
+	sessions := g.sessions[:0]
 	for day := 0; day < cfg.Days; day++ {
 		dayStart := simclock.Time(day) * simclock.Day
 		dayMult := 1.0
@@ -201,9 +206,27 @@ func generateUser(cfg GenConfig, cat *Catalog, r *simclock.Rand, id int) *User {
 		}
 	}
 
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].Start < sessions[j].Start })
-	u.Sessions = resolveOverlaps(sessions, simclock.Time(cfg.Days)*simclock.Day)
+	// slices.SortFunc runs sort.Slice's pdqsort step for step (both are
+	// generated from one template), so ties land where they always did.
+	slices.SortFunc(sessions, func(a, b Session) int { return cmp.Compare(a.Start, b.Start) })
+	g.sessions = sessions
+	if kept := resolveOverlaps(sessions, simclock.Time(cfg.Days)*simclock.Day); len(kept) > 0 {
+		u.Sessions = make([]Session, len(kept))
+		copy(u.Sessions, kept)
+	}
 	return u
+}
+
+// permInto fills m with a random permutation of [0, len(m)) by
+// rand.(*Rand).Perm's own loop — the same draws, the same result as
+// r.Perm(len(m)) — into a buffer the caller keeps.
+func permInto(r *simclock.Rand, m []int) []int {
+	for i := range m {
+		j := r.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
 }
 
 // resolveOverlaps enforces the one-foreground-app-at-a-time invariant by

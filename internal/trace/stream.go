@@ -2,6 +2,8 @@ package trace
 
 import (
 	"fmt"
+	"math/rand"
+	"sync"
 
 	"repro/internal/simclock"
 )
@@ -18,12 +20,28 @@ import (
 // (root seed, "user", id) — a splitmix-style per-client seed — so
 // deriving user 999_999 never touches users 0..999_998, any visit
 // order yields the same bytes, and a million-device simulation holds
-// only the traces it is actively replaying. A Stream is immutable and
-// safe for concurrent UserAt calls from any number of goroutines.
+// only the traces it is actively replaying. A Stream's configuration
+// is immutable and it is safe for concurrent UserAt calls from any
+// number of goroutines: each derivation borrows its generator state
+// from a pool, so a derivation allocates only the trace it returns.
 type Stream struct {
 	cfg  GenConfig
 	cat  *Catalog
 	root *simclock.Rand
+	gens sync.Pool // of *userGen
+}
+
+// userGen is the generator state one derivation uses and the next one
+// re-uses: a stream re-seeded in place as user id's sub-stream (its
+// 4.9 KB register is the cost a fresh stream per derivation paid), the
+// buffer the user's app permutation is drawn into, the Zipf sampler
+// over that stream, whose parameters are the Stream's own, and the
+// buffer sessions are drawn and sorted in.
+type userGen struct {
+	r        *simclock.Rand
+	perm     []int
+	zipf     *rand.Zipf
+	sessions []Session
 }
 
 // NewStream validates the configuration and returns a lazy view of the
@@ -32,7 +50,12 @@ func NewStream(cfg GenConfig) (*Stream, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Stream{cfg: cfg, cat: NewCatalog(DefaultCatalog()), root: simclock.NewRand(cfg.Seed).Stream("tracegen")}, nil
+	s := &Stream{cfg: cfg, cat: NewCatalog(DefaultCatalog()), root: simclock.NewRand(cfg.Seed).Stream("tracegen")}
+	s.gens.New = func() any {
+		r := s.root.StreamN("user", 0)
+		return &userGen{r: r, perm: make([]int, s.cat.Len()), zipf: r.ZipfRanks(cfg.ZipfExponent, s.cat.Len())}
+	}
+	return s, nil
 }
 
 // Users returns the population size.
@@ -57,7 +80,11 @@ func (s *Stream) UserAt(id int) *User {
 	if id < 0 || id >= s.cfg.Users {
 		panic(fmt.Sprintf("trace: UserAt(%d) outside population of %d", id, s.cfg.Users))
 	}
-	return generateUser(s.cfg, s.cat, s.root.StreamN("user", id), id)
+	g := s.gens.Get().(*userGen)
+	s.root.StreamNInto(g.r, "user", id)
+	u := generateUser(s.cfg, s.cat, g, id)
+	s.gens.Put(g)
+	return u
 }
 
 // UserAt derives one user's trace directly from a configuration: the

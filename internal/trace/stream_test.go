@@ -92,6 +92,70 @@ func TestStreamConcurrentDerivation(t *testing.T) {
 	}
 }
 
+// TestUserAtAllocationBudget pins what a derivation allocates once its
+// generator state is pooled: exactly the trace it returns — the User
+// and one exact-size session slice — whatever the user's session
+// count. The register, app permutation, Zipf sampler and session
+// buffer are re-used, so a fresh 4.9 KB register per derivation (the
+// cost before pooling: 9–10 objects and about 6 KB here) fails this.
+func TestUserAtAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled state at random")
+	}
+	cfg := DefaultGenConfig()
+	cfg.Users, cfg.Days = 6000, 3
+	st, err := NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{0, 1, 17, 4242, 5999} {
+		st.UserAt(id) // warm the pool and grow its session buffer
+		if n := testing.AllocsPerRun(100, func() { st.UserAt(id) }); n != 2 {
+			t.Errorf("UserAt(%d) (%d sessions) allocates %v objects, want exactly 2",
+				id, len(st.UserAt(id).Sessions), n)
+		}
+	}
+}
+
+// permInto must be rand.Perm's loop exactly: the same permutation from
+// the same draws, leaving the stream where Perm leaves it, whatever a
+// re-used buffer held before.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	buf := make([]int, 64)
+	for i := range buf {
+		buf[i] = -7 * i
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		for _, n := range []int{0, 1, 2, 13, 64} {
+			a, b := simclock.NewRand(seed), simclock.NewRand(seed)
+			want := a.Perm(n)
+			got := permInto(b, buf[:n])
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d n %d: permInto %v, Perm %v", seed, n, got, want)
+			}
+			if a.Int63() != b.Int63() {
+				t.Fatalf("seed %d n %d: streams diverge after the permutation", seed, n)
+			}
+		}
+	}
+}
+
+// BenchmarkUserAt is one lazily derived device trace over one day at
+// the diurnal_batched population's size, as the wire replay derives one
+// per client at set-up and per period.
+func BenchmarkUserAt(b *testing.B) {
+	cfg := DefaultGenConfig()
+	cfg.Users, cfg.Days = 6000, 1
+	st, err := NewStream(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		st.UserAt(i % cfg.Users)
+	}
+}
+
 func TestStreamMetadata(t *testing.T) {
 	cfg := DefaultGenConfig()
 	cfg.Users = 5
