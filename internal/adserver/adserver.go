@@ -770,7 +770,7 @@ func (s *Server) TopUp(now simclock.Time, clientID int) []client.CachedAd {
 func (s *Server) OnDemandSell(now simclock.Time, clientID int, hints []trace.Category) (auction.Impression, bool) {
 	day := now.DayIndex()
 	tenant := s.tenantOfClient(clientID)
-	sold := s.ex.SellSlotsFiltered(now, 1, hints, s.cfg.Deadline(), func(c auction.CampaignID) bool {
+	imp, ok := s.ex.SellSlotFiltered(now, hints, s.cfg.Deadline(), func(c auction.CampaignID) bool {
 		if s.tenantOf != nil {
 			if camp, ok := s.ex.Campaign(c); !ok || camp.Tenant != tenant {
 				return false
@@ -778,14 +778,14 @@ func (s *Server) OnDemandSell(now simclock.Time, clientID int, hints []trace.Cat
 		}
 		return s.underCap(clientID, c, s.freqCapOf(c), day)
 	})
-	if len(sold) == 0 {
+	if !ok {
 		return auction.Impression{}, false
 	}
-	s.countCap(clientID, sold[0].Campaign, s.freqCapOf(sold[0].Campaign), day)
-	if err := s.ex.RecordDisplay(sold[0].ID, now); err != nil {
+	s.countCap(clientID, imp.Campaign, s.freqCapOf(imp.Campaign), day)
+	if err := s.ex.RecordDisplay(imp.ID, now); err != nil {
 		panic(err) // impression was just created; failure is a bug
 	}
-	return sold[0], true
+	return imp, true
 }
 
 // Miss is what the cache-miss fallback served a slot.

@@ -170,7 +170,7 @@ type Exchange struct {
 	states map[CampaignID]*campaignState
 	order  []CampaignID // deterministic iteration order
 	// byBid is every campaign by per-impression bid, highest first, ties
-	// by ascending id: the order in which sellOne meets the bidders.
+	// by ascending id: the order in which SellSlotFiltered meets the bidders.
 	// Campaign definitions never change, so it is built once per
 	// campaign set (NewExchange, Restore).
 	byBid   []*campaignState
@@ -283,7 +283,7 @@ func (e *Exchange) SellSlotsFiltered(now simclock.Time, n int, hints []trace.Cat
 	deadlineCap time.Duration, allow func(CampaignID) bool) []Impression {
 	var sold []Impression
 	for i := 0; i < n; i++ {
-		imp, ok := e.sellOne(now, hints, deadlineCap, allow)
+		imp, ok := e.SellSlotFiltered(now, hints, deadlineCap, allow)
 		if !ok {
 			break
 		}
@@ -292,10 +292,13 @@ func (e *Exchange) SellSlotsFiltered(now simclock.Time, n int, hints []trace.Cat
 	return sold
 }
 
-// sellOne walks the campaigns in bid order. The first eligible one wins
-// and the second sets the price, so the walk stops there, or at the
-// first bid below the reserve, past which no campaign may buy.
-func (e *Exchange) sellOne(now simclock.Time, hints []trace.Category, deadlineCap time.Duration, allow func(CampaignID) bool) (Impression, bool) {
+// SellSlotFiltered sells one slot, as SellSlotsFiltered(now, 1, …) does
+// but without a result slice: ok is false when no campaign bid. The
+// on-demand path sells this way, one slot per cache miss. It walks the
+// campaigns in bid order. The first eligible one wins and the second
+// sets the price, so the walk stops there, or at the first bid below
+// the reserve, past which no campaign may buy.
+func (e *Exchange) SellSlotFiltered(now simclock.Time, hints []trace.Category, deadlineCap time.Duration, allow func(CampaignID) bool) (Impression, bool) {
 	var best *campaignState
 	price := e.reserve
 	for _, s := range e.byBid {

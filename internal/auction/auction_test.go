@@ -401,6 +401,37 @@ func TestSellSlotsFiltered(t *testing.T) {
 	}
 }
 
+// The single-sale entry is SellSlotsFiltered at n = 1: over a run of
+// sales with filters that drop the winner, everyone or no one, two
+// exchanges sold through the two entries mint the same impressions and
+// keep the same ledger.
+func TestSellSlotFilteredMatchesSellSlots(t *testing.T) {
+	d := DefaultDemand()
+	d.Campaigns = 40
+	camps := d.Generate(simclock.NewRand(3))
+	one, _ := NewExchange(camps, DefaultReserveUSD)
+	many, _ := NewExchange(camps, DefaultReserveUSD)
+	hints := []trace.Category{trace.CatGame}
+	for i := 0; i < 2000; i++ {
+		allow := func(c CampaignID) bool { return (int(c)+i)%3 != 0 }
+		switch i % 5 {
+		case 0:
+			allow = nil
+		case 1:
+			allow = func(CampaignID) bool { return false }
+		}
+		now := simclock.Time(i) * simclock.Second
+		got, ok := one.SellSlotFiltered(now, hints, time.Hour, allow)
+		want := many.SellSlotsFiltered(now, 1, hints, time.Hour, allow)
+		if ok != (len(want) == 1) || (ok && got != want[0]) {
+			t.Fatalf("sale %d: SellSlotFiltered %+v (ok %v), SellSlotsFiltered %+v", i, got, ok, want)
+		}
+	}
+	if one.Ledger() != many.Ledger() {
+		t.Fatalf("ledgers differ:\n one  %+v\n many %+v", one.Ledger(), many.Ledger())
+	}
+}
+
 func TestCampaignAccessors(t *testing.T) {
 	e, _ := NewExchange([]Campaign{
 		{ID: 3, Name: "x", BidCPM: 1000, BudgetUSD: 10, FreqCapPerUserDay: 2},
@@ -651,10 +682,10 @@ func TestSellOneStopsAtRunnerUp(t *testing.T) {
 	}
 }
 
-var benchSold []Impression
+var benchSold Impression
 
-// BenchmarkSellOne times one on-demand sale (one slot, category hints,
-// a pass-all allow filter) over DefaultDemand campaign sets of growing
+// BenchmarkSellOne times one on-demand sale (SellSlotFiltered: one
+// slot, category hints, a pass-all allow filter) over DefaultDemand campaign sets of growing
 // size. Budgets never run out; the exchange is rebuilt every 4096 sales,
 // off the clock, so the open book stays the size a period leaves.
 func BenchmarkSellOne(b *testing.B) {
@@ -674,7 +705,7 @@ func BenchmarkSellOne(b *testing.B) {
 					e, _ = NewExchange(camps, DefaultReserveUSD)
 					b.StartTimer()
 				}
-				benchSold = e.SellSlotsFiltered(simclock.Time(i), 1, hints, time.Hour, allow)
+				benchSold, _ = e.SellSlotFiltered(simclock.Time(i), hints, time.Hour, allow)
 			}
 		})
 	}

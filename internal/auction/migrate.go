@@ -10,7 +10,7 @@ import (
 // exchanges run the same campaign set but account independently, so a
 // transfer must also move each open impression's budget commitment:
 // the source releases it (as RecordExpiry would) and the target assumes
-// it (as sellOne would), keeping expiry and billing arithmetic correct
+// it (as SellSlotFiltered would), keeping expiry and billing arithmetic correct
 // on whichever side the impression finally settles. Ledger history
 // (Sold, PotentialUSD) stays on the seller; Billed/Free/Violation
 // entries land wherever those events fire — every accounting observable

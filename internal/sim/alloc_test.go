@@ -26,8 +26,8 @@ func TestRunAllocationsPerSlot(t *testing.T) {
 	}
 	const mapSlack = 16
 	want := map[core.Mode]uint64{
-		core.ModeOnDemand:   14737,
-		core.ModePredictive: 8426,
+		core.ModeOnDemand:   3640,
+		core.ModePredictive: 5817,
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, m := range []core.Mode{core.ModeOnDemand, core.ModePredictive} {
