@@ -16,10 +16,11 @@ test: fmt
 # internal/transport/race_test.go — one lock per shard guards engine,
 # staged shelf and dedup window, and TestShardedStress races the serving
 # mix against health and metrics scrapes, a checkpoint every round and a
-# migration loop — and internal/link (one pooled client, one node,
-# exchanges racing Forget).
+# migration loop — internal/link (one pooled client, one node,
+# exchanges racing Forget), and internal/trace (the generator state
+# concurrent UserAt calls borrow from one pool).
 race:
-	go test -race -timeout 30m ./internal/transport ./internal/sim ./internal/adserver ./internal/shard ./internal/obs ./internal/wal ./internal/cluster ./internal/link
+	go test -race -timeout 30m ./internal/transport ./internal/sim ./internal/adserver ./internal/shard ./internal/obs ./internal/wal ./internal/cluster ./internal/link ./internal/trace
 
 # Observability tier: the metrics registry (atomic counters/gauges,
 # log-bucketed histograms, Prometheus exposition) under the race
@@ -32,8 +33,11 @@ obs:
 # Stream tier: what the transport replay's lazy-trace, event-driven
 # driver rests on. Lazy derivation properties (UserAt == Generate
 # byte-for-byte, order- and concurrency-independence, the UserAt fuzz
-# seeds), the wake-heap ordering invariants, the light-RNG stream
-# split, the HTTP-free scheduler property tests on the one walker both
+# seeds, exactly two allocations per derivation), the traces' own
+# fingerprint at three seeds, the wake-heap ordering invariants, the
+# light-RNG stream split, the fast-seeded source against math/rand's
+# (400+ seeds, every distribution the generator draws, re-seeding in
+# place), the HTTP-free scheduler property tests on the one walker both
 # drivers use (seedHeaps + drainDue: every timeline event of every
 # client visited exactly once, in order, in the period that contains it,
 # the partial last period included, each worker in (time, user id)
@@ -44,8 +48,8 @@ obs:
 # replay's input validation, and the bounded-memory regression (100k
 # devices under a pinned heap budget, ~50 s).
 stream:
-	go test -count=1 -run 'TestUserAt|TestStreamConcurrent|TestStreamMetadata|TestValidateRejects|FuzzUserAt' ./internal/trace
-	go test -count=1 -run 'TestWakeHeap|TestLightRand' ./internal/simclock
+	go test -count=1 -run 'TestUserAt|TestStreamConcurrent|TestStreamMetadata|TestValidateRejects|FuzzUserAt|TestGenerateFingerprintGolden|TestPermIntoMatchesPerm' ./internal/trace
+	go test -count=1 -run 'TestWakeHeap|TestLightRand|TestLFSourceMatchesStdlib|TestNewRandStreamsMatchStdlib|TestDeriveHashIsFNV1a' ./internal/simclock
 	go test -count=1 -run 'TestStreamScheduler|TestDrainDue|TestRunGoldenTable|TestPredictiveRunGolden|TestTransportMatchesInProcessSlots|TestStreamValidation|TestStreamBoundedMemory' ./internal/sim
 
 # Mega: a million simulated devices with the diurnal two-peak load
@@ -61,14 +65,33 @@ mega:
 # then the HTTP hop and the persistent link side by side against real
 # nodes), and the live shard-migration handoff (clients/s transferred, serving p99 while a
 # handoff holds the rebalance lock), one auction sale's cost and
-# allocations at 40, 400 and 4000 campaigns, and one bundle of 8 merged
-# into a device cache of 64.
+# allocations at 40, 400 and 4000 campaigns, one bundle of 8 merged
+# into a device cache of 64, one lazily derived device trace, and one
+# stream derivation (FNV hash and a seeded 607-word register) beside
+# math/rand's own seeding of that register.
 bench:
 	go test -bench 'ShardedServing|WakeUp' -benchtime 2s -run '^$$' ./internal/transport
 	go test -bench 'ClusterRoundTrip|MigrationHandoff' -benchtime 2s -run '^$$' ./internal/cluster
 	go test -bench 'StreamingReplay' -benchtime 1x -run '^$$' ./internal/sim
 	go test -bench 'SellOne' -benchtime 1s -run '^$$' ./internal/auction
 	go test -bench 'CacheAdd' -benchtime 1s -run '^$$' ./internal/client
+	go test -bench 'UserAt' -benchtime 1s -run '^$$' ./internal/trace
+	go test -bench 'NewRand|Seed' -benchtime 1s -run '^$$' ./internal/simclock
+
+# Benchmark smoke: every workload of BENCHMARK.json for one second,
+# untraced and then traced, through benchmark/run.sh as the benchmark
+# runs it. A run that fails a round or a validation exits non-zero
+# (2), and so does this target, at the first such run. About a minute;
+# not part of tier-1 or verify. Run it before handing in a change that
+# touches anything a workload runs.
+SMOKE_WORKLOADS = diurnal_batched slots_sequential_wal routed_binary paper_inproc
+bench-smoke:
+	@set -e; for w in $(SMOKE_WORKLOADS); do \
+		for tr in 0 1; do \
+			echo "== $$w --trace $$tr"; \
+			bash benchmark/run.sh --workload $$w --seconds 1 --trace $$tr; \
+		done; \
+	done
 
 # Engine profile: one paper_inproc-sized sim.Run (BenchmarkPaperInproc)
 # under the CPU and allocation profilers, then the two pprof -top tables.
@@ -261,4 +284,4 @@ verify: test bench-vet examples batch chaos crash cluster migrate stream tenant
 # obs, which let schedule-dependent regressions through.
 verify-full: verify race obs
 
-.PHONY: fmt test race obs bench bench-vet prof-inproc prof-wire fuzz chaos batch crash cluster migrate stream tenant mega loc examples verify verify-full
+.PHONY: fmt test race obs bench bench-smoke bench-vet prof-inproc prof-wire fuzz chaos batch crash cluster migrate stream tenant mega loc examples verify verify-full

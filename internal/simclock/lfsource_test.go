@@ -31,13 +31,15 @@ func lfTestSeeds() []int64 {
 // NormFloat64, ExpFloat64, Intn (both the 31- and 63-bit paths) and
 // Perm — for 3 000 rounds, so the 607-word register wraps several
 // times. Any wrong register word, cooked constant or chain value shows
-// by the first wrap.
+// by the first wrap. One source serves every seed, re-seeded in place
+// after its last seed's draws, as the trace generator's pooled stream
+// is.
 func TestLFSourceMatchesStdlib(t *testing.T) {
+	var src lfSource
+	got := rand.New(&src)
 	for _, seed := range lfTestSeeds() {
 		want := rand.New(rand.NewSource(seed))
-		var src lfSource
-		src.Seed(seed)
-		got := rand.New(&src)
+		got.Seed(seed)
 		for i := 0; i < 3000; i++ {
 			var g, w any
 			switch i % 8 {
@@ -71,22 +73,6 @@ func TestLFSourceMatchesStdlib(t *testing.T) {
 			}
 			if g != w {
 				t.Fatalf("seed %d round %d: got %v, stdlib %v", seed, i, g, w)
-			}
-		}
-	}
-}
-
-// Re-seeding a used source in place must restart it exactly: the
-// trace generator re-seeds one pooled source per derivation.
-func TestLFSourceReseedInPlace(t *testing.T) {
-	var src lfSource
-	r := rand.New(&src)
-	for _, seed := range lfTestSeeds()[:40] {
-		r.Seed(seed)
-		want := rand.New(rand.NewSource(seed))
-		for i := 0; i < 700; i++ {
-			if g, w := r.Uint64(), want.Uint64(); g != w {
-				t.Fatalf("seed %d draw %d after re-seeding: got %d, stdlib %d", seed, i, g, w)
 			}
 		}
 	}
@@ -154,11 +140,21 @@ func BenchmarkNewRand(b *testing.B) {
 	}
 }
 
-// BenchmarkStdlibSeed is what the same register costs seeded by
-// math/rand, for comparison with BenchmarkNewRand.
-func BenchmarkStdlibSeed(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rand.NewSource(int64(i))
-	}
+// BenchmarkSeed is one register seeded in place, by this package's
+// source and by math/rand's (a fresh one per op: the stdlib offers no
+// other way to re-seed its source alone).
+func BenchmarkSeed(b *testing.B) {
+	b.Run("simclock", func(b *testing.B) {
+		var src lfSource
+		for i := 0; i < b.N; i++ {
+			src.Seed(int64(i))
+		}
+	})
+	b.Run("math-rand", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSource = rand.NewSource(int64(i))
+		}
+	})
 }
+
+var benchSource rand.Source
