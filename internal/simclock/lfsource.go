@@ -69,13 +69,13 @@ func init() {
 	lfCooked = cookedFromStdlib()
 }
 
-// cookedFromStdlib recovers math/rand's rngCooked table. Seeded with 1,
-// the stdlib register holds seed 1's own words XOR rngCooked. Its first 607
-// draws each overwrite one word — the feed slot — with the draw itself,
-// so after them the register is exactly those draws, and each draw can
-// be undone, last first, by subtracting the tap word it added. What is
-// left is the seeded register; XORing out the seed's own words (a
-// Seed(1) while lfCooked is still zero) leaves the table.
+// cookedFromStdlib recovers math/rand's rngCooked table. Seeded with
+// 1, the stdlib register holds seed 1's own words XOR rngCooked. Its
+// first 607 draws each overwrite one word — the feed slot — with the
+// draw itself, so after them the register is exactly those draws, and
+// each draw can be undone, last first, by subtracting the tap word it
+// added. What is left is the seeded register; XORing out the seed's own
+// words (a Seed(1) while lfCooked is still zero) leaves the table.
 func cookedFromStdlib() [lfLen]int64 {
 	src := rand.NewSource(1).(rand.Source64)
 	var reg lfSource
