@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/auction"
 	"repro/internal/faults"
+	"repro/internal/link"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/simclock"
@@ -242,7 +243,9 @@ func (b *targetBackend) url() string             { return b.base }
 func (b *targetBackend) registry() *obs.Registry { return nil }
 
 func (b *targetBackend) finish(res *Result) error {
-	hc := &http.Client{Timeout: 10 * time.Second}
+	rt := link.NewTransport(obs.NewRegistry())
+	defer rt.CloseIdleConnections()
+	hc := &http.Client{Timeout: 10 * time.Second, Transport: rt}
 	resp, err := hc.Get(b.base + "/v1/ledger")
 	if err != nil {
 		return fmt.Errorf("sim: target ledger: %w", err)
