@@ -241,24 +241,54 @@ func BenchmarkPaperInproc(b *testing.B) {
 	}
 }
 
-// BenchmarkDiurnalBatched is one sim.RunTransportStream at the size of
-// the benchmark's diurnal_batched workload (6 000 streamed devices, one
-// day of 6 h periods, 5 min refresh, 1.5 sessions/day, naive-bulk mode,
-// two shards, the JSON batch wire over loopback HTTP, energy metering,
-// lean results). Like BenchmarkPaperInproc it exists to be profiled:
-// `make prof-wire` runs it under -cpuprofile and -memprofile so a change
-// to the wire path starts from a profile.
+// The three wire benchmarks below are one sim.RunTransportStream each
+// at the size of the benchmark workload of the same name: streamed
+// devices over one day of 6 h periods in naive-bulk mode, spoken to
+// over loopback HTTP, energy metering on, lean results. Like
+// BenchmarkPaperInproc they exist to be profiled: `make prof-wire
+// WIRE=<name>` runs one under -cpuprofile and -memprofile so a change to
+// the wire path starts from a profile.
+
+// BenchmarkDiurnalBatched: 6 000 devices at a 5 min refresh and 1.5
+// sessions a day on two shards, over the JSON batch wire.
 func BenchmarkDiurnalBatched(b *testing.B) {
+	runWireBench(b, 6000, 5*time.Minute, 1.5, func() sim.TransportOpts {
+		return sim.TransportOpts{Shards: 2, Batched: true, Energy: true, Lean: true}
+	})
+}
+
+// BenchmarkSlotsSequentialWAL: 1 400 devices at the SDK's 30 s refresh
+// and 4 sessions a day on two shards, over the per-op JSON endpoints,
+// with a WAL (no fsync) checkpointed every two periods.
+func BenchmarkSlotsSequentialWAL(b *testing.B) {
+	runWireBench(b, 1400, 30*time.Second, 4, func() sim.TransportOpts {
+		return sim.TransportOpts{Shards: 2, Energy: true, Lean: true,
+			WALDir: b.TempDir(), SnapshotEvery: 2}
+	})
+}
+
+// BenchmarkRoutedBinary: 1 200 devices at a 30 s refresh and 4 sessions
+// a day through cluster.Router over three one-shard nodes, over the
+// APB1 binary batch wire.
+func BenchmarkRoutedBinary(b *testing.B) {
+	runWireBench(b, 1200, 30*time.Second, 4, func() sim.TransportOpts {
+		return sim.TransportOpts{Nodes: 3, Batched: true, BinaryBatch: true, Energy: true, Lean: true}
+	})
+}
+
+// runWireBench replays users devices once per iteration, with the
+// options opts returns for that iteration, and reports the ops served.
+func runWireBench(b *testing.B, users int, refresh time.Duration, sessions float64, opts func() sim.TransportOpts) {
 	cfg := adprefetch.DefaultSimConfig(adprefetch.ModeNaiveBulk)
-	cfg.TraceCfg.Users = 6000
+	cfg.TraceCfg.Users = users
 	cfg.TraceCfg.Days = 1
-	cfg.TraceCfg.SessionsPerDayMedian = 1.5
+	cfg.TraceCfg.SessionsPerDayMedian = sessions
 	cfg.WarmupDays = 0
 	cfg.Core.Server.Period = 6 * time.Hour
-	cfg.RefreshInterval = 5 * time.Minute
+	cfg.RefreshInterval = refresh
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunTransportStream(cfg, sim.TransportOpts{Shards: 2, Batched: true, Energy: true, Lean: true})
+		res, err := sim.RunTransportStream(cfg, opts())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -14,6 +14,8 @@ import (
 	"repro/internal/adserver"
 	"repro/internal/auction"
 	"repro/internal/envelope"
+	"repro/internal/link"
+	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/shard"
 	"repro/internal/simclock"
@@ -321,6 +323,63 @@ func BenchmarkBatchCodec(b *testing.B) {
 		b.Run("codec="+codec, func(b *testing.B) {
 			h := benchHandler(b, 1, clients, campaigns, slotsEach, demand)
 			runBatchCodec(b, h, codec == "binary")
+		})
+	}
+}
+
+// BenchmarkFleetRoundTrip measures the replay's loopback rung: one
+// device op (a slot observation, POST /v1/slot) from a transport.Device
+// to a real ShardedServer node over a real loopback socket, under the
+// two HTTP clients a fleet can use. client=nethttp is net/http's
+// Transport, which runs a read and a write goroutine per connection and
+// hands every exchange across channels; client=sync is link.Transport,
+// which the wire replay uses, running the exchange on the device's own
+// goroutine over the same kind of keep-alive pool. Their difference in
+// ns/op and allocs/op is the client machinery a fleet with one request
+// in flight per device does not need. Both rows include the node's
+// serving cost (net/http's server side, the handler, the engine), which
+// is the same in both.
+//
+// Run: make bench
+func BenchmarkFleetRoundTrip(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		rt   func() http.RoundTripper
+	}{
+		{"client=nethttp", func() http.RoundTripper { return &http.Transport{MaxIdleConnsPerHost: 64} }},
+		{"client=sync", func() http.RoundTripper { return link.NewTransport(obs.NewRegistry()) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			const clients = 256
+			srv := httptest.NewServer(benchHandler(b, 1, clients, 10, 4, auction.DefaultDemand()))
+			defer srv.Close()
+			rt := bc.rt()
+			defer rt.(interface{ CloseIdleConnections() }).CloseIdleConnections()
+			hc := &http.Client{Transport: rt}
+
+			var seq atomic.Int64
+			var lost atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				d, err := NewDevice(int(seq.Add(1))%clients, 8, srv.URL, WithHTTPClient(hc))
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				now := simclock.Time(0)
+				for pb.Next() {
+					now += simclock.Time(time.Millisecond)
+					if err := d.ObserveSlot(now); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+				lost.Add(d.Net().LostObservations)
+			})
+			if n := lost.Load(); n != 0 {
+				b.Fatalf("%d slot observations lost", n)
+			}
 		})
 	}
 }
