@@ -128,9 +128,8 @@ func (rt *cannedTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 // TestDeviceWakeUpAllocationBudget is the device-side twin of
 // TestServingAllocationBudget: it pins, exactly, what one wake-up
 // allocates on the device in each wire form — building the ops, minting
-// keys, rendering requests, net/http's client wrapper, reading and
-// decoding the replies, cache and outbox bookkeeping — over canned
-// replies (cannedTransport), so a change to how the device builds or
+// keys, rendering requests, reading and decoding the replies, cache and
+// outbox bookkeeping — over canned replies (cannedTransport), so a change to how the device builds or
 // carries a wake-up that adds an allocation fails tier-1 instead of
 // showing up as a fraction of a percent of the benchmark's allocs_per_op.
 // Recorded on the client that still carried every procedure once per wire
@@ -139,8 +138,11 @@ func (rt *cannedTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 // took the on-demand body's growth steps, the outbox's settle closure and
 // a heap copy per queued report with it; merging a bundle into the
 // sorted cache instead of re-sorting it took the cache's dedup map out of
-// every fetch (one each on the fetch and fetch+hit rows). A lower number is an
-// improvement: update it here.
+// every fetch (one each on the fetch and fetch+hit rows); handing each
+// request straight to the RoundTripper instead of through http.Client.Do
+// took 5 per request (per-op 18 · 37 · 72 → 13 · 27 · 52, JSON envelopes
+// 26 · 47 · 53 → 21 · 37 · 43, binary 27 · 49 · 57 → 22 · 39 · 47). A
+// lower number is an improvement: update it here.
 //
 // The three wake-ups, each in its steady state:
 //
@@ -179,15 +181,15 @@ func TestDeviceWakeUpAllocationBudget(t *testing.T) {
 		envelope             func(results ...BatchOpResult) []byte
 		fetch, miss, withHit float64
 	}{
-		{name: "sequential", ctype: "application/json", fetch: 18, miss: 37, withHit: 72},
+		{name: "sequential", ctype: "application/json", fetch: 13, miss: 27, withHit: 52},
 		{name: "batch_json", opts: []Option{WithBatching()}, ctype: "application/json",
 			envelope: func(results ...BatchOpResult) []byte {
 				body, _ := envelope.AppendReplyJSON(nil, results)
 				return append(body, '\n')
-			}, fetch: 26, miss: 47, withHit: 53},
+			}, fetch: 21, miss: 37, withHit: 43},
 		{name: "batch_binary", opts: []Option{WithBatching(), WithBinaryBatch()}, ctype: envelope.ContentType,
 			envelope: func(results ...BatchOpResult) []byte { return envelope.AppendReply(nil, results) },
-			fetch:    27, miss: 49, withHit: 57},
+			fetch:    22, miss: 39, withHit: 47},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := &cannedTransport{ctype: []string{tc.ctype}}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -35,10 +36,6 @@ const (
 // NewCoordinator to override (set its Timeout; a zero timeout means
 // attempts can hang on a dead peer and retries never fire).
 const DefaultTimeout = 10 * time.Second
-
-func defaultHTTPClient() *http.Client {
-	return &http.Client{Timeout: DefaultTimeout}
-}
 
 // RetryOwner is the radio-energy owner retries are charged to when a
 // Device carries a meter: the energy cost of robustness, reported
@@ -114,7 +111,11 @@ func (e *StatusError) Error() string { return e.Msg }
 // Coordinator: per-attempt identity headers, bounded retries with
 // seeded virtual backoff, and optional radio-model energy charging.
 type caller struct {
-	http *http.Client
+	// rt carries every attempt; timeout, when positive, bounds one
+	// attempt, its reply's body included (an http.Client's Transport
+	// and Timeout: see WithHTTPClient).
+	rt      http.RoundTripper
+	timeout time.Duration
 	// base is the server's base URL, parsed once; baseErr is what
 	// parsing it said, reported by every request (as http.NewRequest
 	// reported it when each request re-parsed the string).
@@ -138,16 +139,20 @@ type caller struct {
 // defaultSeed seeds the backoff jitter unless withJitterSeed overrode
 // it (derived from the device id so fleets don't retry in lockstep).
 func newCaller(baseURL, keyPrefix string, defaultSeed int64, o options) caller {
-	hc := o.hc
-	if hc == nil {
-		hc = defaultHTTPClient()
+	rt, timeout := http.DefaultTransport, DefaultTimeout
+	if o.hc != nil {
+		rt, timeout = o.hc.Transport, o.hc.Timeout
+		if rt == nil {
+			rt = http.DefaultTransport
+		}
 	}
 	seed := defaultSeed
 	if o.seed != nil {
 		seed = *o.seed
 	}
 	c := caller{
-		http:      hc,
+		rt:        rt,
+		timeout:   timeout,
 		jitter:    simclock.NewLightRand(seed).Stream("transport-retry"),
 		keyPrefix: keyPrefix,
 		tenant:    o.tenant,
@@ -282,10 +287,13 @@ var attemptValues = [...][]string{{"1"}, {"2"}, {"3"}, {"4"}}
 // headers assigned under their canonical keys, the constant values as
 // shared slices. The body is a *bytes.Reader over the caller's own
 // buffer with ContentLength and GetBody set, exactly as http.NewRequest
-// arranges for that reader type: net/http then writes head and body in
-// one flush and can re-send on a dead pooled connection. Neither the
-// reader nor the buffer is pooled — the transport's write loop may
-// still hold them after Do returns an error.
+// arranges for that reader type: the transport then writes head and
+// body in one flush and can re-send on a dead pooled connection. It goes
+// straight to the RoundTripper (the protocol has no redirects or
+// cookies for an http.Client to follow). Neither the reader nor the
+// buffer is pooled — net/http's Transport, when a caller supplies one,
+// may still hold them in its write loop after RoundTrip returns an
+// error.
 func (c *caller) send(method, uri, contentType string, body []byte, keyValue []string, attempt int, out any) error {
 	if c.baseErr != nil {
 		return fmt.Errorf("transport: %s %s: %w", method, uri, c.baseErr)
@@ -330,7 +338,12 @@ func (c *caller) send(method, uri, contentType string, body []byte, keyValue []s
 		hdr[attemptHeader] = []string{strconv.Itoa(attempt)}
 	}
 	hdr[VersionHeader] = version
-	resp, err := c.http.Do(req)
+	if c.timeout > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
+		defer cancel() // after readReply: the timeout covers the body
+		req = req.WithContext(ctx)
+	}
+	resp, err := c.rt.RoundTrip(req)
 	if err != nil {
 		return fmt.Errorf("transport: %s %s: %w", method, uri, err)
 	}

@@ -32,10 +32,13 @@ func buildOptions(opts []Option) options {
 	return o
 }
 
-// WithHTTPClient supplies the *http.Client used for every attempt. A
-// nil client keeps the default (DefaultTimeout per attempt). Set the
-// client's Timeout: a zero timeout means attempts can hang on a dead
-// peer and retries never fire.
+// WithHTTPClient supplies the HTTP client of every attempt: its
+// Transport (http.DefaultTransport when nil) carries each attempt, and
+// its Timeout, when set, bounds one, reply body included. The rest of
+// an http.Client (redirect policy, cookie jar) is not used: the
+// protocol has neither. A nil client keeps the default (DefaultTimeout
+// per attempt over http.DefaultTransport). A zero Timeout means
+// attempts can hang on a dead peer and retries never fire.
 func WithHTTPClient(hc *http.Client) Option {
 	return func(o *options) { o.hc = hc }
 }
