@@ -381,9 +381,20 @@ func TestStreamValidation(t *testing.T) {
 		"crashes without a WAL":    {cfg, TransportOpts{Shards: 1, Crashes: faults.NewCrashSchedule(faults.CrashPoint{Op: "slot", After: 1})}},
 		"migrations without nodes": {cfg, TransportOpts{Shards: 1, Migrations: []MigrationStep{{Period: 1, AddNode: true}}}},
 		"a WiFi schedule":          {wifi, ok},
+		"an https target":          {cfg, TransportOpts{TargetURL: "https://127.0.0.1:8480"}},
+		"a target with a path":     {cfg, TransportOpts{TargetURL: "http://127.0.0.1:8480/v1"}},
+		"a target without a port":  {cfg, TransportOpts{TargetURL: "http://127.0.0.1"}},
+		"a target without a host":  {cfg, TransportOpts{TargetURL: "http://:8480"}},
+		"a target with a query":    {cfg, TransportOpts{TargetURL: "http://127.0.0.1:8480?x=1"}},
+		"an unparsable target":     {cfg, TransportOpts{TargetURL: "http://[::1"}},
 	} {
 		if err := validateTransport(c.cfg, c.o); err == nil {
 			t.Fatalf("accepted %s", name)
+		}
+	}
+	for _, target := range []string{"http://127.0.0.1:8480", "http://localhost:8480/", "http://[::1]:8480"} {
+		if err := validateTransport(cfg, TransportOpts{TargetURL: target}); err != nil {
+			t.Fatalf("rejected target %s: %v", target, err)
 		}
 	}
 }

@@ -3,12 +3,14 @@ package sim
 import (
 	"fmt"
 	"math"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"repro/internal/auction"
 	"repro/internal/core"
 	"repro/internal/simclock"
+	"repro/internal/transport"
 )
 
 // transportConfig returns a small run whose monetary outcome is
@@ -228,5 +230,64 @@ func TestTransportBudgetBindsAcrossShards(t *testing.T) {
 		if capped == 0 {
 			t.Fatalf("shards=%d: no campaign spent half its budget; the budgets do not bind", shards)
 		}
+	}
+}
+
+// The -target path drives a node it did not boot: a node built as the
+// local backend builds one (the same pool, booted by transport.BootNode)
+// serves behind httptest, and the replay reaches it only through
+// TargetURL. At one worker the devices' counters, the selling totals
+// and the energy equal the local backend's; the ledger the run reads
+// over GET /v1/ledger is the node's own, and once the node sweeps its
+// trailing expiries — as the local backend's finish does — it equals
+// the local run's ledger.
+func TestTransportTargetMatchesLocal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full HTTP replay")
+	}
+	cfg := transportConfig()
+	local, err := RunTransportStream(cfg, TransportOpts{Shards: 1, Workers: 1, Energy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := newStreamEnv(cfg, TransportOpts{Shards: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := env.makePool(1, env.ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, _, err := transport.BootNode(pool, -1, "", nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(node.Handler())
+	defer srv.Close()
+
+	remote, err := RunTransportStream(cfg, TransportOpts{TargetURL: srv.URL, Workers: 1, Energy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local.Ledger.Billed == 0 {
+		t.Fatalf("inert run: %+v", local.Ledger)
+	}
+	if got, want := LedgerJSON(remote.Ledger), LedgerJSON(pool.Ledger()); got != want {
+		t.Errorf("ledger read over HTTP:\n %s\nthe node's own:\n %s", got, want)
+	}
+	pool.Shard(0).Exchange().SweepExpired(env.span + simclock.Week)
+	if got, want := LedgerJSON(pool.Ledger()), LedgerJSON(local.Ledger); got != want {
+		t.Errorf("ledger: target %s vs local %s", got, want)
+	}
+	if remote.Counters != local.Counters || remote.Net != local.Net {
+		t.Errorf("counters: target %+v %+v vs local %+v %+v", remote.Counters, remote.Net, local.Counters, local.Net)
+	}
+	if remote.SoldTotal != local.SoldTotal || remote.PlacedTotal != local.PlacedTotal || remote.Periods != local.Periods {
+		t.Errorf("sold/placed/periods: target %d/%d/%d vs local %d/%d/%d", remote.SoldTotal, remote.PlacedTotal,
+			remote.Periods, local.SoldTotal, local.PlacedTotal, local.Periods)
+	}
+	if remote.AdEnergyJ != local.AdEnergyJ || remote.AppEnergyJ != local.AppEnergyJ {
+		t.Errorf("energy ad/app: target %.3f/%.3f J vs local %.3f/%.3f J",
+			remote.AdEnergyJ, remote.AppEnergyJ, local.AdEnergyJ, local.AppEnergyJ)
 	}
 }
