@@ -256,6 +256,10 @@ type StreamPeriodStat struct {
 	P50NS     float64
 	P95NS     float64
 	P99NS     float64
+	// FloodAdmitted counts the noisy-neighbor requests the server
+	// admitted during the period (TransportOpts.Flood; 0 without one):
+	// the aggressor's work that ran beside the victim fleet's.
+	FloodAdmitted int64
 }
 
 // OpsPerSec is the period's client-side request throughput in wall time.

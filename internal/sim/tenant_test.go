@@ -18,6 +18,13 @@ func tenantConfig() Config {
 	return cfg
 }
 
+// pubB's token bucket in every scenario's boot table: 0.002 tokens/s
+// (28.8 over a 4 h period) with a burst of 4.
+const (
+	floodRate  = 0.002
+	floodBurst = 4
+)
+
 // tenantTable is the two-publisher admission contract the tier runs
 // under: pubA — the victim — owns every trace client, unlimited; pubB —
 // the aggressor — owns the flood id range under a tight token bucket
@@ -40,11 +47,16 @@ func tenantFlood() *FloodSpec {
 // assertVictimIsolation is the tier's core acceptance: the victim
 // tenant's books under a flooding neighbor must be EXACTLY the solo
 // baseline's — ledger, SLA violations, per-device and aggregate client
-// counters — and its client-observed slot p99 must stay within a tight
-// multiple of solo. Per-tenant campaign namespaces and per-tenant
-// serving groups make the equality exact, not approximate: no flood
-// request can touch a victim campaign, impression or client.
-func assertVictimIsolation(t *testing.T, label string, solo, noisy *Result) {
+// counters — and the aggressor work the server admitted beside the
+// victim's requests must stay within pubB's admission contract in every
+// period. Per-tenant campaign namespaces and per-tenant serving groups
+// make the equality exact, not approximate: no flood request can touch
+// a victim campaign, impression or client. The contract bound is what
+// keeps the victim's requests from queueing behind the flood: it counts
+// requests the replay issued at virtual timestamps against a bucket that
+// refills in virtual time, so it holds on any machine. nodes is the
+// number of serving nodes; each enforces its own bucket.
+func assertVictimIsolation(t *testing.T, label string, cfg Config, solo, noisy *Result, nodes int) {
 	t.Helper()
 	soloA, ok := solo.TenantLedgers["pubA"]
 	if !ok || soloA.Sold == 0 || soloA.Billed == 0 {
@@ -66,10 +78,34 @@ func assertVictimIsolation(t *testing.T, label string, solo, noisy *Result) {
 			t.Fatalf("%s: victim client %d counters differ:\n solo:  %+v\n noisy: %+v", label, id, sc, nc)
 		}
 	}
-	// The latency bound is deliberately generous in absolute terms (the
-	// runs are wall-clock measurements on a shared machine) but tight
-	// relative to the flood's 10x pressure: an unisolated server would
-	// blow through it immediately.
+	// A period admits at most a full bucket plus the period's refill at
+	// the boot rate (config epochs here only lower it); a restarted
+	// process starts its buckets full, one more burst per restart.
+	limit := float64(nodes) * (floodBurst*float64(1+noisy.Restarts) + floodRate*cfg.Core.Server.Period.Seconds())
+	for _, p := range noisy.StreamPeriods {
+		if float64(p.FloodAdmitted) > limit {
+			t.Fatalf("%s: period %d admitted %d aggressor requests beside the victim's; the admission contract allows %.1f",
+				label, p.Index, p.FloodAdmitted, limit)
+		}
+	}
+	if wallClockBounds {
+		assertVictimSlotLatency(t, label, solo, noisy)
+	}
+}
+
+// wallClockBounds arms assertVictimSlotLatency; the wallclock build tag
+// sets it (make tenant), tier-1 leaves it off.
+var wallClockBounds = false
+
+// assertVictimSlotLatency bounds the victim's client-observed slot p99
+// under the flood by a tight multiple of solo. The bound is deliberately
+// generous in absolute terms but tight relative to the flood's 10x
+// pressure. It is a wall-clock measurement, set by how the machine
+// schedules the run: it runs in make tenant, alone, not in tier-1,
+// where the contract bound in assertVictimIsolation states isolation
+// deterministically.
+func assertVictimSlotLatency(t *testing.T, label string, solo, noisy *Result) {
+	t.Helper()
 	soloP99, noisyP99 := solo.TenantSlotP99NS["pubA"], noisy.TenantSlotP99NS["pubA"]
 	if soloP99 <= 0 || noisyP99 <= 0 {
 		t.Fatalf("%s: missing victim p99 (solo %v, noisy %v)", label, soloP99, noisyP99)
@@ -113,7 +149,7 @@ func TestTenantNoisyNeighborIsolation(t *testing.T) {
 		t.Skip("full HTTP replay, solo + flooded")
 	}
 	cfg := tenantConfig()
-	table := tenantTable(0.002, 4, 48)
+	table := tenantTable(floodRate, floodBurst, 48)
 	solo, err := RunTransportStream(cfg, TransportOpts{Shards: 2, Workers: 4, Tenants: table})
 	if err != nil {
 		t.Fatalf("solo: %v", err)
@@ -122,7 +158,7 @@ func TestTenantNoisyNeighborIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("noisy: %v", err)
 	}
-	assertVictimIsolation(t, "fault-free", solo, noisy)
+	assertVictimIsolation(t, "fault-free", cfg, solo, noisy, 1)
 	assertFloodContained(t, "fault-free", noisy)
 }
 
@@ -135,7 +171,7 @@ func TestTenantNoisyNeighborChaos(t *testing.T) {
 		t.Skip("full HTTP chaos replay, solo + flooded")
 	}
 	cfg := tenantConfig()
-	table := tenantTable(0.002, 4, 48)
+	table := tenantTable(floodRate, floodBurst, 48)
 	solo, err := RunTransportStream(cfg, TransportOpts{
 		Shards: 2, Workers: 4, Tenants: table, Plan: chaosPlan(77, false)})
 	if err != nil {
@@ -146,7 +182,7 @@ func TestTenantNoisyNeighborChaos(t *testing.T) {
 	if err != nil {
 		t.Fatalf("noisy: %v", err)
 	}
-	assertVictimIsolation(t, "chaos", solo, noisy)
+	assertVictimIsolation(t, "chaos", cfg, solo, noisy, 1)
 	assertFloodContained(t, "chaos", noisy)
 }
 
@@ -161,11 +197,11 @@ func TestTenantNoisyNeighborConfigEpochKill(t *testing.T) {
 		t.Skip("full HTTP replay with kill/restart, solo + flooded")
 	}
 	cfg := tenantConfig()
-	table := tenantTable(0.002, 4, 48)
+	table := tenantTable(floodRate, floodBurst, 48)
 	// Epoch 2 halves the aggressor's refill rate mid-run. The victim's
 	// entry is identical in both epochs, so the reload (and the bucket
 	// reset a kill implies for pubB) cannot touch pubA's outcomes.
-	epochs := []ConfigEpochStep{{Period: 10, Epoch: 2, Tenants: tenantTable(0.001, 4, 48)}}
+	epochs := []ConfigEpochStep{{Period: 10, Epoch: 2, Tenants: tenantTable(floodRate/2, floodBurst, 48)}}
 	solo, err := RunTransportStream(cfg, TransportOpts{
 		Shards: 2, Workers: 4, Tenants: table, ConfigEpochs: epochs})
 	if err != nil {
@@ -182,7 +218,7 @@ func TestTenantNoisyNeighborConfigEpochKill(t *testing.T) {
 	if noisy.Restarts != 1 || sched.Fired() != 1 {
 		t.Fatalf("config-epoch kill did not fire: restarts %d fired %d", noisy.Restarts, sched.Fired())
 	}
-	assertVictimIsolation(t, "config-epoch kill", solo, noisy)
+	assertVictimIsolation(t, "config-epoch kill", cfg, solo, noisy, 1)
 	assertFloodContained(t, "config-epoch kill", noisy)
 }
 
@@ -195,7 +231,7 @@ func TestTenantClusterVictimIsolation(t *testing.T) {
 		t.Skip("multi-node HTTP replay, solo + flooded")
 	}
 	cfg := tenantConfig()
-	table := tenantTable(0.002, 4, 48)
+	table := tenantTable(floodRate, floodBurst, 48)
 	solo, err := RunTransportStream(cfg, TransportOpts{Nodes: 3, Workers: 4, Tenants: table})
 	if err != nil {
 		t.Fatalf("solo: %v", err)
@@ -204,7 +240,7 @@ func TestTenantClusterVictimIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("noisy: %v", err)
 	}
-	assertVictimIsolation(t, "cluster", solo, noisy)
+	assertVictimIsolation(t, "cluster", cfg, solo, noisy, 3)
 	assertFloodContained(t, "cluster", noisy)
 }
 
@@ -217,7 +253,7 @@ func TestTenantClusterBinaryWire(t *testing.T) {
 		t.Skip("multi-node HTTP replay, solo + flooded")
 	}
 	cfg := tenantConfig()
-	table := tenantTable(0.002, 4, 48)
+	table := tenantTable(floodRate, floodBurst, 48)
 	wire := TransportOpts{Nodes: 3, Workers: 4, Tenants: table, Batched: true, BinaryBatch: true}
 	solo, err := RunTransportStream(cfg, wire)
 	if err != nil {
@@ -228,6 +264,6 @@ func TestTenantClusterBinaryWire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("noisy: %v", err)
 	}
-	assertVictimIsolation(t, "cluster/binary", solo, noisy)
+	assertVictimIsolation(t, "cluster/binary", cfg, solo, noisy, 3)
 	assertFloodContained(t, "cluster/binary", noisy)
 }
