@@ -433,10 +433,10 @@ func (rt *heldBodies) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // TestRequestBodyIsTheRequestsOwn is trap three: the device's request
-// body is a *bytes.Reader over a buffer of its own — net/http sees
+// body is a *bytes.Reader over a buffer of its own — the transport sees
 // ContentLength and GetBody (the goldens record both) — and neither is
-// pooled or reused, so a body still held after Do returned an error
-// reads the bytes it was sent with however many requests follow.
+// pooled or reused, so a body still held after RoundTrip returned an
+// error reads the bytes it was sent with however many requests follow.
 func TestRequestBodyIsTheRequestsOwn(t *testing.T) {
 	for _, opts := range [][]Option{nil, {WithBatching()}, {WithBatching(), WithBinaryBatch()}} {
 		s := newWireSession(t)
