@@ -19,6 +19,11 @@
 // headers. Each request frame is dispatched to the wrapped handler as an
 // *http.Request — the same middleware chain an HTTP request would cross
 // — and its buffered reply goes back as one response frame.
+//
+// The same connection pool (pool.go) carries the device fleet's plain
+// HTTP/1.1 too: Transport is an http.RoundTripper that runs each
+// exchange on the calling goroutine, for callers that have one request
+// in flight at a time.
 package link
 
 import (
