@@ -59,6 +59,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -245,13 +246,10 @@ func main() {
 			*clients, *campaigns, *shards, *period, *addr)
 	}
 	// A cluster router upgrades connections on this same listener into
-	// its persistent link; the link server dispatches their frames to the
-	// one handler everything else reaches. Shutdown neither waits for nor
-	// closes upgraded connections: closing the link server after the
-	// drain lets an exchange in flight finish its handler and drops the
-	// rest, so the state saved below is final.
-	links := link.NewServer(ss.Handler())
-	serve(*addr, links, links.Close)
+	// its persistent link, whose frames reach the one handler everything
+	// else reaches. serve drains HTTP and link connections alike, so the
+	// state saved below is final.
+	serve(*addr, ss.Handler())
 
 	if *statePath != "" {
 		// Atomic save: a crash mid-write must leave the previous state
@@ -288,22 +286,23 @@ func runRouter(addr, nodeList string, probeEvery time.Duration, adminToken strin
 	}
 	rt.StartProber(probeEvery)
 	fmt.Printf("adserverd: routing tier over %d node(s), listening on %s\n", len(urls), addr)
-	serve(addr, rt.Handler(), rt.Close)
+	serve(addr, rt.Handler())
+	rt.Close()
 }
 
-// serve runs h on addr until SIGINT or SIGTERM, then drains: Shutdown
-// lets in-flight requests finish (so a deploy never truncates a
-// half-served report), then afterDrain runs, and serve returns.
-// Timeouts bound every connection: a stalled mobile client must not pin
-// a handler goroutine forever.
-func serve(addr string, h http.Handler, afterDrain func()) {
-	srv := &http.Server{
-		Addr:         addr,
-		Handler:      h,
-		ReadTimeout:  30 * time.Second,
-		WriteTimeout: 30 * time.Second,
-		IdleTimeout:  2 * time.Minute,
+// serve runs h on addr with a link.Server until SIGINT or SIGTERM, then
+// drains: Shutdown lets in-flight requests finish (so a deploy never
+// truncates a half-served report) and closes idle connections, HTTP
+// and link alike; whatever is still open after 30 s is closed. Then
+// serve returns. The server's read, write and idle timeouts bound every
+// connection: a stalled mobile client must not pin a handler goroutine
+// forever.
+func serve(addr string, h http.Handler) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatal(err)
 	}
+	srv := link.NewServer(h)
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	drained := make(chan struct{})
@@ -314,11 +313,11 @@ func serve(addr string, h http.Handler, afterDrain func()) {
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
 			log.Printf("shutdown: %v", err)
+			srv.Close()
 		}
-		afterDrain()
 		close(drained)
 	}()
-	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+	if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
 	<-drained

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/link"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
@@ -189,8 +188,7 @@ func TestLinkRedialsAfterRejoinAtNewAddress(t *testing.T) {
 			io.WriteString(w, `{"node":"`+who+`"}`)
 		}
 	}
-	links := link.NewServer(http.HandlerFunc(reply("old")))
-	old := httptest.NewServer(links)
+	old := serveNode(t, http.HandlerFunc(reply("old")))
 	rt := newTestRouter(t, []string{old.URL}, WithRejoinWait(10*time.Second))
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
@@ -224,7 +222,6 @@ func TestLinkRedialsAfterRejoinAtNewAddress(t *testing.T) {
 	}
 
 	old.Close()
-	links.Close()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

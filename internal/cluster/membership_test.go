@@ -16,7 +16,7 @@ import (
 // GET /v1/admin/clients with a fixed client set and 200s everything
 // else. It lets Plan/Rebalance be tested against known ownership
 // without standing up real ad-server state.
-func ownershipNode(t *testing.T, owned []int) *httptest.Server {
+func ownershipNode(t *testing.T, owned []int) *linkNode {
 	t.Helper()
 	return serveNode(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/admin/clients" {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -19,7 +20,7 @@ import (
 // fakeNode is a scripted stand-in for an adserverd node: it records how
 // many requests it served and answers each path with a fixed body.
 type fakeNode struct {
-	srv    *httptest.Server
+	srv    *linkNode
 	served atomic.Int64
 	reply  func(w http.ResponseWriter, r *http.Request)
 }
@@ -34,19 +35,25 @@ func newFakeNode(t *testing.T, reply func(w http.ResponseWriter, r *http.Request
 	return n
 }
 
-// serveNode stands a handler up the way a real node is served: behind a
-// link.Server on an ordinary listener, so routers built without
-// WithHTTPClient reach it over the link. Both are torn down with the
-// test.
-func serveNode(t testing.TB, h http.Handler) *httptest.Server {
+// linkNode is a node served the way adserverd serves one: by a
+// link.Server on its own loopback listener, so routers built without
+// WithHTTPClient reach it over the link. URL is its base URL.
+type linkNode struct {
+	*link.Server
+	URL string
+}
+
+// serveNode stands h up as a node, torn down with the test.
+func serveNode(t testing.TB, h http.Handler) *linkNode {
 	t.Helper()
-	links := link.NewServer(h)
-	srv := httptest.NewServer(links)
-	t.Cleanup(func() {
-		links.Close()
-		srv.Close()
-	})
-	return srv
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := link.NewServer(h)
+	go srv.Serve(ln)
+	t.Cleanup(srv.Close)
+	return &linkNode{srv, "http://" + ln.Addr().String()}
 }
 
 func jsonReply(body string) func(w http.ResponseWriter, r *http.Request) {

@@ -34,16 +34,15 @@ func echo(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// serveLinked stands h up behind a link.Server on a real listener.
-func serveLinked(t testing.TB, h http.Handler) (*Server, *httptest.Server) {
+// serveLinked serves h with a link.Server on a real listener and
+// returns the server and its base URL.
+func serveLinked(t testing.TB, h http.Handler) (*Server, string) {
 	t.Helper()
 	links := NewServer(h)
-	srv := httptest.NewServer(links)
-	t.Cleanup(func() {
-		links.Close()
-		srv.Close()
-	})
-	return links, srv
+	ln := listen(t)
+	go links.Serve(ln)
+	t.Cleanup(links.Close)
+	return links, "http://" + ln.Addr().String()
 }
 
 func newTestClient(t testing.TB) (*Client, *obs.Registry) {
@@ -64,12 +63,12 @@ func (s *Server) openConns() int {
 // request reaches the handler and every relayed field of the reply
 // comes back.
 func TestExchangeRoundTrip(t *testing.T) {
-	links, srv := serveLinked(t, http.HandlerFunc(echo))
+	links, base := serveLinked(t, http.HandlerFunc(echo))
 	c, reg := newTestClient(t)
 
 	for i := 0; i < 5; i++ {
 		tag := fmt.Sprintf("t%d", i)
-		resp, err := c.Do(srv.URL, "POST", "/v1/batch?x="+tag, []Header{{"X-Tag", tag}}, []byte("payload-"+tag))
+		resp, err := c.Do(base, "POST", "/v1/batch?x="+tag, []Header{{"X-Tag", tag}}, []byte("payload-"+tag))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,17 +82,17 @@ func TestExchangeRoundTrip(t *testing.T) {
 			t.Fatalf("exchange %d: relayed headers %+v", i, resp.Header)
 		}
 	}
-	resp, err := c.Do(srv.URL, "GET", "/v1/bundle?teapot=1", nil, nil)
+	resp, err := c.Do(base, "GET", "/v1/bundle?teapot=1", nil, nil)
 	if err != nil || resp.Status != http.StatusTeapot || string(resp.Body) != "0:" {
 		t.Fatalf("bodyless GET: %+v %v", resp, err)
 	}
 	// A body past the per-connection keep threshold round-trips and does
 	// not wedge the connection for the next exchange.
 	big := bytes.Repeat([]byte("x"), keepBuf+12345)
-	if resp, err = c.Do(srv.URL, "POST", "/big", nil, big); err != nil || len(resp.Body) != len(big)+len(fmt.Sprint(len(big)))+1 {
+	if resp, err = c.Do(base, "POST", "/big", nil, big); err != nil || len(resp.Body) != len(big)+len(fmt.Sprint(len(big)))+1 {
 		t.Fatalf("big body: %v", err)
 	}
-	if resp, err = c.Do(srv.URL, "GET", "/after", nil, nil); err != nil || resp.Status != 200 {
+	if resp, err = c.Do(base, "GET", "/after", nil, nil); err != nil || resp.Status != 200 {
 		t.Fatalf("after big body: %v", err)
 	}
 	if d := reg.CounterTotal("cluster_link_dials_total"); d != 1 {
@@ -103,7 +102,7 @@ func TestExchangeRoundTrip(t *testing.T) {
 		t.Fatalf("open connections: server %d client %d, want 1/1", links.openConns(), c.open.Load())
 	}
 	// Ordinary HTTP still reaches the wrapped handler on the same port.
-	hr, err := http.Get(srv.URL + "/plain")
+	hr, err := http.Get(base + "/plain")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +115,7 @@ func TestExchangeRoundTrip(t *testing.T) {
 // A handler that aborts must cost the connection and produce no reply;
 // the next exchange dials afresh.
 func TestHandlerAbortDropsConnection(t *testing.T) {
-	links, srv := serveLinked(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	links, base := serveLinked(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/abort" {
 			w.Write([]byte("half a reply that must never be sent"))
 			panic(http.ErrAbortHandler)
@@ -125,13 +124,13 @@ func TestHandlerAbortDropsConnection(t *testing.T) {
 	}))
 	c, reg := newTestClient(t)
 
-	if _, err := c.Do(srv.URL, "GET", "/ok", nil, nil); err != nil {
+	if _, err := c.Do(base, "GET", "/ok", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The pooled connection is reused, aborted, and — because nothing of
 	// a reply arrived — re-sent once on a fresh connection, which aborts
 	// too: the caller sees one error, the pool two broken connections.
-	if resp, err := c.Do(srv.URL, "GET", "/abort", nil, nil); err == nil {
+	if resp, err := c.Do(base, "GET", "/abort", nil, nil); err == nil {
 		t.Fatalf("aborted exchange returned a reply: %+v", resp)
 	}
 	if b := reg.CounterTotal("cluster_link_broken_total"); b != 2 {
@@ -141,7 +140,7 @@ func TestHandlerAbortDropsConnection(t *testing.T) {
 		t.Fatalf("cluster_link_redials_total = %d, want 1", r)
 	}
 	waitFor(t, "aborted connections to close", func() bool { return links.openConns() == 0 && c.open.Load() == 0 })
-	if resp, err := c.Do(srv.URL, "GET", "/ok", nil, nil); err != nil || resp.Status != 200 {
+	if resp, err := c.Do(base, "GET", "/ok", nil, nil); err != nil || resp.Status != 200 {
 		t.Fatalf("exchange after an abort: %v", err)
 	}
 }
@@ -173,13 +172,12 @@ func TestIdleDeathRedials(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	start := func(ln net.Listener) (*Server, *http.Server) {
+	start := func(ln net.Listener) *Server {
 		links := NewServer(http.HandlerFunc(echo))
-		srv := &http.Server{Handler: links}
-		go srv.Serve(ln)
-		return links, srv
+		go links.Serve(ln)
+		return links
 	}
-	links, srv := start(ln)
+	links := start(ln)
 	c, reg := newTestClient(t)
 	base := "http://" + addr
 
@@ -199,16 +197,12 @@ func TestIdleDeathRedials(t *testing.T) {
 	close(gate)
 	wg.Wait()
 
-	srv.Close()
 	links.Close()
 	if ln, err = net.Listen("tcp", addr); err != nil {
 		t.Skipf("cannot re-listen on %s: %v", addr, err)
 	}
-	links, srv = start(ln)
-	defer func() {
-		srv.Close()
-		links.Close()
-	}()
+	links = start(ln)
+	defer links.Close()
 
 	pooled := c.open.Load()
 	for i := int64(0); i < pooled+2; i++ {
@@ -226,7 +220,9 @@ func TestIdleDeathRedials(t *testing.T) {
 func TestForgetAndCloseLeaveNothingBehind(t *testing.T) {
 	before := runtime.NumGoroutine()
 	links := NewServer(http.HandlerFunc(echo))
-	srv := httptest.NewServer(links)
+	ln := listen(t)
+	go links.Serve(ln)
+	base := "http://" + ln.Addr().String()
 	reg := obs.NewRegistry()
 	c := NewClient(reg, 5*time.Second, testRelay)
 
@@ -236,7 +232,7 @@ func TestForgetAndCloseLeaveNothingBehind(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				if _, err := c.Do(srv.URL, "GET", "/x", nil, nil); err != nil {
+				if _, err := c.Do(base, "GET", "/x", nil, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -247,36 +243,35 @@ func TestForgetAndCloseLeaveNothingBehind(t *testing.T) {
 	if c.open.Load() == 0 {
 		t.Fatal("nothing pooled")
 	}
-	c.Forget(srv.URL)
+	c.Forget(base)
 	if c.open.Load() != 0 {
 		t.Fatalf("Forget left %d connections open", c.open.Load())
 	}
 	waitFor(t, "forgotten connections to leave the server", func() bool { return links.openConns() == 0 })
 
-	if _, err := c.Do(srv.URL, "GET", "/x", nil, nil); err != nil {
+	if _, err := c.Do(base, "GET", "/x", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
 	if c.open.Load() != 0 {
 		t.Fatalf("Close left %d connections open", c.open.Load())
 	}
-	if _, err := c.Do(srv.URL, "GET", "/x", nil, nil); err == nil {
+	if _, err := c.Do(base, "GET", "/x", nil, nil); err == nil {
 		t.Fatal("Do succeeded on a closed client")
 	}
 	// The server's Close must end connections the peer keeps open.
 	c2 := NewClient(obs.NewRegistry(), 5*time.Second, nil)
-	if _, err := c2.Do(srv.URL, "GET", "/x", nil, nil); err != nil {
+	if _, err := c2.Do(base, "GET", "/x", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	links.Close()
 	if links.openConns() != 0 {
 		t.Fatalf("Server.Close left %d connections", links.openConns())
 	}
-	if _, err := c2.Do(srv.URL, "GET", "/x", nil, nil); err == nil {
+	if _, err := c2.Do(base, "GET", "/x", nil, nil); err == nil {
 		t.Fatal("closed link server accepted an upgrade")
 	}
 	c2.Close()
-	srv.Close()
 	http.DefaultClient.CloseIdleConnections()
 	waitFor(t, "goroutines to drain", func() bool { return runtime.NumGoroutine() <= before })
 }
@@ -285,7 +280,7 @@ func TestForgetAndCloseLeaveNothingBehind(t *testing.T) {
 // Forget: every reply must be the reply to its own request. Run under
 // -race (make race).
 func TestLinkConcurrentStress(t *testing.T) {
-	_, srv := serveLinked(t, http.HandlerFunc(echo))
+	_, base := serveLinked(t, http.HandlerFunc(echo))
 	c, _ := newTestClient(t)
 
 	const workers, each = 32, 200
@@ -297,7 +292,7 @@ func TestLinkConcurrentStress(t *testing.T) {
 			for i := 0; i < each; i++ {
 				tag := fmt.Sprintf("g%d-i%d", g, i)
 				body := []byte(strings.Repeat(tag, 1+i%7))
-				resp, err := c.Do(srv.URL, "POST", "/v1/batch", []Header{{"X-Tag", tag}}, body)
+				resp, err := c.Do(base, "POST", "/v1/batch", []Header{{"X-Tag", tag}}, body)
 				if err != nil {
 					t.Errorf("%s: %v", tag, err)
 					return
@@ -307,7 +302,7 @@ func TestLinkConcurrentStress(t *testing.T) {
 					return
 				}
 				if g == 0 && i%50 == 49 {
-					c.Forget(srv.URL)
+					c.Forget(base)
 				}
 			}
 		}(g)
@@ -350,7 +345,7 @@ func FuzzLinkFrame(f *testing.F) {
 			return
 		}
 		sc := &serverConn{rbuf: payload}
-		if r, ok := sc.parseRequest(); ok {
+		if r, ok := sc.parseFrame(); ok {
 			var hdr []Header
 			for name, vs := range r.Header {
 				for _, v := range vs {
@@ -363,7 +358,7 @@ func FuzzLinkFrame(f *testing.F) {
 				t.Fatalf("parsed request does not re-encode: %v", err)
 			}
 			sc2 := &serverConn{rbuf: again[4:]}
-			r2, ok := sc2.parseRequest()
+			r2, ok := sc2.parseFrame()
 			if !ok || r2.Method != r.Method || r2.RequestURI != r.RequestURI || r2.ContentLength != r.ContentLength || len(r2.Header) != len(r.Header) {
 				t.Fatalf("request changed across a round trip: %+v vs %+v", r, r2)
 			}

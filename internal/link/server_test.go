@@ -2,6 +2,8 @@ package link
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -34,6 +36,13 @@ var httpServers = []httpServer{
 		srv := &http.Server{Handler: h, ErrorLog: log.New(io.Discard, "", 0)}
 		go srv.Serve(ln)
 		t.Cleanup(func() { srv.Close() })
+		return ln.Addr().String()
+	}},
+	{"link", func(t *testing.T, h http.Handler) string {
+		ln := listen(t)
+		srv := NewServer(h)
+		go srv.Serve(ln)
+		t.Cleanup(srv.Close)
 		return ln.Addr().String()
 	}},
 }
@@ -409,5 +418,215 @@ func TestHTTPServerConcurrent(t *testing.T) {
 				t.Fatalf("handler ran %d times, want %d", h, 8*50)
 			}
 		})
+	}
+}
+
+// discardConn is a connection whose reads come from r and whose writes
+// vanish: the request reader's side of a connection, for the fuzzer.
+type discardConn struct {
+	cannedConn
+	r io.Reader
+}
+
+func (c *discardConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
+func (c *discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// FuzzHTTPRequest feeds hostile bytes to the server's request reader,
+// request after request as on one keep-alive connection. It must never
+// panic, never buffer past its limits, and every request it accepts
+// must be one net/http's own reader accepts too, with the same method,
+// URI, protocol, host, headers, framing and body — read from the same
+// place in the stream.
+func FuzzHTTPRequest(f *testing.F) {
+	f.Add([]byte("GET /v1/bundle?client=3&now_ns=1000 HTTP/1.1\r\nHost: node\r\n\r\n"))
+	f.Add([]byte("POST /v1/batch HTTP/1.1\r\nHost: node\r\nContent-Type: application/json\r\nIdempotency-Key: dev-3-1\r\nContent-Length: 12\r\n\r\n{\"client\":3}" +
+		"POST /v1/batch HTTP/1.1\r\nHost: node\r\nContent-Type: application/json\r\nIdempotency-Key: dev-3-2\r\nContent-Length: 2\r\n\r\n{}"))
+	f.Add([]byte("POST /echo HTTP/1.1\r\nHost: node\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\nX-Trailer: t\r\n\r\n"))
+	f.Add([]byte("GET /x HTTP/1.0\r\nConnection: keep-alive\r\nPragma: no-cache\r\n\r\nHEAD http://node/y HTTP/1.1\r\nHost: other\r\n\r\n"))
+	f.Add([]byte("POST /x HTTP/1.1\r\nHost: node\r\nContent-Length: 3\r\nContent-Length: 3\r\nExpect: 100-continue\r\n\r\nabc"))
+	f.Add([]byte("CONNECT node:443 HTTP/1.1\r\nHost: node:443\r\n\r\n"))
+	f.Add([]byte("GET / HTTP/1.1\r\nHost: node\r\nX-A: a\r\n b\r\nX B: c\r\nX-C: \x01\r\n\r\n"))
+	f.Add([]byte("GET / HTTP/1.1\nHost: node\n\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc := &serverConn{s: NewServer(nil), nc: &discardConn{r: bytes.NewReader(data)}, remote: "device:1"}
+		sc.br = bufio.NewReaderSize(sc.nc, 4<<10)
+		ref := bufio.NewReader(bytes.NewReader(data))
+		for {
+			req, err := sc.readRequest()
+			if cap(sc.line) > maxHeaderBytes+4<<10 || sc.headLen > maxHeaderBytes {
+				t.Fatalf("head buffered %d bytes (line buffer %d) past the %d limit", sc.headLen, cap(sc.line), maxHeaderBytes)
+			}
+			if err != nil {
+				return
+			}
+			body, berr := io.ReadAll(req.Body)
+			want, err := http.ReadRequest(ref)
+			if err != nil {
+				t.Fatalf("accepted a request net/http refuses (%v): %s %s %v", err, req.Method, req.RequestURI, req.Header)
+			}
+			wantBody, werr := io.ReadAll(want.Body)
+			if (berr == nil) != (werr == nil) {
+				t.Fatalf("body read: %v, net/http's %v", berr, werr)
+			}
+			delete(want.Header, "Host")
+			if req.Method != want.Method || req.RequestURI != want.RequestURI || req.Proto != want.Proto ||
+				req.Host != want.Host || req.URL.String() != want.URL.String() || req.Close != want.Close ||
+				req.ContentLength != want.ContentLength || !slices.Equal(req.TransferEncoding, want.TransferEncoding) {
+				t.Fatalf("request differs from net/http's:\n got %s %q %s host=%q url=%#v close=%t cl=%d te=%v\nwant %s %q %s host=%q url=%#v close=%t cl=%d te=%v",
+					req.Method, req.RequestURI, req.Proto, req.Host, req.URL, req.Close, req.ContentLength, req.TransferEncoding,
+					want.Method, want.RequestURI, want.Proto, want.Host, want.URL, want.Close, want.ContentLength, want.TransferEncoding)
+			}
+			if len(req.Header) != len(want.Header) {
+				t.Fatalf("headers differ:\n got %q\nwant %q", req.Header, want.Header)
+			}
+			for k, v := range want.Header {
+				if !slices.Equal(req.Header[k], v) {
+					t.Fatalf("header %q: got %q, want %q", k, req.Header[k], v)
+				}
+			}
+			if berr != nil {
+				return
+			}
+			if !bytes.Equal(body, wantBody) {
+				t.Fatalf("body %q, net/http's %q", body, wantBody)
+			}
+		}
+	})
+}
+
+// budgetHandler answers the way a node's per-op endpoint does, without
+// allocating: it reads the body into a fixed buffer and replies with
+// preset header values and a fixed body.
+type budgetHandler struct{ buf [256]byte }
+
+var (
+	budgetType    = []string{"application/json"}
+	budgetVersion = []string{"1"}
+	budgetReply   = []byte("{}\n")
+)
+
+func (h *budgetHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	for {
+		if _, err := r.Body.Read(h.buf[:]); err != nil {
+			break
+		}
+	}
+	hdr := w.Header()
+	hdr["Content-Type"], hdr["X-Adprefetch-Version"] = budgetType, budgetVersion
+	w.Write(budgetReply)
+}
+
+// The server side of one exchange over a keep-alive connection, as a
+// device makes it: a POST with a JSON body and an Idempotency-Key, its
+// reply written back. No socket: the connection is canned. Of the 6,
+// the request takes 3 (the *http.Request, its URL and the RequestURI
+// string), its header map 2 (the map and one group of slots), and the
+// values' backing array 1. The names, the repeated values, the body,
+// the response writer and the reply buffer are reused from the
+// previous exchange.
+func TestHTTPServerAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; the budget is exact only without it")
+	}
+	req := "POST /v1/slot HTTP/1.1\r\nHost: node:80\r\nUser-Agent: Go-http-client/1.1\r\nContent-Length: 26\r\n" +
+		"Content-Type: application/json\r\nIdempotency-Key: dev-7-1\r\n\r\n{\"client\":7,\"now_ns\":1000}"
+	cc := &cannedConn{reply: req}
+	cc.r.Reset(req)
+	h := &budgetHandler{}
+	sc := &serverConn{s: NewServer(h), nc: cc, remote: "device:1"}
+	sc.br = bufio.NewReaderSize(cc, 4<<10)
+	exchange := func() {
+		if !sc.nextRequest() {
+			t.Fatal("the connection did not stay open")
+		}
+	}
+	exchange() // intern the names, grow the buffers
+	const want = 6
+	if got := testing.AllocsPerRun(100, exchange); got != want {
+		t.Fatalf("one exchange allocates %v times, want %d", got, want)
+	}
+}
+
+// Shutdown drains: the exchange in flight finishes and its reply goes
+// out, idle HTTP and link connections close, the listener refuses new
+// connections, and Serve returns http.ErrServerClosed.
+func TestServerShutdown(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	srv := NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/slow" {
+			close(started)
+			<-release
+		}
+		io.WriteString(w, "done "+r.URL.Path)
+	}))
+	ln := listen(t)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	addr := ln.Addr().String()
+	dial := func() (net.Conn, *bufio.Reader) {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		nc.SetDeadline(time.Now().Add(10 * time.Second))
+		return nc, bufio.NewReader(nc)
+	}
+	roundTrip := func(nc net.Conn, br *bufio.Reader, path string) *http.Response {
+		fmt.Fprintf(nc, "GET %s HTTP/1.1\r\nHost: node\r\n\r\n", path)
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return resp
+	}
+
+	idleHTTP, idleBR := dial()
+	resp := roundTrip(idleHTTP, idleBR, "/fast")
+	io.Copy(io.Discard, resp.Body)
+	idleLink, linkBR := dial()
+	fmt.Fprintf(idleLink, "GET /v1/link HTTP/1.1\r\nHost: node\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", Protocol)
+	if resp, err := http.ReadResponse(linkBR, nil); err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("upgrade: %v %v", resp, err)
+	}
+	busy, busyBR := dial()
+	inflight := make(chan *http.Response, 1)
+	go func() { inflight <- roundTrip(busy, busyBR, "/slow") }()
+	<-started
+
+	shut := make(chan error, 1)
+	go func() { shut <- srv.Shutdown(context.Background()) }()
+	for _, c := range []struct {
+		name string
+		br   *bufio.Reader
+	}{{"idle HTTP", idleBR}, {"idle link", linkBR}} {
+		if _, err := c.br.ReadByte(); err != io.EOF {
+			t.Errorf("%s connection: read %v, want EOF", c.name, err)
+		}
+	}
+	if err := <-served; err != http.ErrServerClosed {
+		t.Errorf("Serve returned %v, want http.ErrServerClosed", err)
+	}
+	if nc, err := net.Dial("tcp", addr); err == nil {
+		nc.Close()
+		t.Error("a new connection was accepted while shutting down")
+	}
+	select {
+	case err := <-shut:
+		t.Fatalf("Shutdown returned %v with an exchange in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	close(release)
+	resp = <-inflight
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK || string(body) != "done /slow" || !resp.Close {
+		t.Fatalf("in-flight reply: %d %q close=%t, want 200 \"done /slow\" and Connection: close", resp.StatusCode, body, resp.Close)
+	}
+	if err := <-shut; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if n := len(srv.conns); n != 0 {
+		t.Fatalf("%d connections left after Shutdown", n)
 	}
 }

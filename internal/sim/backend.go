@@ -56,7 +56,7 @@ type localBackend struct {
 	elastic    bool
 	migrations map[int][]MigrationStep
 
-	front     *http.Server
+	front     *link.Server
 	frontURL  string
 	serveErr  chan error
 	stopOnce  sync.Once
@@ -87,11 +87,11 @@ type simNode struct {
 	ts       *transport.ShardedServer
 	handler  http.Handler // the current incarnation's ts.Handler()
 	log      *wal.Log
-	// A cluster node's own listener, the router's link connections into
-	// it and its address; unset in the single process (F1).
-	srv   *http.Server
-	links *link.Server
-	url   string
+	// A cluster node's own server (its listener, HTTP connections and
+	// the router's link connections into it) and its address; unset in
+	// the single process (F1).
+	srv *link.Server
+	url string
 
 	restartCh chan struct{}
 }
@@ -199,7 +199,7 @@ func newLocalBackend(env *replayEnv, extra ...cluster.Option) (*localBackend, er
 		b.close()
 		return nil, fmt.Errorf("sim: transport listener: %w", err)
 	}
-	b.front = &http.Server{Handler: front}
+	b.front = link.NewServer(front)
 	b.frontURL = "http://" + ln.Addr().String()
 	go func() { b.serveErr <- b.front.Serve(ln) }()
 	return b, nil
@@ -269,16 +269,15 @@ func (b *localBackend) buildNode(nd *simNode) error {
 		return fmt.Errorf("sim: node %d: %w", nd.idx, err)
 	}
 	handler := ts.Handler()
-	var srv *http.Server
-	var links *link.Server
+	var srv *link.Server
 	var url string
 	if o.Nodes > 0 {
 		// (F1) While a cluster node is down its replacement is not serving
 		// yet; abort any connection that still reaches the old
-		// incarnation, exactly like a killed process would. The link
-		// server wraps the gate, so a framed request dies the same death
-		// an HTTP one does.
-		links = link.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// incarnation, exactly like a killed process would. The server
+		// serves the gate, so a framed request dies the same death an
+		// HTTP one does.
+		srv = link.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if nd.isDown() {
 				panic(http.ErrAbortHandler)
 			}
@@ -291,13 +290,12 @@ func (b *localBackend) buildNode(nd *simNode) error {
 			}
 			return fmt.Errorf("sim: node %d listener: %w", nd.idx, err)
 		}
-		srv = &http.Server{Handler: links}
 		go srv.Serve(ln)
 		url = "http://" + ln.Addr().String()
 	}
 	nd.mu.Lock()
 	nd.pool, nd.ts, nd.handler, nd.log = pool, ts, handler, l
-	nd.srv, nd.links, nd.url = srv, links, url
+	nd.srv, nd.url = srv, url
 	nd.mu.Unlock()
 	return nil
 }
@@ -340,15 +338,14 @@ func (b *localBackend) restartLoop(nd *simNode) {
 			return
 		}
 		nd.mu.Lock()
-		srv, links, old := nd.srv, nd.links, nd.log
+		srv, old := nd.srv, nd.log
 		nd.mu.Unlock()
 		if srv != nil {
 			// Kill a cluster node completely: Close aborts in-flight
-			// requests and the listener — and, separately, the hijacked
-			// link connections http.Server no longer tracks — so the router
-			// sees connection failures exactly as if the process died.
+			// requests and closes the listener and every connection, HTTP
+			// and link alike, so the router sees connection failures
+			// exactly as if the process died.
 			srv.Close()
-			links.Close()
 		}
 		// Quiesce the sealed log before reopening the directory: Close
 		// waits out an append already past the seal check, so the
@@ -421,7 +418,7 @@ func (b *localBackend) registry() *obs.Registry { return b.reg }
 func (b *localBackend) stopServe() {
 	b.stopOnce.Do(func() {
 		if b.front != nil {
-			_ = b.front.Close()
+			b.front.Close()
 			<-b.serveErr
 		}
 	})
@@ -480,11 +477,10 @@ func (b *localBackend) close() {
 	b.closeOnce.Do(func() {
 		for _, nd := range b.nodes {
 			nd.mu.Lock()
-			srv, links, l := nd.srv, nd.links, nd.log
+			srv, l := nd.srv, nd.log
 			nd.mu.Unlock()
 			if srv != nil {
-				_ = srv.Close()
-				links.Close()
+				srv.Close()
 			}
 			if l != nil {
 				_ = l.Close()

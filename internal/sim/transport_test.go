@@ -3,12 +3,13 @@ package sim
 import (
 	"fmt"
 	"math"
-	"net/http/httptest"
+	"net"
 	"testing"
 	"time"
 
 	"repro/internal/auction"
 	"repro/internal/core"
+	"repro/internal/link"
 	"repro/internal/simclock"
 	"repro/internal/transport"
 )
@@ -235,12 +236,12 @@ func TestTransportBudgetBindsAcrossShards(t *testing.T) {
 
 // The -target path drives a node it did not boot: a node built as the
 // local backend builds one (the same pool, booted by transport.BootNode)
-// serves behind httptest, and the replay reaches it only through
-// TargetURL. At one worker the devices' counters, the selling totals
-// and the energy equal the local backend's; the ledger the run reads
-// over GET /v1/ledger is the node's own, and once the node sweeps its
-// trailing expiries — as the local backend's finish does — it equals
-// the local run's ledger.
+// serves behind a link.Server, as adserverd serves it, and the replay
+// reaches it only through TargetURL. At one worker the devices'
+// counters, the selling totals and the energy equal the local
+// backend's; the ledger the run reads over GET /v1/ledger is the node's
+// own, and once the node sweeps its trailing expiries — as the local
+// backend's finish does — it equals the local run's ledger.
 func TestTransportTargetMatchesLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full HTTP replay")
@@ -262,10 +263,15 @@ func TestTransportTargetMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(node.Handler())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := link.NewServer(node.Handler())
+	go srv.Serve(ln)
 	defer srv.Close()
 
-	remote, err := RunTransportStream(cfg, TransportOpts{TargetURL: srv.URL, Workers: 1, Energy: true})
+	remote, err := RunTransportStream(cfg, TransportOpts{TargetURL: "http://" + ln.Addr().String(), Workers: 1, Energy: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -330,29 +331,51 @@ func BenchmarkBatchCodec(b *testing.B) {
 // BenchmarkFleetRoundTrip measures the replay's loopback rung: one
 // device op (a slot observation, POST /v1/slot) from a transport.Device
 // to a real ShardedServer node over a real loopback socket, under the
-// two HTTP clients a fleet can use. client=nethttp is net/http's
-// Transport, which runs a read and a write goroutine per connection and
-// hands every exchange across channels; client=sync is link.Transport,
-// which the wire replay uses, running the exchange on the device's own
-// goroutine over the same kind of keep-alive pool. Their difference in
-// ns/op and allocs/op is the client machinery a fleet with one request
-// in flight per device does not need. Both rows include the node's
-// serving cost (net/http's server side, the handler, the engine), which
-// is the same in both.
+// two HTTP clients a fleet can use and the two servers a node can run.
+// client=nethttp is net/http's Transport, which runs a read and a write
+// goroutine per connection and hands every exchange across channels;
+// client=sync is link.Transport, which the wire replay uses, running the
+// exchange on the device's own goroutine over the same kind of
+// keep-alive pool. server=nethttp is net/http's Server (conn.serve, its
+// per-request context, background reader and header clone);
+// server=link is link.Server, which every node, router and replay
+// serves with, parsing each request on the connection's own goroutine
+// and writing the buffered reply in one Write. Differences in ns/op and
+// allocs/op between rows are the client or server machinery a fleet
+// with one request in flight per device does not need; the handler and
+// the engine are the same in all.
 //
 // Run: make bench
 func BenchmarkFleetRoundTrip(b *testing.B) {
+	nethttpRT := func() http.RoundTripper { return &http.Transport{MaxIdleConnsPerHost: 64} }
+	syncRT := func() http.RoundTripper { return link.NewTransport(obs.NewRegistry()) }
+	nethttpServer := func(b *testing.B, h http.Handler) string {
+		srv := httptest.NewServer(h)
+		b.Cleanup(srv.Close)
+		return srv.URL
+	}
+	linkServer := func(b *testing.B, h http.Handler) string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := link.NewServer(h)
+		go srv.Serve(ln)
+		b.Cleanup(srv.Close)
+		return "http://" + ln.Addr().String()
+	}
 	for _, bc := range []struct {
-		name string
-		rt   func() http.RoundTripper
+		name  string
+		rt    func() http.RoundTripper
+		serve func(b *testing.B, h http.Handler) string
 	}{
-		{"client=nethttp", func() http.RoundTripper { return &http.Transport{MaxIdleConnsPerHost: 64} }},
-		{"client=sync", func() http.RoundTripper { return link.NewTransport(obs.NewRegistry()) }},
+		{"client=nethttp", nethttpRT, nethttpServer},
+		{"client=sync/server=nethttp", syncRT, nethttpServer},
+		{"client=sync/server=link", syncRT, linkServer},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			const clients = 256
-			srv := httptest.NewServer(benchHandler(b, 1, clients, 10, 4, auction.DefaultDemand()))
-			defer srv.Close()
+			url := bc.serve(b, benchHandler(b, 1, clients, 10, 4, auction.DefaultDemand()))
 			rt := bc.rt()
 			defer rt.(interface{ CloseIdleConnections() }).CloseIdleConnections()
 			hc := &http.Client{Transport: rt}
@@ -362,7 +385,7 @@ func BenchmarkFleetRoundTrip(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				d, err := NewDevice(int(seq.Add(1))%clients, 8, srv.URL, WithHTTPClient(hc))
+				d, err := NewDevice(int(seq.Add(1))%clients, 8, url, WithHTTPClient(hc))
 				if err != nil {
 					b.Error(err)
 					return
