@@ -61,8 +61,9 @@ mega:
 
 # Throughput scaling of the sharded serving path (1 vs 2 vs 4 shards),
 # the wake-up round-trip comparison (sequential vs batched wire), one
-# device op over loopback under net/http's client and under the
-# replay's synchronous one (link.Transport), the cluster routing tier's proxy overhead (1 vs 3 nodes over an HTTP hop,
+# device op over loopback under net/http's client and server, under the
+# replay's synchronous client (link.Transport), and with the node serving
+# through link.Server too, the cluster routing tier's proxy overhead (1 vs 3 nodes over an HTTP hop,
 # then the HTTP hop and the persistent link side by side against real
 # nodes), and the live shard-migration handoff (clients/s transferred, serving p99 while a
 # handoff holds the rebalance lock), one auction sale's cost and

@@ -5,10 +5,13 @@
 // path that sends the same few hundred bytes to the same three peers
 // all day.
 //
-// A link connection starts life as an HTTP/1.1 Upgrade on the node's
-// ordinary listener (Server wraps the node's outermost http.Handler and
-// intercepts the upgrade), so a cluster needs no second port and no new
-// configuration. After the 101 the connection carries frames:
+// Server is also every node's, router's and replay front's HTTP/1.1
+// server (httpserver.go). It owns its listeners and serves each
+// connection on one goroutine, one exchange at a time, straight to the
+// node's outermost http.Handler; nothing of net/http's server runs. A
+// link connection starts life as an HTTP/1.1 Upgrade on that same
+// listener, so a cluster needs no second port and no new configuration.
+// After the 101 the connection carries frames:
 //
 //	request   u32 n | u8 len, method | u16 len, uri | headers | body
 //	response  u32 n | u16 status                    | headers | body
@@ -16,8 +19,8 @@
 //
 // n is the byte length of everything after it (little-endian, like the
 // batch codec), at most MaxFrame; the body is whatever follows the
-// headers. Each request frame is dispatched to the wrapped handler as an
-// *http.Request — the same middleware chain an HTTP request would cross
+// headers. Each request frame is dispatched to the server's handler as
+// an *http.Request — the same middleware chain an HTTP request crosses
 // — and its buffered reply goes back as one response frame.
 //
 // The same connection pool (pool.go) carries the device fleet's plain

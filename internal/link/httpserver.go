@@ -50,15 +50,14 @@ func statusRefusal(code int, text string) *refusal {
 }
 
 var (
-	errBadRequest      = &refusal{"400 Bad Request", "400 Bad Request"}
-	errMissingHost     = statusRefusal(400, "missing required Host header")
-	errMalformedHost   = statusRefusal(400, "malformed Host header")
-	errInvalidName     = statusRefusal(400, "invalid header name")
-	errVersion         = statusRefusal(505, "unsupported protocol version")
-	errTooLarge        = &refusal{"431 Request Header Fields Too Large", "431 Request Header Fields Too Large"}
-	errTransferCoding  = &refusal{"501 Not Implemented", "Unsupported transfer encoding"}
-	errExpectation     = &refusal{"417 Expectation Failed", ""}
-	errUpgradeDraining = &refusal{"503 Service Unavailable", "link: node is shutting down\n"}
+	errBadRequest     = &refusal{"400 Bad Request", "400 Bad Request"}
+	errMissingHost    = statusRefusal(400, "missing required Host header")
+	errMalformedHost  = statusRefusal(400, "malformed Host header")
+	errInvalidName    = statusRefusal(400, "invalid header name")
+	errVersion        = statusRefusal(505, "unsupported protocol version")
+	errTooLarge       = &refusal{"431 Request Header Fields Too Large", "431 Request Header Fields Too Large"}
+	errTransferCoding = &refusal{"501 Not Implemented", "Unsupported transfer encoding"}
+	errExpectation    = &refusal{"417 Expectation Failed", ""}
 
 	errLongTrailer = errors.New("link: chunked trailer too long")
 )
@@ -95,10 +94,6 @@ func (sc *serverConn) nextRequest() bool {
 		return false // a read error or a timeout: nobody to answer
 	}
 	if req.Header.Get("Upgrade") == Protocol {
-		if sc.s.draining.Load() {
-			sc.refuse(errUpgradeDraining)
-			return false
-		}
 		sc.host = req.Host
 		if _, err := sc.nc.Write(upgradeReply); err == nil {
 			sc.serveFrames()
@@ -118,7 +113,7 @@ func (sc *serverConn) exchange(req *http.Request) bool {
 	}
 	keep := !req.Close && !w.closeAfter && !sc.s.draining.Load()
 	linger := false
-	if !sc.body.eof && (!keep || !sc.body.drain(sc)) {
+	if !sc.body.eof && (!keep || !sc.body.drain()) {
 		keep, linger = false, true // what is left of the body stays unread
 	}
 	out := w.finish(sc, keep)
@@ -224,7 +219,7 @@ func (sc *serverConn) readRequest() (*http.Request, error) {
 	}
 	method, rest, ok1 := bytes.Cut(line, []byte{' '})
 	uri, proto, ok2 := bytes.Cut(rest, []byte{' '})
-	if !ok1 || !ok2 || !validToken(method) {
+	if !ok1 || !ok2 || checkName(method) != nameOK {
 		return nil, errBadRequest
 	}
 	major, minor, ok := parseVersion(proto)
@@ -484,7 +479,7 @@ func (b *reqBody) Close() error {
 // carry the next request, and reports whether that worked: false when
 // more than maxPostHandlerReadBytes is left, the client still waits for
 // a 100 Continue it never got, or the body cannot be read to its end.
-func (b *reqBody) drain(sc *serverConn) bool {
+func (b *reqBody) drain() bool {
 	if b.eof {
 		return true
 	}
@@ -492,7 +487,7 @@ func (b *reqBody) drain(sc *serverConn) bool {
 		return false
 	}
 	for total := 0; total <= maxPostHandlerReadBytes; {
-		n, err := b.read(sc.scratch[:])
+		n, err := b.read(b.sc.scratch[:])
 		total += n
 		if err == io.EOF {
 			return true
@@ -764,7 +759,7 @@ func trimSpace[T string | []byte](b T) T {
 	return b
 }
 
-// The verdicts checkName gives a header name.
+// The verdicts checkName gives a header name (or a method: a token).
 const (
 	nameOK     = iota
 	nameSpaced // token bytes and at least one space
@@ -785,18 +780,6 @@ func checkName[T string | []byte](name T) int {
 		}
 	}
 	return verdict
-}
-
-func validToken(b []byte) bool {
-	if len(b) == 0 {
-		return false
-	}
-	for _, c := range b {
-		if !isToken(c) {
-			return false
-		}
-	}
-	return true
 }
 
 // isToken reports whether c may appear in an RFC 9110 token.
